@@ -53,9 +53,9 @@ _HEALTH_EVERY = 8192
 #: Paper section 2.2 step 4: retries before squashing a dependency.
 MAX_DEPENDENCY_RETRIES = 1000
 
-#: Branch outcomes indexed by their position in ``outcome_counts``.
+#: Branch outcomes indexed by their position in ``outcome_counts``
+#: (index 0, CORRECT, is also the outcome of a branch never observed).
 _OUTCOMES = (BranchOutcome(0), BranchOutcome(1), BranchOutcome(2))
-_OUTCOME_CORRECT = BranchOutcome.CORRECT
 
 
 def _operand_table(histogram: Dict[int, int], occurrences: int) -> tuple:
@@ -138,7 +138,7 @@ class _SfgTables:
     __slots__ = ("recipes", "anti_recipes", "transitions", "edges")
 
     def __init__(self) -> None:
-        # context -> compiled emit(out, produces, rand) function
+        # context -> compiled emit(out, produces, rand, squash, intern)
         self.recipes: Dict[Context, object] = {}
         self.anti_recipes: Dict[Context, object] = {}
         self.transitions: Dict[Tuple[int, ...],
@@ -230,6 +230,74 @@ def prepare_recipes(profile: StatisticalProfile,
 # operand tables consume no draws (the legacy code `continue`d before
 # touching the rng), so they are simply omitted from the generated
 # code.
+#
+# Certain squashes: while one operand's retry loop runs, neither the
+# instruction's position nor the produces-register flags change, so
+# after its first rejected draw the emitter checks once whether any
+# distance in the table could be accepted.  If none can, the remaining
+# retries are certain to fail; the generator is advanced past them in
+# one ``getrandbits(64 * remaining)`` call and the dependency squashed.
+# CPython's ``random()`` consumes exactly two 32-bit MT19937 words and
+# ``getrandbits(64 * m)`` exactly ``2 * m``, so the stream stays
+# draw-for-draw identical to the legacy loop.
+#
+# Interning: an emitted instruction is fully determined by its class,
+# its event bits and its dependency distances, so the emitter packs the
+# first two into one int key (``int(iclass) << 9 | bits``, paired with
+# the distance tuple when there are dependencies) and takes the instance
+# from a per-call :class:`_Interner`.  The table lives for one synthesis
+# call only: held across calls it would keep every instance of every
+# seed and design point alive.
+
+#: Event bits of an interning key (the outcome index sits in bits 7-8).
+_IL1, _L2I, _ITLB, _DL1, _L2D, _DTLB, _TAKEN = (1 << b for b in range(7))
+_OUTCOME_SHIFT = 7
+_CLASS_SHIFT = 9
+_ICLASSES = tuple(IClass)
+_NEW = SyntheticInstruction.__new__
+
+
+class _Interner(dict):
+    """One synthesis call's table of emitted instructions, keyed by
+    ``int(iclass) << 9 | event bits`` or ``(that int, deps)``; a missing
+    key builds (and keeps) its instruction."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if key.__class__ is int:
+            bits, deps = key, ()
+        else:
+            bits, deps = key
+        iclass = _ICLASSES[bits >> _CLASS_SHIFT]
+        # Direct slot stores via __new__ skip the __init__ call frame.
+        inst = self[key] = _NEW(SyntheticInstruction)
+        inst.iclass = iclass
+        inst.dep_distances = deps
+        inst.il1_miss = bits & _IL1 != 0
+        inst.l2i_miss = bits & _L2I != 0
+        inst.itlb_miss = bits & _ITLB != 0
+        inst.dl1_miss = bits & _DL1 != 0
+        inst.l2d_miss = bits & _L2D != 0
+        inst.dtlb_miss = bits & _DTLB != 0
+        inst.taken = bits & _TAKEN != 0
+        inst.outcome = (_OUTCOMES[(bits >> _OUTCOME_SHIFT) & 3]
+                        if iclass in BRANCH_CLASSES else None)
+        return inst
+
+
+def _can_accept(produces: List[int], base: int, dists: tuple) -> bool:
+    """Whether any distance in *dists* (descending) names an acceptable
+    producer for the instruction at *base*: one before the trace start,
+    or one that writes a register.  Longest first: a rejected draw is
+    typical of a tight loop of stores and branches, which the longest
+    distances reach past."""
+    if dists[0] > base:
+        return True
+    for d in dists:
+        if produces[base - d]:
+            return True
+    return False
 
 
 def _emit_distance_walk(body: List[str], pad: str, table: tuple,
@@ -256,11 +324,55 @@ def _emit_distance_walk(body: List[str], pad: str, table: tuple,
     return "dd"
 
 
+def _emit_operand(body: List[str], k: int, table: tuple, bind) -> None:
+    """Generate step 4 for one operand: gate draw, then up to
+    MAX_DEPENDENCY_RETRIES distance draws rejecting branch/store
+    producers, then a squash."""
+    retries_left = MAX_DEPENDENCY_RETRIES - 1
+    body.append(f"    if rand() < {table[0]!r}:")
+    if table[7] == 1:
+        # One distance: a rejected first draw is a certain squash.
+        expr = _emit_distance_walk(body, "        ", table, bind)
+        body.append(f"        t = position + {k} - {expr}")
+        body.append("        if t >= 0 and not produces[t]:")
+        body.append(f"            squash({retries_left})")
+        body.append("        else:")
+        body.append(f"            deps += ({expr},)")
+        return
+    body.append(f"        for _r in range({MAX_DEPENDENCY_RETRIES}):")
+    expr = _emit_distance_walk(body, "            ", table, bind)
+    dists = bind("_R", tuple(reversed(table[2])))
+    body.append(f"            t = position + {k} - {expr}")
+    body.append("            if t >= 0 and not produces[t]:")
+    body.append(f"                if _r or _OK(produces, position + {k},"
+                f" {dists}):")
+    body.append("                    continue")
+    body.append(f"                squash({retries_left})")
+    body.append("                break")
+    body.append(f"            deps += ({expr},)")
+    body.append("            break")
+    body.append("        else:")
+    body.append("            squash(0)")
+
+
+def _emit_event(body: List[str], pad: str, p: float, bit: int) -> None:
+    """Generate one locality/branch event draw setting *bit* in ``e``
+    (a draw is consumed even when the probability is zero, matching
+    the legacy comparisons)."""
+    if p:
+        body.append(f"{pad}if rand() < {p!r}:")
+        body.append(f"{pad}    e += {bit}")
+    else:
+        body.append(f"{pad}rand()")
+
+
 def _compile_emitter(packed_recipes: List[tuple]):
     """Compile one context's packed slot recipes into an
-    ``emit(out, produces, rand)`` function (steps 3-8 specialized)."""
-    env: Dict[str, object] = {}
-    names: List[str] = []
+    ``emit(out, produces, rand, squash, intern)`` function (steps 3-8
+    specialized): *squash(m)* skips *m* draws and counts a squashed
+    dependency, *intern* is the call's :class:`_Interner`."""
+    env: Dict[str, object] = {"_OK": _can_accept}
+    names: List[str] = ["_OK"]
 
     def bind(prefix: str, value) -> str:
         name = f"{prefix}{len(names)}"
@@ -268,7 +380,6 @@ def _compile_emitter(packed_recipes: List[tuple]):
         names.append(name)
         return name
 
-    si = bind("_SI", SyntheticInstruction)
     body: List[str] = ["    position = len(out)", "    append = out.append"]
     flags = bind("_P", [r[15] for r in packed_recipes])
     # The block's produces-register flags are static, so the parallel
@@ -278,98 +389,54 @@ def _compile_emitter(packed_recipes: List[tuple]):
     for k, packed in enumerate(packed_recipes):
         (operand_tables, anti_tables, is_load, is_branch,
          p_il1, p_l2i, p_itlb, p_dl1, p_l2d, p_dtlb,
-         p_taken, oc0, oc1, ototal, _iclass, _flag) = packed
+         p_taken, oc0, oc1, ototal, iclass, _flag) = packed
         active = [t for t in operand_tables if t[1]]
         has_deps = bool(active) or bool(anti_tables)
         if has_deps:
-            body.append("    deps = []")
+            body.append("    deps = ()")
         # Step 4: dependency distances, rejecting branch/store
         # producers (up to MAX_DEPENDENCY_RETRIES redraws each).
         for table in active:
-            body.append(f"    if rand() < {table[0]!r}:")
-            body.append(f"        for _r in range({MAX_DEPENDENCY_RETRIES}):")
-            expr = _emit_distance_walk(body, "            ", table, bind)
-            body.append(f"            t = position + {k} - {expr}")
-            body.append("            if t >= 0 and not produces[t]:")
-            body.append("                continue")
-            body.append(f"            deps.append({expr})")
-            body.append("            break")
+            _emit_operand(body, k, table, bind)
         # WAW/WAR distances for non-renaming machines (section 2.1.1
         # extension): no producer check, no retries.
         for table in anti_tables:
             body.append(f"    if rand() < {table[0]!r}:")
             expr = _emit_distance_walk(body, "        ", table, bind)
-            body.append(f"        deps.append({expr})")
-        # Steps 5-7: locality events (a draw is consumed even when the
-        # probability is zero, matching the legacy comparisons).
+            body.append(f"        deps += ({expr},)")
+        # Steps 5-7: locality events.  A branch that never saw an
+        # outcome is CORRECT, outcome index 0.
+        body.append(f"    e = {int(iclass) << _CLASS_SHIFT}")
         if p_il1:
-            body.append(f"    il1 = rand() < {p_il1!r}")
-            body.append(f"    l2i = il1 and rand() < {p_l2i!r}")
-            il1_e, l2i_e = "il1", "l2i"
+            body.append(f"    if rand() < {p_il1!r}:")
+            body.append(f"        e += {_IL1}")
+            _emit_event(body, "        ", p_l2i, _L2I)
         else:
             body.append("    rand()")
-            il1_e = l2i_e = "False"
-        if p_itlb:
-            body.append(f"    itlb = rand() < {p_itlb!r}")
-            itlb_e = "itlb"
-        else:
-            body.append("    rand()")
-            itlb_e = "False"
-        dl1_e = l2d_e = dtlb_e = "False"
+        _emit_event(body, "    ", p_itlb, _ITLB)
         if is_load:
             if p_dl1:
-                body.append(f"    dl1 = rand() < {p_dl1!r}")
-                body.append(f"    l2d = dl1 and rand() < {p_l2d!r}")
-                dl1_e, l2d_e = "dl1", "l2d"
+                body.append(f"    if rand() < {p_dl1!r}:")
+                body.append(f"        e += {_DL1}")
+                _emit_event(body, "        ", p_l2d, _L2D)
             else:
                 body.append("    rand()")
-            if p_dtlb:
-                body.append(f"    dtlb = rand() < {p_dtlb!r}")
-                dtlb_e = "dtlb"
-            else:
-                body.append("    rand()")
+            _emit_event(body, "    ", p_dtlb, _DTLB)
         # Step 6: branch characteristics.
-        taken_e, outcome_e = "False", "None"
         if is_branch:
-            if p_taken:
-                body.append(f"    taken = rand() < {p_taken!r}")
-                taken_e = "taken"
-            else:
-                body.append("    rand()")
+            _emit_event(body, "    ", p_taken, _TAKEN)
             if ototal:
                 body.append(f"    draw = rand() * {ototal}")
-                body.append(f"    outcome = _OU[({oc0} <= draw)"
-                            f" + ({oc1} <= draw)]")
-                outcome_e = "outcome"
-                env.setdefault("_OU", _OUTCOMES)
-                if "_OU" not in names:
-                    names.append("_OU")
-            else:
-                outcome_e = "_OC"
-                env.setdefault("_OC", _OUTCOME_CORRECT)
-                if "_OC" not in names:
-                    names.append("_OC")
-        ic = bind("_I", packed[14])
-        deps_e = "tuple(deps)" if has_deps else "()"
-        # Direct slot stores via __new__ skip the __init__ call frame —
-        # this loop constructs every instruction of the trace.
-        body.append(f"    inst = _NEW({si})")
-        body.append(f"    inst.iclass = {ic}")
-        body.append(f"    inst.dep_distances = {deps_e}")
-        body.append(f"    inst.il1_miss = {il1_e}")
-        body.append(f"    inst.l2i_miss = {l2i_e}")
-        body.append(f"    inst.itlb_miss = {itlb_e}")
-        body.append(f"    inst.dl1_miss = {dl1_e}")
-        body.append(f"    inst.l2d_miss = {l2d_e}")
-        body.append(f"    inst.dtlb_miss = {dtlb_e}")
-        body.append(f"    inst.taken = {taken_e}")
-        body.append(f"    inst.outcome = {outcome_e}")
-        body.append("    append(inst)")
-    env["_NEW"] = SyntheticInstruction.__new__
-    names.append("_NEW")
+                body.append(f"    if {oc0} <= draw:")
+                body.append(f"        e += {1 << _OUTCOME_SHIFT}")
+                body.append(f"        if {oc1} <= draw:")
+                body.append(f"            e += {1 << _OUTCOME_SHIFT}")
+        key = "(e, deps) if deps else e" if has_deps else "e"
+        body.append(f"    append(intern[{key}])")
     params = "".join(f", {name}={name}" for name in names)
     source = "\n".join(
-        [f"def _emit(out, produces, rand{params}):"] + body)
+        [f"def _emit(out, produces, rand, squash, intern{params}):"]
+        + body)
     exec(compile(source, "<sfg-emitter>", "exec"), env)
     return env["_emit"]
 
@@ -449,7 +516,18 @@ def _generate_synthetic_trace(
 
     rng = random.Random(seed)
     rand = rng.random
+    getrandbits = rng.getrandbits
     order = profile.order
+    intern = _Interner()
+    squashes = 0
+
+    def squash(skipped: int) -> None:
+        # Advance past *skipped* certain-to-fail retries (two MT19937
+        # words per random() call) and count the squashed dependency.
+        nonlocal squashes
+        squashes += 1
+        if skipped:
+            getrandbits(64 * skipped)
 
     tables = _tables_for(sfg)
     recipe_cache = (tables.anti_recipes if include_anti_dependencies
@@ -506,7 +584,7 @@ def _generate_synthetic_trace(
                                       include_anti_dependencies)
                 recipe_cache[context] = emit
                 built += 1
-            emit(out, produces, rand)  # steps 3-8
+            emit(out, produces, rand, squash, intern)  # steps 3-8
             if len(out) >= next_health:
                 next_health = len(out) + _HEALTH_EVERY
                 _health_checkpoint(len(out))
@@ -552,6 +630,9 @@ def _generate_synthetic_trace(
     if built:
         get_registry().counter("synthesis.recipe_contexts_built").inc(
             built)
+    if squashes:
+        get_registry().counter("synthesis.dependency_squashes").inc(
+            squashes)
     return SyntheticTrace(
         name=f"{profile.name}/synthetic",
         instructions=out,

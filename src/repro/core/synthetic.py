@@ -10,7 +10,7 @@ generation time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.isa.iclass import (
@@ -23,7 +23,14 @@ from repro.cpu.source import FetchSlot
 
 
 class SyntheticInstruction:
-    """One statistically generated instruction."""
+    """One statistically generated instruction.
+
+    Instances are values, not positions: the synthesizer hands out one
+    instance for every position of a trace with the same class, events
+    and dependency distances, so an instance may appear many times in
+    one trace.  Treat them as immutable; build a new instance instead of
+    changing a field.
+    """
 
     __slots__ = ("iclass", "dep_distances", "il1_miss", "l2i_miss",
                  "itlb_miss", "dl1_miss", "l2d_miss", "dtlb_miss",
@@ -86,14 +93,26 @@ class SyntheticTrace:
     def to_fetch_slots(self, config: MachineConfig) -> List[FetchSlot]:
         """Convert annotations into pipeline fetch slots (paper §2.3):
         a load's latency comes from the deepest level it misses in, and
-        instruction-side misses become fetch stalls."""
+        instruction-side misses become fetch stalls.
+
+        Slots are only ever read, so an instruction instance repeated in
+        the trace gets one slot, shared by every position it fills."""
         slots: List[FetchSlot] = []
+        append = slots.append
+        # Identity-keyed, for this call only: instructions define no
+        # __eq__, so each distinct instance converts exactly once.
+        converted: Dict[SyntheticInstruction, FetchSlot] = {}
+        converted_get = converted.get
         memory_latency = config.memory_latency
         l2_latency = config.l2.hit_latency
         dl1_latency = config.dl1.hit_latency
         itlb_penalty = config.itlb.miss_latency
         dtlb_penalty = config.dtlb.miss_latency
         for inst in self.instructions:
+            slot = converted_get(inst)
+            if slot is not None:
+                append(slot)
+                continue
             stall = 0
             if inst.l2i_miss:
                 stall = memory_latency
@@ -112,7 +131,7 @@ class SyntheticTrace:
                     latency += dtlb_penalty
             else:
                 latency = execution_latency(inst.iclass)
-            slots.append(FetchSlot(
+            slot = converted[inst] = FetchSlot(
                 iclass=inst.iclass,
                 exec_latency=latency,
                 fetch_stall=stall,
@@ -125,7 +144,8 @@ class SyntheticTrace:
                 l2d_miss=inst.l2d_miss,
                 itlb_miss=inst.itlb_miss,
                 dtlb_miss=inst.dtlb_miss,
-            ))
+            )
+            append(slot)
         return slots
 
     def summary(self) -> dict:

@@ -2,10 +2,12 @@
 
 The hot-path overhaul (alias/guide-table samplers, the event-driven
 pipeline) must be *draw-for-draw* and *cycle-for-cycle* equivalent to
-the original implementation: the golden files in ``tests/golden/`` were
-generated with the pre-overhaul code, so the same profile + seed must
-still produce a byte-identical synthetic trace and an identical
-:class:`SimulationResult` after any rewrite.
+the original implementation: the gzip golden files in ``tests/golden/``
+were generated with the pre-overhaul code, so the same profile + seed
+must still produce a byte-identical synthetic trace and an identical
+:class:`SimulationResult` after any rewrite.  The parser goldens were
+added later, from the generator that step 4's certain-squash skip
+replaced; that generator still reproduced the gzip goldens.
 
 Regenerate (only when an *intentional* behaviour change is shipped)
 with::
@@ -27,10 +29,14 @@ from repro.workloads.spec import build_benchmark
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: The example workload the goldens pin: small enough to keep the files
-#: reviewable, large enough to exercise restarts, dead ends, rejected
-#: dependency draws, mispredictions and fetch redirections.
-BENCHMARK = "gzip"
+#: The example workloads the goldens pin: small enough to keep the files
+#: reviewable, large enough to exercise restarts, dead ends,
+#: mispredictions and fetch redirections.  gzip never rejects a
+#: dependency draw.  Per seed, parser redraws hundreds of rejected
+#: dependency draws and squashes 13-16 dependencies whose 1,000 draws
+#: can only fail (section 2.2 step 4), so its goldens pin the retry
+#: loop and the squash path.
+BENCHMARKS = ("gzip", "parser")
 WARMUP = 2_000
 REFERENCE = 6_000
 ORDER = 1
@@ -38,10 +44,10 @@ REDUCTION_FACTOR = 8.0
 SEEDS = (0, 1)
 
 
-def _build_profile():
+def _build_profile(benchmark):
     config = baseline_config()
     warm, trace = run_program_with_warmup(
-        build_benchmark(BENCHMARK), warmup=WARMUP,
+        build_benchmark(benchmark), warmup=WARMUP,
         n_instructions=REFERENCE)
     profile = profile_trace(trace, config, order=ORDER,
                             branch_mode="delayed", warmup_trace=warm)
@@ -81,7 +87,7 @@ def _case_payload(profile, config, seed):
                                          seed=seed)
     result, _power = simulate_synthetic_trace(synthetic, config)
     return {
-        "benchmark": BENCHMARK,
+        "benchmark": profile.name,
         "warmup": WARMUP,
         "reference": REFERENCE,
         "order": ORDER,
@@ -92,37 +98,54 @@ def _case_payload(profile, config, seed):
     }
 
 
-def _golden_path(seed: int) -> Path:
-    return GOLDEN_DIR / f"determinism_{BENCHMARK}_seed{seed}.json"
+def _golden_path(benchmark: str, seed: int) -> Path:
+    return GOLDEN_DIR / f"determinism_{benchmark}_seed{seed}.json"
+
+
+#: Every (benchmark, seed) case; the gzip cases keep bare-seed ids.
+#: (``bench``, not ``benchmark``: pytest-benchmark owns that name.)
+CASES = [pytest.param(benchmark, seed,
+                      id=str(seed) if benchmark == "gzip"
+                      else f"{benchmark}-{seed}")
+         for benchmark in BENCHMARKS for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
-def profile_and_config():
-    return _build_profile()
+def profiles():
+    """benchmark -> (profile, config), each built on first use."""
+    built = {}
+
+    def get(benchmark):
+        if benchmark not in built:
+            built[benchmark] = _build_profile(benchmark)
+        return built[benchmark]
+
+    return get
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_trace_and_result_match_golden(profile_and_config, seed):
-    path = _golden_path(seed)
+@pytest.mark.parametrize("bench, seed", CASES)
+def test_trace_and_result_match_golden(profiles, bench, seed):
+    path = _golden_path(bench, seed)
     assert path.exists(), (
         f"golden file {path} missing; regenerate with "
         f"'PYTHONPATH=src python tests/test_determinism_golden.py'")
     golden = json.loads(path.read_text())
-    profile, config = profile_and_config
+    profile, config = profiles(bench)
     current = _case_payload(profile, config, seed)
     assert current["trace"] == golden["trace"], (
         "synthetic trace diverged from the pre-overhaul golden "
-        f"(seed {seed}): same profile + seed no longer reproduces the "
-        "same instruction stream")
+        f"({bench}, seed {seed}): same profile + seed no longer "
+        "reproduces the same instruction stream")
     assert current["result"] == golden["result"], (
-        f"SimulationResult diverged from the golden (seed {seed})")
+        f"SimulationResult diverged from the golden ({bench}, "
+        f"seed {seed})")
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_repeat_run_is_byte_identical(profile_and_config, seed):
+@pytest.mark.parametrize("bench, seed", CASES)
+def test_repeat_run_is_byte_identical(profiles, bench, seed):
     """Two in-process runs serialize to the same bytes (no hidden
     global state in the sampler caches)."""
-    profile, config = profile_and_config
+    profile, config = profiles(bench)
     first = json.dumps(_case_payload(profile, config, seed),
                        sort_keys=True)
     second = json.dumps(_case_payload(profile, config, seed),
@@ -132,14 +155,15 @@ def test_repeat_run_is_byte_identical(profile_and_config, seed):
 
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    profile, config = _build_profile()
-    for seed in SEEDS:
-        path = _golden_path(seed)
-        payload = _case_payload(profile, config, seed)
-        path.write_text(json.dumps(payload, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
-        print(f"wrote {path} ({len(payload['trace'])} instructions, "
-              f"{payload['result']['cycles']} cycles)")
+    for benchmark in BENCHMARKS:
+        profile, config = _build_profile(benchmark)
+        for seed in SEEDS:
+            path = _golden_path(benchmark, seed)
+            payload = _case_payload(profile, config, seed)
+            path.write_text(json.dumps(payload, sort_keys=True,
+                                       separators=(",", ":")) + "\n")
+            print(f"wrote {path} ({len(payload['trace'])} instructions, "
+                  f"{payload['result']['cycles']} cycles)")
 
 
 if __name__ == "__main__":

@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.bench.legacy import legacy_generate_synthetic_trace
+from repro.config import baseline_config
 from repro.isa.iclass import BRANCH_CLASSES, IClass
 from repro.branch.unit import BranchOutcome
-from repro.core.profiler import profile_trace
+from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import reduce_flow_graph
+from repro.core.sfg import StatisticalFlowGraph
 from repro.core.synthesis import generate_synthetic_trace
-from repro.core.synthetic import dependency_targets
+from repro.core.synthetic import SyntheticTrace, dependency_targets
+from repro.cpu.source import FetchSlot
+from repro.frontend.warming import run_program_with_warmup
+from repro.obs.metrics import get_registry
+from repro.workloads.spec import build_benchmark
 
 
 @pytest.fixture
@@ -140,3 +147,122 @@ class TestAnnotations:
         branches = [i for i in synthetic if i.is_branch]
         taken_syn = sum(i.taken for i in branches) / len(branches)
         assert abs(taken_syn - taken_real / total) < 0.07
+
+
+def _fields(trace):
+    return [(i.iclass, i.dep_distances, i.il1_miss, i.l2i_miss,
+             i.itlb_miss, i.dl1_miss, i.l2d_miss, i.dtlb_miss, i.taken,
+             i.outcome) for i in trace]
+
+
+#: Per block: slot classes and one operand dependency table per slot
+#: (``None`` = no source operand).  The walk cycles 0 -> 1 -> 2 -> 0,
+#: 40 visits per block; a table holding 40 or more counts always has a
+#: dependency.
+_LD, _ST, _ALU, _BR = (IClass.LOAD, IClass.STORE, IClass.INT_ALU,
+                       IClass.INT_COND_BRANCH)
+_RETRY_BLOCKS = {
+    # Slot 2's only distance lands on the in-block store: squashed on
+    # every visit after one draw.  The branch's distance 20 reaches
+    # before the trace start on the first visits.
+    0: ([_LD, _ST, _ALU, _BR], [None, None, {1: 40}, {2: 30, 20: 10}]),
+    # Both of slot 2's distances land on in-block stores: a certain
+    # squash that only the scan of the whole table can establish.
+    1: ([_ST, _ST, _ALU, _BR], [None, None, {1: 20, 2: 20}, None]),
+    # Distances 1-8 land on stores, 9 on the leading ALU: the loop
+    # usually accepts after hundreds of draws and now and then
+    # exhausts all 1,000 retries.
+    2: ([_ALU] + [_ST] * 8 + [_ALU, _BR],
+        [None] * 9 + [{**{d: 1000 for d in range(1, 9)}, 9: 20}, None]),
+}
+
+
+def _retry_profile(config, visits=40):
+    sfg = StatisticalFlowGraph(order=1)
+    for block, (iclasses, tables) in _RETRY_BLOCKS.items():
+        previous = (block - 1) % len(_RETRY_BLOCKS)
+        stats = sfg.context_for(
+            (previous,), block, iclasses,
+            [0 if table is None else 1 for table in tables])
+        stats.occurrences = visits
+        for slot, table in enumerate(tables):
+            if table is not None:
+                stats.dep_hists[slot][0] = dict(table)
+            stats.il1[slot] = visits // 3
+            stats.l2i[slot] = visits // 8
+            stats.itlb[slot] = visits // 10
+            if iclasses[slot] is IClass.LOAD:
+                stats.dl1[slot] = visits // 2
+                stats.l2d[slot] = visits // 5
+        stats.taken = visits // 2
+        stats.outcome_counts = [visits - 6, 2, 4]
+        sfg.transitions[(previous,)] = {block: visits}
+        sfg.total_block_executions += visits
+    return StatisticalProfile(
+        name="retry", order=1, sfg=sfg,
+        trace_instructions=visits * 19, branch_mode="delayed",
+        perfect_caches=False, config=config)
+
+
+class TestDependencySquashSkip:
+    """Step 4's certain squashes are skipped without changing a draw:
+    the traces must equal the legacy generator's, which runs every
+    one of the 1,000 retries."""
+
+    @pytest.fixture
+    def profile(self, config):
+        return _retry_profile(config)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_legacy_generator(self, profile, seed):
+        synthetic = generate_synthetic_trace(profile, 1, seed=seed)
+        legacy = legacy_generate_synthetic_trace(profile, 1, seed=seed)
+        assert _fields(synthetic) == _fields(legacy)
+
+    def test_squashes_counted_and_long_loops_accept(self, profile):
+        counter = get_registry().counter("synthesis.dependency_squashes")
+        before = counter.value
+        synthetic = generate_synthetic_trace(profile, 1, seed=0)
+        # Blocks 0 and 1 squash slot 2 on each of their 40 visits.
+        assert counter.value - before >= 80
+        # Block 2's long retry loops do reach the one accepted distance.
+        assert any(inst.dep_distances == (9,) for inst in synthetic)
+
+
+class TestInterning:
+    """Within one synthesis call, instructions with the same class,
+    events and dependencies are one shared instance, and the pipeline
+    conversion builds one fetch slot per instance."""
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        config = baseline_config()
+        warm, trace = run_program_with_warmup(
+            build_benchmark("twolf"), warmup=2_000, n_instructions=6_000)
+        return profile_trace(trace, config, order=1,
+                             branch_mode="delayed", warmup_trace=warm)
+
+    def test_trace_reuses_instances(self, profile):
+        synthetic = generate_synthetic_trace(profile, 2, seed=0)
+        assert len({id(inst) for inst in synthetic}) < len(synthetic) // 4
+
+    def test_instances_not_shared_across_calls(self, profile):
+        first = generate_synthetic_trace(profile, 2, seed=0)
+        second = generate_synthetic_trace(profile, 2, seed=0)
+        assert _fields(first) == _fields(second)
+        assert not ({id(inst) for inst in first}
+                    & {id(inst) for inst in second})
+
+    def test_fetch_slots_match_per_instance_conversion(self, profile,
+                                                       config):
+        synthetic = generate_synthetic_trace(profile, 2, seed=1)
+        slots = synthetic.to_fetch_slots(config)
+        assert len(slots) == len(synthetic)
+        assert len({id(slot) for slot in slots}) == \
+            len({id(inst) for inst in synthetic})
+        for inst, slot in zip(synthetic, slots):
+            alone = SyntheticTrace("one", [inst], order=1,
+                                   reduction_factor=1.0)
+            expected = alone.to_fetch_slots(config)[0]
+            assert [getattr(slot, f) for f in FetchSlot.__slots__] == \
+                [getattr(expected, f) for f in FetchSlot.__slots__]
