@@ -19,7 +19,7 @@ produce byte-identical traces to the legacy one, seed for seed.
 
 Schema 2 adds the **vector** phase: end-to-end synthesize+simulate
 through the columnar batch kernels (:mod:`repro.core.columnar` and the
-pipeline's :class:`~repro.cpu.source.ColumnarSource` fast path) against
+pipeline's :class:`~repro.cpu.source.ColumnarSource`) against
 the scalar object path, plus a synthesis-only columnar measurement.
 The columnar generator draws from a different — statistically
 equivalent — RNG stream, so instead of byte-stability the phase records

@@ -98,9 +98,9 @@ def simulate_synthetic_trace(
 def simulate_columnar_trace(
     columnar, config: MachineConfig
 ) -> Tuple[SimulationResult, PowerBreakdown]:
-    """Synthetic-trace simulation from a columnar trace: the pipeline's
-    vectorized fast path consuming the trace's numpy columns directly
-    (no per-instruction FetchSlot objects)."""
+    """Synthetic-trace simulation from a columnar trace: the pipeline
+    consumes rows built from the trace's numpy columns (no
+    per-instruction FetchSlot objects)."""
     from repro.cpu.source import ColumnarSource
 
     with trace_span("simulate", bench=columnar.name, mode="synthetic"):

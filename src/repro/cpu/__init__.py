@@ -7,7 +7,8 @@ the paper's simulators:
   execution-driven *reference* simulator — live caches and branch
   predictor resolve every locality event from real addresses, with
   lookups at fetch and speculative update at dispatch;
-* fed by a :class:`~repro.cpu.source.PreannotatedSource`, it is the
+* fed by a :class:`~repro.cpu.source.PreannotatedSource` (or a
+  :class:`~repro.cpu.source.ColumnarSource`), it is the
   *synthetic-trace* simulator of paper section 2.3 — no caches or
   predictors, all outcomes pre-assigned by the trace generator.
 

@@ -1,24 +1,39 @@
 """Instruction sources: how the pipeline learns each instruction's
 latencies, dependencies and branch outcome.
 
-A :class:`FetchSlot` is the pipeline's view of one instruction — class,
-execution latency, fetch stall, RAW dependency distances and branch
-outcome — deliberately identical for real and synthetic instructions.
-The :class:`ExecutionDrivenSource` computes slots from a dynamic trace
-with live caches and a live branch predictor (the reference simulator);
-the :class:`PreannotatedSource` replays slots that the synthetic trace
-generator annotated in advance (the statistical simulator, which per the
+A :class:`FetchSlot` is one instruction — class, execution latency,
+fetch stall, RAW dependency distances and branch outcome — deliberately
+identical for real and synthetic instructions.  The
+:class:`ExecutionDrivenSource` computes slots from a dynamic trace with
+live caches and a live branch predictor (the reference simulator); the
+:class:`PreannotatedSource` replays slots that the synthetic trace
+generator annotated in advance, and the :class:`ColumnarSource` resolves
+a columnar synthetic trace (the statistical simulator, which per the
 paper "does not need to model branch predictors nor caches").
+
+The pipeline's cycle loop reads every instruction as one immutable
+*row* tuple, built once per slot (``FetchSlot.row``) or per trace
+(``rows`` of the two synthetic sources)::
+
+    (exec_latency, fu_index, dep_distances, is_load, is_store, is_mem,
+     ctrl, fetch_stall, IClass code)
+
+``ctrl`` packs the branch and fetch-stall bits (``CTRL_*``).  Every
+source also keeps the branch and locality tallies of its correct path
+(:class:`_Tallies`): they do not depend on pipeline timing, so the loop
+reads them once at the end instead of counting them per fetch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import MachineConfig
-from repro.isa.iclass import IClass, execution_latency, functional_unit
+from repro.isa.iclass import (BRANCH_CLASSES, IClass, execution_latency,
+                              functional_unit)
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
@@ -27,6 +42,22 @@ from repro.cache.hierarchy import CacheHierarchy
 #: realistic instruction window; the paper caps the dependency-distance
 #: distribution at 512 for the same reason (section 2.1.1).
 MAX_DEPENDENCY_DISTANCE = 512
+
+#: Control-byte bits of a row (see the module docstring).  Wrong-path
+#: fillers carry none.
+CTRL_TAKEN = 1
+CTRL_MISPREDICT = 2
+CTRL_REDIRECT = 4
+CTRL_STALL = 8
+
+#: Per-IClass lookups, indexed by the IClass code.  The slot
+#: constructor runs once per executed instruction, and each enum member
+#: lookup (``IClass.LOAD``) is a slow class-attribute access.
+_FU_IDX = [int(functional_unit(c)) for c in IClass]
+_CLASS_IS_BRANCH = [c in BRANCH_CLASSES for c in IClass]
+_LOAD, _STORE = IClass.LOAD, IClass.STORE
+_MISPREDICTION = BranchOutcome.MISPREDICTION
+_REDIRECTION = BranchOutcome.FETCH_REDIRECTION
 
 
 class FetchSlot:
@@ -52,6 +83,7 @@ class FetchSlot:
         "itlb_miss",
         "dtlb_miss",
         "raw",
+        "row",
     )
 
     def __init__(
@@ -75,16 +107,14 @@ class FetchSlot:
         self.exec_latency = exec_latency
         self.fetch_stall = fetch_stall
         self.dep_distances = dep_distances
-        self.is_branch = iclass in (IClass.INT_COND_BRANCH,
-                                    IClass.FP_COND_BRANCH,
-                                    IClass.INDIRECT_BRANCH)
-        self.is_load = iclass is IClass.LOAD
-        self.is_store = iclass is IClass.STORE
+        self.is_branch = is_branch = _CLASS_IS_BRANCH[iclass]
+        self.is_load = is_load = iclass is _LOAD
+        self.is_store = is_store = iclass is _STORE
         # Precomputed for the pipeline's issue/dispatch hot paths:
         # FunctionalUnit is an IntEnum, so the plain-int index lets the
         # issue stage address list-based FU pools without hashing.
-        self.fu_index = int(self.fu)
-        self.is_mem = self.is_load or self.is_store
+        self.fu_index = fu_index = _FU_IDX[iclass]
+        self.is_mem = is_mem = is_load or is_store
         self.taken = taken
         self.outcome = outcome
         self.il1_miss = il1_miss
@@ -94,10 +124,26 @@ class FetchSlot:
         self.itlb_miss = itlb_miss
         self.dtlb_miss = dtlb_miss
         self.raw = raw
+        ctrl = CTRL_STALL if fetch_stall else 0
+        if is_branch:
+            if taken:
+                ctrl |= CTRL_TAKEN
+            if outcome is _MISPREDICTION:
+                ctrl |= CTRL_MISPREDICT
+            elif outcome is _REDIRECTION:
+                ctrl |= CTRL_REDIRECT
+        self.row = (exec_latency, fu_index, dep_distances, is_load,
+                    is_store, is_mem, ctrl, fetch_stall, iclass)
 
 
 class InstructionSource(Protocol):
-    """Protocol the pipeline's fetch engine drives."""
+    """Protocol the pipeline's fetch engine drives.
+
+    Sources also carry the :class:`_Tallies` counters of everything
+    :meth:`fetch` returned.  A source whose rows exist up front exposes
+    them as ``rows`` with its cursor in ``_pos``; the pipeline then
+    indexes them instead of calling these methods.
+    """
 
     def fetch(self) -> Optional[FetchSlot]:
         """Consume and resolve the next correct-path instruction, or
@@ -115,27 +161,54 @@ class InstructionSource(Protocol):
         ...
 
 
-#: Fillers are immutable to the pipeline (slots are only ever read), so
-#: one shared instance per instruction class serves every wrong-path
-#: fetch instead of constructing a fresh FetchSlot each time.
-_FILLER_CACHE: dict = {}
+class _Tallies:
+    """Branch and locality tallies of a source's correct path.
+
+    Every correct-path instruction is fetched, dispatched and committed
+    exactly once: wrong-path fillers never commit, and real
+    instructions are never squashed, because everything younger than a
+    mispredicted branch is filler.  So these counts do not depend on
+    pipeline timing.  Only the fillers' D-cache accesses do; the
+    pipeline counts those itself.
+    """
+
+    branches = taken_branches = mispredictions = redirections = 0
+    act_bpred = act_dl1 = act_l2 = 0
+
+    def _tally(self, slot: FetchSlot, count: int = 1) -> None:
+        """Add *count* fetches of correct-path *slot*."""
+        self.act_l2 += count * slot.il1_miss
+        if slot.is_mem:
+            self.act_dl1 += count
+            self.act_l2 += count * slot.dl1_miss
+        if slot.is_branch:
+            self.branches += count
+            # Fetch classifies the branch; dispatch updates the
+            # predictor model.
+            self.act_bpred += 2 * count
+            if slot.taken:
+                self.taken_branches += count
+            if slot.outcome is _MISPREDICTION:
+                self.mispredictions += count
+            elif slot.outcome is _REDIRECTION:
+                self.redirections += count
 
 
-def _filler_slot(iclass: IClass) -> FetchSlot:
-    """A wrong-path filler: occupies fetch/window/FU resources with the
-    class's base latency, but carries no dependencies, no locality events
-    and an inert branch outcome.  Both simulators use the same rule, per
-    DESIGN.md (the paper injects wrong-path instructions purely "to model
-    resource contention")."""
-    slot = _FILLER_CACHE.get(iclass)
-    if slot is None:
-        slot = FetchSlot(iclass=iclass,
-                         exec_latency=execution_latency(iclass))
-        _FILLER_CACHE[iclass] = slot
-    return slot
+#: Wrong-path fillers, one shared slot per IClass code.  A filler
+#: occupies fetch/window/FU resources with the class's base latency, but
+#: carries no dependencies, no locality events and an inert branch
+#: outcome.  Both simulators use the same rule, per DESIGN.md (the paper
+#: injects wrong-path instructions purely "to model resource
+#: contention").  Slots are only ever read, so one instance serves every
+#: wrong-path fetch.
+_FILLER_SLOTS = [FetchSlot(c, exec_latency=execution_latency(c))
+                 for c in IClass]
+
+#: Their rows, for sources that keep rows only.
+_FILLER_ROWS = [slot.row for slot in _FILLER_SLOTS]
 
 
-class ExecutionDrivenSource:
+class ExecutionDrivenSource(_Tallies):
     """Resolves a dynamic trace with live locality structures.
 
     Per fetched instruction it:
@@ -236,7 +309,7 @@ class ExecutionDrivenSource:
             else:
                 outcome = self.predictor.classify(inst)
 
-        return FetchSlot(
+        slot = FetchSlot(
             iclass=inst.iclass,
             exec_latency=latency,
             fetch_stall=fetch_stall,
@@ -251,13 +324,15 @@ class ExecutionDrivenSource:
             dtlb_miss=dtlb_miss,
             raw=inst,
         )
+        self._tally(slot)
+        return slot
 
     def peek_filler(self, offset: int) -> Optional[FetchSlot]:
         instructions = self._instructions
         if not instructions:
             return None
         index = (self._pos + offset) % len(instructions)
-        return _filler_slot(instructions[index].iclass)
+        return _FILLER_SLOTS[instructions[index].iclass]
 
     def on_dispatch(self, slot: FetchSlot) -> None:
         if (slot.is_branch and slot.raw is not None
@@ -265,53 +340,20 @@ class ExecutionDrivenSource:
             self.predictor.train(slot.raw)
 
 
-#: Per-IClass lookup rows (indexed by the IClass integer code) for the
-#: vectorized slot computation and for columnar wrong-path fillers.
+#: Base latency per IClass code, for the vectorized row computation.
 _BASE_LAT = np.asarray([execution_latency(c) for c in IClass],
                        dtype=np.int64)
-_FU_IDX = [int(functional_unit(c)) for c in IClass]
-_CLASS_IS_MEM = [c in (IClass.LOAD, IClass.STORE) for c in IClass]
-_CLASS_IS_BRANCH = [c in (IClass.INT_COND_BRANCH, IClass.FP_COND_BRANCH,
-                          IClass.INDIRECT_BRANCH) for c in IClass]
-
-#: Control-byte bits consumed by the pipeline's columnar fetch stage.
-CTRL_TAKEN = 1
-CTRL_MISPREDICT = 2
-CTRL_REDIRECT = 4
-CTRL_STALL = 8
-
-#: Columnar row tuples for wrong-path fillers, indexed by IClass code:
-#: class base latency, no dependencies, no control bits — the columnar
-#: equivalent of the shared ``_filler_slot`` instances.
-_FILLER_ROWS = [
-    (int(execution_latency(c)), int(functional_unit(c)), (),
-     c is IClass.LOAD, c is IClass.STORE,
-     c in (IClass.LOAD, IClass.STORE), 0)
-    for c in IClass
-]
 
 
-class ColumnarSource:
-    """Batch twin of :class:`PreannotatedSource`.
+class ColumnarSource(_Tallies):
+    """Rows and tallies of a :class:`repro.core.columnar.ColumnarTrace`.
 
-    Resolves a :class:`repro.core.columnar.ColumnarTrace` into parallel
-    per-instruction columns — execution latency, fetch stall,
-    functional unit, memory/load/store flags, dependency tuples and a
-    packed branch/stall control byte — with whole-trace numpy
-    expressions instead of one ``FetchSlot`` construction per
-    instruction.  ``SuperscalarPipeline.run`` detects this source and
-    switches to its columnar fast path, which walks these columns
-    directly; the generic :class:`InstructionSource` protocol methods
-    below materialize classic ``FetchSlot`` objects lazily, so the
-    source also works (more slowly) with any configuration the fast
-    path does not cover (e.g. in-order issue).
-
-    Counters the scalar fetch stage accumulates per instruction are
-    precomputed here as column sums: every correct-path instruction is
-    fetched, dispatched and committed exactly once (wrong-path fillers
-    never commit and real instructions are never squashed — everything
-    younger than a mispredicted branch is filler by construction), so
-    branch/locality tallies do not depend on pipeline timing.
+    Resolves the trace's columns — execution latency, fetch stall,
+    functional unit, memory/load/store flags, dependency tuples and the
+    packed control byte — with whole-trace numpy expressions instead of
+    one ``FetchSlot`` construction per instruction, and the tallies as
+    column sums.  The pipeline reads :attr:`rows` directly; no
+    ``FetchSlot`` exists for a columnar trace.
     """
 
     def __init__(self, trace, config: MachineConfig) -> None:
@@ -350,13 +392,8 @@ class ColumnarSource:
         for i in np.flatnonzero(np.diff(trace.dep_off)).tolist():
             deps[i] = tuple(dep_val[dep_off[i]:dep_off[i + 1]])
 
-        # One prebuilt row tuple per instruction: everything the
-        # pipeline's columnar loop needs lands on the inflight record
-        # with a single list read and a single attribute store (plain
-        # lists and tuples — numpy scalar indexing inside the cycle
-        # loop would dominate it).
-        self.ic: List[int] = iclass.tolist()
-        self.stall: List[int] = stall.tolist()
+        # Plain lists and tuples: numpy scalar indexing inside the
+        # cycle loop would dominate it.
         self.rows: List[tuple] = list(zip(
             lat.tolist(),
             np.asarray(_FU_IDX)[iclass].tolist(),
@@ -365,9 +402,10 @@ class ColumnarSource:
             is_store.tolist(),
             (is_load | is_store).tolist(),
             ctrl.tolist(),
+            stall.tolist(),
+            iclass.tolist(),
         ))
 
-        # Timing-independent fetch/dispatch tallies (see class docs).
         self.branches = int(is_branch.sum())
         self.taken_branches = int(trace.taken.sum())
         branch_outcomes = trace.outcome[is_branch]
@@ -375,66 +413,30 @@ class ColumnarSource:
         self.redirections = int((branch_outcomes == 1).sum())
         self.act_l2 = int(trace.il1.sum()) + int(trace.dl1.sum())
         self.act_dl1 = int((is_load | is_store).sum())
-        # Fetch classifies each branch once and dispatch updates the
-        # predictor model once per correct-path branch.
         self.act_bpred = 2 * self.branches
         self._pos = 0
 
     def __len__(self) -> int:
-        return len(self.ic)
-
-    # -- generic InstructionSource protocol (correctness fallback) ----
-
-    def _slot_at(self, index: int) -> FetchSlot:
-        trace = self.trace
-        iclass = IClass(self.ic[index])
-        is_branch = iclass in (IClass.INT_COND_BRANCH,
-                               IClass.FP_COND_BRANCH,
-                               IClass.INDIRECT_BRANCH)
-        row = self.rows[index]
-        return FetchSlot(
-            iclass=iclass,
-            exec_latency=row[0],
-            fetch_stall=self.stall[index],
-            dep_distances=row[2],
-            taken=bool(trace.taken[index]),
-            outcome=(BranchOutcome(int(trace.outcome[index]))
-                     if is_branch else None),
-            il1_miss=bool(trace.il1[index]),
-            l2i_miss=bool(trace.l2i[index]),
-            dl1_miss=bool(trace.dl1[index]),
-            l2d_miss=bool(trace.l2d[index]),
-            itlb_miss=bool(trace.itlb[index]),
-            dtlb_miss=bool(trace.dtlb[index]),
-        )
-
-    def fetch(self) -> Optional[FetchSlot]:
-        if self._pos >= len(self.ic):
-            return None
-        slot = self._slot_at(self._pos)
-        self._pos += 1
-        return slot
-
-    def peek_filler(self, offset: int) -> Optional[FetchSlot]:
-        if not self.ic:
-            return None
-        index = (self._pos + offset) % len(self.ic)
-        return _filler_slot(IClass(self.ic[index]))
-
-    def on_dispatch(self, slot: FetchSlot) -> None:
-        return None
+        return len(self.rows)
 
 
-class PreannotatedSource:
+class PreannotatedSource(_Tallies):
     """Replays pre-resolved fetch slots (the synthetic-trace simulator).
 
     All locality and branch outcomes were assigned during synthetic trace
     generation (paper section 2.2, steps 5-7), so this source holds no
-    caches and no predictor.
+    caches and no predictor.  The pipeline reads :attr:`rows`, taken
+    from the slots once here; :class:`~repro.cpu.reference.
+    ReferencePipeline` drives the slots through the protocol methods.
     """
 
     def __init__(self, slots: Sequence[FetchSlot]) -> None:
         self._slots: List[FetchSlot] = list(slots)
+        self.rows: List[tuple] = [slot.row for slot in self._slots]
+        # Synthetic traces share one slot per distinct instruction, so
+        # tally each distinct slot once (slots hash by identity).
+        for slot, count in Counter(self._slots).items():
+            self._tally(slot, count)
         self._pos = 0
 
     def __len__(self) -> int:
@@ -451,7 +453,7 @@ class PreannotatedSource:
         if not self._slots:
             return None
         index = (self._pos + offset) % len(self._slots)
-        return _filler_slot(self._slots[index].iclass)
+        return _FILLER_SLOTS[self._slots[index].iclass]
 
     def on_dispatch(self, slot: FetchSlot) -> None:
         return None

@@ -1,4 +1,4 @@
-"""Columnar batch synthesis and the pipeline's vectorized fast path.
+"""Columnar batch synthesis and its pipeline source.
 
 Three contracts, mirroring the three layers of the columnar subsystem:
 
@@ -8,23 +8,20 @@ Three contracts, mirroring the three layers of the columnar subsystem:
    and its independent numpy draws must converge to the profile within
    the same acceptance tolerances as the scalar draws;
 2. **cycle exactness** — given the *same* trace,
-   :class:`~repro.cpu.source.ColumnarSource` through the pipeline's
-   vectorized loop produces a byte-identical
+   :class:`~repro.cpu.source.ColumnarSource` produces a byte-identical
    :class:`~repro.cpu.results.SimulationResult` (every field, the full
-   activity dict) to :class:`~repro.cpu.source.PreannotatedSource`
-   through the generic loop — the fast path changes representation,
-   never semantics;
+   activity dict) to :class:`~repro.cpu.source.PreannotatedSource` fed
+   the trace as slots — the columnar rows change representation, never
+   semantics (``tests/test_pipeline_equivalence.py`` also checks them
+   against the reference loop on every configuration variant);
 3. **end-to-end agreement** — seed-averaged IPC through the vector
    path tracks the scalar path on the Table 1 machine within the noise
    of the two (statistically equivalent, draw-independent) streams.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.config import baseline_config
 from repro.core.columnar import (
     ColumnarTrace,
     adopt_columnar_tables,
@@ -142,7 +139,7 @@ class TestColumnarTablesCache:
 
 
 # ---------------------------------------------------------------------
-# layer 2: the pipeline fast path
+# layer 2: the pipeline source
 # ---------------------------------------------------------------------
 
 
@@ -181,18 +178,6 @@ class TestColumnarSourceCycleExact:
             config, ColumnarSource(columnar, config)).run(
             commit_log=log_fast)
         assert log_fast == log_generic
-
-    def test_in_order_falls_back_to_generic_loop(self, profile):
-        """The vectorized loop only handles out-of-order issue;
-        ColumnarSource must still work through the generic loop via its
-        protocol methods when in_order_issue is set."""
-        config = dataclasses.replace(baseline_config(),
-                                     in_order_issue=True)
-        columnar = generate_columnar_trace(profile, 4.0, seed=2)
-        slots = columnar.to_synthetic_trace().to_fetch_slots(config)
-        generic = simulate(config, PreannotatedSource(slots))
-        fallback = simulate(config, ColumnarSource(columnar, config))
-        assert _result_fields(fallback) == _result_fields(generic)
 
 
 # ---------------------------------------------------------------------

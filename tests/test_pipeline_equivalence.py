@@ -18,7 +18,9 @@ from repro.core.profiler import profile_trace
 from repro.core.synthesis import generate_synthetic_trace
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
-from repro.cpu.source import ExecutionDrivenSource, PreannotatedSource
+from repro.core.columnar import generate_columnar_trace
+from repro.cpu.source import (ColumnarSource, ExecutionDrivenSource,
+                              PreannotatedSource)
 from repro.isa.iclass import IClass
 from repro.branch.unit import BranchOutcome
 from repro.cpu.source import FetchSlot
@@ -88,6 +90,23 @@ def test_synthetic_source_identical(synthetic_trace, variant):
     new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run()
     old = ReferencePipeline(config, PreannotatedSource(list(slots))).run()
     _assert_identical(new, old)
+
+
+@pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
+def test_columnar_source_identical(synthetic_trace, variant):
+    """A columnar trace's rows against the reference loop fed the same
+    trace as slots: every result field and the whole commit schedule."""
+    profile, _synthetic = synthetic_trace
+    config = _config(variant)
+    columnar = generate_columnar_trace(profile, 4.0, seed=3)
+    slots = columnar.to_synthetic_trace().to_fetch_slots(config)
+    new_log, old_log = [], []
+    new = SuperscalarPipeline(config, ColumnarSource(columnar, config)).run(
+        commit_log=new_log)
+    old = ReferencePipeline(config, PreannotatedSource(slots)).run(
+        commit_log=old_log)
+    _assert_identical(new, old)
+    assert new_log == old_log
 
 
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))

@@ -175,3 +175,17 @@ class TestApiValidation:
         broken = replace(config, fetch_speed=0)
         with pytest.raises(SimulationError, match="fetch_width"):
             SuperscalarPipeline(broken, source=None)
+
+    @pytest.mark.parametrize("knob", ["int_alus", "load_store_units",
+                                      "fp_adders", "int_mult_divs",
+                                      "fp_mult_divs"])
+    def test_pipeline_rejects_zero_functional_units(self, config, knob):
+        from dataclasses import replace
+
+        from repro.cpu.pipeline import SuperscalarPipeline
+
+        # MachineConfig accepts a zero unit count, and a sweep spec can
+        # set one; the class it serves would then never issue.
+        broken = replace(config, **{knob: 0})
+        with pytest.raises(SimulationError, match=knob):
+            SuperscalarPipeline(broken, source=None)
