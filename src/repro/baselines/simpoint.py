@@ -147,18 +147,15 @@ def select_simpoints(trace: Trace, interval: int, max_k: int = 6,
                              weights=weights, labels=labels, k=k)
 
 
-def _warm_structures(trace: Trace, config: MachineConfig, start: int,
-                     warmup_trace: Optional[Trace]):
-    """Functionally warm caches and the branch predictor on everything
-    preceding interval *start* (SimPoint-style architectural warming:
-    the original tooling fast-forwards functionally to each simulation
+def _prefix_trace(trace: Trace, start: int,
+                  warmup_trace: Optional[Trace]) -> Trace:
+    """Everything preceding interval *start*, to warm caches and the
+    branch predictor on (SimPoint-style architectural warming: the
+    original tooling fast-forwards functionally to each simulation
     point)."""
-    from repro.frontend.warming import warm_locality_structures
-
     prefix = list(warmup_trace.instructions) if warmup_trace else []
     prefix.extend(trace.instructions[:start])
-    return warm_locality_structures(
-        Trace(name=f"{trace.name}/prefix", instructions=prefix), config)
+    return Trace(name=f"{trace.name}/prefix", instructions=prefix)
 
 
 def run_simpoint(trace: Trace, config: MachineConfig, interval: int,
@@ -181,14 +178,12 @@ def run_simpoint(trace: Trace, config: MachineConfig, interval: int,
     weighted_cpi = 0.0
     weighted_energy = 0.0
     for index, weight in zip(selection.representatives, selection.weights):
-        hierarchy, predictor = _warm_structures(
-            trace, config, start=index * interval,
-            warmup_trace=warmup_trace)
         # Dependency distances are differences of sequence numbers, so
         # the interval's original (offset) numbering works unchanged.
-        source = ExecutionDrivenSource(pieces[index], config,
-                                       hierarchy=hierarchy,
-                                       predictor=predictor)
+        source = ExecutionDrivenSource(
+            pieces[index], config,
+            warmup_trace=_prefix_trace(trace, index * interval,
+                                       warmup_trace))
         result = simulate(config, source)
         power = model.energy_per_cycle(result)
         weighted_cpi += weight * result.cpi

@@ -86,33 +86,6 @@ class CacheHierarchy:
                 self.l2_data_misses += 1
         return DataAccessResult(dl1_miss, l2_miss, dtlb_miss)
 
-    # ---------------------------------------------------------- latency
-    def load_latency(self, result: DataAccessResult) -> int:
-        """Latency in cycles for a load with the given locality events."""
-        config = self.config
-        if result.l2_miss:
-            latency = config.memory_latency
-        elif result.dl1_miss:
-            latency = config.l2.hit_latency
-        else:
-            latency = config.dl1.hit_latency
-        if result.dtlb_miss:
-            latency += config.dtlb.miss_latency
-        return latency
-
-    def fetch_stall(self, result: InstructionAccessResult) -> int:
-        """Fetch-engine stall cycles for an instruction access (0 when
-        everything hits)."""
-        config = self.config
-        stall = 0
-        if result.l2_miss:
-            stall = config.memory_latency
-        elif result.il1_miss:
-            stall = config.l2.hit_latency
-        if result.itlb_miss:
-            stall += config.itlb.miss_latency
-        return stall
-
     # ------------------------------------------------------- statistics
     def miss_rates(self) -> dict:
         """The six miss rates of the paper's statistical profile."""
@@ -128,3 +101,33 @@ class CacheHierarchy:
             "itlb": self.itlb.miss_rate,
             "dtlb": self.dtlb.miss_rate,
         }
+
+
+def load_latency(config: MachineConfig, dl1_miss, l2_miss,
+                 dtlb_miss) -> int:
+    """Latency in cycles of a load with the given locality events (any
+    truth values): the deepest level it misses in, plus the D-TLB
+    penalty."""
+    if l2_miss:
+        latency = config.memory_latency
+    elif dl1_miss:
+        latency = config.l2.hit_latency
+    else:
+        latency = config.dl1.hit_latency
+    if dtlb_miss:
+        latency += config.dtlb.miss_latency
+    return latency
+
+
+def fetch_stall(config: MachineConfig, il1_miss, l2_miss,
+                itlb_miss) -> int:
+    """Fetch-engine stall cycles of an instruction fetch with the given
+    locality events (0 when everything hits)."""
+    stall = 0
+    if l2_miss:
+        stall = config.memory_latency
+    elif il1_miss:
+        stall = config.l2.hit_latency
+    if itlb_miss:
+        stall += config.itlb.miss_latency
+    return stall

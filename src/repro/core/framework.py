@@ -62,21 +62,18 @@ def run_execution_driven(
     perfect_branch_prediction: bool = False,
     warmup_trace: Optional[Trace] = None,
 ) -> Tuple[SimulationResult, PowerBreakdown]:
-    """Reference simulation: the shared pipeline with live locality
-    structures resolving the real dynamic trace.  *warmup_trace*, if
-    given, functionally warms caches and predictor first (the paper
-    measures warm samples out of long executions)."""
-    from repro.frontend.warming import warm_locality_structures
-
+    """Reference simulation: the shared pipeline fed the real dynamic
+    trace, its locality resolved through the caches and its branches
+    through a live predictor.  *warmup_trace*, if given, functionally
+    warms caches and predictor first (the paper measures warm samples
+    out of long executions); the warm resolution is shared by every
+    run with the same cache geometry."""
     with trace_span("simulate", bench=trace.name, mode="execution"):
-        hierarchy, predictor = warm_locality_structures(warmup_trace,
-                                                        config)
         source = ExecutionDrivenSource(
             trace, config,
             perfect_caches=perfect_caches,
             perfect_branch_prediction=perfect_branch_prediction,
-            hierarchy=hierarchy,
-            predictor=predictor,
+            warmup_trace=warmup_trace,
         )
         result = simulate(config, source)
         power = WattchPowerModel(config).energy_per_cycle(result)

@@ -4,8 +4,9 @@ One pass over a dynamic trace builds the :class:`StatisticalProfile`:
 
 * microarchitecture-independent: the order-k SFG with instruction types,
   operand counts and per-operand dependency-distance distributions;
-* microarchitecture-dependent: the six cache miss events (measured with
-  a live :class:`~repro.cache.hierarchy.CacheHierarchy`) and the branch
+* microarchitecture-dependent: the six cache miss events (read from the
+  trace's :class:`~repro.cpu.locality.LocalityResolution`, the same
+  program-order cache walk execution-driven simulation uses) and the branch
   characteristics (measured with the immediate- or delayed-update branch
   profilers of :mod:`repro.branch.profiler`), annotated per context.
 
@@ -28,7 +29,6 @@ from repro.branch.profiler import (
     profile_branches_immediate,
 )
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit, BranchRecord
-from repro.cache.hierarchy import CacheHierarchy
 from repro.core.sfg import (
     MAX_DEPENDENCY_DISTANCE,
     START_BLOCK,
@@ -112,7 +112,7 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                    perfect_caches: bool = False,
                    warmup_trace: Optional[Trace] = None
                    ) -> StatisticalProfile:
-    from repro.frontend.warming import warm_locality_structures
+    from repro.cpu.locality import EV_LOCALITY, resolve_locality
 
     if order < 0:
         raise ProfileError("order must be >= 0")
@@ -122,13 +122,13 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
         )
 
     sfg = StatisticalFlowGraph(order)
-    warm_hierarchy, warm_unit = warm_locality_structures(warmup_trace,
-                                                         config)
-    branch_records = _branch_records(trace, config, branch_mode,
-                                     unit=warm_unit)
-    hierarchy: Optional[CacheHierarchy] = (
-        None if perfect_caches else warm_hierarchy
-    )
+    resolution = resolve_locality(trace, config, warmup_trace,
+                                  perfect_caches)
+    branch_records = _branch_records(
+        trace, config, branch_mode,
+        unit=(None if branch_mode == "perfect"
+              else resolution.predictor(config.predictor)))
+    key_events = [entry[1] & EV_LOCALITY for entry in resolution.distinct]
 
     history: List[int] = [START_BLOCK] * order
     history_key = tuple(history)
@@ -154,26 +154,13 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
     # instructions, and the (sparse) slots that saw locality events.
     block_insts: list = []
     block_append = block_insts.append
-    block_events: list = []  # (slot, il1, l2i, itlb, dl1, l2d, dtlb)
+    block_events: list = []  # (slot, EV_* bits)
     events_append = block_events.append
 
-    for inst in trace.instructions:
-        if hierarchy is not None:
-            iresult = hierarchy.access_instruction(inst.pc)
-            il1 = iresult.il1_miss
-            l2i = iresult.l2_miss
-            itlb = iresult.itlb_miss
-            dl1 = dl2 = dtlb = False
-            if inst.mem_addr is not None:
-                dresult = hierarchy.access_data(inst.mem_addr,
-                                                is_store=inst.is_store)
-                if inst.is_load:
-                    dl1 = dresult.dl1_miss
-                    dl2 = dresult.l2_miss
-                    dtlb = dresult.dtlb_miss
-            if il1 or l2i or itlb or dl1 or dl2 or dtlb:
-                events_append((len(block_insts), il1, l2i, itlb,
-                               dl1, dl2, dtlb))
+    for inst, key in zip(trace.instructions, resolution.keys):
+        events = key_events[key]
+        if events:
+            events_append((len(block_insts), events))
         block_append(inst)
 
         if not inst.is_branch:
@@ -215,14 +202,13 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
         counts[block] = counts.get(block, 0) + 1
 
         if block_events:
-            for slot, e_il1, e_l2i, e_itlb, e_dl1, e_l2d, e_dtlb \
-                    in block_events:
-                stats.il1[slot] += e_il1
-                stats.l2i[slot] += e_l2i
-                stats.itlb[slot] += e_itlb
-                stats.dl1[slot] += e_dl1
-                stats.l2d[slot] += e_l2d
-                stats.dtlb[slot] += e_dtlb
+            for slot, events in block_events:  # EV_* bit order
+                stats.il1[slot] += events & 1
+                stats.l2i[slot] += events >> 1 & 1
+                stats.itlb[slot] += events >> 2 & 1
+                stats.dl1[slot] += events >> 3 & 1
+                stats.l2d[slot] += events >> 4 & 1
+                stats.dtlb[slot] += events >> 5 & 1
             block_events.clear()
 
         for slot, binst in enumerate(block_insts):

@@ -19,6 +19,7 @@ from repro.isa.iclass import (
     execution_latency,
 )
 from repro.branch.unit import BranchOutcome
+from repro.cache.hierarchy import fetch_stall, load_latency
 from repro.cpu.source import FetchSlot
 
 
@@ -103,32 +104,16 @@ class SyntheticTrace:
         # __eq__, so each distinct instance converts exactly once.
         converted: Dict[SyntheticInstruction, FetchSlot] = {}
         converted_get = converted.get
-        memory_latency = config.memory_latency
-        l2_latency = config.l2.hit_latency
-        dl1_latency = config.dl1.hit_latency
-        itlb_penalty = config.itlb.miss_latency
-        dtlb_penalty = config.dtlb.miss_latency
         for inst in self.instructions:
             slot = converted_get(inst)
             if slot is not None:
                 append(slot)
                 continue
-            stall = 0
-            if inst.l2i_miss:
-                stall = memory_latency
-            elif inst.il1_miss:
-                stall = l2_latency
-            if inst.itlb_miss:
-                stall += itlb_penalty
+            stall = fetch_stall(config, inst.il1_miss, inst.l2i_miss,
+                                inst.itlb_miss)
             if inst.is_load:
-                if inst.l2d_miss:
-                    latency = memory_latency
-                elif inst.dl1_miss:
-                    latency = l2_latency
-                else:
-                    latency = dl1_latency
-                if inst.dtlb_miss:
-                    latency += dtlb_penalty
+                latency = load_latency(config, inst.dl1_miss,
+                                       inst.l2d_miss, inst.dtlb_miss)
             else:
                 latency = execution_latency(inst.iclass)
             slot = converted[inst] = FetchSlot(

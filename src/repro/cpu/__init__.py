@@ -4,9 +4,10 @@ One cycle-accurate pipeline (:mod:`repro.cpu.pipeline`) serves as both of
 the paper's simulators:
 
 * fed by an :class:`~repro.cpu.source.ExecutionDrivenSource`, it is the
-  execution-driven *reference* simulator — live caches and branch
-  predictor resolve every locality event from real addresses, with
-  lookups at fetch and speculative update at dispatch;
+  execution-driven *reference* simulator — warm caches resolve every
+  locality event from real addresses (once per cache geometry,
+  :mod:`repro.cpu.locality`), and a live branch predictor looks up at
+  fetch and updates speculatively at dispatch;
 * fed by a :class:`~repro.cpu.source.PreannotatedSource` (or a
   :class:`~repro.cpu.source.ColumnarSource`), it is the
   *synthetic-trace* simulator of paper section 2.3 — no caches or

@@ -23,11 +23,15 @@ The stage structure follows sim-outorder (the paper's simulator):
 
 Per-cycle occupancies and per-unit activity counts feed the power model.
 
-One loop runs every source.  Each instruction reaches the stages as an
-immutable row (layout in :mod:`repro.cpu.source`): the two synthetic
-sources hand over a prebuilt list of rows, and the execution-driven
-source returns ``FetchSlot`` objects that carry theirs.  The synthetic
-trace simulator is thus the execution-driven machine with a different
+One loop runs every source, and fetch has one path: every source
+hands over its list of immutable rows (layout in
+:mod:`repro.cpu.source`) up front, and fetch indexes it.  The
+execution-driven source's rows come from a locality resolution built
+once per cache geometry, so no ``FetchSlot`` exists in an
+execution-driven run either.  Its only live rows are its branches:
+fetch asks the source to classify each against the predictor, and
+dispatch asks it to train the predictor.  The synthetic trace
+simulator is thus the execution-driven machine with a different
 instruction source, as in the paper.  Branch and locality tallies come
 from the source, not from the fetch stage: correct-path instructions
 are never squashed and wrong-path fillers never commit, so those counts
@@ -55,8 +59,9 @@ from repro.errors import SimulationError
 from repro.obs.metrics import record_simulation
 from repro.isa.iclass import FunctionalUnit
 from repro.cpu.results import SimulationResult
-from repro.cpu.source import (CTRL_MISPREDICT, CTRL_REDIRECT, CTRL_STALL,
-                              CTRL_TAKEN, _FILLER_ROWS, InstructionSource)
+from repro.cpu.source import (CTRL_LIVE, CTRL_MISPREDICT, CTRL_REDIRECT,
+                              CTRL_STALL, CTRL_TAKEN, _FILLER_ROWS,
+                              InstructionSource)
 
 from repro.health.budget import checkpoint as _health_checkpoint
 
@@ -143,25 +148,18 @@ class SuperscalarPipeline:
         frontend_depth = config.frontend_depth
         in_order = config.in_order_issue
         conservative_loads = config.conservative_loads
-        # The synthetic sources are plain row lists with no locality
-        # state, so fetch and wrong-path peeking inline to a list index
-        # (the ``_pos`` cursor is written back on every exit).  Other
-        # sources keep the method calls — their fetch runs caches and a
-        # predictor — and hand over FetchSlots that carry their rows.
-        rows = getattr(source, "rows", None)
-        if rows is not None:
-            n_rows = len(rows)
-            pos = source._pos
-            branch_slots = None
-        else:
-            n_rows = pos = 0
-            source_fetch = source.fetch
-            source_peek_filler = source.peek_filler
-            source_on_dispatch = source.on_dispatch
-            # Correct-path branches dispatch in fetch order and are
-            # never squashed, so a FIFO of (pseq, slot) hands each one
-            # to on_dispatch (the predictor's dispatch-time update).
-            branch_slots = deque()
+        # Fetch and wrong-path peeking are list indexes (the ``_pos``
+        # cursor is written back on every exit).  A live row
+        # (CTRL_LIVE) is a branch the source classifies at fetch.
+        rows = source.rows
+        n_rows = len(rows)
+        pos = source._pos
+        resolve_branch = getattr(source, "resolve_branch", None)
+        train_branch = getattr(source, "train_branch", None)
+        # Correct-path branches dispatch in fetch order and are never
+        # squashed, so a FIFO of (pseq, position) hands each live one
+        # to train_branch (the predictor's dispatch-time update).
+        live_branches: deque = deque()
         filler_rows = _FILLER_ROWS
         heap_push = heappush
         heap_pop = heappop
@@ -226,8 +224,7 @@ class SuperscalarPipeline:
         act_dl1_filler = 0
 
         if max_cycles is None:
-            source_len = len(source) if hasattr(source, "__len__") else 0
-            max_cycles = 1000 * max(source_len, 1) + 100_000
+            max_cycles = 1000 * max(n_rows, 1) + 100_000
 
         while True:
             # ---------------------------------------------------- commit
@@ -425,8 +422,8 @@ class SuperscalarPipeline:
                 if inst.is_mem:
                     lsq_count += 1
                 row = inst.row
-                if branch_slots and branch_slots[0][0] == inst.pseq:
-                    source_on_dispatch(branch_slots.popleft()[1])
+                if live_branches and live_branches[0][0] == inst.pseq:
+                    train_branch(live_branches.popleft()[1])
                 # Resolve RAW dependencies against dispatch history.
                 distances = row[2]
                 if distances:
@@ -472,33 +469,20 @@ class SuperscalarPipeline:
                         # Wrong path: fillers carry no control bits (see
                         # _FILLER_SLOTS), so they only occupy fetch,
                         # window and FU resources and D-cache ports.
-                        if rows is not None:
-                            row = filler_rows[
-                                rows[(pos + filler_offset) % n_rows][8]]
-                        else:
-                            slot = source_peek_filler(filler_offset)
-                            if slot is None:
-                                break
-                            row = slot.row
+                        row = filler_rows[
+                            rows[(pos + filler_offset) % n_rows][8]]
                         filler_offset += 1
                         if row[5]:
                             act_dl1_filler += 1
-                    elif exhausted:
-                        break
-                    elif rows is not None:
-                        if pos >= n_rows:
-                            exhausted = True
-                            break
+                    elif pos < n_rows:
                         row = rows[pos]
+                        if row[6] & CTRL_LIVE:
+                            row = resolve_branch(pos)
+                            live_branches.append((pseq_counter, pos))
                         pos += 1
                     else:
-                        slot = source_fetch()
-                        if slot is None:
-                            exhausted = True
-                            break
-                        row = slot.row
-                        if slot.is_branch:
-                            branch_slots.append((pseq_counter, slot))
+                        exhausted = True
+                        break
                     if free:
                         # Pooled records need no pending/squashed/
                         # hist_slot reset: pending is always 0 by the
@@ -561,8 +545,7 @@ class SuperscalarPipeline:
             if exhausted and not ifq_count and not ruu_count:
                 break
             if cycle >= max_cycles:
-                if rows is not None:
-                    source._pos = pos
+                source._pos = pos
                 raise RuntimeError(
                     f"pipeline did not drain within {max_cycles} cycles "
                     f"({committed} committed)"
@@ -595,15 +578,13 @@ class SuperscalarPipeline:
                     ifq_occupancy_sum += ifq_count * skip
                     cycle = target
                     if cycle >= max_cycles:
-                        if rows is not None:
-                            source._pos = pos
+                        source._pos = pos
                         raise RuntimeError(
                             f"pipeline did not drain within {max_cycles} "
                             f"cycles ({committed} committed)"
                         )
 
-        if rows is not None:
-            source._pos = pos
+        source._pos = pos
         activity = {
             "fetch": act_fetch, "dispatch": act_dispatch,
             "issue": act_issue, "commit": committed,

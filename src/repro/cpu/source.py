@@ -1,27 +1,35 @@
 """Instruction sources: how the pipeline learns each instruction's
 latencies, dependencies and branch outcome.
 
-A :class:`FetchSlot` is one instruction — class, execution latency,
-fetch stall, RAW dependency distances and branch outcome — deliberately
-identical for real and synthetic instructions.  The
-:class:`ExecutionDrivenSource` computes slots from a dynamic trace with
-live caches and a live branch predictor (the reference simulator); the
-:class:`PreannotatedSource` replays slots that the synthetic trace
-generator annotated in advance, and the :class:`ColumnarSource` resolves
-a columnar synthetic trace (the statistical simulator, which per the
-paper "does not need to model branch predictors nor caches").
-
-The pipeline's cycle loop reads every instruction as one immutable
-*row* tuple, built once per slot (``FetchSlot.row``) or per trace
-(``rows`` of the two synthetic sources)::
+Every source hands the pipeline one immutable *row* tuple per
+instruction, all of them up front (``rows``, read by index from the
+cursor ``_pos``)::
 
     (exec_latency, fu_index, dep_distances, is_load, is_store, is_mem,
      ctrl, fetch_stall, IClass code)
 
-``ctrl`` packs the branch and fetch-stall bits (``CTRL_*``).  Every
-source also keeps the branch and locality tallies of its correct path
-(:class:`_Tallies`): they do not depend on pipeline timing, so the loop
-reads them once at the end instead of counting them per fetch.
+``ctrl`` packs the branch and fetch-stall bits (``CTRL_*``).
+
+* :class:`ExecutionDrivenSource` (the reference simulator) prices the
+  locality events and dependency distances of a
+  :class:`~repro.cpu.locality.LocalityResolution` of a dynamic trace,
+  resolved once per cache geometry and shared by every run.  Only its
+  branches are live: a branch row carries ``CTRL_LIVE`` and its row per
+  outcome, and the pipeline asks the source to classify it against the
+  live predictor at fetch and to train it at dispatch.
+* :class:`PreannotatedSource` replays slots that the synthetic trace
+  generator annotated in advance, and :class:`ColumnarSource` resolves
+  a columnar synthetic trace (the statistical simulator, which per the
+  paper "does not need to model branch predictors nor caches").
+
+A :class:`FetchSlot` is the same instruction as an object — class,
+execution latency, fetch stall, RAW dependency distances and branch
+outcome — deliberately identical for real and synthetic instructions;
+:class:`~repro.cpu.reference.ReferencePipeline` and the tests drive
+sources through its ``fetch``/``peek_filler``/``on_dispatch`` protocol.
+Every source also keeps the branch and locality tallies of its correct
+path (:class:`_Tallies`): they do not depend on pipeline timing, so
+the loop reads them once at the end instead of counting them per fetch.
 """
 
 from __future__ import annotations
@@ -35,20 +43,21 @@ from repro.config import MachineConfig
 from repro.isa.iclass import (BRANCH_CLASSES, IClass, execution_latency,
                               functional_unit)
 from repro.frontend.trace import Trace
-from repro.branch.unit import BranchOutcome, BranchPredictorUnit
-from repro.cache.hierarchy import CacheHierarchy
-
-#: Dependency distances beyond this horizon cannot constrain any
-#: realistic instruction window; the paper caps the dependency-distance
-#: distribution at 512 for the same reason (section 2.1.1).
-MAX_DEPENDENCY_DISTANCE = 512
+from repro.branch.unit import BranchOutcome
+from repro.cache.hierarchy import fetch_stall, load_latency
+from repro.cpu.locality import (  # noqa: F401 -- MAX_DEPENDENCY_DISTANCE
+    EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I,
+    MAX_DEPENDENCY_DISTANCE, LocalityResolution, resolve_locality)
 
 #: Control-byte bits of a row (see the module docstring).  Wrong-path
-#: fillers carry none.
+#: fillers carry none.  ``CTRL_LIVE`` marks a branch whose outcome the
+#: live predictor decides at fetch; its row's tenth field holds its
+#: row per :class:`BranchOutcome`.
 CTRL_TAKEN = 1
 CTRL_MISPREDICT = 2
 CTRL_REDIRECT = 4
 CTRL_STALL = 8
+CTRL_LIVE = 16
 
 #: Per-IClass lookups, indexed by the IClass code.  The slot
 #: constructor runs once per executed instruction, and each enum member
@@ -137,13 +146,18 @@ class FetchSlot:
 
 
 class InstructionSource(Protocol):
-    """Protocol the pipeline's fetch engine drives.
+    """What the pipelines read from a source.
 
-    Sources also carry the :class:`_Tallies` counters of everything
-    :meth:`fetch` returned.  A source whose rows exist up front exposes
-    them as ``rows`` with its cursor in ``_pos``; the pipeline then
-    indexes them instead of calling these methods.
+    :class:`~repro.cpu.pipeline.SuperscalarPipeline` indexes ``rows``
+    from the cursor ``_pos`` and reads the :class:`_Tallies` counters
+    at the end.  A source with live rows (``CTRL_LIVE``, only the
+    execution-driven one) also provides ``resolve_branch(pos)``, called
+    at fetch for the row, and ``train_branch(pos)``, called at
+    dispatch.  :class:`~repro.cpu.reference.ReferencePipeline` drives
+    the slot protocol below instead.
     """
+
+    rows: List[tuple]
 
     def fetch(self) -> Optional[FetchSlot]:
         """Consume and resolve the next correct-path instruction, or
@@ -209,123 +223,92 @@ _FILLER_ROWS = [slot.row for slot in _FILLER_SLOTS]
 
 
 class ExecutionDrivenSource(_Tallies):
-    """Resolves a dynamic trace with live locality structures.
+    """Resolves a dynamic trace with warm locality structures.
 
-    Per fetched instruction it:
+    The timing-independent part of the run comes from a
+    :class:`~repro.cpu.locality.LocalityResolution` of the trace: its
+    I-cache/I-TLB events become fetch stalls, its D-cache events become
+    load latencies, and its RAW (with ``enforce_anti_dependencies``
+    also WAW/WAR) distances are the dependency distances, the same
+    definition the statistical profiler uses.  The resolution is
+    memoized per cache geometry and *warmup_trace*, so a window or
+    width sweep walks its caches once.
 
-    * runs the I-cache/I-TLB access and converts misses to fetch stalls;
-    * runs loads and stores through the D-cache hierarchy (loads get the
-      resulting latency);
-    * classifies branches against the live predictor *without* training
-      it — training happens at dispatch via :meth:`on_dispatch`, giving
-      the dispatch-time speculative update the paper assumes;
-    * computes the RAW dependency distance of every source operand (the
-      same definition the statistical profiler uses).
+    Branches stay live: each is classified against the predictor at
+    fetch without training it (:meth:`resolve_branch`), and trained
+    when it dispatches (:meth:`train_branch`), giving the
+    dispatch-time speculative update the paper assumes.
     """
 
     def __init__(self, trace: Trace, config: MachineConfig,
                  perfect_caches: bool = False,
                  perfect_branch_prediction: bool = False,
-                 hierarchy: Optional[CacheHierarchy] = None,
-                 predictor: Optional[BranchPredictorUnit] = None) -> None:
+                 warmup_trace: Optional[Trace] = None) -> None:
         self.trace = trace
         self.config = config
         self.perfect_caches = perfect_caches
         self.perfect_branch_prediction = perfect_branch_prediction
-        # Callers may inject pre-warmed locality structures (e.g. the
-        # SimPoint baseline warms them on the instructions preceding a
-        # representative interval).
-        self.hierarchy = hierarchy or CacheHierarchy(config)
-        self.predictor = predictor or BranchPredictorUnit(config.predictor)
+        resolution = resolve_locality(trace, config, warmup_trace,
+                                      perfect_caches)
+        self.predictor = (None if perfect_branch_prediction
+                          else resolution.predictor(config.predictor))
+        self._resolution = resolution
         self._instructions = trace.instructions
+        self.rows = _execution_rows(resolution, config,
+                                    perfect_branch_prediction)
+        (self.branches, self.taken_branches, self.act_bpred,
+         self.act_dl1, self.act_l2) = resolution.tallies
         self._pos = 0
-        self._last_writer: dict = {}
-        self._last_reader: dict = {}
 
     def __len__(self) -> int:
-        return len(self._instructions)
+        return len(self.rows)
+
+    def resolve_branch(self, pos: int) -> tuple:
+        """Classify the branch at *pos* against the predictor as it
+        stands (no training) and return its row."""
+        outcome = self.predictor.classify(self._instructions[pos])
+        if outcome is _MISPREDICTION:
+            self.mispredictions += 1
+        elif outcome is _REDIRECTION:
+            self.redirections += 1
+        return self.rows[pos][9][outcome]
+
+    def train_branch(self, pos: int) -> None:
+        """Train the predictor with the branch at *pos* (dispatch)."""
+        self.predictor.train(self._instructions[pos])
 
     def fetch(self) -> Optional[FetchSlot]:
-        instructions = self._instructions
-        if self._pos >= len(instructions):
+        pos = self._pos
+        if pos >= len(self.rows):
             return None
-        inst = instructions[self._pos]
-        self._pos += 1
-
-        fetch_stall = 0
-        il1_miss = l2i_miss = itlb_miss = False
-        if not self.perfect_caches:
-            iresult = self.hierarchy.access_instruction(inst.pc)
-            fetch_stall = self.hierarchy.fetch_stall(iresult)
-            il1_miss = iresult.il1_miss
-            l2i_miss = iresult.l2_miss
-            itlb_miss = iresult.itlb_miss
-
-        dep_distances = []
-        last_writer = self._last_writer
-        last_reader = self._last_reader
-        anti = self.config.enforce_anti_dependencies
-        seq = inst.seq
-        for reg in inst.src_regs:
-            writer = last_writer.get(reg)
-            if writer is not None:
-                distance = seq - writer
-                if 0 < distance <= MAX_DEPENDENCY_DISTANCE:
-                    dep_distances.append(distance)
-            if anti:
-                last_reader[reg] = seq
-        if inst.dst_reg is not None:
-            if anti:
-                # Without register renaming, a write must wait for the
-                # previous writer (WAW) and previous readers (WAR) of
-                # its destination register.
-                for prior in (last_writer.get(inst.dst_reg),
-                              last_reader.get(inst.dst_reg)):
-                    if prior is not None:
-                        distance = seq - prior
-                        if 0 < distance <= MAX_DEPENDENCY_DISTANCE:
-                            dep_distances.append(distance)
-            last_writer[inst.dst_reg] = seq
-
-        latency = execution_latency(inst.iclass)
-        dl1_miss = l2d_miss = dtlb_miss = False
-        if inst.mem_addr is not None and not self.perfect_caches:
-            dresult = self.hierarchy.access_data(inst.mem_addr,
-                                                 is_store=inst.is_store)
-            if inst.is_load:
-                latency = self.hierarchy.load_latency(dresult)
-                dl1_miss = dresult.dl1_miss
-                l2d_miss = dresult.l2_miss
-                dtlb_miss = dresult.dtlb_miss
-        elif inst.is_load and self.perfect_caches:
-            latency = self.config.dl1.hit_latency
-
-        taken = False
-        outcome: Optional[BranchOutcome] = None
-        if inst.is_branch:
-            taken = inst.taken
-            if self.perfect_branch_prediction:
-                outcome = BranchOutcome.CORRECT
-            else:
-                outcome = self.predictor.classify(inst)
-
-        slot = FetchSlot(
-            iclass=inst.iclass,
-            exec_latency=latency,
-            fetch_stall=fetch_stall,
-            dep_distances=tuple(dep_distances),
+        self._pos = pos + 1
+        resolution = self._resolution
+        iclass, events, deps, taken = \
+            resolution.distinct[resolution.keys[pos]]
+        row = self.rows[pos]
+        if row[6] & CTRL_LIVE:
+            row = self.resolve_branch(pos)
+        outcome = None
+        if _CLASS_IS_BRANCH[iclass]:
+            ctrl = row[6]
+            outcome = (_MISPREDICTION if ctrl & CTRL_MISPREDICT
+                       else _REDIRECTION if ctrl & CTRL_REDIRECT
+                       else BranchOutcome.CORRECT)
+        return FetchSlot(
+            iclass=iclass,
+            exec_latency=row[0],
+            fetch_stall=row[7],
+            dep_distances=deps,
             taken=taken,
             outcome=outcome,
-            il1_miss=il1_miss,
-            l2i_miss=l2i_miss,
-            dl1_miss=dl1_miss,
-            l2d_miss=l2d_miss,
-            itlb_miss=itlb_miss,
-            dtlb_miss=dtlb_miss,
-            raw=inst,
+            il1_miss=bool(events & EV_IL1),
+            l2i_miss=bool(events & EV_L2I),
+            dl1_miss=bool(events & EV_DL1),
+            l2d_miss=bool(events & EV_L2D),
+            itlb_miss=bool(events & EV_ITLB),
+            dtlb_miss=bool(events & EV_DTLB),
+            raw=self._instructions[pos],
         )
-        self._tally(slot)
-        return slot
 
     def peek_filler(self, offset: int) -> Optional[FetchSlot]:
         instructions = self._instructions
@@ -338,6 +321,43 @@ class ExecutionDrivenSource(_Tallies):
         if (slot.is_branch and slot.raw is not None
                 and not self.perfect_branch_prediction):
             self.predictor.train(slot.raw)
+
+
+def _execution_rows(resolution: LocalityResolution, config: MachineConfig,
+                    perfect_branch_prediction: bool) -> List[tuple]:
+    """The rows of *resolution* priced with *config*'s latencies: one
+    row object per distinct instruction (a 60K-instruction trace has a
+    few dozen to a few thousand), shared by all its occurrences.
+
+    A branch row of a live predictor carries ``CTRL_LIVE`` and, as a
+    tenth field, its row per :class:`BranchOutcome`.  Rows are built
+    per run (milliseconds) rather than kept with the resolution, whose
+    lifetime is its trace's.
+    """
+    row_of = []
+    for iclass, events, deps, taken in resolution.distinct:
+        is_load = iclass is _LOAD
+        is_store = iclass is _STORE
+        if is_load and events & EV_DATA:
+            latency = load_latency(config, events & EV_DL1,
+                                   events & EV_L2D, events & EV_DTLB)
+        else:
+            latency = execution_latency(iclass)
+        stall = fetch_stall(config, events & EV_IL1, events & EV_L2I,
+                            events & EV_ITLB)
+        ctrl = CTRL_STALL if stall else 0
+        if taken:
+            ctrl |= CTRL_TAKEN
+        head = (latency, _FU_IDX[iclass], deps, is_load, is_store,
+                is_load or is_store)
+        tail = (stall, iclass)
+        if _CLASS_IS_BRANCH[iclass] and not perfect_branch_prediction:
+            outcomes = tuple(head + (ctrl | bit,) + tail
+                             for bit in (0, CTRL_REDIRECT, CTRL_MISPREDICT))
+            row_of.append(head + (ctrl | CTRL_LIVE,) + tail + (outcomes,))
+        else:
+            row_of.append(head + (ctrl,) + tail)
+    return [row_of[index] for index in resolution.keys]
 
 
 #: Base latency per IClass code, for the vectorized row computation.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.config import MachineConfig
+from repro.config import BranchPredictorConfig, MachineConfig
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
@@ -32,14 +32,11 @@ def warm_locality_structures(
     post-warmup window.
     """
     hierarchy = hierarchy or CacheHierarchy(config)
-    predictor = predictor or BranchPredictorUnit(config.predictor)
     if warmup_trace is not None:
         for inst in warmup_trace.instructions:
             hierarchy.access_instruction(inst.pc)
             if inst.mem_addr is not None:
                 hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
-            if inst.is_branch:
-                predictor.train(inst)
         hierarchy.il1.reset_statistics()
         hierarchy.dl1.reset_statistics()
         hierarchy.l2.reset_statistics()
@@ -49,9 +46,26 @@ def warm_locality_structures(
         hierarchy.l2_instruction_misses = 0
         hierarchy.l2_data_accesses = 0
         hierarchy.l2_data_misses = 0
+    return hierarchy, warm_branch_predictor(warmup_trace, config.predictor,
+                                            predictor)
+
+
+def warm_branch_predictor(warmup_trace: Optional[Trace],
+                          config: BranchPredictorConfig,
+                          predictor: Optional[BranchPredictorUnit] = None
+                          ) -> BranchPredictorUnit:
+    """Build (or take) a predictor and train it on *warmup_trace*'s
+    branches: the predictor half of :func:`warm_locality_structures`,
+    for callers that need no caches (the two never interact)."""
+    predictor = predictor or BranchPredictorUnit(config)
+    if warmup_trace is not None:
+        train = predictor.train
+        for inst in warmup_trace.instructions:
+            if inst.is_branch:
+                train(inst)
         predictor.lookups = 0
         predictor.updates = 0
-    return hierarchy, predictor
+    return predictor
 
 
 def run_program_with_warmup(program, warmup: int,

@@ -95,3 +95,28 @@ class TestUnitBookkeeping:
         for _ in range(8):
             unit.train(_branch(taken=False))
         assert unit.btb.lookup(0x1000) is None
+
+
+class TestClone:
+    def test_training_a_clone_leaves_the_template_untouched(self, unit):
+        for seq in range(40):
+            unit.train(_branch(pc=0x1000 + 8 * (seq % 5),
+                               taken=bool(seq % 3), seq=seq))
+        direction = unit.direction
+        before = (direction._meta[:], direction.component_a._table[:],
+                  direction.component_b._pht[:],
+                  direction.component_b._histories[:],
+                  [ways[:] for ways in unit.btb._sets], unit.updates)
+        twin = unit.clone()
+        probe = _branch(pc=0x1008, taken=False)
+        assert twin.classify(probe) is unit.classify(probe)
+        for seq in range(200):
+            twin.train(_branch(pc=0x1000 + 8 * (seq % 7), taken=False,
+                               target=0x3000 + seq, seq=seq))
+        assert before == (direction._meta, direction.component_a._table,
+                          direction.component_b._pht,
+                          direction.component_b._histories,
+                          unit.btb._sets, unit.updates)
+        assert twin.updates == unit.updates + 200
+        twin.ras.push(0x4000)
+        assert len(unit.ras) == 0

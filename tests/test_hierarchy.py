@@ -3,11 +3,7 @@
 import pytest
 
 from repro.config import MachineConfig, baseline_config
-from repro.cache.hierarchy import (
-    CacheHierarchy,
-    DataAccessResult,
-    InstructionAccessResult,
-)
+from repro.cache.hierarchy import CacheHierarchy, fetch_stall, load_latency
 
 
 @pytest.fixture
@@ -57,32 +53,27 @@ class TestAccessPaths:
 
 
 class TestLatencies:
-    def test_load_latency_levels(self, hierarchy, config):
-        hit = DataAccessResult(False, False, False)
-        l1_miss = DataAccessResult(True, False, False)
-        l2_miss = DataAccessResult(True, True, False)
-        assert hierarchy.load_latency(hit) == config.dl1.hit_latency
-        assert hierarchy.load_latency(l1_miss) == config.l2.hit_latency
-        assert hierarchy.load_latency(l2_miss) == config.memory_latency
-
-    def test_dtlb_miss_adds_penalty(self, hierarchy, config):
-        with_tlb = DataAccessResult(False, False, True)
-        assert hierarchy.load_latency(with_tlb) == \
-            config.dl1.hit_latency + config.dtlb.miss_latency
-
-    def test_fetch_stall_levels(self, hierarchy, config):
-        assert hierarchy.fetch_stall(
-            InstructionAccessResult(False, False, False)) == 0
-        assert hierarchy.fetch_stall(
-            InstructionAccessResult(True, False, False)) == \
+    def test_load_latency_levels(self, config):
+        assert load_latency(config, False, False, False) == \
+            config.dl1.hit_latency
+        assert load_latency(config, True, False, False) == \
             config.l2.hit_latency
-        assert hierarchy.fetch_stall(
-            InstructionAccessResult(True, True, False)) == \
+        assert load_latency(config, True, True, False) == \
             config.memory_latency
 
-    def test_itlb_miss_adds_stall(self, hierarchy, config):
-        assert hierarchy.fetch_stall(
-            InstructionAccessResult(False, False, True)) == \
+    def test_dtlb_miss_adds_penalty(self, config):
+        assert load_latency(config, False, False, True) == \
+            config.dl1.hit_latency + config.dtlb.miss_latency
+
+    def test_fetch_stall_levels(self, config):
+        assert fetch_stall(config, False, False, False) == 0
+        assert fetch_stall(config, True, False, False) == \
+            config.l2.hit_latency
+        assert fetch_stall(config, True, True, False) == \
+            config.memory_latency
+
+    def test_itlb_miss_adds_stall(self, config):
+        assert fetch_stall(config, False, False, True) == \
             config.itlb.miss_latency
 
 

@@ -112,11 +112,120 @@ def test_columnar_source_identical(synthetic_trace, variant):
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
 def test_execution_driven_source_identical(small_trace, variant):
     config = _config(variant)
+    new_log, old_log = [], []
     new = SuperscalarPipeline(
-        config, ExecutionDrivenSource(small_trace, config)).run()
+        config, ExecutionDrivenSource(small_trace, config)).run(
+        commit_log=new_log)
     old = ReferencePipeline(
-        config, ExecutionDrivenSource(small_trace, config)).run()
+        config, ExecutionDrivenSource(small_trace, config)).run(
+        commit_log=old_log)
     _assert_identical(new, old)
+    assert new_log == old_log
+
+
+@pytest.fixture(scope="module")
+def warm_windows():
+    from repro.frontend.warming import run_program_with_warmup
+    from repro.workloads.generator import WorkloadConfig, generate_program
+
+    program = generate_program(WorkloadConfig(
+        name="memo", seed=5, n_blocks=14, mean_block_size=5,
+        working_set_kb=96, n_memory_streams=4))
+    return run_program_with_warmup(program, 3000, 4000)
+
+
+def test_window_sequence_through_memo_matches_fresh_structures(
+        warm_windows):
+    """Three window points sharing one memoized resolution against
+    runs on a copy of the trace, which warms and walks fresh
+    structures every time: every result field, the commit schedule
+    and the power."""
+    from repro.frontend.trace import Trace
+    from repro.obs.metrics import get_registry
+    from repro.power.wattch import WattchPowerModel
+
+    warm, trace = warm_windows
+    registry = get_registry()
+    reused = registry.counter("eds.locality_reused")
+    built = registry.counter("eds.locality_built")
+    before = (reused.value, built.value)
+    for ruu in (16, 32, 64):
+        config = baseline_config().with_window(ruu, ruu // 2)
+        copy = Trace(trace.name, list(trace.instructions))
+        memo_log, fresh_log = [], []
+        memo = SuperscalarPipeline(config, ExecutionDrivenSource(
+            trace, config, warmup_trace=warm)).run(commit_log=memo_log)
+        fresh = SuperscalarPipeline(config, ExecutionDrivenSource(
+            copy, config, warmup_trace=warm)).run(commit_log=fresh_log)
+        assert memo == fresh
+        assert memo_log == fresh_log
+        model = WattchPowerModel(config)
+        assert model.energy_per_cycle(memo) == model.energy_per_cycle(fresh)
+    # The memo is built once for the trace, and once per copy.
+    assert (reused.value, built.value) == (before[0] + 2, before[1] + 4)
+
+
+def test_profile_from_shared_resolution_matches_own_walk(warm_windows):
+    """A profile that reuses an execution-driven run's resolution has
+    the locality events of an independent walk through freshly warmed
+    caches, and every other ContextStats field of a profile that saw
+    no cache at all."""
+    from repro.core.framework import run_execution_driven
+    from repro.core.sfg import START_BLOCK
+    from repro.frontend.trace import Trace
+    from repro.frontend.warming import warm_locality_structures
+    from repro.obs.metrics import get_registry
+
+    warm, trace = warm_windows
+    config = baseline_config()
+    run_execution_driven(trace, config, warmup_trace=warm)
+    reused = get_registry().counter("eds.locality_reused")
+    before = reused.value
+    shared = profile_trace(trace, config, order=1, warmup_trace=warm)
+    assert reused.value == before + 1
+    cacheless = profile_trace(Trace(trace.name, list(trace.instructions)),
+                              config, order=1, warmup_trace=warm,
+                              perfect_caches=True)
+
+    hierarchy, _ = warm_locality_structures(warm, config)
+    expected = {}
+    history, block = (START_BLOCK,), []
+    for inst in trace:
+        iresult = hierarchy.access_instruction(inst.pc)
+        events = [iresult.il1_miss, iresult.l2_miss, iresult.itlb_miss,
+                  False, False, False]
+        if inst.mem_addr is not None:
+            dresult = hierarchy.access_data(inst.mem_addr,
+                                            is_store=inst.is_store)
+            if inst.is_load:
+                events[3:] = [dresult.dl1_miss, dresult.l2_miss,
+                              dresult.dtlb_miss]
+        block.append(events)
+        if inst.is_branch:
+            sums = expected.setdefault(
+                history + (inst.bb_id,),
+                [[0] * len(block) for _ in range(6)])
+            for slot, slot_events in enumerate(block):
+                for field, hit in enumerate(slot_events):
+                    sums[field][slot] += hit
+            history, block = (inst.bb_id,), []
+
+    locality = ("il1", "l2i", "itlb", "dl1", "l2d", "dtlb")
+    contexts = shared.sfg.contexts
+    assert contexts.keys() == cacheless.sfg.contexts.keys() == \
+        expected.keys()
+    assert any(any(stats.il1) or any(stats.dl1)
+               for stats in contexts.values())
+    for key, stats in contexts.items():
+        other = cacheless.sfg.contexts[key]
+        for field in type(stats).__slots__:
+            if field in locality:
+                assert getattr(stats, field) == \
+                    expected[key][locality.index(field)], (key, field)
+            else:
+                assert getattr(stats, field) == getattr(other, field), \
+                    (key, field)
+    assert shared.sfg.transitions == cacheless.sfg.transitions
 
 
 def _branch(outcome=BranchOutcome.CORRECT, taken=False):
