@@ -41,7 +41,6 @@ from repro.errors import (
     TaskTimeoutError,
 )
 from repro.runner import (
-    FaultPlan,
     RunnerPolicy,
     RunReport,
     TaskRunner,
@@ -116,5 +115,5 @@ __all__ = [
     "ReproError", "ProfileError", "SynthesisError", "SimulationError",
     "ArtifactCorruptError", "TaskTimeoutError", "InjectedFaultError",
     # fault-tolerant runner
-    "TaskRunner", "RunnerPolicy", "RunReport", "WorkUnit", "FaultPlan",
+    "TaskRunner", "RunnerPolicy", "RunReport", "WorkUnit",
 ]

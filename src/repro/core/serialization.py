@@ -11,7 +11,6 @@ across sessions.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Union
@@ -307,21 +306,18 @@ def save_profile(profile: StatisticalProfile,
                  path: Union[str, Path]) -> None:
     """Write *profile* to *path* as JSON, atomically.
 
-    The document is first written to ``<path>.tmp`` and moved into
-    place with ``os.replace``, and it embeds a SHA-256 ``checksum``
-    over the payload — an interrupted save can never leave a partial
-    profile where a complete one is expected, and any later truncation
-    or corruption is detected at load time.
+    The document embeds a SHA-256 ``checksum`` over the payload and
+    is written with :func:`~repro.runner.checkpoint.write_json_atomic`
+    — an interrupted save can never leave a partial profile where a
+    complete one is expected, and any later truncation or corruption
+    is detected at load time.
     """
-    path = Path(path)
+    from repro.runner.checkpoint import write_json_atomic
+
     # io-error chaos site: a failed save raises a retryable
     # InjectedIOError before any bytes land, like a full disk would.
     maybe_io_error("save_profile", str(path))
-    data = profile_to_dict(profile)
-    data["checksum"] = _payload_checksum(data)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data))
-    os.replace(tmp, path)
+    write_json_atomic(path, profile_to_dict(profile))
 
 
 def load_profile(path: Union[str, Path]) -> StatisticalProfile:

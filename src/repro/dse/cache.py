@@ -118,11 +118,11 @@ class CacheStats:
 class ResultCache:
     """Content-addressed store of evaluation metrics on disk.
 
-    ``fault_plan`` defaults to whatever the environment asks for
-    (``REPRO_CHAOS`` or the legacy ``REPRO_FAULT_*``); pass ``None``
-    to disable injection explicitly.  The cache is an accelerator, so
-    every fault — injected or real — is contained: a failed read is a
-    miss, a failed write skips caching, and the sweep re-evaluates.
+    ``fault_plan`` defaults to whatever ``REPRO_CHAOS`` asks for; pass
+    ``None`` to disable injection explicitly.  The cache is an
+    accelerator, so every fault — injected or real — is contained: a
+    failed read is a miss, a failed write skips caching, and the sweep
+    re-evaluates.
 
     ``max_entries`` / ``max_bytes`` bound the store; crossing a bound
     evicts least-recently-used entries (access order comes from the
@@ -243,9 +243,8 @@ class ResultCache:
     # -- fault hooks ----------------------------------------------------
 
     def _maybe_io_error(self, op: str, key: str) -> None:
-        hook = getattr(self.fault_plan, "maybe_io_error", None)
-        if hook is not None:
-            hook(op, key)
+        if self.fault_plan is not None:
+            self.fault_plan.maybe_io_error(op, key)
 
     # -- store operations ----------------------------------------------
 

@@ -30,30 +30,23 @@ from __future__ import annotations
 import hashlib
 import tempfile
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
-from repro.errors import is_retryable
 from repro.faults import ChaosPlan, plan_from_env
 from repro.health.budget import (Budget, HealthPolicy, active_budget,
                                  check_expired, install_budget)
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.runner import RunnerPolicy, TaskRunner, WorkUnit
-from repro.runner.runner import call_with_timeout
+from repro.runner import OK, RunnerPolicy, TaskRunner, WorkUnit
+from repro.runner.lease import clear_lease, write_lease
+from repro.runner.runner import run_attempts
 from repro.dse.cache import ResultCache, result_key
 from repro.dse.space import DesignPoint, profile_content_hash
-from repro.dse.supervisor import (
-    PoolSupervisor,
-    Quarantine,
-    SupervisorPolicy,
-    clear_lease,
-    write_lease,
-)
+from repro.dse.supervisor import PoolSupervisor, Quarantine, SupervisorPolicy
 
 #: Sentinel: "no explicit plan given, consult the environment".
 _ENV_PLAN = object()
@@ -200,10 +193,10 @@ def _worker_init(profile_payload: Dict,
 
 def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
               fault_plan: Optional[Any]) -> Dict[str, Any]:
-    """Execute one (point, seed) evaluation with TaskRunner semantics:
-    fault injection per attempt, wall-clock timeout, bounded retry with
-    backoff, and containment of any exception into a structured
-    failure record."""
+    """Execute one (point, seed) evaluation through the runner's retry
+    loop (:func:`~repro.runner.runner.run_attempts`): fault injection
+    per attempt, wall-clock timeout, bounded retry with backoff, and
+    containment of any exception into a structured failure record."""
     from repro.core.serialization import config_from_dict
 
     vector = bool(task.get("vector"))
@@ -216,51 +209,29 @@ def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
         from repro.core.synthesis import tables_cached
 
         recipe_reuse = tables_cached(profile.sfg)
-    attempt = 0
-    started = time.perf_counter()
-    while True:
-        attempt += 1
-        try:
-            # Fail fast on an already-blown deadline instead of paying
-            # for a synthesis that a mid-flight checkpoint would abort
-            # anyway.
-            check_expired()
-            if fault_plan is not None:
-                fault_plan.inject(task["task_id"], task.get("benchmark"),
-                                  attempt)
-            metrics = call_with_timeout(
-                lambda: evaluate_metrics(profile, config,
-                                         task["derived_seed"],
-                                         task["reduction_factor"],
-                                         vector=vector),
-                policy.timeout, task["task_id"])
-        except Exception as exc:  # noqa: BLE001 — containment
-            if is_retryable(exc) and attempt <= policy.max_retries:
-                delay = policy.backoff(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            return {
-                "task": task, "status": "failed", "metrics": None,
-                "attempts": attempt,
-                "elapsed": time.perf_counter() - started,
-                # The full remote traceback travels with the outcome so
-                # a worker-side failure is debuggable from the parent's
-                # failure record and events.jsonl, not just a bare
-                # exception type.
-                "error": {"type": type(exc).__name__,
-                          "message": str(exc),
-                          "traceback": "".join(
-                              traceback.format_exception(
-                                  type(exc), exc, exc.__traceback__))},
-            }
-        return {
-            "task": task, "status": "ok", "metrics": metrics,
-            "attempts": attempt,
-            "elapsed": time.perf_counter() - started,
-            "error": None,
-            "recipe_reuse": recipe_reuse,
-        }
+
+    def evaluate() -> Dict[str, float]:
+        # Fail fast on an already-blown deadline instead of paying for
+        # a synthesis that a mid-flight checkpoint would abort anyway.
+        check_expired()
+        return evaluate_metrics(profile, config, task["derived_seed"],
+                                task["reduction_factor"], vector=vector)
+
+    outcome = run_attempts(evaluate, task["task_id"], policy, fault_plan,
+                           benchmark=task.get("benchmark"),
+                           seed=task.get("base_seed"))
+    # The error record carries the full remote traceback, so a
+    # worker-side failure is debuggable from the parent's failure
+    # record and events.jsonl, not just a bare exception type.
+    return {
+        "task": task,
+        "status": "ok" if outcome.status == OK else "failed",
+        "metrics": outcome.result,
+        "attempts": outcome.attempts,
+        "elapsed": outcome.elapsed,
+        "error": outcome.error,
+        "recipe_reuse": recipe_reuse,
+    }
 
 
 def _evaluate_one(task: Dict[str, Any],
@@ -292,32 +263,21 @@ def _evaluate_one(task: Dict[str, Any],
                         bench=task.get("benchmark"),
                         seed=task.get("base_seed")):
             plan = _WORKER_FAULT_PLAN
-            kill = getattr(plan, "maybe_kill_worker", None)
-            if kill is not None:
-                kill(task_id, task.get("dispatch", 1))
-            if _WORKER_LEASE_DIR is not None:
-                # Hang injection only makes sense where a watchdog can
-                # shoot the victim; the serial path has no supervisor.
-                hang = getattr(plan, "maybe_hang_worker", None)
-                if hang is not None:
-                    hang(task_id, task.get("dispatch", 1))
-            balloon = getattr(plan, "maybe_balloon_memory", None)
-            if balloon is not None:
-                balloon(task_id, task.get("dispatch", 1))
+            if plan is not None:
+                dispatch = task.get("dispatch", 1)
+                plan.maybe_kill_worker(task_id, dispatch)
+                if _WORKER_LEASE_DIR is not None:
+                    # Hang injection only makes sense where a watchdog
+                    # can shoot the victim; the serial path has no
+                    # supervisor.
+                    plan.maybe_hang_worker(task_id, dispatch)
+                plan.maybe_balloon_memory(task_id, dispatch)
             return _run_task(task, _WORKER_PROFILE, policy, plan)
     finally:
         if budget is not None:
             budget.end_task()
         if _WORKER_LEASE_DIR:
             clear_lease(_WORKER_LEASE_DIR, task_id)
-
-
-def _evaluate_chunk(chunk: List[Dict[str, Any]],
-                    policy: RunnerPolicy) -> List[Dict[str, Any]]:
-    """Evaluate a batch of tasks in one call (kept for API
-    compatibility; the supervised pool dispatches per task so leases
-    track exactly the in-flight work)."""
-    return [_evaluate_one(task, policy) for task in chunk]
 
 
 # -- results -----------------------------------------------------------
@@ -582,8 +542,7 @@ class SweepEngine:
         # never entered the environment; ship its spec string through
         # the pool initializer.
         chaos_spec = (self.fault_plan.to_spec()
-                      if isinstance(self.fault_plan, ChaosPlan)
-                      else None)
+                      if self.fault_plan is not None else None)
         # Trace context + flight-recorder target ride the same
         # initializer, so worker spans stitch into this sweep's trace
         # and crashed workers leave flightrec-<pid>.jsonl behind.

@@ -5,10 +5,11 @@ A single segfaulting or OOM-killed worker breaks a
 ``BrokenProcessPool`` and, without supervision, an hours-long sweep
 loses all in-flight work.  This module keeps the sweep alive:
 
-* **leases** — each worker writes a tiny lease file before executing a
-  task and removes it afterwards.  A hard crash (``os._exit``,
-  segfault, SIGKILL) skips the removal, so after a pool break the
-  surviving lease files name exactly the tasks that were in flight.
+* **leases** — each worker writes a tiny lease file
+  (:mod:`repro.runner.lease`) before executing a task and removes it
+  afterwards.  A hard crash (``os._exit``, segfault, SIGKILL) skips
+  the removal, so after a pool break the surviving lease files name
+  exactly the tasks that were in flight.
 * **crash attribution** — a lease is only blamed ("suspect") when its
   recorded worker pid actually died abnormally; workers the executor
   itself terminated while tearing down the broken pool (SIGTERM) hold
@@ -43,7 +44,6 @@ byte-identical metrics no matter how many crashes preceded it.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -57,7 +57,8 @@ from repro.errors import SweepInterrupted, WorkerCrashError
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.runner import RunnerPolicy
-from repro.runner.checkpoint import sanitize_unit_id, write_json_atomic
+from repro.runner.checkpoint import write_json_atomic
+from repro.runner.lease import clear_leases, lease_age, read_leases
 
 #: Manifest schema version.
 QUARANTINE_FORMAT = 1
@@ -84,48 +85,7 @@ class SupervisorPolicy:
             raise ValueError("max_pool_rebuilds must be >= 0")
 
 
-# -- leases ------------------------------------------------------------
-
-
-def lease_path(lease_dir: Union[str, Path], task_id: str) -> Path:
-    return Path(lease_dir) / (sanitize_unit_id(task_id) + ".lease")
-
-
-def write_lease(lease_dir: Union[str, Path], task_id: str,
-                dispatch: int, pid: Optional[int] = None,
-                progress: int = 0) -> Path:
-    """Record "this process is about to run *task_id*" on disk.
-
-    The record doubles as the hang watchdog's heartbeat: ``beat`` is
-    stamped here and refreshed (with ``progress`` — cycles or
-    instructions committed) by the worker's health checkpoints."""
-    path = lease_path(lease_dir, task_id)
-    path.write_text(json.dumps({
-        "task_id": task_id,
-        "pid": pid if pid is not None else os.getpid(),
-        "dispatch": dispatch,
-        "beat": time.time(),
-        "progress": int(progress),
-    }))
-    return path
-
-
-def clear_lease(lease_dir: Union[str, Path], task_id: str) -> None:
-    lease_path(lease_dir, task_id).unlink(missing_ok=True)
-
-
-def read_leases(lease_dir: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Every surviving lease record (unreadable files are skipped —
-    a worker may have died mid-write)."""
-    records = []
-    for path in sorted(Path(lease_dir).glob("*.lease")):
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(record, dict) and "task_id" in record:
-            records.append(record)
-    return records
+# -- crash attribution ------------------------------------------------
 
 
 def suspect_task_ids(leases: Sequence[Dict[str, Any]],
@@ -279,12 +239,6 @@ class PoolSupervisor:
             time.sleep(0.05)
         return {pid: proc.exitcode for pid, proc in processes.items()}
 
-    def _clear_leases(self) -> None:
-        if self.lease_dir is None:
-            return
-        for path in self.lease_dir.glob("*.lease"):
-            path.unlink(missing_ok=True)
-
     def _flight_path(self, task_id: str) -> Optional[str]:
         """The flight-recorder dump of the worker that last crashed
         holding *task_id*'s lease, if it managed to write one."""
@@ -327,7 +281,8 @@ class PoolSupervisor:
             if record.get("task_id") in suspects \
                     and record.get("pid") is not None:
                 self.crash_pids[record["task_id"]] = int(record["pid"])
-        self._clear_leases()
+        if self.lease_dir is not None:
+            clear_leases(self.lease_dir)
         flight_dumps = {task_id: self._flight_path(task_id)
                         for task_id in sorted(suspects)}
         obs_events.emit("supervisor.crash", level="warning",
@@ -377,11 +332,10 @@ class PoolSupervisor:
         self._last_hang_scan = now
         pool_pids = set((getattr(pool, "_processes", None) or {}).keys())
         for record in read_leases(self.lease_dir):
-            beat = record.get("beat")
+            stale = lease_age(record, now)
             pid = record.get("pid")
-            if beat is None or pid is None or int(pid) not in pool_pids:
+            if stale is None or pid is None or int(pid) not in pool_pids:
                 continue
-            stale = now - float(beat)
             if stale <= self.hang_timeout:
                 continue
             try:
@@ -520,6 +474,5 @@ class PoolSupervisor:
 
 __all__ = [
     "QUARANTINE_FORMAT", "PoolSupervisor", "Quarantine",
-    "SupervisorPolicy", "clear_lease", "lease_path", "read_leases",
-    "suspect_task_ids", "write_lease",
+    "SupervisorPolicy", "suspect_task_ids",
 ]

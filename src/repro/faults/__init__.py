@@ -1,26 +1,18 @@
-"""Unified fault-injection subsystem.
+"""Fault injection: one deterministic chaos harness.
 
-Two injectors live here:
-
-* :class:`~repro.faults.chaos.ChaosPlan` — the unified, deterministic
-  chaos harness driven by one ``REPRO_CHAOS`` spec string (seeded
-  injection sites for worker-kill, IO errors, artifact corruption and
-  slow calls); see :mod:`repro.faults.chaos` for the grammar.
-* :class:`~repro.faults.legacy.FaultPlan` — the original per-variable
-  ``REPRO_FAULT_*`` injector, kept for backward compatibility.
-
-:func:`plan_from_env` arbitrates: ``REPRO_CHAOS`` wins when set,
-``REPRO_FAULT_*`` otherwise, None when neither is present.  Both plans
-expose the same ``inject(unit_id, benchmark, attempt)`` /
-``maybe_corrupt_artifact(path)`` surface the runner and the result
-cache consume, so every consumer takes either interchangeably.
+:class:`~repro.faults.chaos.ChaosPlan` is driven by one ``REPRO_CHAOS``
+spec string (seeded injection sites for worker-kill, task failures, IO
+errors, artifact corruption, slow calls and more); see
+:mod:`repro.faults.chaos` for the grammar.  :func:`plan_from_env`
+builds the plan the environment asks for, and :func:`maybe_io_error`
+is the hook for call sites that have no plan to thread through.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
+from repro.errors import ChaosSpecError
 from repro.faults.chaos import (
     SITES,
     WORKER_KILL_EXIT_CODE,
@@ -28,21 +20,38 @@ from repro.faults.chaos import (
     ChaosSite,
     active_sites,
 )
-from repro.faults.legacy import FaultPlan
+
+#: What each retired ``REPRO_FAULT_*`` variable became in the
+#: ``REPRO_CHAOS`` grammar.
+_RETIRED_VARIABLES = {
+    "REPRO_FAULT_BENCHMARKS": "task-fail:match=<benchmark>",
+    "REPRO_FAULT_ATTEMPTS": "task-fail:attempts=<n>",
+    "REPRO_FAULT_RATE": "task-fail:rate=<p>",
+    "REPRO_FAULT_DELAY": "slow-call:delay=<seconds>",
+    "REPRO_FAULT_CACHE_RATE": "artifact-corrupt:rate=<p>",
+    "REPRO_FAULT_SEED": "seed=<n>",
+}
 
 
 def plan_from_env(environ=os.environ):
-    """The fault plan the environment asks for, or None.
+    """The fault plan ``REPRO_CHAOS`` asks for, or None when unset.
 
-    ``REPRO_CHAOS`` (the unified spec) takes precedence over the
-    legacy ``REPRO_FAULT_*`` variables; a malformed spec raises
-    :class:`~repro.errors.ChaosSpecError` so a typo fails loudly at
-    startup instead of silently disabling injection.
+    A malformed spec raises :class:`~repro.errors.ChaosSpecError` so a
+    typo fails loudly at startup instead of silently disabling
+    injection — and so does any retired ``REPRO_FAULT_*`` variable,
+    whose stale script would otherwise silently stop injecting.
     """
+    retired = sorted(name for name in environ
+                     if name.startswith("REPRO_FAULT_"))
+    if retired:
+        hints = "; ".join(
+            f"{name} -> {_RETIRED_VARIABLES.get(name, 'no equivalent')}"
+            for name in retired)
+        raise ChaosSpecError(
+            f"{', '.join(retired)} no longer inject faults; set "
+            f"REPRO_CHAOS instead ({hints})")
     spec = environ.get("REPRO_CHAOS", "").strip()
-    if spec:
-        return ChaosPlan.parse(spec)
-    return FaultPlan.from_env(environ)
+    return ChaosPlan.parse(spec) if spec else None
 
 
 # Cache the parsed environment plan for the hot module-level hook
@@ -72,5 +81,5 @@ def maybe_io_error(op: str, token: str = "") -> None:
 
 __all__ = [
     "SITES", "WORKER_KILL_EXIT_CODE", "ChaosPlan", "ChaosSite",
-    "FaultPlan", "active_sites", "maybe_io_error", "plan_from_env",
+    "active_sites", "maybe_io_error", "plan_from_env",
 ]

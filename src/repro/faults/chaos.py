@@ -1,4 +1,4 @@
-"""Unified deterministic chaos injection (``REPRO_CHAOS``).
+"""Deterministic chaos injection (``REPRO_CHAOS``).
 
 One spec string enables seeded fault injection at every breakable
 layer of the stack, so the supervision/retry/quarantine machinery can
@@ -14,14 +14,12 @@ hooks.  The injection *sites*:
     serial fallback able to finish a sweep the pool cannot.
 ``task-fail``
     Raise a retryable :class:`~repro.errors.InjectedFaultError` inside
-    a task attempt (the unified replacement for
-    ``REPRO_FAULT_BENCHMARKS``/``RATE``).
+    a task attempt.
 ``io-error``
     Raise :class:`~repro.errors.InjectedIOError` (an ``OSError``) at a
     filesystem boundary: profile save/load, result-cache read/write.
 ``artifact-corrupt``
-    Garble a freshly written cache entry on disk (the unified
-    replacement for ``REPRO_FAULT_CACHE_RATE``), exercising the
+    Garble a freshly written cache entry on disk, exercising the
     checksum-verify-and-discard path.
 ``slow-call``
     Sleep ``delay`` seconds before a task attempt (timeout testing).
@@ -160,13 +158,8 @@ class ChaosSite:
 
 @dataclass
 class ChaosPlan:
-    """A parsed ``REPRO_CHAOS`` spec: seed plus enabled sites.
-
-    Duck-type compatible with the legacy
-    :class:`~repro.faults.legacy.FaultPlan` where the runner and the
-    result cache consume it (``inject`` / ``maybe_corrupt_artifact``),
-    and extends it with the worker-kill and io-error sites.
-    """
+    """A parsed ``REPRO_CHAOS`` spec: seed plus enabled sites, with
+    one hook method per injection site."""
 
     seed: int = 0
     sites: Dict[str, ChaosSite] = field(default_factory=dict)
@@ -273,12 +266,10 @@ class ChaosPlan:
 
     def inject(self, unit_id: str, benchmark: Optional[str],
                attempt: int) -> None:
-        """Task-attempt hook (same signature the runner uses for the
-        legacy plan): slow-call sleeps, task-fail raises.
+        """Task-attempt hook: slow-call sleeps, task-fail raises.
 
         The decision token carries both the unit id and the benchmark
-        so ``match=`` can target either, like the legacy plan's
-        benchmark list."""
+        so ``match=`` can target either."""
         token = f"{unit_id}|{benchmark or ''}"
         slow = self.sites.get("slow-call")
         if slow is not None and self.fires("slow-call", token, attempt):
@@ -351,9 +342,8 @@ class ChaosPlan:
         if not self.fires("artifact-corrupt", token or target.name):
             return False
         data = target.read_bytes()
-        # Same garbling as the legacy plan: truncate to half and flip
-        # the first byte, defeating both JSON parsing and, for short
-        # payloads, the embedded checksum.
+        # Truncate to half and flip the first byte, defeating both JSON
+        # parsing and, for short payloads, the embedded checksum.
         cut = data[:max(1, len(data) // 2)]
         target.write_bytes(bytes([cut[0] ^ 0xFF]) + cut[1:])
         return True
@@ -400,8 +390,6 @@ class ChaosPlan:
         return self.fires("pipeline-skew", token)
 
 
-def active_sites(plan) -> Tuple[str, ...]:
-    """The chaos sites *plan* can fire, () for legacy/absent plans."""
-    if isinstance(plan, ChaosPlan):
-        return tuple(sorted(plan.sites))
-    return ()
+def active_sites(plan: Optional[ChaosPlan]) -> Tuple[str, ...]:
+    """The chaos sites *plan* can fire, () without a plan."""
+    return tuple(sorted(plan.sites)) if plan is not None else ()

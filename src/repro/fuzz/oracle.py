@@ -133,12 +133,7 @@ def _compare(reference: SimulationResult, optimized: SimulationResult,
 
 def _maybe_skew(chaos, token: str) -> bool:
     """Whether the active chaos plan asks us to perturb this case."""
-    if chaos is None:
-        return False
-    skews = getattr(chaos, "skews_pipeline", None)  # legacy FaultPlan lacks it
-    if skews is None:
-        return False
-    return skews(token)
+    return chaos is not None and chaos.skews_pipeline(token)
 
 
 def _apply_skew(result: SimulationResult,

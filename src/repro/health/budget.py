@@ -39,11 +39,9 @@ test hook).
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.errors import (
@@ -192,7 +190,7 @@ class Budget:
                  deadline_at: Optional[float] = None) -> None:
         self.policy = policy
         self.deadline_at = deadline_at
-        self._lease_path: Optional[Path] = None
+        self._lease_dir: Optional[str] = None
         self._task_id: Optional[str] = None
         self._dispatch = 1
         self._last_beat = 0.0
@@ -206,30 +204,21 @@ class Budget:
         """Point subsequent heartbeats at *task_id*'s lease file."""
         self._task_id = task_id
         self._dispatch = dispatch
-        self._lease_path = None
-        if lease_dir:
-            from repro.runner.checkpoint import sanitize_unit_id
-
-            self._lease_path = (Path(lease_dir)
-                                / (sanitize_unit_id(task_id) + ".lease"))
+        self._lease_dir = lease_dir or None
         self._last_beat = 0.0
 
     def end_task(self) -> None:
         self._task_id = None
-        self._lease_path = None
+        self._lease_dir = None
 
     def _write_beat(self, progress: int) -> None:
-        if self._lease_path is None:
+        if self._lease_dir is None:
             return
-        payload = {
-            "task_id": self._task_id,
-            "pid": os.getpid(),
-            "dispatch": self._dispatch,
-            "beat": time.time(),
-            "progress": int(progress),
-        }
+        from repro.runner.lease import write_lease
+
         try:
-            self._lease_path.write_text(json.dumps(payload))
+            write_lease(self._lease_dir, self._task_id, self._dispatch,
+                        progress=progress)
         except OSError:
             pass  # a lost beat is at worst a late watchdog kill
 

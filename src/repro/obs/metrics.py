@@ -245,15 +245,13 @@ class MetricsRegistry:
         return registry
 
     def write(self, path: Union[str, Path]) -> Path:
-        """Write the snapshot to *path* (atomically: tmp + replace)."""
-        import os
+        """Write the snapshot to *path* atomically."""
+        from repro.runner.checkpoint import write_text_atomic
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.snapshot(), indent=2,
-                                  sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, json.dumps(self.snapshot(), indent=2,
+                                           sort_keys=True) + "\n")
         return path
 
     @classmethod

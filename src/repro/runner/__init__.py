@@ -1,5 +1,5 @@
 """Fault-tolerant experiment execution: task runner, checkpoints,
-fault injection.
+leases.
 
 See :mod:`repro.runner.runner` for semantics and ``docs/robustness.md``
 for the operational guide.
@@ -11,8 +11,8 @@ from repro.runner.checkpoint import (
     read_json_checked,
     sanitize_unit_id,
     write_json_atomic,
+    write_text_atomic,
 )
-from repro.runner.faults import FaultPlan
 from repro.runner.runner import (
     FAILED,
     OK,
@@ -28,8 +28,7 @@ from repro.runner.runner import (
 
 __all__ = [
     "CheckpointStore", "payload_checksum", "read_json_checked",
-    "sanitize_unit_id", "write_json_atomic",
-    "FaultPlan",
+    "sanitize_unit_id", "write_json_atomic", "write_text_atomic",
     "OK", "FAILED", "SKIPPED",
     "ResultRows", "RunnerPolicy", "RunReport", "TaskRunner",
     "UnitOutcome", "WorkUnit", "report_footer",

@@ -42,26 +42,33 @@ def payload_checksum(payload: Dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_json_atomic(path: Union[str, Path], payload: Dict) -> None:
-    """Write *payload* (plus its checksum) to *path* atomically.
+def write_text_atomic(path: Union[str, Path], text: str) -> None:
+    """Write *text* to *path* atomically.
 
     The data lands in a uniquely named ``<path>.<pid>.<n>.tmp`` first
     and is moved into place with ``os.replace``, so readers only ever
     observe the old file or the complete new one — never a truncation
     — and two processes racing to write the same path (a shared result
     cache) cannot interleave inside one temp file; last rename wins
-    with both candidates complete.
+    with both candidates complete.  A failed write leaves the old file
+    untouched and no temp file behind.
     """
     path = Path(path)
-    document = dict(payload)
-    document[_CHECKSUM_KEY] = payload_checksum(payload)
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp")
     try:
-        tmp.write_text(json.dumps(document))
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json_atomic(path: Union[str, Path], payload: Dict) -> None:
+    """Write *payload* plus its ``checksum`` to *path* atomically (see
+    :func:`write_text_atomic`)."""
+    document = dict(payload)
+    document[_CHECKSUM_KEY] = payload_checksum(payload)
+    write_text_atomic(path, json.dumps(document))
 
 
 def read_json_checked(path: Union[str, Path]) -> Dict:

@@ -25,6 +25,7 @@ K skipped`` instead of crashing the experiment.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 import traceback
@@ -87,13 +88,22 @@ class RunnerPolicy:
     timeout: Optional[float] = None
     max_retries: int = 2
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     backoff_cap: float = 2.0
 
-    def backoff(self, attempt: int) -> float:
-        """Seconds to sleep before retry number *attempt* (1-based)."""
-        delay = self.backoff_base * (self.backoff_factor ** (attempt - 1))
-        return min(delay, self.backoff_cap)
+
+def backoff_delay(attempt: int, base: float, cap: float,
+                  rng: Optional[random.Random] = None) -> float:
+    """Seconds to wait before retry number *attempt* (1-based): *base*
+    doubling per attempt, capped at *cap*.
+
+    Without *rng* the delay is deterministic (the runner's retries);
+    with one it is jittered into ``[delay/2, delay]`` so a herd of
+    service clients decorrelates instead of re-colliding.
+    """
+    delay = min(cap, base * 2 ** (attempt - 1))
+    if rng is not None:
+        delay *= 0.5 + rng.random() / 2
+    return delay
 
 
 @dataclass
@@ -108,6 +118,10 @@ class UnitOutcome:
     error: Optional[Dict[str, Any]] = None
     attempts: int = 0
     elapsed: float = 0.0
+    #: The exception behind a FAILED outcome (in-process only; never
+    #: checkpointed).
+    exception: Optional[BaseException] = field(
+        default=None, repr=False, compare=False)
 
     def to_payload(self) -> Dict[str, Any]:
         status = OK if self.status == SKIPPED else self.status
@@ -214,11 +228,8 @@ def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float],
 
     Raises :class:`~repro.errors.TaskTimeoutError` when *timeout*
     seconds elapse first; with ``timeout=None`` the call runs inline.
-    Shared by :class:`TaskRunner` and the parallel design-space engine
-    (:mod:`repro.dse.engine`), so per-unit and per-design-point budgets
-    behave identically.  The timed-out worker thread is abandoned
-    (Python cannot kill it); being a daemon it will not block
-    interpreter exit.
+    The timed-out worker thread is abandoned (Python cannot kill it);
+    being a daemon it will not block interpreter exit.
     """
     if timeout is None:
         return fn()
@@ -240,6 +251,75 @@ def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float],
     if "error" in box:
         raise box["error"]
     return box["result"]
+
+
+def run_attempts(fn: Callable[[], Any], unit_id: str,
+                 policy: RunnerPolicy, fault_plan: Optional[Any] = None,
+                 benchmark: Optional[str] = None,
+                 seed: Optional[int] = None,
+                 log: Optional[Callable[[str], None]] = None
+                 ) -> UnitOutcome:
+    """The retry loop shared by :class:`TaskRunner` and the design-space
+    workers: per attempt, inject faults, then run ``fn()`` under the
+    policy's timeout; retry retryable errors with backoff up to
+    ``max_retries`` times; contain the final error in the outcome."""
+    registry = get_registry()
+    attempt = 0
+    started = time.perf_counter()
+    obs_events.emit("unit_start", level="debug",
+                    unit=unit_id, benchmark=benchmark, seed=seed)
+    while True:
+        attempt += 1
+        try:
+            if fault_plan is not None:
+                fault_plan.inject(unit_id, benchmark, attempt)
+            result = call_with_timeout(fn, policy.timeout, unit_id)
+        except Exception as exc:  # noqa: BLE001 — containment
+            if isinstance(exc, TaskTimeoutError):
+                registry.counter("runner.timeouts").inc()
+                obs_events.emit("unit_timeout", level="warning",
+                                unit=unit_id, benchmark=benchmark,
+                                attempt=attempt, timeout=policy.timeout)
+            if is_retryable(exc) and attempt <= policy.max_retries:
+                delay = backoff_delay(attempt, policy.backoff_base,
+                                      policy.backoff_cap)
+                registry.counter("runner.retries").inc()
+                message = (f"{unit_id}: attempt {attempt} "
+                           f"failed ({type(exc).__name__}: {exc}); "
+                           f"retrying in {delay:g}s")
+                obs_events.emit("unit_retry", msg=message,
+                                level="warning", unit=unit_id,
+                                benchmark=benchmark, attempt=attempt,
+                                error=type(exc).__name__, backoff=delay)
+                if log is not None:
+                    log(message)
+                if delay > 0:
+                    time.sleep(delay)
+                continue
+            elapsed = time.perf_counter() - started
+            registry.counter("runner.units_failed").inc()
+            registry.histogram("runner.unit_seconds").observe(elapsed)
+            error = _error_info(exc)
+            obs_events.emit("unit_failed", level="warning",
+                            unit=unit_id, benchmark=benchmark,
+                            attempts=attempt,
+                            error=type(exc).__name__,
+                            message=str(exc),
+                            traceback=error["traceback"],
+                            elapsed=round(elapsed, 6))
+            return UnitOutcome(
+                unit_id=unit_id, status=FAILED, benchmark=benchmark,
+                seed=seed, error=error, attempts=attempt,
+                elapsed=elapsed, exception=exc)
+        elapsed = time.perf_counter() - started
+        registry.counter("runner.units_ok").inc()
+        registry.histogram("runner.unit_seconds").observe(elapsed)
+        obs_events.emit("unit_ok", level="debug",
+                        unit=unit_id, benchmark=benchmark,
+                        attempts=attempt, elapsed=round(elapsed, 6))
+        return UnitOutcome(
+            unit_id=unit_id, status=OK, benchmark=benchmark, seed=seed,
+            result=result, attempts=attempt, elapsed=elapsed)
 
 
 class TaskRunner:
@@ -267,12 +347,6 @@ class TaskRunner:
 
     # -- execution -----------------------------------------------------
 
-    def _call_with_timeout(self, fn: Callable[[WorkUnit], Any],
-                           unit: WorkUnit) -> Any:
-        return call_with_timeout(
-            maybe_profiled(lambda: fn(unit), unit.unit_id),
-            self.policy.timeout, unit.unit_id)
-
     def _attempt_loop(self, fn: Callable[[WorkUnit], Any],
                       unit: WorkUnit) -> UnitOutcome:
         # One span per work unit, so a stitched fleet trace shows each
@@ -284,80 +358,10 @@ class TaskRunner:
         if unit.seed is not None:
             span_fields["seed"] = unit.seed
         with trace_span("unit", **span_fields):
-            return self._attempt_loop_inner(fn, unit)
-
-    def _attempt_loop_inner(self, fn: Callable[[WorkUnit], Any],
-                            unit: WorkUnit) -> UnitOutcome:
-        policy = self.policy
-        registry = get_registry()
-        attempt = 0
-        started = time.perf_counter()
-        obs_events.emit("unit_start", level="debug",
-                        unit=unit.unit_id, benchmark=unit.benchmark,
-                        seed=unit.seed)
-        while True:
-            attempt += 1
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.inject(unit.unit_id, unit.benchmark,
-                                           attempt)
-                result = self._call_with_timeout(fn, unit)
-            except Exception as exc:  # noqa: BLE001 — containment
-                if isinstance(exc, TaskTimeoutError):
-                    registry.counter("runner.timeouts").inc()
-                    obs_events.emit("unit_timeout", level="warning",
-                                    unit=unit.unit_id,
-                                    benchmark=unit.benchmark,
-                                    attempt=attempt,
-                                    timeout=policy.timeout)
-                if is_retryable(exc) and attempt <= policy.max_retries:
-                    delay = policy.backoff(attempt)
-                    registry.counter("runner.retries").inc()
-                    message = (f"{unit.unit_id}: attempt {attempt} "
-                               f"failed ({type(exc).__name__}: {exc}); "
-                               f"retrying in {delay:g}s")
-                    obs_events.emit("unit_retry", msg=message,
-                                    level="warning",
-                                    unit=unit.unit_id,
-                                    benchmark=unit.benchmark,
-                                    attempt=attempt,
-                                    error=type(exc).__name__,
-                                    backoff=delay)
-                    self.log(message)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self._last_error = exc
-                elapsed = time.perf_counter() - started
-                registry.counter("runner.units_failed").inc()
-                registry.histogram("runner.unit_seconds").observe(elapsed)
-                obs_events.emit("unit_failed", level="warning",
-                                unit=unit.unit_id,
-                                benchmark=unit.benchmark,
-                                attempts=attempt,
-                                error=type(exc).__name__,
-                                message=str(exc),
-                                traceback="".join(
-                                    traceback.format_exception(
-                                        type(exc), exc,
-                                        exc.__traceback__)),
-                                elapsed=round(elapsed, 6))
-                return UnitOutcome(
-                    unit_id=unit.unit_id, status=FAILED,
-                    benchmark=unit.benchmark, seed=unit.seed,
-                    error=_error_info(exc), attempts=attempt,
-                    elapsed=elapsed)
-            elapsed = time.perf_counter() - started
-            registry.counter("runner.units_ok").inc()
-            registry.histogram("runner.unit_seconds").observe(elapsed)
-            obs_events.emit("unit_ok", level="debug",
-                            unit=unit.unit_id, benchmark=unit.benchmark,
-                            attempts=attempt, elapsed=round(elapsed, 6))
-            return UnitOutcome(
-                unit_id=unit.unit_id, status=OK,
-                benchmark=unit.benchmark, seed=unit.seed,
-                result=result, attempts=attempt,
-                elapsed=elapsed)
+            return run_attempts(
+                maybe_profiled(lambda: fn(unit), unit.unit_id),
+                unit.unit_id, self.policy, self.fault_plan,
+                benchmark=unit.benchmark, seed=unit.seed, log=self.log)
 
     def _resume_outcome(self, unit: WorkUnit) -> Optional[UnitOutcome]:
         """A SKIPPED outcome when the unit already completed in a
@@ -407,6 +411,8 @@ class TaskRunner:
             outcome = self._resume_outcome(unit)
             if outcome is None:
                 outcome = self._attempt_loop(fn, unit)
+                if outcome.exception is not None:
+                    self._last_error = outcome.exception
                 if self.store is not None:
                     try:
                         self.store.store(unit.unit_id,

@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, Optional, Union
 from repro.errors import JobRejectedError, ServiceError
 from repro.obs import telemetry
 from repro.obs.metrics import get_registry
+from repro.runner.runner import backoff_delay
 from repro.service import protocol
 
 #: Rejection reasons worth retrying: transient daemon-side pressure.
@@ -78,9 +79,8 @@ class ServiceClient:
                  retry_after: Optional[float]) -> float:
         """Jittered exponential delay for retry *attempt* (0-based),
         never shorter than the daemon's ``retry_after`` hint."""
-        ceiling = min(self.backoff_cap,
-                      self.backoff_base * (2 ** attempt))
-        delay = ceiling * (0.5 + self.rng.random() / 2)
+        delay = backoff_delay(attempt + 1, self.backoff_base,
+                              self.backoff_cap, self.rng)
         if retry_after:
             delay = max(delay, float(retry_after))
         return delay

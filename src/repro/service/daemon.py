@@ -605,8 +605,8 @@ class Daemon:
         # the journal write: the work is admitted, the client never
         # hears — exactly the window where a naive retry would
         # double-enqueue.
-        drops = getattr(self.fault_plan, "drops_submit", None)
-        if drops is not None and created and drops(job.job_id):
+        if (self.fault_plan is not None and created
+                and self.fault_plan.drops_submit(job.job_id)):
             obs_events.emit("service.submit_dropped", level="warning",
                             msg=(f"chaos: dropping submit ack for "
                                  f"job {job.job_id}"),

@@ -22,8 +22,6 @@ to the finished job without touching the queue.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +31,8 @@ from repro.errors import ArtifactCorruptError
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.runner.checkpoint import read_json_checked, write_json_atomic
+from repro.runner.lease import (clear_lease, lease_is_stale, lease_path,
+                                read_lease, write_lease)
 from repro.service.journal import Journal
 from repro.dse.space import canonical_json
 
@@ -220,49 +220,27 @@ class JobStore:
 
     # -- leases ----------------------------------------------------------
 
-    def _lease_path(self, job_id: str) -> Path:
-        return self.lease_dir / (job_id + ".json")
-
     def write_heartbeat(self, job_id: str, beat: int = 0) -> None:
         """Refresh the running job's lease; the ``heartbeat-loss``
         chaos site can swallow individual beats (``beat`` is the
         deterministic decision attempt)."""
-        if beat:
-            loses = getattr(self.fault_plan, "loses_heartbeat", None)
-            if loses is not None and loses(job_id, beat):
-                return
-        path = self._lease_path(job_id)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({"pid": os.getpid(),
-                                   "ts": time.time()}))
-        os.replace(tmp, path)
+        if (beat and self.fault_plan is not None
+                and self.fault_plan.loses_heartbeat(job_id, beat)):
+            return
+        write_lease(self.lease_dir, job_id,
+                    dispatch=self.jobs[job_id].attempts, progress=beat)
 
     def clear_lease(self, job_id: str) -> None:
-        self._lease_path(job_id).unlink(missing_ok=True)
+        clear_lease(self.lease_dir, job_id)
 
     def _lease_is_stale(self, job: Job) -> bool:
         """Whether a running job's lease belongs to a dead or silent
         owner.  A missing/unreadable lease is stale (the owner died
         before its first heartbeat landed); so is a dead pid or a
         heartbeat older than ``lease_ttl``."""
-        try:
-            record = json.loads(self._lease_path(job.job_id).read_text())
-            pid = int(record["pid"])
-            ts = float(record["ts"])
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError):
-            return True
-        if time.time() - ts > self.lease_ttl:
-            return True
-        if pid == os.getpid():
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            pass  # alive, owned by someone else
-        return False
+        return lease_is_stale(
+            read_lease(lease_path(self.lease_dir, job.job_id)),
+            self.lease_ttl)
 
     # -- journaled mutations ---------------------------------------------
 

@@ -82,14 +82,13 @@ class Journal:
         handle.write(line + "\n")
         handle.flush()
         os.fsync(handle.fileno())
-        corrupt = getattr(self.fault_plan, "maybe_corrupt_journal",
-                          None)
-        if corrupt is not None:
-            # The chaos site rewrites the file behind the handle's
-            # back; drop the handle so the next append reopens at the
-            # real end of file.
-            if corrupt(self.path, str(seq)):
-                self.close()
+        # The chaos site rewrites the file behind the handle's back;
+        # drop the handle so the next append reopens at the real end of
+        # file.
+        if (self.fault_plan is not None
+                and self.fault_plan.maybe_corrupt_journal(self.path,
+                                                          str(seq))):
+            self.close()
 
     def rewrite(self, records: List[Tuple[int, Dict[str, Any]]]) -> None:
         """Atomically replace the journal's contents (compaction).

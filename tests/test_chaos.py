@@ -1,6 +1,5 @@
-"""Unified chaos-injection harness: spec grammar, deterministic fire
-decisions, site behaviours, environment arbitration, and the legacy
-FaultPlan shim."""
+"""Chaos-injection harness: spec grammar, deterministic fire decisions,
+site behaviours and the environment plan."""
 
 import os
 
@@ -16,7 +15,6 @@ from repro.faults import (
     WORKER_KILL_EXIT_CODE,
     ChaosPlan,
     ChaosSite,
-    FaultPlan,
     active_sites,
     plan_from_env,
 )
@@ -164,17 +162,6 @@ class TestEnvArbitration:
     def test_no_env_means_no_plan(self):
         assert plan_from_env({}) is None
 
-    def test_chaos_env_wins_over_legacy(self):
-        env = {"REPRO_CHAOS": "worker-kill",
-               "REPRO_FAULT_RATE": "1.0"}
-        plan = plan_from_env(env)
-        assert isinstance(plan, ChaosPlan)
-
-    def test_legacy_env_still_honoured(self):
-        env = {"REPRO_FAULT_RATE": "1.0"}
-        plan = plan_from_env(env)
-        assert isinstance(plan, FaultPlan)
-
     def test_malformed_chaos_spec_raises(self):
         with pytest.raises(ChaosSpecError):
             plan_from_env({"REPRO_CHAOS": "bogus-site"})
@@ -187,16 +174,3 @@ class TestEnvArbitration:
         monkeypatch.setenv("REPRO_CHAOS", "io-error:match=save_profile")
         with pytest.raises(InjectedIOError):
             faults.maybe_io_error("save_profile", "p.json")
-
-
-class TestLegacyShim:
-    def test_runner_faults_import_is_same_class(self):
-        from repro.faults.legacy import FaultPlan as canonical
-        from repro.runner.faults import FaultPlan as shimmed
-
-        assert shimmed is canonical
-
-    def test_legacy_from_env_roundtrip(self):
-        plan = FaultPlan.from_env({"REPRO_FAULT_RATE": "0.5",
-                                   "REPRO_FAULT_SEED": "3"})
-        assert plan is not None and plan.fail_rate == 0.5

@@ -3,7 +3,7 @@
 import json
 
 from repro.config import baseline_config
-from repro.runner.faults import FaultPlan
+from repro.faults import ChaosPlan, plan_from_env
 from repro.dse.cache import ResultCache, result_key
 from repro.dse.space import apply_overrides, config_hash
 
@@ -70,7 +70,7 @@ class TestStore:
         assert cache.stats.corrupt_discarded == 1
 
     def test_fault_plan_corrupts_fresh_writes(self, tmp_path):
-        plan = FaultPlan(cache_corrupt_rate=1.0)
+        plan = ChaosPlan.parse("artifact-corrupt:rate=1.0")
         cache = ResultCache(tmp_path, fault_plan=plan)
         key = result_key(PROFILE_HASH, "c" * 64, 0, 6.0)
         cache.put(key, METRICS)
@@ -78,10 +78,10 @@ class TestStore:
         assert cache.stats.corrupt_discarded == 1
 
     def test_fault_plan_from_env_reads_cache_rate(self):
-        plan = FaultPlan.from_env({"REPRO_FAULT_CACHE_RATE": "1.0"})
+        plan = plan_from_env({"REPRO_CHAOS": "artifact-corrupt:rate=1.0"})
         assert plan is not None
-        assert plan.cache_corrupt_rate == 1.0
-        assert FaultPlan.from_env({}) is None
+        assert plan.sites["artifact-corrupt"].rate == 1.0
+        assert plan_from_env({}) is None
 
 
 class TestPhantomEntries:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import baseline_config
 from repro.runner import RunnerPolicy
-from repro.runner.faults import FaultPlan
+from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.core.profiler import profile_trace
 from repro.workloads.generator import WorkloadConfig, generate_program
@@ -119,14 +119,13 @@ class TestCaching:
 
     def test_injected_cache_corruption_heals(self, profile, points,
                                              tmp_path, monkeypatch):
-        # REPRO_FAULT_CACHE_RATE garbles every fresh write; the next
-        # run must detect, discard and re-evaluate every entry.
-        monkeypatch.setenv("REPRO_FAULT_CACHE_RATE", "1.0")
-        corrupting = ResultCache(tmp_path,
-                                 fault_plan=FaultPlan.from_env())
+        # artifact-corrupt garbles every fresh write; the next run
+        # must detect, discard and re-evaluate every entry.
+        monkeypatch.setenv("REPRO_CHAOS", "artifact-corrupt:rate=1.0")
+        corrupting = ResultCache(tmp_path)
         SweepEngine(profile, cache=corrupting, fault_plan=None).evaluate(
             points, seeds=(0,), reduction_factor=4.0)
-        monkeypatch.delenv("REPRO_FAULT_CACHE_RATE")
+        monkeypatch.delenv("REPRO_CHAOS")
         cache = ResultCache(tmp_path)
         healed = SweepEngine(profile, cache=cache).evaluate(
             points, seeds=(0,), reduction_factor=4.0)
@@ -135,7 +134,7 @@ class TestCaching:
         assert all(r.ok for r in healed.results)
 
     def test_failures_are_never_cached(self, profile, points, tmp_path):
-        plan = FaultPlan(fail_benchmarks=("unit",))
+        plan = ChaosPlan.parse("task-fail:match=unit")
         cache = ResultCache(tmp_path)
         sweep = SweepEngine(profile, cache=cache, fault_plan=plan,
                             benchmark="unit",
@@ -148,7 +147,7 @@ class TestCaching:
 
 class TestContainment:
     def test_permanent_fault_contained_per_point(self, profile, points):
-        plan = FaultPlan(fail_benchmarks=("unit",))
+        plan = ChaosPlan.parse("task-fail:match=unit")
         sweep = SweepEngine(profile, fault_plan=plan, benchmark="unit",
                             policy=RunnerPolicy(max_retries=0)
                             ).evaluate(points, seeds=(0,),
@@ -158,7 +157,7 @@ class TestContainment:
                    sweep.results)
 
     def test_transient_fault_survived_by_retry(self, profile, points):
-        plan = FaultPlan(fail_benchmarks=("unit",), fail_attempts=1)
+        plan = ChaosPlan.parse("task-fail:match=unit,attempts=1")
         sweep = SweepEngine(
             profile, fault_plan=plan, benchmark="unit",
             policy=RunnerPolicy(max_retries=2, backoff_base=0.0)
@@ -166,9 +165,28 @@ class TestContainment:
         assert sweep.failed == 0
         assert all(r.ok for r in sweep.results)
 
+    def test_worker_task_retries_through_runner_loop(self, profile,
+                                                     points):
+        """A pool worker's evaluation retries through the runner's
+        loop: the retry is counted and narrated like a runner unit."""
+        from repro.dse.engine import _run_task
+        from repro.obs.metrics import get_registry
+
+        retries = get_registry().counter("runner.retries")
+        before = retries.value
+        engine = SweepEngine(profile, experiment="t", benchmark="unit")
+        task = engine._task(0, points[0], 0, 4.0)
+        outcome = _run_task(
+            task, profile, RunnerPolicy(max_retries=1, backoff_base=0.0),
+            ChaosPlan.parse("task-fail:match=unit,attempts=1"))
+        assert retries.value - before == 1
+        assert outcome["status"] == "ok" and outcome["attempts"] == 2
+        assert outcome["metrics"] == engine._run_serial([task])[0][
+            "metrics"]
+
     def test_parallel_workers_inject_from_env(self, profile, points,
                                               monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BENCHMARKS", "unit")
+        monkeypatch.setenv("REPRO_CHAOS", "task-fail:match=unit")
         sweep = SweepEngine(profile, jobs=2, fault_plan=None,
                             benchmark="unit",
                             policy=RunnerPolicy(max_retries=0)

@@ -76,16 +76,6 @@ class TestInjectedSkew:
                               600, chaos=plan, token=case.case_id)
         assert report.identical  # match excludes this token
 
-    def test_legacy_plan_without_skew_site_is_harmless(self):
-        class LegacyPlan:  # no skews_pipeline attribute
-            pass
-
-        case = _small_case()
-        report = diff_program(case.program(), case.machine_config(),
-                              600, chaos=LegacyPlan(),
-                              token=case.case_id)
-        assert report.identical
-
     def test_report_round_trips_to_dict(self):
         case = _small_case()
         plan = ChaosPlan.parse("seed=1;pipeline-skew:rate=1.0")

@@ -3,6 +3,7 @@ events, metrics registry round-trips, phase tracing, profiling hook."""
 
 import json
 import logging
+import os
 
 import pytest
 
@@ -120,6 +121,23 @@ class TestMetricsRegistry:
     def test_counters_refuse_decrease(self):
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c").inc(-1)
+
+    def test_failed_write_keeps_previous_file_and_no_tmp(
+            self, tmp_path, monkeypatch):
+        registry = MetricsRegistry()
+        registry.counter("runner.units_ok").inc()
+        path = registry.write(tmp_path / "metrics.json")
+        previous = path.read_bytes()
+        registry.counter("runner.units_ok").inc()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            registry.write(path)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert path.read_bytes() == previous
 
     def test_snapshot_round_trip_through_metrics_json(self, tmp_path):
         """write() -> read() -> snapshot() reproduces the original

@@ -15,7 +15,8 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.experiments.common import ExperimentScale
-from repro.runner import FaultPlan, RunnerPolicy, TaskRunner, WorkUnit
+from repro.faults import ChaosPlan
+from repro.runner import RunnerPolicy, TaskRunner, WorkUnit
 
 TINY = ExperimentScale(warmup=2_000, reference=3_000,
                        reduction_factor=4.0, seeds=(0,),
@@ -48,8 +49,7 @@ class TestRunnerEvents:
         obs.configure(console=False, log_json=log)
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=1, backoff_base=0.0),
-            fault_plan=FaultPlan(fail_benchmarks=("gzip",),
-                                 fail_attempts=1))
+            fault_plan=ChaosPlan.parse("task-fail:match=gzip,attempts=1"))
         report = runner.run(
             [WorkUnit(experiment="exp", benchmark="gzip")],
             lambda unit: {"value": 1})
@@ -105,8 +105,7 @@ class TestCLIEndToEnd:
         """One faulted experiment run yields: a fully parseable event
         log with a retry, and a metrics.json with the Figure 1 phase
         spans, pipeline occupancy gauges and runner counters."""
-        monkeypatch.setenv("REPRO_FAULT_BENCHMARKS", "gzip")
-        monkeypatch.setenv("REPRO_FAULT_ATTEMPTS", "1")
+        monkeypatch.setenv("REPRO_CHAOS", "task-fail:match=gzip,attempts=1")
         log = tmp_path / "obs" / "events.jsonl"
         code = main(["experiment", "fig6", "--benchmarks", "gzip",
                      "--run-dir", str(tmp_path / "run"),

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import (
     ArtifactCorruptError,
+    ChaosSpecError,
     InjectedFaultError,
     ProfileError,
     ReproError,
@@ -16,9 +17,9 @@ from repro.errors import (
     TaskTimeoutError,
     is_retryable,
 )
+from repro.faults import ChaosPlan, plan_from_env
 from repro.runner import (
     CheckpointStore,
-    FaultPlan,
     ResultRows,
     RunnerPolicy,
     RunReport,
@@ -30,6 +31,7 @@ from repro.runner import (
     sanitize_unit_id,
     write_json_atomic,
 )
+from repro.runner.runner import backoff_delay
 
 
 def units(*benchmarks):
@@ -113,7 +115,7 @@ class TestContainment:
 
 class TestRetry:
     def test_transient_fault_is_retried(self):
-        plan = FaultPlan(fail_benchmarks=("flaky",), fail_attempts=1)
+        plan = ChaosPlan.parse("task-fail:match=flaky,attempts=1")
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=2, backoff_base=0.0),
             fault_plan=plan)
@@ -122,7 +124,7 @@ class TestRetry:
         assert report.ok[0].attempts == 2
 
     def test_permanent_fault_exhausts_retries(self):
-        plan = FaultPlan(fail_benchmarks=("doomed",))
+        plan = ChaosPlan.parse("task-fail:match=doomed")
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=2, backoff_base=0.0),
             fault_plan=plan, raise_on_total_failure=False)
@@ -147,12 +149,10 @@ class TestRetry:
         assert report.failed[0].attempts == 1
 
     def test_backoff_schedule(self):
-        policy = RunnerPolicy(backoff_base=0.1, backoff_factor=2.0,
-                              backoff_cap=0.3)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff(10) == pytest.approx(0.3)
+        assert backoff_delay(1, 0.1, 0.3) == pytest.approx(0.1)
+        assert backoff_delay(2, 0.1, 0.3) == pytest.approx(0.2)
+        assert backoff_delay(3, 0.1, 0.3) == pytest.approx(0.3)  # capped
+        assert backoff_delay(10, 0.1, 0.3) == pytest.approx(0.3)
 
 
 class TestTimeout:
@@ -196,34 +196,41 @@ class TestTimeout:
 
 
 class TestFaultPlan:
+    """The fault plan the runner takes from ``REPRO_CHAOS``."""
+
     def test_from_env_disabled_by_default(self):
-        assert FaultPlan.from_env({}) is None
+        assert plan_from_env({}) is None
 
     def test_from_env(self):
-        plan = FaultPlan.from_env({
-            "REPRO_FAULT_BENCHMARKS": "gzip, twolf",
-            "REPRO_FAULT_ATTEMPTS": "1",
-            "REPRO_FAULT_SEED": "7",
-        })
-        assert plan.fail_benchmarks == ("gzip", "twolf")
-        assert plan.fail_attempts == 1
-        assert plan.seed == 7
+        plan = plan_from_env({
+            "REPRO_CHAOS": "seed=7;task-fail:match=gzip,attempts=1"})
+        site = plan.sites["task-fail"]
+        assert (plan.seed, site.match, site.attempts) == (7, "gzip", 1)
 
     def test_runner_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BENCHMARKS", "victim")
+        monkeypatch.setenv("REPRO_CHAOS", "task-fail:match=victim")
         runner = TaskRunner(raise_on_total_failure=False)
         report = runner.run(units("victim"), lambda u: {})
         assert report.failed and \
             report.failed[0].error["type"] == "InjectedFaultError"
 
     def test_random_rate(self):
-        plan = FaultPlan(fail_rate=1.0)
+        plan = ChaosPlan.parse("task-fail:rate=1.0")
         with pytest.raises(InjectedFaultError):
             plan.inject("x", None, 1)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            FaultPlan(fail_rate=1.5)
+            ChaosPlan.parse("task-fail:rate=1.5")
+
+    def test_retired_env_variables_fail_loudly(self):
+        """A leftover REPRO_FAULT_* variable must not silently stop
+        injecting: it fails and names the REPRO_CHAOS equivalent."""
+        with pytest.raises(ChaosSpecError,
+                           match="REPRO_FAULT_BENCHMARKS -> "
+                                 "task-fail:match="):
+            plan_from_env({"REPRO_FAULT_BENCHMARKS": "gzip",
+                           "REPRO_CHAOS": "worker-kill"})
 
 
 class TestCheckpointStore:

@@ -8,7 +8,8 @@ from repro.cli import main
 from repro.errors import ProfileError, SimulationError, SynthesisError
 from repro.experiments import fig6_absolute, table1_baseline
 from repro.experiments.common import ExperimentScale
-from repro.runner import FaultPlan, RunnerPolicy, TaskRunner
+from repro.faults import ChaosPlan
+from repro.runner import RunnerPolicy, TaskRunner
 
 TINY = ExperimentScale(warmup=2000, reference=4000, reduction_factor=4.0,
                        seeds=(0,), benchmarks=("gzip", "twolf"))
@@ -22,7 +23,7 @@ class TestGracefulDegradation:
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=0),
             run_dir=tmp_path / "run",
-            fault_plan=FaultPlan(fail_benchmarks=("gzip",)))
+            fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
         rows = table1_baseline.run(TINY, runner=runner)
 
         assert [row["benchmark"] for row in rows] == ["twolf"]
@@ -42,7 +43,7 @@ class TestGracefulDegradation:
         run_dir = tmp_path / "run"
         first = TaskRunner(
             policy=RunnerPolicy(max_retries=0), run_dir=run_dir,
-            fault_plan=FaultPlan(fail_benchmarks=("gzip",)))
+            fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
         table1_baseline.run(TINY, runner=first)
 
         second = TaskRunner(run_dir=run_dir, resume=True,
@@ -72,8 +73,7 @@ class TestGracefulDegradation:
         the retry budget: every row is produced."""
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=1, backoff_base=0.0),
-            fault_plan=FaultPlan(fail_benchmarks=("gzip",),
-                                 fail_attempts=1))
+            fault_plan=ChaosPlan.parse("task-fail:match=gzip,attempts=1"))
         rows = table1_baseline.run(TINY, runner=runner)
         assert {row["benchmark"] for row in rows} == {"gzip", "twolf"}
         attempts = {outcome.benchmark: outcome.attempts
@@ -85,7 +85,7 @@ class TestGracefulDegradation:
 
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=0),
-            fault_plan=FaultPlan(fail_benchmarks=("gzip",)))
+            fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
         suite = prepare_suite(TINY, runner=runner)
         assert set(suite) == {"twolf"}
         assert suite.report.summary() == "1 ok / 1 failed / 0 skipped"
@@ -93,7 +93,7 @@ class TestGracefulDegradation:
     def test_fig6_degrades_too(self):
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=0),
-            fault_plan=FaultPlan(fail_benchmarks=("twolf",)))
+            fault_plan=ChaosPlan.parse("task-fail:match=twolf"))
         rows = fig6_absolute.run(TINY, runner=runner)
         assert [row["benchmark"] for row in rows] == ["gzip"]
         text = fig6_absolute.format_rows(rows)
@@ -105,7 +105,7 @@ class TestCLI:
     def test_experiment_fault_injection_and_resume(self, tmp_path,
                                                    capsys, monkeypatch):
         run_dir = tmp_path / "run"
-        monkeypatch.setenv("REPRO_FAULT_BENCHMARKS", "gzip")
+        monkeypatch.setenv("REPRO_CHAOS", "task-fail:match=gzip")
         code = main(["experiment", "table1", "--benchmarks",
                      "gzip,twolf", "--run-dir", str(run_dir),
                      "--retries", "0"])
@@ -114,7 +114,7 @@ class TestCLI:
         assert "WARNING: table1/gzip failed" in captured.out
         assert "1 ok / 1 failed / 0 skipped" in captured.out
 
-        monkeypatch.delenv("REPRO_FAULT_BENCHMARKS")
+        monkeypatch.delenv("REPRO_CHAOS")
         code = main(["experiment", "table1", "--benchmarks",
                      "gzip,twolf", "--run-dir", str(run_dir),
                      "--resume"])

@@ -2,6 +2,7 @@
 artifact integrity (atomic writes, checksums, validation)."""
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core.serialization import (
     save_profile,
 )
 from repro.core.synthesis import generate_synthetic_trace
+from repro.runner.checkpoint import payload_checksum
 
 
 @pytest.fixture
@@ -93,6 +95,26 @@ class TestArtifactIntegrity:
         data = json.loads(path.read_text())
         assert "checksum" in data
         assert load_profile(path).num_nodes == profile.num_nodes
+
+    def test_failed_save_keeps_previous_file_and_no_tmp(
+            self, profile, tmp_path, monkeypatch):
+        path = tmp_path / "profile.json"
+        save_profile(profile, path)
+        previous = path.read_bytes()
+        # Byte-identical to the document the format has always had:
+        # the payload plus its checksum, compact JSON.
+        document = profile_to_dict(profile)
+        document["checksum"] = payload_checksum(document)
+        assert previous == json.dumps(document).encode()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_profile(profile, path)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert path.read_bytes() == previous
 
     def test_truncated_file_detected(self, profile, tmp_path):
         path = tmp_path / "profile.json"

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.faults import ChaosPlan
+from repro.runner.lease import lease_path
 from repro.service.jobs import JobStore, job_key
 
 
@@ -145,7 +146,7 @@ class TestRecovery:
         store = store_at(tmp_path, lease_ttl=300.0)
         job, _ = store.submit(PAYLOAD, "a")
         store.mark_running(job.job_id)
-        lease = store._lease_path(job.job_id)
+        lease = lease_path(store.lease_dir, job.job_id)
         record = json.loads(lease.read_text())
         record["pid"] = 2 ** 22 + 12345  # vanishingly unlikely to exist
         lease.write_text(json.dumps(record))

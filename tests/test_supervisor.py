@@ -1,9 +1,10 @@
 """Worker supervision: BrokenProcessPool recovery, poison-point
-quarantine, serial-fallback degradation, and the lease/attribution
-helpers underneath."""
+quarantine, serial-fallback degradation, and the lease files and crash
+attribution underneath."""
 
 import json
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +15,12 @@ from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.workloads.generator import WorkloadConfig, generate_program
 from repro.dse import SweepEngine, SweepSpec, SupervisorPolicy
-from repro.dse.supervisor import (
-    Quarantine,
+from repro.dse.supervisor import Quarantine, suspect_task_ids
+from repro.health.budget import Budget, HealthPolicy
+from repro.runner.lease import (
     clear_lease,
     lease_path,
     read_leases,
-    suspect_task_ids,
     write_lease,
 )
 
@@ -74,6 +75,31 @@ class TestLeases:
         write_lease(tmp_path, "good", dispatch=1, pid=1)
         leases = read_leases(tmp_path)
         assert [lease["task_id"] for lease in leases] == ["good"]
+
+    def test_torn_beat_keeps_previous_record(self, tmp_path,
+                                             monkeypatch):
+        """A heartbeat interrupted part-way through its write must not
+        cost the task its lease: crash attribution still sees the
+        previous record and blames the task."""
+        task_id = "exp/bench/p/seed0"
+        write_lease(tmp_path, task_id, dispatch=2, pid=123)
+        budget = Budget(HealthPolicy())
+        budget.begin_task(str(tmp_path), task_id, dispatch=2)
+        real_write_text = Path.write_text
+
+        def torn_write_text(self, data, *args, **kwargs):
+            real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write_text)
+        budget.checkpoint(4096)  # the lost beat is swallowed
+        monkeypatch.undo()
+        leases = read_leases(tmp_path)
+        assert [(lease["task_id"], lease["pid"]) for lease in leases] \
+            == [(task_id, 123)]
+        assert suspect_task_ids(leases, {123: -int(signal.SIGKILL)}) \
+            == [task_id]
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestCrashAttribution:
