@@ -103,6 +103,15 @@ class CacheHierarchy:
         }
 
 
+def latency_signature(config: MachineConfig) -> tuple:
+    """Every field of *config* that :func:`load_latency` and
+    :func:`fetch_stall` read: two configs with equal signatures price
+    every locality event alike."""
+    return (config.dl1.hit_latency, config.l2.hit_latency,
+            config.memory_latency, config.dtlb.miss_latency,
+            config.itlb.miss_latency)
+
+
 def load_latency(config: MachineConfig, dl1_miss, l2_miss,
                  dtlb_miss) -> int:
     """Latency in cycles of a load with the given locality events (any

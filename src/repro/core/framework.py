@@ -122,10 +122,15 @@ def run_statistical_simulation(
     """Full statistical simulation of *trace* on *config*.
 
     Pass a pre-computed *profile* to amortize profiling across several
-    synthesis seeds or microarchitecture-independent sweeps (window,
-    width and functional units do not change the profile; caches,
-    predictor and IFQ size do — re-profile for those, as the paper notes
-    in section 4.4).
+    synthesis seeds.  Window, width and functional units change neither
+    the profile nor the trace, so a sweep over them should generate
+    each seed's trace once with
+    :func:`~repro.core.synthesis.generate_synthetic_trace` and simulate
+    it at every point with :func:`simulate_synthetic_trace`, which also
+    reuses the trace's priced slots while the latencies stay the same
+    (``repro.experiments.table4_relative`` does).  Caches, predictor
+    and IFQ size change the profile: re-profile for those, as the paper
+    notes in section 4.4.
 
     *vector* routes synthesis and simulation through the columnar batch
     kernels (:mod:`repro.core.columnar`): same distributions and same

@@ -19,8 +19,13 @@ from repro.isa.iclass import (
     execution_latency,
 )
 from repro.branch.unit import BranchOutcome
-from repro.cache.hierarchy import fetch_stall, load_latency
+from repro.cache.hierarchy import (
+    fetch_stall,
+    latency_signature,
+    load_latency,
+)
 from repro.cpu.source import FetchSlot
+from repro.obs.metrics import get_registry
 
 
 class SyntheticInstruction:
@@ -81,6 +86,8 @@ class SyntheticTrace:
         self.order = order
         self.reduction_factor = reduction_factor
         self.seed = seed
+        #: ``(latency signature, slots)`` of the last pricing, or None.
+        self._priced: Optional[Tuple[tuple, Tuple[FetchSlot, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -91,13 +98,28 @@ class SyntheticTrace:
     def __getitem__(self, index):
         return self.instructions[index]
 
-    def to_fetch_slots(self, config: MachineConfig) -> List[FetchSlot]:
+    def to_fetch_slots(self, config: MachineConfig
+                       ) -> Tuple[FetchSlot, ...]:
         """Convert annotations into pipeline fetch slots (paper §2.3):
         a load's latency comes from the deepest level it misses in, and
         instruction-side misses become fetch stalls.
 
         Slots are only ever read, so an instruction instance repeated in
-        the trace gets one slot, shared by every position it fills."""
+        the trace gets one slot, shared by every position it fills.
+        The trace keeps its last pricing, keyed by
+        :func:`~repro.cache.hierarchy.latency_signature`: configs that
+        differ only in window, width or anything else the slots do not
+        read get the same tuple back.  A different signature replaces
+        the entry.  Counts ``synthetic.slots_priced`` or
+        ``synthetic.slots_reused`` once per call."""
+        key = latency_signature(config)
+        priced = self._priced
+        if priced is not None and priced[0] == key:
+            get_registry().counter("synthetic.slots_reused").inc()
+            return priced[1]
+        get_registry().counter("synthetic.slots_priced").inc()
+        # Release the stale entry before pricing its successor.
+        self._priced = None
         slots: List[FetchSlot] = []
         append = slots.append
         # Identity-keyed, for this call only: instructions define no
@@ -131,7 +153,9 @@ class SyntheticTrace:
                 dtlb_miss=inst.dtlb_miss,
             )
             append(slot)
-        return slots
+        result = tuple(slots)
+        self._priced = (key, result)
+        return result
 
     def summary(self) -> dict:
         """Aggregate annotation rates (testing/reporting aid)."""

@@ -391,12 +391,19 @@ class PoolSupervisor:
                     break
                 batch, pending = pending, []
                 futures = []
-                for task in batch:
+                unsent: List[Dict[str, Any]] = []
+                for index, task in enumerate(batch):
                     dispatched = dict(task)
                     dispatched["dispatch"] = \
                         self.crashes.get(task["task_id"], 0) + 1
-                    futures.append((task, pool.submit(
-                        self.task_fn, dispatched, self.runner_policy)))
+                    try:
+                        futures.append((task, pool.submit(
+                            self.task_fn, dispatched, self.runner_policy)))
+                    except BrokenProcessPool:
+                        # A worker died before the batch was out; the
+                        # rest were never dispatched, so never suspect.
+                        unsent = batch[index:]
+                        break
                 completed = 0
                 in_flight: List[Dict[str, Any]] = []
                 waiting = {future: task for task, future in futures}
@@ -434,10 +441,10 @@ class PoolSupervisor:
                             completed += 1
                     if waiting and not done:
                         self._kill_hung_workers(pool)
-                if not in_flight:
+                if not in_flight and not unsent:
                     continue
                 pending = self._handle_break(pool, in_flight, outcomes) \
-                    + pending
+                    + unsent + pending
                 pool.shutdown(wait=False, cancel_futures=True)
                 barren_generations = 0 if completed else \
                     barren_generations + 1

@@ -11,22 +11,28 @@ small (the paper reports generally < 3%) — statistical simulation
 tracks *trends*, which is what makes it a design-space exploration tool.
 
 Re-profiling: window and width sweeps reuse one statistical profile
-(the profile does not depend on those parameters); IFQ, branch-predictor
-and cache sweeps re-profile per design point, exactly the trade-off the
-paper notes in section 4.4.
+(the profile does not depend on those parameters), so they follow the
+paper's Figure 1 flow: profile once, synthesize one trace per seed, then
+simulate those traces at every design point.  The points also share the
+traces' priced fetch slots, since window and width leave every latency
+unchanged.  IFQ, branch-predictor and cache sweeps re-profile per design
+point, exactly the trade-off the paper notes in section 4.4, and
+generate and simulate one trace per seed at a time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.core.framework import (
     run_execution_driven,
-    run_statistical_simulation,
+    simulate_synthetic_trace,
 )
 from repro.core.metrics import relative_error
 from repro.core.profiler import StatisticalProfile, profile_trace
+from repro.core.synthesis import generate_synthetic_trace
+from repro.core.synthetic import SyntheticTrace
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
 from repro.runner import ResultRows, TaskRunner, WorkUnit
@@ -107,21 +113,30 @@ def _sweep_definitions(points: Optional[Dict[str, Sequence]] = None):
     }
 
 
+def _synthesize(profile: StatisticalProfile, scale: ExperimentScale
+                ) -> Iterable[SyntheticTrace]:
+    """One synthetic trace per seed of *scale*, generated lazily."""
+    return (generate_synthetic_trace(profile, scale.reduction_factor,
+                                     seed=seed)
+            for seed in scale.seeds)
+
+
 def _measure(trace, warm, config: MachineConfig, scale: ExperimentScale,
-             profile: Optional[StatisticalProfile]
+             synthetics: Optional[Sequence[SyntheticTrace]] = None
              ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """EDS and SS metric dicts for one (benchmark, design point)."""
+    """EDS and SS metric dicts for one (benchmark, design point).  SS
+    simulates *synthetics*, one per seed, when the sweep shares them;
+    otherwise it profiles at *config* and synthesizes one trace per
+    seed."""
     result, power = run_execution_driven(trace, config, warmup_trace=warm)
     eds = collect_metrics(result, power)
-    if profile is None:
+    if synthetics is None:
         profile = profile_trace(trace, config, order=1,
                                 branch_mode="delayed", warmup_trace=warm)
-    ss_samples = []
-    for seed in scale.seeds:
-        report = run_statistical_simulation(
-            trace, config, profile=profile,
-            reduction_factor=scale.reduction_factor, seed=seed)
-        ss_samples.append(collect_metrics(report.result, report.power))
+        synthetics = _synthesize(profile, scale)
+    ss_samples = [collect_metrics(*simulate_synthetic_trace(synthetic,
+                                                            config))
+                  for synthetic in synthetics]
     ss = {key: mean([s[key] for s in ss_samples]) for key in ss_samples[0]}
     return eds, ss
 
@@ -131,17 +146,18 @@ def _measure_sweep_benchmark(name: str, sweep: str,
                              definitions) -> List[List[Dict]]:
     """All design-point measurements of one benchmark along one sweep:
     ``[[eds_metrics, ss_metrics], ...]`` per sweep point (the unit of
-    checkpointing, hence plain JSON lists)."""
+    checkpointing, hence plain JSON lists).  A sweep that reuses one
+    profile synthesizes its seeds' traces once, for every point."""
     sweep_points, builder, label, reprofile, metrics = definitions[sweep]
     warm, trace = prepare_benchmark(name, scale)
-    base_profile = None
+    synthetics = None
     if not reprofile:
-        base_config = builder(sweep_points[0])
-        base_profile = profile_trace(trace, base_config, order=1,
-                                     branch_mode="delayed",
+        base_profile = profile_trace(trace, builder(sweep_points[0]),
+                                     order=1, branch_mode="delayed",
                                      warmup_trace=warm)
+        synthetics = list(_synthesize(base_profile, scale))
     return [list(_measure(trace, warm, builder(point), scale,
-                          base_profile))
+                          synthetics))
             for point in sweep_points]
 
 

@@ -5,6 +5,8 @@ harness does, at a realistic scale); they check that each experiment
 runs end to end, returns well-formed rows and formats them.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.common import (
@@ -191,3 +193,85 @@ class TestExperimentModules:
             assert row["ss_seconds"] > 0
             assert row["synthetic_instructions"] > 0
         assert speedup.format_rows(rows)
+
+
+class TestTable4SharedTraces:
+    """Sweeps that reuse one profile synthesize each seed's trace once
+    and simulate it at every point; the numbers must equal a per-point
+    statistical simulation exactly."""
+
+    SCALE = replace(TINY, seeds=(0, 1))
+    POINTS = {"window": (16, 64, 128), "width": (2, 8),
+              "cache": (0.5, 2.0)}
+
+    @staticmethod
+    def _per_point(name, sweep, scale, definitions):
+        from repro.core.framework import (
+            run_execution_driven,
+            run_statistical_simulation,
+        )
+        from repro.core.profiler import profile_trace
+        from repro.experiments.table4_relative import collect_metrics
+
+        sweep_points, builder, _label, _reprofile, _metrics = \
+            definitions[sweep]
+        warm, trace = prepare_benchmark(name, scale)
+        profile = profile_trace(trace, builder(sweep_points[0]), order=1,
+                                branch_mode="delayed", warmup_trace=warm)
+        rows = []
+        for point in sweep_points:
+            config = builder(point)
+            eds = collect_metrics(*run_execution_driven(
+                trace, config, warmup_trace=warm))
+            samples = []
+            for seed in scale.seeds:
+                report = run_statistical_simulation(
+                    trace, config, profile=profile,
+                    reduction_factor=scale.reduction_factor, seed=seed)
+                samples.append(collect_metrics(report.result,
+                                               report.power))
+            ss = {key: sum(s[key] for s in samples) / len(samples)
+                  for key in samples[0]}
+            rows.append([eds, ss])
+        return rows
+
+    @staticmethod
+    def _count_synthesis(monkeypatch):
+        from repro.experiments import table4_relative
+
+        calls = []
+        original = table4_relative.generate_synthetic_trace
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(table4_relative, "generate_synthetic_trace",
+                            counting)
+        return calls
+
+    @pytest.mark.parametrize("sweep", ["window", "width"])
+    def test_shared_profile_sweep_is_bit_exact(self, sweep, monkeypatch):
+        from repro.experiments import table4_relative
+
+        definitions = table4_relative._sweep_definitions(self.POINTS)
+        calls = self._count_synthesis(monkeypatch)
+        for name in self.SCALE.benchmarks:
+            measured = table4_relative._measure_sweep_benchmark(
+                name, sweep, self.SCALE, definitions)
+            assert measured == self._per_point(name, sweep, self.SCALE,
+                                               definitions)
+        assert len(calls) == \
+            len(self.SCALE.seeds) * len(self.SCALE.benchmarks)
+
+    def test_reprofiled_sweep_synthesizes_per_point(self, monkeypatch):
+        from repro.experiments import table4_relative
+
+        definitions = table4_relative._sweep_definitions(self.POINTS)
+        calls = self._count_synthesis(monkeypatch)
+        for name in self.SCALE.benchmarks:
+            table4_relative._measure_sweep_benchmark(
+                name, "cache", self.SCALE, definitions)
+        assert len(calls) == (len(self.POINTS["cache"])
+                              * len(self.SCALE.seeds)
+                              * len(self.SCALE.benchmarks))

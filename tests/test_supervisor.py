@@ -4,6 +4,8 @@ attribution underneath."""
 
 import json
 import signal
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,13 @@ from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.workloads.generator import WorkloadConfig, generate_program
 from repro.dse import SweepEngine, SweepSpec, SupervisorPolicy
-from repro.dse.supervisor import Quarantine, suspect_task_ids
+from repro.dse.supervisor import (
+    PoolSupervisor,
+    Quarantine,
+    suspect_task_ids,
+)
 from repro.health.budget import Budget, HealthPolicy
+from repro.runner import RunnerPolicy
 from repro.runner.lease import (
     clear_lease,
     lease_path,
@@ -216,6 +223,42 @@ class TestBrokenPoolRecovery:
         ).evaluate(points, seeds=(0,), reduction_factor=12.0)
         assert "1 quarantined" in sweep.summary()
         assert sweep.total_tasks == 3
+
+
+class _BreaksOnSecondSubmit:
+    """A pool whose first task's worker dies before the second task is
+    submitted: that submit raises, as ``ProcessPoolExecutor`` does."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        if self.submitted > 1:
+            raise BrokenProcessPool("worker died")
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        return None
+
+
+class TestBrokenSubmit:
+    def test_unsent_tasks_requeued_not_blamed(self):
+        tasks = [{"task_id": f"t{i}"} for i in range(3)]
+        supervisor = PoolSupervisor(
+            _BreaksOnSecondSubmit, task_fn=None,
+            runner_policy=RunnerPolicy(),
+            policy=SupervisorPolicy(max_pool_rebuilds=0),
+            serial_fn=lambda batch: [{"task": task, "status": "ok"}
+                                     for task in batch])
+        outcomes = supervisor.run(tasks)
+        assert sorted(o["task"]["task_id"] for o in outcomes) == \
+            ["t0", "t1", "t2"]
+        assert all(o["status"] == "ok" for o in outcomes)
+        assert "t1" not in supervisor.crashes
+        assert "t2" not in supervisor.crashes
 
 
 class TestPolicyValidation:

@@ -1,5 +1,8 @@
 """Tests for synthetic trace generation (the nine-step algorithm)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bench.legacy import legacy_generate_synthetic_trace
@@ -204,10 +207,31 @@ def _retry_profile(config, visits=40):
         perfect_caches=False, config=config)
 
 
+def _digest(trace):
+    """SHA-256 of a byte-stable JSON form of a trace's fields."""
+    payload = [[iclass.name, list(deps), *map(int, events), int(taken),
+                None if outcome is None else outcome.name]
+               for iclass, deps, *events, taken, outcome in _fields(trace)]
+    return hashlib.sha256(json.dumps(
+        payload, separators=(",", ":")).encode()).hexdigest()
+
+
+#: ``_digest`` of the legacy generator's trace of ``_retry_profile`` at
+#: R = 1, per seed.  The legacy generator runs every one of step 4's
+#: 1,000 retries.
+_LEGACY_DIGESTS = {
+    0: "119f0f9eee8068de46718109bbc0765b950de048d0bf5aa85ec47324c6feeee8",
+    1: "14d1b3decd10ee3cf948692e9b6c674e25bed6a1ba2280ddc923ce70796c832b",
+    2: "2936c95a56151d6eb445ae8561191a4dfd377fe413da2647bab4703d352bc2a5",
+    3: "f616c36c148f3962eddc8a4dbfeed9e3a61e56a61a2da7a652f015ad477b5738",
+    4: "905116f621cf839ccf442e13e6b5c6444d9af3f654d8af339151626c8cfa5e2b",
+}
+
+
 class TestDependencySquashSkip:
     """Step 4's certain squashes are skipped without changing a draw:
     the traces must equal the legacy generator's, which runs every
-    one of the 1,000 retries."""
+    one of the 1,000 retries, both live and as pinned digests."""
 
     @pytest.fixture
     def profile(self, config):
@@ -218,6 +242,11 @@ class TestDependencySquashSkip:
         synthetic = generate_synthetic_trace(profile, 1, seed=seed)
         legacy = legacy_generate_synthetic_trace(profile, 1, seed=seed)
         assert _fields(synthetic) == _fields(legacy)
+
+    @pytest.mark.parametrize("seed", sorted(_LEGACY_DIGESTS))
+    def test_matches_pinned_digest(self, profile, seed):
+        synthetic = generate_synthetic_trace(profile, 1, seed=seed)
+        assert _digest(synthetic) == _LEGACY_DIGESTS[seed]
 
     def test_squashes_counted_and_long_loops_accept(self, profile):
         counter = get_registry().counter("synthesis.dependency_squashes")

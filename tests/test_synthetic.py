@@ -1,12 +1,16 @@
 """Tests for synthetic instruction/trace containers and slot
 conversion."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import baseline_config
 from repro.isa.iclass import IClass, execution_latency
 from repro.branch.unit import BranchOutcome
 from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.cpu.source import FetchSlot
+from repro.obs.metrics import get_registry
 
 
 def _trace(instructions):
@@ -81,6 +85,93 @@ class TestToFetchSlots:
         inst = SyntheticInstruction(IClass.INT_ALU, dep_distances=(3, 7))
         slot = _trace([inst]).to_fetch_slots(config)[0]
         assert slot.dep_distances == (3, 7)
+
+
+def _every_event():
+    """One instruction per locality event the latency helpers price."""
+    return [
+        SyntheticInstruction(IClass.LOAD),
+        SyntheticInstruction(IClass.LOAD, dl1_miss=True),
+        SyntheticInstruction(IClass.LOAD, dl1_miss=True, l2d_miss=True),
+        SyntheticInstruction(IClass.LOAD, dtlb_miss=True),
+        SyntheticInstruction(IClass.INT_ALU, il1_miss=True),
+        SyntheticInstruction(IClass.INT_ALU, il1_miss=True,
+                             l2i_miss=True),
+        SyntheticInstruction(IClass.INT_ALU, itlb_miss=True),
+        SyntheticInstruction(IClass.INT_COND_BRANCH, taken=True,
+                             outcome=BranchOutcome.CORRECT),
+    ]
+
+
+def _values(slots):
+    return [[getattr(slot, f) for f in FetchSlot.__slots__]
+            for slot in slots]
+
+
+def _priced_reused():
+    registry = get_registry()
+    return (registry.counter("synthetic.slots_priced").value,
+            registry.counter("synthetic.slots_reused").value)
+
+
+#: One changed latency per field ``load_latency``/``fetch_stall`` read.
+LATENCY_CHANGES = {
+    "dl1_hit": lambda c: replace(
+        c, dl1=replace(c.dl1, hit_latency=c.dl1.hit_latency + 1)),
+    "l2_hit": lambda c: replace(
+        c, l2=replace(c.l2, hit_latency=c.l2.hit_latency + 1)),
+    "memory": lambda c: replace(c, memory_latency=c.memory_latency + 1),
+    "dtlb_miss": lambda c: replace(
+        c, dtlb=replace(c.dtlb, miss_latency=c.dtlb.miss_latency + 1)),
+    "itlb_miss": lambda c: replace(
+        c, itlb=replace(c.itlb, miss_latency=c.itlb.miss_latency + 1)),
+}
+
+
+class TestPriceMemo:
+    """A trace keeps its last pricing, keyed by the latencies the
+    slots read."""
+
+    def test_window_and_width_reuse_the_slots(self):
+        config = baseline_config()
+        trace = _trace(_every_event())
+        before = _priced_reused()
+        slots = trace.to_fetch_slots(config)
+        assert isinstance(slots, tuple)
+        for other in (replace(config, ruu_size=64),
+                      replace(config, lsq_size=16),
+                      config.with_window(ruu_size=16, lsq_size=8),
+                      config.with_width(2)):
+            assert trace.to_fetch_slots(other) is slots
+        priced, reused = _priced_reused()
+        assert (priced - before[0], reused - before[1]) == (1, 4)
+
+    @pytest.mark.parametrize("field", sorted(LATENCY_CHANGES))
+    def test_latency_change_reprices(self, field):
+        config = baseline_config()
+        changed = LATENCY_CHANGES[field](config)
+        instructions = _every_event()
+        trace = _trace(instructions)
+        first = trace.to_fetch_slots(config)
+        before = _priced_reused()
+        repriced = trace.to_fetch_slots(changed)
+        assert repriced is not first
+        assert _priced_reused()[0] == before[0] + 1
+        assert _values(repriced) != _values(first)
+        assert _values(repriced) == \
+            _values(_trace(instructions).to_fetch_slots(changed))
+
+    def test_a_then_b_then_a(self):
+        config_a = baseline_config()
+        config_b = LATENCY_CHANGES["memory"](config_a)
+        instructions = _every_event()
+        trace = _trace(instructions)
+        a = _values(trace.to_fetch_slots(config_a))
+        trace.to_fetch_slots(config_b)
+        again = trace.to_fetch_slots(config_a)
+        assert _values(again) == a
+        assert _values(again) == \
+            _values(_trace(instructions).to_fetch_slots(config_a))
 
 
 class TestSummary:
