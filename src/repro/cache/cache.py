@@ -17,7 +17,7 @@ class SetAssociativeCache:
     """LRU set-associative cache over byte addresses."""
 
     __slots__ = ("config", "_sets", "_line_shift", "_num_sets",
-                 "accesses", "misses")
+                 "accesses", "misses", "last_line")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -30,11 +30,17 @@ class SetAssociativeCache:
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
         self.accesses = 0
         self.misses = 0
+        #: The line of the most recent access (-1 before the first).
+        self.last_line = -1
 
     def access(self, address: int) -> bool:
         """Access *address*; return True on hit.  Misses allocate."""
         self.accesses += 1
         line = address >> self._line_shift
+        if line == self.last_line:
+            # Resident and already most recently used: nothing moves.
+            return True
+        self.last_line = line
         ways = self._sets[line % self._num_sets]
         try:
             ways.remove(line)

@@ -9,29 +9,34 @@ because the paper's statistical profile records them separately
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import MachineConfig
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.tlb import TranslationLookasideBuffer
 
 
-@dataclass(frozen=True)
-class InstructionAccessResult:
-    """Locality events for one instruction fetch."""
+class InstructionAccessResult(NamedTuple):
+    """Locality events for one instruction fetch.  A named tuple: every
+    warm-up and walk builds one per fetch, at half the cost of a frozen
+    dataclass."""
 
     il1_miss: bool
     l2_miss: bool
     itlb_miss: bool
 
 
-@dataclass(frozen=True)
-class DataAccessResult:
-    """Locality events for one data access."""
+class DataAccessResult(NamedTuple):
+    """Locality events for one data access (a named tuple, like
+    :class:`InstructionAccessResult`)."""
 
     dl1_miss: bool
     l2_miss: bool
     dtlb_miss: bool
+
+
+_FETCH_HIT = InstructionAccessResult(False, False, False)
+_DATA_HIT = DataAccessResult(False, False, False)
 
 
 class CacheHierarchy:
@@ -54,10 +59,23 @@ class CacheHierarchy:
         self.l2_instruction_misses = 0
         self.l2_data_accesses = 0
         self.l2_data_misses = 0
+        self._il1_shift = config.il1.line_bytes.bit_length() - 1
+        self._itlb_shift = config.itlb.page_bytes.bit_length() - 1
+        self._dl1_shift = config.dl1.line_bytes.bit_length() - 1
+        self._dtlb_shift = config.dtlb.page_bytes.bit_length() - 1
 
     # ----------------------------------------------------------- access
+    # An access to the line (and page) the L1 (and TLB) saw last is a
+    # hit that moves nothing, so it only counts; most fetches take this
+    # path, since consecutive instructions share a line.
     def access_instruction(self, pc: int) -> InstructionAccessResult:
         """Fetch the instruction at *pc* through IL1 -> unified L2."""
+        il1, itlb = self.il1, self.itlb
+        if (pc >> self._il1_shift == il1.last_line
+                and pc >> self._itlb_shift == itlb.last_page):
+            il1.accesses += 1
+            itlb.accesses += 1
+            return _FETCH_HIT
         itlb_miss = not self.itlb.access(pc)
         il1_miss = not self.il1.access(pc)
         l2_miss = False
@@ -76,6 +94,12 @@ class CacheHierarchy:
         synthetic traces only annotate loads; the *is_store* flag exists
         so callers can separate statistics.
         """
+        dl1, dtlb = self.dl1, self.dtlb
+        if (address >> self._dl1_shift == dl1.last_line
+                and address >> self._dtlb_shift == dtlb.last_page):
+            dl1.accesses += 1
+            dtlb.accesses += 1
+            return _DATA_HIT
         dtlb_miss = not self.dtlb.access(address)
         dl1_miss = not self.dl1.access(address)
         l2_miss = False

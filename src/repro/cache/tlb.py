@@ -12,7 +12,7 @@ class TranslationLookasideBuffer:
     pages)."""
 
     __slots__ = ("config", "_sets", "_page_shift", "_num_sets",
-                 "accesses", "misses")
+                 "accesses", "misses", "last_page")
 
     def __init__(self, config: TLBConfig) -> None:
         page = config.page_bytes
@@ -24,11 +24,17 @@ class TranslationLookasideBuffer:
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
         self.accesses = 0
         self.misses = 0
+        #: The page of the most recent access (-1 before the first).
+        self.last_page = -1
 
     def access(self, address: int) -> bool:
         """Translate *address*; return True on TLB hit."""
         self.accesses += 1
         page = address >> self._page_shift
+        if page == self.last_page:
+            # Resident and already most recently used: nothing moves.
+            return True
+        self.last_page = page
         ways = self._sets[page % self._num_sets]
         try:
             ways.remove(page)

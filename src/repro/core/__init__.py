@@ -37,7 +37,6 @@ from repro.core.analysis import (
     to_networkx,
     transition_entropy,
 )
-from repro.core.multiprofile import profile_trace_multi_cache
 from repro.core.serialization import (
     load_profile,
     profile_from_dict,
@@ -66,7 +65,6 @@ __all__ = [
     "transition_entropy",
     "reduced_connectivity",
     "hottest_contexts",
-    "profile_trace_multi_cache",
     "profile_to_dict",
     "profile_from_dict",
     "save_profile",

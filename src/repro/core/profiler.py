@@ -1,14 +1,26 @@
 """Statistical profiling (paper Figure 1, step 1).
 
-One pass over a dynamic trace builds the :class:`StatisticalProfile`:
+A :class:`StatisticalProfile` is assembled from three parts, each
+computed once and reused by every profile that shares it:
 
-* microarchitecture-independent: the order-k SFG with instruction types,
-  operand counts and per-operand dependency-distance distributions;
-* microarchitecture-dependent: the six cache miss events (read from the
-  trace's :class:`~repro.cpu.locality.LocalityResolution`, the same
-  program-order cache walk execution-driven simulation uses) and the branch
-  characteristics (measured with the immediate- or delayed-update branch
-  profilers of :mod:`repro.branch.profiler`), annotated per context.
+* the *skeleton*, microarchitecture-independent: the order-k SFG's
+  contexts and transitions with instruction types, operand counts and
+  RAW/WAW/WAR dependency-distance distributions, plus each complete
+  block's context and branch.  One pass over the trace builds it; it
+  is memoized weakly on the trace for one order at a time;
+* the *branch annotation*: the branch records of the immediate- or
+  delayed-update profilers of :mod:`repro.branch.profiler`, memoized
+  per (mode, predictor config, FIFO size) in the ``annotations`` of
+  the trace's :class:`~repro.cpu.locality.LocalityResolution`, which
+  are shared by every resolution of one locality walk (so by every
+  point of a cache sweep);
+* the *cache annotation*: the six cache miss events, folded from the
+  resolution's event bits (the same program-order cache walk
+  execution-driven simulation uses).
+
+Every profile gets fresh :class:`~repro.core.sfg.ContextStats`: two
+profiles never share a counter, and a cache sweep's profiles differ
+only in their six event counts.
 
 ``branch_mode="delayed"`` uses the paper's FIFO profiling algorithm with
 the FIFO sized to the instruction fetch queue (section 2.1.3);
@@ -18,8 +30,13 @@ branch correctly predicted (used for the SFG-order study, Figure 4).
 
 from __future__ import annotations
 
+import pickle
+import weakref
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from itertools import islice
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.errors import ProfileError
@@ -34,6 +51,7 @@ from repro.core.sfg import (
     START_BLOCK,
     StatisticalFlowGraph,
 )
+from repro.obs.metrics import get_registry
 
 BRANCH_MODES = ("delayed", "immediate", "perfect")
 
@@ -46,7 +64,10 @@ class StatisticalProfile:
     the profiled :class:`MachineConfig`'s locality structures (and to the
     FIFO size = IFQ size for delayed update), so design-space sweeps over
     caches, predictors or the IFQ re-profile — exactly the trade-off the
-    paper discusses versus SimPoint in section 4.4.
+    paper discusses versus SimPoint in section 4.4.  A re-profile
+    repeats only what the point changes: the skeleton is shared, and
+    a cache point reuses the branch annotation too.  The SFG is the
+    profile's own: no counter in it is shared with another profile.
     """
 
     name: str
@@ -121,14 +142,124 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
             f"branch_mode must be one of {BRANCH_MODES}, got {branch_mode!r}"
         )
 
-    sfg = StatisticalFlowGraph(order)
     resolution = resolve_locality(trace, config, warmup_trace,
                                   perfect_caches)
-    branch_records = _branch_records(
-        trace, config, branch_mode,
-        unit=(None if branch_mode == "perfect"
-              else resolution.predictor(config.predictor)))
+    skeleton = _skeleton(trace, order)
+
+    if branch_mode == "perfect":
+        annotation_key: tuple = (branch_mode,)
+    elif branch_mode == "immediate":
+        annotation_key = (branch_mode, config.predictor)
+    else:
+        annotation_key = (branch_mode, config.predictor, config.ifq_size)
+    # One small int per branch, outcome << 1 | taken, keyed by seq.
+    branch_codes = resolution.annotations.get(annotation_key)
+    if branch_codes is None:
+        records = _branch_records(
+            trace, config, branch_mode,
+            unit=(None if branch_mode == "perfect"
+                  else resolution.predictor(config.predictor)))
+        branch_codes = resolution.annotations[annotation_key] = {
+            seq: record.outcome << 1 | record.taken
+            for seq, record in records.items()}
+
+    sfg, stats = skeleton.instantiate()
+    contexts = skeleton.block_contexts
+    starts = skeleton.block_starts
+
+    # Cache annotation: the resolution's event bits, per context slot.
     key_events = [entry[1] & EV_LOCALITY for entry in resolution.distinct]
+    keys = resolution.keys
+    for position, key in enumerate(islice(keys, starts[-1])):
+        events = key_events[key]
+        if events:  # EV_* bit order
+            block = bisect_right(starts, position) - 1
+            context = stats[contexts[block]]
+            slot = position - starts[block]
+            context.il1[slot] += events & 1
+            context.l2i[slot] += events >> 1 & 1
+            context.itlb[slot] += events >> 2 & 1
+            context.dl1[slot] += events >> 3 & 1
+            context.l2d[slot] += events >> 4 & 1
+            context.dtlb[slot] += events >> 5 & 1
+
+    # Branch annotation: each complete block's terminating branch.
+    codes_get = branch_codes.get
+    for index, seq in zip(contexts, skeleton.branch_seqs):
+        code = codes_get(seq)
+        if code is not None:
+            context = stats[index]
+            context.taken += code & 1
+            context.outcome_counts[code >> 1] += 1
+
+    return StatisticalProfile(
+        name=trace.name,
+        order=order,
+        sfg=sfg,
+        trace_instructions=len(trace),
+        branch_mode=branch_mode,
+        perfect_caches=perfect_caches,
+        config=config,
+    )
+
+
+class _Skeleton:
+    """The microarchitecture-independent part of the profiles of one
+    trace at one order.
+
+    ``sfg`` is the pickled SFG: contexts (cache and branch counters all
+    zero) and transitions.  Complete block *j* (they form a prefix of
+    the trace) spans instructions ``block_starts[j]`` to
+    ``block_starts[j + 1]``, is an occurrence of the
+    ``block_contexts[j]``-th context and ends with the branch whose
+    sequence number is ``branch_seqs[j]``.
+    """
+
+    __slots__ = ("order", "sfg", "block_starts", "block_contexts",
+                 "branch_seqs")
+
+    def __init__(self, order: int) -> None:
+        self.order = order
+        self.sfg = b""
+        self.block_starts = array("I", [0])
+        self.block_contexts = array("I")
+        self.branch_seqs: List[int] = []
+
+    def instantiate(self) -> Tuple[StatisticalFlowGraph, list]:
+        """A fresh SFG, sharing no object with any other, and its
+        contexts in insertion order."""
+        sfg = pickle.loads(self.sfg)
+        return sfg, list(sfg.contexts.values())
+
+
+#: trace -> its skeleton at the last order asked for; entries die with
+#: their trace.
+_SKELETONS: "weakref.WeakKeyDictionary[Trace, _Skeleton]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _skeleton(trace: Trace, order: int) -> _Skeleton:
+    """The memoized skeleton of *trace* at *order*, else a new one that
+    replaces it.  Counts ``profile.skeleton_built`` or
+    ``profile.skeleton_reused`` once per call."""
+    skeleton = _SKELETONS.get(trace)
+    if skeleton is not None and skeleton.order == order:
+        get_registry().counter("profile.skeleton_reused").inc()
+        return skeleton
+    get_registry().counter("profile.skeleton_built").inc()
+    _SKELETONS.pop(trace, None)
+    skeleton = _SKELETONS[trace] = _build_skeleton(trace, order)
+    return skeleton
+
+
+def _build_skeleton(trace: Trace, order: int) -> _Skeleton:
+    skeleton = _Skeleton(order)
+    sfg = StatisticalFlowGraph(order)
+    contexts = sfg.contexts
+    starts_append = skeleton.block_starts.append
+    contexts_append = skeleton.block_contexts.append
+    branch_seqs_append = skeleton.branch_seqs.append
+    position = 0
 
     history: List[int] = [START_BLOCK] * order
     history_key = tuple(history)
@@ -136,31 +267,23 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
     last_reader: Dict[int, int] = {}
     lw_get = last_writer.get
     lr_get = last_reader.get
-    records_get = branch_records.get
     sfg_transitions = sfg.transitions
     cap = MAX_DEPENDENCY_DISTANCE
 
     # Reusable context-key cache: one entry per k-block history holding
-    # the transition counts plus, per next block, the ContextStats and
-    # its array-backed distance accumulators.  The hot loop then charges
-    # a block occurrence with two dict hits instead of rebuilding the
-    # context tuple and per-slot iclass/operand lists every time; the
-    # growable arrays turn each distance record into one list index
-    # instead of a dict get+set, and are folded into the ContextStats
-    # histograms once at the end.
+    # the transition counts plus, per next block, the ContextStats, its
+    # index and its array-backed distance accumulators.  The hot loop then charges a block occurrence with
+    # two dict hits instead of rebuilding the context tuple and per-slot
+    # iclass/operand lists every time; the growable arrays turn each
+    # distance record into one list index instead of a dict get+set,
+    # and are folded into the ContextStats histograms once at the end.
     hist_cache: Dict[tuple, tuple] = {}
 
-    # Buffered state for the block currently being executed: its
-    # instructions, and the (sparse) slots that saw locality events.
+    # The instructions of the block currently being executed.
     block_insts: list = []
     block_append = block_insts.append
-    block_events: list = []  # (slot, EV_* bits)
-    events_append = block_events.append
 
-    for inst, key in zip(trace.instructions, resolution.keys):
-        events = key_events[key]
-        if events:
-            events_append((len(block_insts), events))
+    for inst in trace.instructions:
         block_append(inst)
 
         if not inst.is_branch:
@@ -184,8 +307,10 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                 iclasses=[i.iclass for i in block_insts],
                 n_src=[len(i.src_regs) for i in block_insts],
             )
+            index = len(contexts) - 1
             cached = (
                 stats,
+                index,
                 [[[] for _ in range(n)] for n in stats.n_src],
                 [[] for _ in stats.n_src],  # WAW, per producing slot
                 [[] for _ in stats.n_src],  # WAR
@@ -196,20 +321,14 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                 f"context {history_key + (block,)} re-observed with a "
                 f"different block size"
             )
-        stats, raw_arrays, waw_arrays, war_arrays = cached
+        stats, index, raw_arrays, waw_arrays, war_arrays = cached
         stats.occurrences += 1
         sfg.total_block_executions += 1
         counts[block] = counts.get(block, 0) + 1
-
-        if block_events:
-            for slot, events in block_events:  # EV_* bit order
-                stats.il1[slot] += events & 1
-                stats.l2i[slot] += events >> 1 & 1
-                stats.itlb[slot] += events >> 2 & 1
-                stats.dl1[slot] += events >> 3 & 1
-                stats.l2d[slot] += events >> 4 & 1
-                stats.dtlb[slot] += events >> 5 & 1
-            block_events.clear()
+        position += len(block_insts)
+        starts_append(position)
+        contexts_append(index)
+        branch_seqs_append(inst.seq)
 
         for slot, binst in enumerate(block_insts):
             seq = binst.seq
@@ -250,11 +369,6 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                         arr[distance] += 1
                 last_writer[dst] = seq
 
-        record = records_get(inst.seq)
-        if record is not None:
-            stats.taken += record.taken
-            stats.outcome_counts[record.outcome] += 1
-
         if order > 0:
             history.append(block)
             del history[0]
@@ -263,7 +377,8 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
 
     # Fold the array accumulators into the per-context histograms.
     for blocks, _counts in hist_cache.values():
-        for stats, raw_arrays, waw_arrays, war_arrays in blocks.values():
+        for stats, _index, raw_arrays, waw_arrays, war_arrays \
+                in blocks.values():
             dep_hists = stats.dep_hists
             for slot, operand_arrays in enumerate(raw_arrays):
                 for operand, arr in enumerate(operand_arrays):
@@ -282,12 +397,5 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                                 hist[distance] = count
 
     # A trailing partial block (trace ended mid-block) is discarded.
-    return StatisticalProfile(
-        name=trace.name,
-        order=order,
-        sfg=sfg,
-        trace_instructions=len(trace),
-        branch_mode=branch_mode,
-        perfect_caches=perfect_caches,
-        config=config,
-    )
+    skeleton.sfg = pickle.dumps(sfg, pickle.HIGHEST_PROTOCOL)
+    return skeleton

@@ -9,32 +9,43 @@ hierarchy).  The same holds for the dependency distances.  So one
 event bits and the dependency-distance tuple, once per (trace, warm-up
 trace, cache/TLB geometry, ``enforce_anti_dependencies``,
 ``perfect_caches``), and every execution-driven run and every profile
-of that trace reads it.  A window or width sweep walks its caches once
-instead of once per design point, and a re-profiled cache point walks
-them once for its profile and its reference run together.  Latencies
-are not part of the walk: each run prices the events with its own
-(:mod:`repro.cpu.source`).
+of that trace reads it.  Latencies are not part of the walk: each run
+prices the events with its own (:mod:`repro.cpu.source`).
+
+One walk serves a whole sweep.  :func:`plan_locality` names the
+configs a sweep will ask for, and the first :func:`resolve_locality`
+of any of them walks the trace once, in program order, through one
+warmed hierarchy per distinct geometry, computing each instruction's
+dependency tuple once: the single-pass multi-configuration simulation
+the paper cites cheetah for (section 2.1.2).  A resolution nobody
+planned is the same walk with one config.  A window or width sweep
+walks its caches once, and a cache sweep walks all its geometries in
+one pass.  The walk runs inside the first run or profile that needs
+it, not in the planner.
 
 The branch predictor is the one structure that stays live.  It
 classifies a branch at fetch and trains at dispatch, so the state a
 lookup sees depends on how many older branches have dispatched by
-then, which is timing.  The resolution keeps one predictor per
-predictor configuration, warmed once on the warm-up trace, and hands
-each run a :meth:`~repro.branch.unit.BranchPredictorUnit.clone`.
+then, which is timing.  Each run gets a clone of the predictor warmed
+once per warm-up trace and predictor config
+(:func:`~repro.frontend.warming.warm_branch_predictor`).  The
+resolutions of one walk share an ``annotations`` dict, where the
+profiler memoizes its branch records per predictor config and FIFO
+size.
 
-:func:`resolve_locality` memoizes one resolution per trace, weakly: the
-entry dies with its trace and is replaced when the trace is asked for
-with another key.
+The memo keeps the last batch per trace, weakly: the entry dies with
+its trace, a request any member answers reuses it, and any other
+request replaces the whole batch.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.branch.unit import BranchPredictorUnit
-from repro.cache.hierarchy import CacheHierarchy
 from repro.config import BranchPredictorConfig, MachineConfig
 from repro.frontend.trace import Trace
 from repro.frontend.warming import (warm_branch_predictor,
@@ -74,26 +85,33 @@ def cache_geometry(config: MachineConfig) -> tuple:
         for tlb in (config.itlb, config.dtlb))
 
 
+def _locality_key(config: MachineConfig, perfect_caches: bool) -> tuple:
+    """What a resolution depends on besides its trace and warm-up."""
+    return (cache_geometry(config), config.enforce_anti_dependencies,
+            perfect_caches)
+
+
 class LocalityResolution:
     """The timing-independent half of an execution-driven run.
 
-    ``keys[i]`` indexes instruction *i*'s entry in ``distinct``, one
-    ``(iclass, event bits, dependency distances, taken)`` tuple per
-    distinct combination.
+    ``keys[i]`` (an unsigned ``array``) indexes instruction *i*'s entry
+    in ``distinct``, one ``(iclass, event bits, dependency distances,
+    taken)`` tuple per distinct combination.  The resolutions of one
+    walk share their equal entries and one ``annotations`` dict.
     """
 
-    __slots__ = ("key", "keys", "distinct", "tallies",
-                 "_warmup", "_predictors", "__weakref__")
+    __slots__ = ("key", "keys", "distinct", "tallies", "annotations",
+                 "_warmup", "__weakref__")
 
-    def __init__(self, key: tuple, keys: List[int], distinct: List[tuple],
-                 warmup_trace: Optional[Trace]) -> None:
+    def __init__(self, key: tuple, keys: "array[int]",
+                 distinct: List[tuple],
+                 warmup_trace: Optional[Trace], annotations: dict) -> None:
         self.key = key
         self.keys = keys
         self.distinct = distinct
+        self.annotations = annotations
         self._warmup = (None if warmup_trace is None
                         else weakref.ref(warmup_trace))
-        self._predictors: Dict[BranchPredictorConfig,
-                               BranchPredictorUnit] = {}
         # The source tallies that do not depend on the predictor:
         # (branches, taken_branches, act_bpred, act_dl1, act_l2).
         branches = taken = mem = l2 = 0
@@ -108,67 +126,120 @@ class LocalityResolution:
                 taken += count * was_taken
         self.tallies = (branches, taken, 2 * branches, mem, l2)
 
-    def warmed_on(self, warmup_trace: Optional[Trace]) -> bool:
-        if self._warmup is None or warmup_trace is None:
-            return self._warmup is None and warmup_trace is None
-        return self._warmup() is warmup_trace
-
     def predictor(self, config: BranchPredictorConfig) -> BranchPredictorUnit:
         """A private predictor for *config* in its warmed state."""
-        template = self._predictors.get(config)
-        if template is None:
-            warmup = None if self._warmup is None else self._warmup()
-            template = warm_branch_predictor(warmup, config)
-            self._predictors[config] = template
-        return template.clone()
+        warmup = None if self._warmup is None else self._warmup()
+        return warm_branch_predictor(warmup, config)
 
 
-#: trace -> its resolution; entries die with their trace.
-_MEMO: "weakref.WeakKeyDictionary[Trace, LocalityResolution]" = \
+class _Batch:
+    """The configs of one walk by :func:`_locality_key`, and their
+    resolutions once walked."""
+
+    __slots__ = ("configs", "resolutions", "_warmup")
+
+    def __init__(self, configs: Dict[tuple, MachineConfig],
+                 warmup_trace: Optional[Trace]) -> None:
+        self.configs = configs
+        self.resolutions: Dict[tuple, LocalityResolution] = {}
+        self._warmup = (None if warmup_trace is None
+                        else weakref.ref(warmup_trace))
+
+    def covers(self, keys: Iterable[tuple],
+               warmup_trace: Optional[Trace]) -> bool:
+        if self._warmup is None or warmup_trace is None:
+            warmed = self._warmup is None and warmup_trace is None
+        else:
+            warmed = self._warmup() is warmup_trace
+        return warmed and all(key in self.configs for key in keys)
+
+
+#: trace -> its last batch; entries die with their trace.
+_MEMO: "weakref.WeakKeyDictionary[Trace, _Batch]" = \
     weakref.WeakKeyDictionary()
+
+
+def plan_locality(trace: Trace, configs: Iterable[MachineConfig],
+                  warmup_trace: Optional[Trace] = None,
+                  perfect_caches: bool = False) -> None:
+    """Make the next :func:`resolve_locality` of *trace* under any of
+    *configs* resolve all of them in one walk.
+
+    Nothing is walked here.  A plan the memo already answers keeps the
+    memoized batch; any other plan replaces it.
+    """
+    planned = {_locality_key(config, perfect_caches): config
+               for config in configs}
+    batch = _MEMO.get(trace)
+    if batch is None or not batch.covers(planned, warmup_trace):
+        _MEMO[trace] = _Batch(planned, warmup_trace)
 
 
 def resolve_locality(trace: Trace, config: MachineConfig,
                      warmup_trace: Optional[Trace] = None,
                      perfect_caches: bool = False) -> LocalityResolution:
     """The resolution of *trace* under *config*'s cache geometry, warm
-    from *warmup_trace*: the memoized one when the key matches, else a
-    new walk that replaces it.
+    from *warmup_trace*: the memoized one when the trace's batch has
+    it, else a walk of the batch (planned, or this config alone).
 
-    The walk sends every instruction fetch and every load and store
-    through a hierarchy warmed by :func:`warm_locality_structures`, in
-    program order, exactly as the per-fetch walk of the reference
-    simulator does.  A perfect-cache resolution needs neither warming
-    nor a hierarchy: every access hits.
-
-    Counts ``eds.locality_built`` or ``eds.locality_reused`` once per
-    call.  A resolution is never mutated once built (its predictor
-    templates only grow), so threads racing on one trace at worst build
-    it twice.
+    Counts ``eds.locality_reused`` per call the memo answers, and
+    ``eds.locality_built`` per resolution a walk builds.  A resolution
+    is never mutated once built (its ``annotations`` only grow), so
+    threads racing on one trace at worst walk it twice.
     """
-    anti = config.enforce_anti_dependencies
-    key = (cache_geometry(config), anti, perfect_caches)
-    entry = _MEMO.get(trace)
-    if (entry is not None and entry.key == key
-            and entry.warmed_on(warmup_trace)):
+    key = _locality_key(config, perfect_caches)
+    batch = _MEMO.get(trace)
+    if batch is None or not batch.covers((key,), warmup_trace):
+        # Release the stale batch before the walk allocates its
+        # successor.
+        _MEMO.pop(trace, None)
+        batch = _MEMO[trace] = _Batch({key: config}, warmup_trace)
+    resolution = batch.resolutions.get(key)
+    if resolution is not None:
         get_registry().counter("eds.locality_reused").inc()
-        return entry
-    get_registry().counter("eds.locality_built").inc()
-    # Release the stale entry before the walk allocates its successor.
-    _MEMO.pop(trace, None)
-    entry = None
-    hierarchy: Optional[CacheHierarchy] = None
-    predictor = None
-    if not perfect_caches:
-        hierarchy, predictor = warm_locality_structures(warmup_trace,
-                                                        config)
-        access_instruction = hierarchy.access_instruction
-        access_data = hierarchy.access_data
+        return resolution
+    batch.resolutions = _walk(trace, batch.configs, warmup_trace)
+    return batch.resolutions[key]
 
-    keys: List[int] = []
-    append = keys.append
-    index: Dict[tuple, int] = {}
-    distinct: List[tuple] = []
+
+def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
+          warmup_trace: Optional[Trace]) -> Dict[tuple, LocalityResolution]:
+    """One program-order pass over *trace* for every key of *configs*.
+
+    Every instruction fetch and every load and store goes through one
+    hierarchy per distinct geometry, each warmed by
+    :func:`warm_locality_structures`, exactly as the per-fetch walk of
+    the reference simulator does.  Perfect caches need neither warming
+    nor a hierarchy: every access hits.  Each instruction's dependency
+    tuple and its geometry-independent entry are computed once; a
+    resolution's entry adds its geometry's event bits.
+    """
+    registry = get_registry()
+    registry.counter("eds.locality_walks").inc()
+    registry.counter("eds.locality_built").inc(len(configs))
+    perfect = next(iter(configs))[2]
+    geometries: Dict[tuple, int] = {}
+    walkers = []
+    events_by_geometry: List[bytearray] = []
+    if not perfect:
+        for (geometry, _anti, _perfect), config in configs.items():
+            if geometry not in geometries:
+                geometries[geometry] = len(walkers)
+                hierarchy, _ = warm_locality_structures(warmup_trace,
+                                                        config)
+                events = bytearray()
+                events_by_geometry.append(events)
+                walkers.append((hierarchy.access_instruction,
+                                hierarchy.access_data, events.append))
+    plain = any(not anti for _geometry, anti, _perfect in configs)
+    anti = any(anti for _geometry, anti, _perfect in configs)
+
+    # Geometry-independent entries (iclass, distances, taken), interned
+    # in order of first appearance, one id list per distance flavour.
+    base_index: Dict[tuple, int] = {}
+    bases: List[tuple] = []
+    plain_ids = array("I")
+    anti_ids = array("I")
     last_writer: dict = {}
     last_reader: dict = {}
     writer_get = last_writer.get
@@ -176,22 +247,29 @@ def resolve_locality(trace: Trace, config: MachineConfig,
     cap = MAX_DEPENDENCY_DISTANCE
     branch_classes = BRANCH_CLASSES
     store = IClass.STORE
+
+    def intern(entry: tuple) -> int:
+        position = base_index.get(entry)
+        if position is None:
+            position = base_index[entry] = len(bases)
+            bases.append(entry)
+        return position
+
     for inst in trace.instructions:
         iclass = inst.iclass
-        events = 0
-        if hierarchy is not None:
-            iresult = access_instruction(inst.pc)
-            events = (iresult.il1_miss | iresult.l2_miss << 1
-                      | iresult.itlb_miss << 2)
-            if inst.mem_addr is not None:
-                dresult = access_data(inst.mem_addr,
-                                      is_store=iclass is store)
-                if iclass is _LOAD:
-                    events |= (EV_DATA | dresult.dl1_miss << 3
-                               | dresult.l2_miss << 4
-                               | dresult.dtlb_miss << 5)
-        elif iclass is _LOAD:
-            events = EV_DATA
+        if walkers:
+            pc = inst.pc
+            address = inst.mem_addr
+            for access_instruction, access_data, record in walkers:
+                il1, l2, itlb = access_instruction(pc)
+                events = il1 | l2 << 1 | itlb << 2
+                if address is not None:
+                    dl1, l2d, dtlb = access_data(address,
+                                                 is_store=iclass is store)
+                    if iclass is _LOAD:
+                        events |= (EV_DATA | dl1 << 3 | l2d << 4
+                                   | dtlb << 5)
+                record(events)
 
         deps = []
         seq = inst.seq
@@ -201,8 +279,10 @@ def resolve_locality(trace: Trace, config: MachineConfig,
                 distance = seq - writer
                 if 0 < distance <= cap:
                     deps.append(distance)
-            if anti:
-                last_reader[reg] = seq
+            last_reader[reg] = seq
+        taken = iclass in branch_classes and inst.taken
+        if plain:
+            plain_ids.append(intern((iclass, tuple(deps), taken)))
         dst = inst.dst_reg
         if dst is not None:
             if anti:
@@ -215,17 +295,37 @@ def resolve_locality(trace: Trace, config: MachineConfig,
                         if 0 < distance <= cap:
                             deps.append(distance)
             last_writer[dst] = seq
+        if anti:
+            anti_ids.append(intern((iclass, tuple(deps), taken)))
 
-        entry_key = (iclass, events, tuple(deps),
-                     iclass in branch_classes and inst.taken)
-        position = index.get(entry_key)
-        if position is None:
-            position = index[entry_key] = len(distinct)
-            distinct.append(entry_key)
-        append(position)
-
-    entry = LocalityResolution(key, keys, distinct, warmup_trace)
-    if predictor is not None:
-        entry._predictors[config.predictor] = predictor
-    _MEMO[trace] = entry
-    return entry
+    if perfect:
+        load_events = [EV_DATA if iclass is _LOAD else 0
+                       for iclass, _deps, _taken in bases]
+    annotations: dict = {}
+    entries: Dict[int, tuple] = {}
+    resolutions: Dict[tuple, LocalityResolution] = {}
+    for key in configs:
+        geometry, key_anti, _perfect = key
+        ids = anti_ids if key_anti else plain_ids
+        if perfect:
+            events = bytes(load_events[base] for base in ids)
+        else:
+            events = events_by_geometry[geometries[geometry]]
+        # Entry ids in order of first appearance, as one walk per
+        # geometry would number them; an entry is keyed by its base id
+        # and its seven event bits.
+        index: Dict[int, int] = {}
+        setdefault = index.setdefault
+        keys = array("I", [setdefault(base << 7 | bits, len(index))
+                           for base, bits in zip(ids, events)])
+        distinct = []
+        for combined in index:
+            entry = entries.get(combined)
+            if entry is None:
+                iclass, deps, taken = bases[combined >> 7]
+                entry = entries[combined] = (iclass, combined & 127, deps,
+                                             taken)
+            distinct.append(entry)
+        resolutions[key] = LocalityResolution(key, keys, distinct,
+                                              warmup_trace, annotations)
+    return resolutions

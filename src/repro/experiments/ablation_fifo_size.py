@@ -18,9 +18,8 @@ from repro.branch.profiler import (
     mispredictions_per_kilo_instruction,
     profile_branches_delayed,
 )
-from repro.branch.unit import BranchPredictorUnit
 from repro.core.framework import run_execution_driven
-from repro.frontend.warming import warm_locality_structures
+from repro.frontend.warming import warm_branch_predictor
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentScale,
@@ -43,7 +42,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
         eds, _ = run_execution_driven(trace, config, warmup_trace=warm)
         profiled = {}
         for size in fifo_sizes:
-            _, unit = warm_locality_structures(warm, config)
+            unit = warm_branch_predictor(warm, config.predictor)
             records = profile_branches_delayed(trace, unit,
                                                fifo_size=size)
             profiled[size] = mispredictions_per_kilo_instruction(

@@ -17,9 +17,8 @@ from repro.branch.profiler import (
     profile_branches_delayed,
     profile_branches_immediate,
 )
-from repro.branch.unit import BranchPredictorUnit
 from repro.core.framework import run_execution_driven
-from repro.frontend.warming import warm_locality_structures
+from repro.frontend.warming import warm_branch_predictor
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentScale,
@@ -36,9 +35,9 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
     for name, (warm, trace) in prepare_suite(scale).items():
         eds, _ = run_execution_driven(trace, config, warmup_trace=warm)
 
-        _, unit = warm_locality_structures(warm, config)
+        unit = warm_branch_predictor(warm, config.predictor)
         immediate = profile_branches_immediate(trace, unit)
-        _, unit = warm_locality_structures(warm, config)
+        unit = warm_branch_predictor(warm, config.predictor)
         delayed = profile_branches_delayed(trace, unit,
                                            fifo_size=config.ifq_size)
         n = len(trace)

@@ -17,7 +17,14 @@ simulate those traces at every design point.  The points also share the
 traces' priced fetch slots, since window and width leave every latency
 unchanged.  IFQ, branch-predictor and cache sweeps re-profile per design
 point, exactly the trade-off the paper notes in section 4.4, and
-generate and simulate one trace per seed at a time.
+generate and simulate one trace per seed at a time.  A re-profile
+repeats only what its point changes: every sweep plans all its points'
+locality in one batch, so one program-order walk drives every cache
+geometry of a cache sweep (:func:`~repro.cpu.locality.plan_locality`),
+and the profiles share one skeleton and, across a cache sweep, one
+branch annotation (:mod:`repro.core.profiler`).  Each ``(sweep,
+benchmark)`` runner unit plans its own batch, so a resumed unit
+rebuilds exactly what it needs.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from repro.core.metrics import relative_error
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.synthesis import generate_synthetic_trace
 from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import plan_locality
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
 from repro.runner import ResultRows, TaskRunner, WorkUnit
@@ -146,10 +154,13 @@ def _measure_sweep_benchmark(name: str, sweep: str,
                              definitions) -> List[List[Dict]]:
     """All design-point measurements of one benchmark along one sweep:
     ``[[eds_metrics, ss_metrics], ...]`` per sweep point (the unit of
-    checkpointing, hence plain JSON lists).  A sweep that reuses one
-    profile synthesizes its seeds' traces once, for every point."""
+    checkpointing, hence plain JSON lists).  All points' locality is
+    resolved in one walk, done by the first run that needs it.  A sweep
+    that reuses one profile synthesizes its seeds' traces once, for
+    every point."""
     sweep_points, builder, label, reprofile, metrics = definitions[sweep]
     warm, trace = prepare_benchmark(name, scale)
+    plan_locality(trace, [builder(point) for point in sweep_points], warm)
     synthetics = None
     if not reprofile:
         base_profile = profile_trace(trace, builder(sweep_points[0]),

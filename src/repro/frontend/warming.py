@@ -7,11 +7,17 @@ provides that methodology: replay a warmup trace through a cache
 hierarchy and branch predictor — functionally, no pipeline — and hand
 the warmed structures to profiling, execution-driven simulation or
 SimPoint.
+
+A predictor is warmed once per (warm-up trace, predictor config): the
+warmed unit is kept as a template, weakly on its warm-up trace, and
+every caller gets a :meth:`~repro.branch.unit.BranchPredictorUnit.clone`.
+A cache sweep warms one hierarchy per geometry but its predictor once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import weakref
+from typing import Dict, Optional, Tuple
 
 from repro.config import BranchPredictorConfig, MachineConfig
 from repro.frontend.trace import Trace
@@ -50,21 +56,38 @@ def warm_locality_structures(
                                             predictor)
 
 
+#: warm-up trace -> predictor config -> warmed template; entries die
+#: with their warm-up trace.
+_TEMPLATES: "weakref.WeakKeyDictionary[Trace, Dict]" = \
+    weakref.WeakKeyDictionary()
+
+
 def warm_branch_predictor(warmup_trace: Optional[Trace],
                           config: BranchPredictorConfig,
                           predictor: Optional[BranchPredictorUnit] = None
                           ) -> BranchPredictorUnit:
     """Build (or take) a predictor and train it on *warmup_trace*'s
     branches: the predictor half of :func:`warm_locality_structures`,
-    for callers that need no caches (the two never interact)."""
-    predictor = predictor or BranchPredictorUnit(config)
-    if warmup_trace is not None:
-        train = predictor.train
-        for inst in warmup_trace.instructions:
-            if inst.is_branch:
-                train(inst)
-        predictor.lookups = 0
-        predictor.updates = 0
+    for callers that need no caches (the two never interact).
+
+    Without *predictor*, the result is a private clone of the memoized
+    template for (*warmup_trace*, *config*), trained on the first call.
+    """
+    if warmup_trace is None:
+        return predictor or BranchPredictorUnit(config)
+    if predictor is None:
+        templates = _TEMPLATES.setdefault(warmup_trace, {})
+        template = templates.get(config)
+        if template is None:
+            template = templates[config] = warm_branch_predictor(
+                warmup_trace, config, BranchPredictorUnit(config))
+        return template.clone()
+    train = predictor.train
+    for inst in warmup_trace.instructions:
+        if inst.is_branch:
+            train(inst)
+    predictor.lookups = 0
+    predictor.updates = 0
     return predictor
 
 

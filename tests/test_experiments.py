@@ -202,7 +202,7 @@ class TestTable4SharedTraces:
 
     SCALE = replace(TINY, seeds=(0, 1))
     POINTS = {"window": (16, 64, 128), "width": (2, 8),
-              "cache": (0.5, 2.0)}
+              "cache": (0.5, 2.0), "ifq": (4, 16), "bpred": (0.25, 2.0)}
 
     @staticmethod
     def _per_point(name, sweep, scale, definitions):
@@ -275,3 +275,58 @@ class TestTable4SharedTraces:
         assert len(calls) == (len(self.POINTS["cache"])
                               * len(self.SCALE.seeds)
                               * len(self.SCALE.benchmarks))
+
+    @staticmethod
+    def _cold_per_point(name, sweep, scale, definitions):
+        """Each point measured on fresh copies of both traces: no memo
+        of any earlier point is visible."""
+        from repro.experiments.table4_relative import _measure
+        from repro.frontend.trace import Trace
+
+        sweep_points, builder, _label, _reprofile, _metrics = \
+            definitions[sweep]
+        warm, trace = prepare_benchmark(name, scale)
+        rows = []
+        for point in sweep_points:
+            cold_warm = Trace(warm.name, list(warm.instructions))
+            cold = Trace(trace.name, list(trace.instructions))
+            rows.append(list(_measure(cold, cold_warm, builder(point),
+                                      scale)))
+        return rows
+
+    @pytest.mark.parametrize("sweep", ["cache", "ifq", "bpred"])
+    def test_reprofiled_sweep_equals_cold_points(self, sweep):
+        from repro.experiments import table4_relative
+
+        definitions = table4_relative._sweep_definitions(self.POINTS)
+        for name in self.SCALE.benchmarks:
+            measured = table4_relative._measure_sweep_benchmark(
+                name, sweep, self.SCALE, definitions)
+            assert measured == self._cold_per_point(name, sweep, self.SCALE,
+                                                    definitions)
+
+    def test_cache_sweep_walks_and_profiles_branches_once(self,
+                                                          monkeypatch):
+        import repro.core.profiler as profiler
+        import repro.cpu.locality as locality
+        from repro.experiments import table4_relative
+
+        calls = {"walk": 0, "branches": 0}
+
+        def counting(key, original):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(locality, "_walk",
+                            counting("walk", locality._walk))
+        monkeypatch.setattr(profiler, "profile_branches_delayed",
+                            counting("branches",
+                                     profiler.profile_branches_delayed))
+        definitions = table4_relative._sweep_definitions(self.POINTS)
+        for name in self.SCALE.benchmarks:
+            table4_relative._measure_sweep_benchmark(
+                name, "cache", self.SCALE, definitions)
+        assert calls == {"walk": len(self.SCALE.benchmarks),
+                         "branches": len(self.SCALE.benchmarks)}
