@@ -11,8 +11,6 @@ Commands mirror the paper's workflow:
 * ``experiment`` — regenerate one of the paper's tables/figures;
 * ``dse`` — run a parallel, cached design-space sweep (the section 4.6
   protocol as a first-class subsystem; see ``docs/design_space.md``);
-* ``bench`` — time the hot paths before/after the performance overhaul
-  and write ``BENCH_hotpath.json`` (see ``docs/performance.md``);
 * ``fuzz`` — differential fuzzing and statistical acceptance: seeded
   random programs through both pipeline implementations plus the
   profile → synthesize loop, with failure minimization and a replayable
@@ -224,8 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "REPRO_CHAOS, e.g. 'seed=1;task-fail:rate=0.2'); "
              "overrides the environment")
 
+    # No prefix matching: a stale ``--bench PATH`` must be an error,
+    # not a silent ``--benchmark PATH``.
     dse = sub.add_parser(
-        "dse", parents=[obs_parent],
+        "dse", parents=[obs_parent], allow_abbrev=False,
         help="parallel, cached design-space sweep "
              "(the section 4.6 protocol as a subsystem)")
     dse.add_argument(
@@ -294,11 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "past the cutoff fail fast with DeadlineExceededError "
              "at their next cooperative checkpoint (overrides the "
              "REPRO_HEALTH deadline)")
-    dse.add_argument(
-        "--bench", default=None, metavar="BENCH_dse.json",
-        help="instead of one sweep, time serial vs --jobs parallel vs "
-             "warm-cache re-run and write the machine-readable "
-             "benchmark to this path")
     dse_mode = dse.add_mutually_exclusive_group()
     dse_mode.add_argument(
         "--vector", action="store_true",
@@ -310,45 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scalar", action="store_true",
         help="evaluate through the scalar object path (the default; "
              "named so scripts can say what they mean)")
-
-    bench = sub.add_parser(
-        "bench", parents=[obs_parent],
-        help="hot-path micro-benchmark: before/after timings of "
-             "profiling, synthesis and superscalar simulation")
-    bench.add_argument("--benchmark", default="gzip",
-                       help="workload to time (default: gzip, the "
-                            "determinism-golden workload)")
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true",
-                      help="CI-sized repeat counts (the default; named "
-                           "so scripts can say what they mean)")
-    mode.add_argument("--full", action="store_true",
-                      help="longer repeat counts for stable "
-                           "single-percent numbers (default: quick, "
-                           "CI-sized)")
-    bench.add_argument("-o", "--output", default="BENCH_hotpath.json",
-                       help="where the payload lands (default: "
-                            "BENCH_hotpath.json)")
-    bench.add_argument("--baseline", default=None,
-                       metavar="BASELINE.json",
-                       help="pinned speedups to compare against "
-                            "(benchmarks/perf/BASELINE_hotpath.json)")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero when the payload fails "
-                            "schema validation or a phase's speedup "
-                            "falls more than --tolerance below the "
-                            "baseline")
-    bench.add_argument("--tolerance", type=_positive_float, default=0.15,
-                       help="allowed fractional slack below the pinned "
-                            "baseline speedups (default: 0.15)")
-    bench.add_argument("--trajectory", default=None,
-                       metavar="TRAJECTORY.jsonl",
-                       help="perf history file each run appends to "
-                            "(default: benchmarks/perf/"
-                            "TRAJECTORY.jsonl)")
-    bench.add_argument("--no-trajectory", action="store_true",
-                       help="skip the trajectory append (exploratory "
-                            "runs that should leave no history)")
 
     fuzz = sub.add_parser(
         "fuzz", parents=[obs_parent],
@@ -780,7 +736,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.dse import SupervisorPolicy, SweepSpec, \
-        reduced_sec46_spec, run_dse_bench, run_study, write_bench
+        reduced_sec46_spec, run_study
     from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE
     from repro.runner import RunnerPolicy
     from repro.workloads.spec import benchmark_names
@@ -816,26 +772,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                       event="cli_error")
             return 2
     log = obs.info
-
-    if args.bench:
-        payload = run_dse_bench(spec, args.benchmark, scale,
-                                jobs=args.jobs,
-                                cache_root=args.cache_dir,
-                                seeds=seeds, log=log)
-        write_bench(payload, args.bench)
-        print(f"{payload['grid_points']} points x "
-              f"{len(payload['seeds'])} seeds on {payload['benchmark']}: "
-              f"serial {payload['serial_seconds']:.2f}s, "
-              f"jobs={payload['jobs']} "
-              f"{payload['parallel_seconds']:.2f}s "
-              f"({payload['parallel_speedup']:.2f}x), metrics identical: "
-              f"{payload['metrics_identical']}")
-        print(f"warm-cache re-run: {payload['warm_rerun_seconds']:.2f}s, "
-              f"skipped {payload['warm_rerun_skipped']} of "
-              f"{payload['evaluations']} evaluations "
-              f"({payload['warm_rerun_skipped_fraction'] * 100:.0f}%)")
-        print(f"benchmark written to {args.bench}")
-        return 0
 
     study_kwargs = {}
     if chaos is not _NO_CHAOS:
@@ -883,61 +819,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         print(f"\nSS optimum {row['ss_optimal']} {verdict} "
               f"({row['candidates_verified']} candidate(s) re-checked "
               f"execution-driven)")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import (append_trajectory, check_regression,
-                             run_hotpath_bench, validate_payload,
-                             write_bench)
-    from repro.workloads.spec import benchmark_names
-
-    if args.benchmark not in benchmark_names():
-        obs.error(f"unknown benchmark {args.benchmark!r}; run "
-                  f"'repro benchmarks' for the suite", event="cli_error")
-        return 2
-
-    payload = run_hotpath_bench(benchmark=args.benchmark,
-                                quick=not args.full, log=obs.info)
-    write_bench(payload, args.output)
-    if not args.no_trajectory:
-        kwargs = ({"path": Path(args.trajectory)}
-                  if args.trajectory else {})
-        trajectory_path = append_trajectory(payload, **kwargs)
-        print(f"trajectory appended to {trajectory_path}")
-    speedups = payload["speedups"]
-    print(f"{args.benchmark}: profile {speedups['profile']:.2f}x, "
-          f"synthesis {speedups['synthesis']:.2f}x (R=1000) / "
-          f"{speedups['synthesis_low_r']:.2f}x (low R), "
-          f"pipeline {speedups['pipeline']:.2f}x; "
-          f"draw-stable: {payload['draw_stable']}")
-    vector = payload["phases"]["vector"]
-    print(f"columnar: end-to-end {speedups['vector']:.2f}x, "
-          f"synthesis-only {speedups['vector_synthesis']:.2f}x; "
-          f"IPC scalar {vector['ipc_scalar']:.3f} vs vector "
-          f"{vector['ipc_vector']:.3f} "
-          f"({vector['ipc_relative_error'] * 100:.1f}% apart, "
-          f"different draw streams)")
-    print(f"benchmark written to {args.output}")
-
-    report = obs.error if args.check else obs.warn
-    problems = validate_payload(payload)
-    for problem in problems:
-        report(f"schema: {problem}", event="bench_schema")
-    failures = []
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        failures = check_regression(payload, baseline,
-                                    tolerance=args.tolerance)
-        for failure in failures:
-            report(f"regression: {failure}", event="bench_regression")
-        if not failures:
-            print(f"no regression against {args.baseline} "
-                  f"(tolerance {args.tolerance:.0%})")
-    if args.check and (problems or failures):
-        return 1
     return 0
 
 
@@ -1332,8 +1213,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_experiment(args)
     if args.command == "dse":
         return _cmd_dse(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
     if args.command == "analyze":

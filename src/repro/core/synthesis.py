@@ -23,8 +23,8 @@ built once per SFG and cached on the graph (a DSE worker therefore
 builds them once per *profile*, not once per design point).  The
 samplers are bit-compatible with the original ``bisect_right`` code:
 the same profile and seed produce a byte-identical synthetic trace
-(pinned by ``tests/test_determinism_golden.py``; the pre-overhaul
-generator survives as :mod:`repro.bench.legacy` for benchmarking).
+(pinned by ``tests/test_determinism_golden.py``, and against digests of
+the pre-overhaul generator's traces by ``tests/test_synthesis.py``).
 """
 
 from __future__ import annotations

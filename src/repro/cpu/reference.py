@@ -8,9 +8,8 @@ jobs:
 * the exact-equivalence guard: ``tests/test_pipeline_equivalence.py``
   asserts the optimized pipeline produces an identical
   :class:`SimulationResult` for the same source and configuration;
-* the in-process "before" baseline for the hot-path benchmark
-  (``repro bench``), so speedups are measured against real code rather
-  than a remembered number.
+* the differential fuzzer's oracle: :mod:`repro.fuzz` runs every
+  random program through both pipelines and flags any divergence.
 
 Do not optimize this module; its value is that it stays slow and
 obviously correct.

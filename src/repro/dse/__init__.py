@@ -19,7 +19,6 @@ from repro.dse.analysis import (
     render_sweep_report,
     verification_shortlist,
 )
-from repro.dse.bench import run_dse_bench, write_bench
 from repro.dse.cache import CacheStats, ResultCache, result_key
 from repro.dse.engine import (
     PointResult,
@@ -47,7 +46,6 @@ from repro.dse.supervisor import (
 __all__ = [
     "DEFAULT_VERIFY_MARGIN", "best_point", "pareto_front",
     "ranked_by_edp", "render_sweep_report", "verification_shortlist",
-    "run_dse_bench", "write_bench",
     "CacheStats", "ResultCache", "result_key",
     "PointResult", "SweepEngine", "SweepResult", "derive_point_seed",
     "evaluate_metrics",

@@ -154,7 +154,7 @@ class FuzzReport:
 
         No wall-clock fields: two runs with the same seed and case
         count produce byte-identical payloads, so the file diffs
-        cleanly in CI history (like ``BENCH_hotpath.json``).
+        cleanly in CI history.
         """
         margins: Dict[str, List[float]] = {}
         for verdict in self.verdicts:

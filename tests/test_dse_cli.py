@@ -38,6 +38,13 @@ class TestArgValidation:
         with pytest.raises(SystemExit):
             main(["dse", "--jobs", "0"])
 
+    @pytest.mark.parametrize("argv", [["bench", "--quick"],
+                                      ["dse", "--bench", "out.json"]])
+    def test_retired_bench_harness_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_missing_sweep_file_errors_cleanly(self, capsys, tmp_path):
         assert main(["dse", "--sweep", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -64,20 +71,6 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "SS optimum" in out
         assert "re-checked execution-driven" in out
-
-    def test_bench_mode_writes_payload(self, capsys, tmp_path):
-        sweep = write_sweep(tmp_path)
-        bench = tmp_path / "BENCH_dse.json"
-        assert main(["dse", "--sweep", sweep, "--benchmark", "gzip",
-                     "--seeds", "0", "-R", "4", "--jobs", "2",
-                     "--bench", str(bench)]) == 0
-        payload = json.loads(bench.read_text())
-        assert payload["metrics_identical"] is True
-        assert payload["warm_rerun_skipped_fraction"] >= 0.9
-        assert payload["grid_points"] == 2
-        assert payload["jobs"] == 2
-        assert payload["serial_seconds"] > 0
-        assert payload["parallel_seconds"] > 0
 
 
 class TestExperimentRewiring:

@@ -181,22 +181,32 @@ class TestCLIEndToEnd:
         assert "run_start" in verbose_err  # debug events surface
 
 
-class TestBenchPhases:
-    def test_bench_payload_embeds_phase_breakdown(self):
-        from repro.dse.bench import run_dse_bench
+class TestSweepPhases:
+    def test_sweep_phases_land_in_registry(self):
+        from repro.dse.engine import SweepEngine
         from repro.dse.space import SweepSpec
+        from repro.dse.study import profile_benchmark
+        from repro.obs.tracing import phase_breakdown
 
-        spec = SweepSpec.from_dict({
-            "name": "obs-bench", "mode": "grid",
+        points = SweepSpec.from_dict({
+            "name": "obs-sweep", "mode": "grid",
             "parameters": {"ruu_size": [32, 64], "width": [4]},
-        })
-        payload = run_dse_bench(spec, "gzip", TINY, jobs=2,
-                                seeds=(0,))
-        assert payload["schema"] == 2
-        phases = payload["phases"]
-        assert "simulate" in phases and "synthesize" in phases
-        for stats in phases.values():
-            assert stats["count"] > 0
-            assert stats["total"] >= 0.0
+        }).expand()
+        profile, _warm, _trace = profile_benchmark("gzip", TINY)
+        before = phase_breakdown()
+        # A pool worker's phases stay in the worker; the serial sweep
+        # is the one whose synthesis and simulation land here.
+        for jobs in (1, 2):
+            sweep = SweepEngine(profile, jobs=jobs).evaluate(
+                points, seeds=(0,),
+                reduction_factor=TINY.reduction_factor)
+            assert sweep.failed == 0
+        after = phase_breakdown()
+        assert after["sweep"]["count"] - \
+            before.get("sweep", {}).get("count", 0) == 2
+        for phase in ("simulate", "synthesize"):
+            stats, prior = after[phase], before.get(phase, {})
+            assert stats["count"] - prior.get("count", 0) > 0, phase
+            assert stats["total"] - prior.get("total", 0.0) > 0.0, phase
             assert stats["mean"] == pytest.approx(
                 stats["total"] / stats["count"])

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.bench.legacy import legacy_generate_synthetic_trace
 from repro.config import baseline_config
 from repro.isa.iclass import BRANCH_CLASSES, IClass
 from repro.branch.unit import BranchOutcome
@@ -15,6 +14,7 @@ from repro.core.sfg import StatisticalFlowGraph
 from repro.core.synthesis import generate_synthetic_trace
 from repro.core.synthetic import SyntheticTrace, dependency_targets
 from repro.cpu.source import FetchSlot
+from repro.experiments.common import QUICK_SCALE, prepare_benchmark
 from repro.frontend.warming import run_program_with_warmup
 from repro.obs.metrics import get_registry
 from repro.workloads.spec import build_benchmark
@@ -216,9 +216,9 @@ def _digest(trace):
         payload, separators=(",", ":")).encode()).hexdigest()
 
 
-#: ``_digest`` of the legacy generator's trace of ``_retry_profile`` at
-#: R = 1, per seed.  The legacy generator runs every one of step 4's
-#: 1,000 retries.
+#: ``_digest`` of the pre-overhaul generator's trace of ``_retry_profile``
+#: at R = 1, per seed.  That generator ran every one of step 4's 1,000
+#: retries.
 _LEGACY_DIGESTS = {
     0: "119f0f9eee8068de46718109bbc0765b950de048d0bf5aa85ec47324c6feeee8",
     1: "14d1b3decd10ee3cf948692e9b6c674e25bed6a1ba2280ddc923ce70796c832b",
@@ -227,26 +227,40 @@ _LEGACY_DIGESTS = {
     4: "905116f621cf839ccf442e13e6b5c6444d9af3f654d8af339151626c8cfa5e2b",
 }
 
+#: ``_digest`` of the pre-overhaul generator's seed-0 trace of gzip's
+#: quick-scale profile, per reduction factor: the short figure 6
+#: regime and the long-trace regime.
+_LEGACY_GZIP_DIGESTS = {
+    1000.0: "35500e6d18bc817ba2f700cf47e7fe05f78879028361410cf1d2c156fed37123",
+    4.0: "19558cb346f383dc63fc82b7ba3d4ccdb0887ad1f0e55aaaf95117d12efbcebd",
+}
+
 
 class TestDependencySquashSkip:
     """Step 4's certain squashes are skipped without changing a draw:
-    the traces must equal the legacy generator's, which runs every
-    one of the 1,000 retries, both live and as pinned digests."""
+    the traces must match the pinned digests of the pre-overhaul
+    generator, which ran every one of the 1,000 retries."""
 
     @pytest.fixture
     def profile(self, config):
         return _retry_profile(config)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_legacy_generator(self, profile, seed):
-        synthetic = generate_synthetic_trace(profile, 1, seed=seed)
-        legacy = legacy_generate_synthetic_trace(profile, 1, seed=seed)
-        assert _fields(synthetic) == _fields(legacy)
+    @pytest.fixture(scope="class")
+    def gzip_profile(self):
+        warm, trace = prepare_benchmark("gzip", QUICK_SCALE)
+        return profile_trace(trace, baseline_config(), order=1,
+                             branch_mode="delayed", warmup_trace=warm)
 
     @pytest.mark.parametrize("seed", sorted(_LEGACY_DIGESTS))
     def test_matches_pinned_digest(self, profile, seed):
         synthetic = generate_synthetic_trace(profile, 1, seed=seed)
         assert _digest(synthetic) == _LEGACY_DIGESTS[seed]
+
+    @pytest.mark.parametrize("reduction", sorted(_LEGACY_GZIP_DIGESTS))
+    def test_gzip_matches_pinned_digest(self, gzip_profile, reduction):
+        synthetic = generate_synthetic_trace(gzip_profile, reduction,
+                                             seed=0)
+        assert _digest(synthetic) == _LEGACY_GZIP_DIGESTS[reduction]
 
     def test_squashes_counted_and_long_loops_accept(self, profile):
         counter = get_registry().counter("synthesis.dependency_squashes")
