@@ -31,10 +31,6 @@ scalar path.  The scalar generator remains the accuracy oracle; the
 statistical-equivalence suite (``repro.fuzz.acceptance`` tolerances)
 pins the columnar draws to the scalar distributions, and
 ``tests/test_columnar.py`` pins end-to-end IPC agreement.
-
-Tables are plain numpy arrays, so they also serialize into a single
-shared-memory segment (:mod:`repro.core.shm_tables`) that DSE workers
-attach instead of rebuilding per process.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ class ColumnarTables:
     """
 
     __slots__ = (
-        "order", "include_anti", "contexts", "ctx_index",
+        "order", "ctx_index",
         "block_off", "block_len",
         "iclass", "produces", "is_load", "is_branch",
         "p_il1", "p_l2i", "p_itlb", "p_dl1", "p_l2d", "p_dtlb",
@@ -90,15 +86,6 @@ class ColumnarTables:
         "dist_off", "dist_val", "dist_cum",
         "edges",
     )
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The numpy payload (everything shareable byte-for-byte)."""
-        return {name: getattr(self, name) for name in (
-            "block_off", "block_len", "iclass", "produces", "is_load",
-            "is_branch", "p_il1", "p_l2i", "p_itlb", "p_dl1", "p_l2d",
-            "p_dtlb", "p_taken", "oc0", "oc1", "ototal", "op_off",
-            "row_ops", "p_dep", "rejectable", "dist_off", "dist_val",
-            "dist_cum")}
 
 
 def _append_table(hist: Dict[int, int], occurrences: int,
@@ -129,9 +116,7 @@ def build_columnar_tables(sfg: StatisticalFlowGraph,
     """Compile *sfg*'s context statistics into flat batch tables."""
     tables = ColumnarTables()
     tables.order = sfg.order
-    tables.include_anti = include_anti_dependencies
     contexts: List[Context] = list(sfg.contexts)
-    tables.contexts = contexts
     ctx_index = {context: cid for cid, context in enumerate(contexts)}
     tables.ctx_index = ctx_index
 
@@ -253,8 +238,8 @@ def build_columnar_tables(sfg: StatisticalFlowGraph,
 # -- per-SFG table cache ------------------------------------------------
 #
 # Same lifetime rule as the scalar recipe tables: columnar tables depend
-# only on the SFG's statistics, never on R or the seed, so one build (or
-# one shared-memory attach) serves every synthesis call for the profile.
+# only on the SFG's statistics, never on R or the seed, so one build
+# serves every synthesis call for the profile.
 
 _COLUMNAR_CACHE: "WeakKeyDictionary[StatisticalFlowGraph, Dict[bool, ColumnarTables]]" = \
     WeakKeyDictionary()
@@ -284,17 +269,6 @@ def columnar_tables_cached(sfg: StatisticalFlowGraph,
     """Whether *sfg* already has warm columnar tables (metrics aid)."""
     per_sfg = _COLUMNAR_CACHE.get(sfg)
     return bool(per_sfg) and include_anti_dependencies in per_sfg
-
-
-def adopt_columnar_tables(sfg: StatisticalFlowGraph,
-                          tables: ColumnarTables) -> None:
-    """Install externally built tables (e.g. attached from shared
-    memory) as *sfg*'s cached tables."""
-    per_sfg = _COLUMNAR_CACHE.get(sfg)
-    if per_sfg is None:
-        per_sfg = {}
-        _COLUMNAR_CACHE[sfg] = per_sfg
-    per_sfg[tables.include_anti] = tables
 
 
 # -- the columnar trace -------------------------------------------------

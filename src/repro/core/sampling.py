@@ -4,7 +4,7 @@ The nine-step random walk (section 2.2) draws millions of categorical
 samples — dependency distances, start nodes, branch outcomes, outgoing
 edges.  The original implementation paid ``O(n)`` per start-node draw
 (rebuilding a cumulative table over every context) and ``O(log n)`` per
-distance draw (``bisect_right``).  This module provides three
+distance draw (``bisect_right``).  This module provides two
 constant-or-log-time samplers:
 
 * :class:`GuideTableSampler` — O(1) expected draws over a *fixed*
@@ -20,14 +20,8 @@ constant-or-log-time samplers:
   positive entries, because zero-weight entries can never absorb a
   draw and all arithmetic is exact (integer partial sums, and
   float-minus-int stays exact below 2**53).
-* :class:`AliasSampler` — Vose's alias method, O(1) worst-case with a
-  single uniform per draw.  It samples the same *distribution* but maps
-  a given ``u`` to a different outcome than inverse-CDF sampling, so it
-  is **not** draw-stable; use it where raw throughput matters and no
-  legacy seed-compatibility contract exists (see
-  ``docs/performance.md`` for the trade-off).
 
-All samplers take the uniform draw as an argument (``sample(u)``)
+Both samplers take the uniform draw as an argument (``sample(u)``)
 instead of an RNG so callers can hoist the ``rng.random`` bound method
 out of their hot loops and so the draw count per sample is explicit:
 exactly one.
@@ -174,63 +168,3 @@ class FenwickSampler:
             value -= tree[position]
             position -= position & -position
         return value
-
-
-class AliasSampler:
-    """Vose's alias method: O(1) worst-case categorical sampling.
-
-    Builds, in O(n), a table of n columns each holding a primary index,
-    a cutoff probability and an alias index; a draw splits one uniform
-    into a column pick and a coin flip.  Samples the same distribution
-    as inverse-CDF sampling but maps a given uniform to a different
-    outcome — see the module docstring before using it anywhere a seed
-    reproducibility contract applies.
-    """
-
-    __slots__ = ("n", "prob", "alias", "total")
-
-    def __init__(self, weights: Sequence[int]) -> None:
-        n = len(weights)
-        if n == 0:
-            raise ValueError("alias table needs at least one weight")
-        total = 0
-        for index, weight in enumerate(weights):
-            if weight < 0:
-                raise ValueError(f"negative weight {weight} at "
-                                 f"index {index}")
-            total += weight
-        if total <= 0:
-            raise ValueError("alias table needs positive total weight")
-        self.n = n
-        self.total = total
-        scaled = [weight * n / total for weight in weights]
-        prob = [0.0] * n
-        alias = list(range(n))
-        small = [i for i, p in enumerate(scaled) if p < 1.0]
-        large = [i for i, p in enumerate(scaled) if p >= 1.0]
-        while small and large:
-            light = small.pop()
-            heavy = large.pop()
-            prob[light] = scaled[light]
-            alias[light] = heavy
-            scaled[heavy] = (scaled[heavy] + scaled[light]) - 1.0
-            if scaled[heavy] < 1.0:
-                small.append(heavy)
-            else:
-                large.append(heavy)
-        for index in large:
-            prob[index] = 1.0
-        for index in small:  # float residue: treat as full columns
-            prob[index] = 1.0
-        self.prob = prob
-        self.alias = alias
-
-    def sample(self, u: float) -> int:
-        """Draw one index from a single uniform ``u`` in [0, 1)."""
-        scaled = u * self.n
-        column = int(scaled)
-        if column >= self.n:
-            column = self.n - 1
-        if (scaled - column) < self.prob[column]:
-            return column
-        return self.alias[column]

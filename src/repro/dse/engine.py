@@ -128,16 +128,28 @@ _WORKER_FAULT_PLAN: Optional[Any] = None
 _WORKER_LEASE_DIR: Optional[str] = None
 
 
+def _warm_tables(profile, vector: bool) -> None:
+    """Build *profile*'s sampler tables for one sweep mode: columnar
+    tables for a vector sweep, scalar recipes otherwise."""
+    if vector:
+        from repro.core.columnar import columnar_tables_for
+
+        columnar_tables_for(profile.sfg)
+    else:
+        from repro.core.synthesis import prepare_recipes
+
+        prepare_recipes(profile)
+
+
 def _worker_init(profile_payload: Dict,
                  chaos_spec: Optional[str] = None,
                  lease_dir: Optional[str] = None,
                  telemetry_payload: Optional[Dict] = None,
                  flight_dir: Optional[str] = None,
-                 tables_descriptor: Optional[Dict] = None,
+                 vector: bool = False,
                  health_payload: Optional[Dict] = None) -> None:
     global _WORKER_PROFILE, _WORKER_FAULT_PLAN, _WORKER_LEASE_DIR
     from repro.core.serialization import profile_from_dict
-    from repro.core.synthesis import prepare_recipes
     from repro.obs import flightrec, telemetry
 
     # Adopt the parent's trace context first, so every event this
@@ -164,31 +176,10 @@ def _worker_init(profile_payload: Dict,
         install_budget(Budget(
             HealthPolicy.from_payload(health_payload.get("policy")),
             deadline_at=health_payload.get("deadline_at")))
-    if tables_descriptor is not None:
-        # Vector sweep: adopt the parent's published columnar tables
-        # (zero-copy views into the shared segment) instead of
-        # recompiling them from the unpickled profile in every worker.
-        from repro.core.columnar import adopt_columnar_tables
-        from repro.core.shm_tables import attach_tables
-
-        try:
-            tables = attach_tables(tables_descriptor)
-        except Exception:
-            # A vanished segment (publisher died mid-init) degrades to
-            # the local build inside the first evaluation — correctness
-            # never depends on the shared copy.  Record the rung change
-            # so the degradation is visible, not silent.
-            from repro.health.ladder import get_ladder
-
-            get_ladder().trip(
-                "tables", reason="shared tables attach failed")
-        else:
-            adopt_columnar_tables(_WORKER_PROFILE.sfg, tables)
-            get_registry().counter("dse.shared_tables_attached").inc()
-    # Warm every context's sampler tables once per worker so each of the
-    # worker's (point, seed) evaluations starts with compiled recipes
-    # instead of rebuilding them on the first synthesis call.
-    prepare_recipes(_WORKER_PROFILE)
+    # Warm the sweep mode's sampler tables once per worker so each of
+    # the worker's (point, seed) evaluations starts with compiled
+    # tables instead of building them on the first synthesis call.
+    _warm_tables(_WORKER_PROFILE, vector)
 
 
 def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
@@ -462,18 +453,16 @@ class SweepEngine:
                     ) -> List[Dict[str, Any]]:
         """In-process path: one TaskRunner work unit per evaluation, so
         timeouts/retry/fault-injection apply per design point."""
-        from repro.core.synthesis import prepare_recipes, tables_cached
-
         # Same warm-start the pool workers get from _worker_init: build
         # the sampler tables once, before the first evaluation.
+        _warm_tables(self.profile, self.vector)
         if self.vector:
-            from repro.core.columnar import (columnar_tables_cached,
-                                             columnar_tables_for)
+            from repro.core.columnar import columnar_tables_cached
 
-            columnar_tables_for(self.profile.sfg)
             recipe_reuse = columnar_tables_cached(self.profile.sfg)
         else:
-            prepare_recipes(self.profile)
+            from repro.core.synthesis import tables_cached
+
             recipe_reuse = tables_cached(self.profile.sfg)
         runner = TaskRunner(policy=self.policy,
                             fault_plan=self.fault_plan,
@@ -552,49 +541,13 @@ class SweepEngine:
                           "deadline_at": self._deadline_at}
         with tempfile.TemporaryDirectory(
                 prefix="repro-leases-") as lease_dir:
-            published = None
-            descriptor = None
-            restore_sigterm = None
-            if self.vector:
-                # Publish the compiled columnar tables once; every
-                # worker attaches the shared segment in _worker_init
-                # instead of recompiling from its unpickled profile.
-                from repro.core.columnar import columnar_tables_for
-                from repro.core.shm_tables import publish_tables
-
-                published = publish_tables(
-                    columnar_tables_for(self.profile.sfg),
-                    fallback_dir=lease_dir)
-                descriptor = published.descriptor
-                # Hygiene: a SIGTERM'd sweep unlinks its segment before
-                # dying (atexit alone is skipped when the default
-                # handler terminates the process).
-                import signal
-
-                def _on_term(signum, frame):
-                    # Convert SIGTERM into the interrupt path: the
-                    # exception unwinds through the supervisor (which
-                    # attaches finished outcomes), every ``finally``
-                    # here runs (segment unlink, lease dir removal),
-                    # and the caller still gets a partial report
-                    # instead of a silent kill that leaks /dev/shm.
-                    raise KeyboardInterrupt
-
-                try:
-                    previous = signal.signal(signal.SIGTERM, _on_term)
-                except ValueError:  # not the main thread
-                    previous = None
-                else:
-                    def restore_sigterm() -> None:
-                        signal.signal(signal.SIGTERM, previous)
-
             def pool_factory() -> ProcessPoolExecutor:
                 return ProcessPoolExecutor(
                     max_workers=self.jobs,
                     initializer=_worker_init,
                     initargs=(payload, chaos_spec, lease_dir,
                               telemetry_payload, flight_dir,
-                              descriptor, health_payload))
+                              self.vector, health_payload))
 
             supervisor = PoolSupervisor(
                 pool_factory=pool_factory,
@@ -607,13 +560,7 @@ class SweepEngine:
                 flight_dir=flight_dir,
                 log=self.log,
                 health=self.health)
-            try:
-                return supervisor.run(tasks)
-            finally:
-                if published is not None:
-                    published.unlink()
-                if restore_sigterm is not None:
-                    restore_sigterm()
+            return supervisor.run(tasks)
 
     # -- public API ----------------------------------------------------
 

@@ -110,7 +110,7 @@ def run_study(
     ``quarantine_path`` (poison-point manifest) pass straight through
     to the :class:`~repro.dse.engine.SweepEngine`; ``vector`` routes
     every sweep evaluation through the columnar batch kernels (cached
-    under distinct keys, shared tables published to pool workers);
+    under distinct keys);
     ``health`` (a :class:`~repro.health.budget.HealthPolicy`, default
     from ``REPRO_HEALTH``) carries the sweep's deadline, RSS ceilings
     and hang-watchdog settings.

@@ -48,7 +48,7 @@ hooks.  The injection *sites*:
 ``mem-balloon``
     Allocate ``mb`` megabytes of resident memory (touched pages, held
     for the worker's lifetime) before running a task — the canary for
-    the RSS guardrail: the soft ceiling trips the memory rung of the
+    the RSS guardrail: the soft ceiling trips the vector rung of the
     degradation ladder, the hard ceiling fails the point cleanly with
     a flight-recorder dump.
 ``pipeline-skew``

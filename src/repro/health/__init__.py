@@ -9,9 +9,9 @@ Three cooperating pieces (see ``docs/robustness.md``):
   the supervisor's hang watchdog, and the ``/proc/self/status`` RSS
   guardrail (soft ceiling degrades, hard ceiling fails cleanly);
 * :mod:`repro.health.ladder` — per-dependency circuit breakers with an
-  explicit rung table (vector→scalar, shared→local tables,
-  parallel→serial, read-write→read-bypass cache, full→lean memory),
-  every rung change observable as ``health.*`` events and metrics;
+  explicit rung table (vector→scalar, parallel→serial,
+  read-write→read-bypass cache), every rung change observable as
+  ``health.*`` events and metrics;
 * :mod:`repro.health.canary` — the sampled runtime statistical canary
   on the vector path that auto-trips vector→scalar on drift.
 """

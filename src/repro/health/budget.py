@@ -18,8 +18,8 @@ every so often, three cheap checks:
   worker whose beat goes stale is killed and attributed exactly like a
   crashed one;
 * **RSS** — ``/proc/self/status`` VmRSS against two ceilings: the soft
-  ceiling trips the memory and vector rungs of the degradation ladder
-  (drop the big allocations, keep the sweep alive), the hard ceiling
+  ceiling trips the vector rung of the degradation ladder (drop the
+  big allocations, keep the sweep alive), the hard ceiling
   dumps the flight recorder and raises
   :class:`~repro.errors.MemoryBudgetError` — a clean structured
   failure instead of an OOM-killer lottery.
@@ -293,17 +293,15 @@ class Budget:
                 "health.rss_soft", level="warning",
                 msg=f"RSS {current:.0f} MB >= soft ceiling "
                     f"{policy.soft_rss_mb:.0f} MB; degrading to the "
-                    f"lean rung",
+                    f"scalar rung",
                 rss_mb=round(current, 1),
                 ceiling_mb=policy.soft_rss_mb, task=self._task_id)
             from repro.health.ladder import get_ladder
 
-            ladder = get_ladder()
-            ladder.trip("memory", reason="soft RSS ceiling")
             # The columnar path holds the largest per-point
-            # allocations; the lean rung routes evaluations through
+            # allocations; the scalar rung routes evaluations through
             # the scalar generator.
-            ladder.trip("vector", reason="soft RSS ceiling")
+            get_ladder().trip("vector", reason="soft RSS ceiling")
             gc.collect()
 
 

@@ -1,10 +1,9 @@
 """The degradation ladder: one explicit rung table per dependency.
 
 Before this module the codebase already degraded gracefully — the
-columnar path fell back to the scalar generator, vanished shared-memory
-tables were rebuilt locally, a barren pool fell back to serial, a
-flaky cache read counted as a miss — but each fallback was an ad-hoc
-``except`` clause that left no trace.  The ladder makes every one of
+columnar path fell back to the scalar generator, a barren pool fell
+back to serial, a flaky cache read counted as a miss — but each
+fallback was an ad-hoc ``except`` clause that left no trace.  The ladder makes every one of
 those transitions *explicit* and *observable*: a per-dependency circuit
 breaker holds the current rung, every rung change is emitted as a
 ``health.rung_change`` event plus ``health.rung.<dependency>`` gauge,
@@ -14,8 +13,7 @@ the whole table.
 Breakers are **process-local**: a pool worker that trips its vector
 breaker degrades its own evaluations without a cross-process consensus
 protocol.  That is the correct scope — the conditions that trip a rung
-(RSS pressure, drifting draws, a vanished shm segment) are properties
-of one process.
+(RSS pressure, drifting draws) are properties of one process.
 
 The rung table (primary → degraded):
 
@@ -23,10 +21,8 @@ The rung table (primary → degraded):
 dependency  primary       degraded      tripped by
 ==========  ============  ============  ====================================
 vector      vector        scalar        statistical canary drift, soft RSS
-tables      shared        local         shm attach failure in a worker
 pool        parallel      serial        pool rebuild budget exhausted
 cache       read-write    read-bypass   consecutive cache IO failures
-memory      full          lean          soft RSS ceiling breached
 ==========  ============  ============  ====================================
 """
 
@@ -41,17 +37,15 @@ from repro.obs.metrics import get_registry
 #: dependency -> (primary rung, degraded rung).
 RUNGS: Dict[str, tuple] = {
     "vector": ("vector", "scalar"),
-    "tables": ("shared", "local"),
     "pool": ("parallel", "serial"),
     "cache": ("read-write", "read-bypass"),
-    "memory": ("full", "lean"),
 }
 
 #: Consecutive failures a counted breaker absorbs before opening.
 #: ``trip()`` bypasses the count (one strike) — used for conditions
-#: that are definitive on first sight (canary drift, shm attach
-#: failure); ``note_failure()`` honors it — used for conditions that
-#: are only meaningful as a streak (cache IO flakes).
+#: that are definitive on first sight (canary drift, soft RSS);
+#: ``note_failure()`` honors it — used for conditions that are only
+#: meaningful as a streak (cache IO flakes).
 DEFAULT_THRESHOLD = 5
 
 

@@ -24,8 +24,6 @@ import pytest
 
 from repro.core.columnar import (
     ColumnarTrace,
-    adopt_columnar_tables,
-    build_columnar_tables,
     columnar_tables_cached,
     columnar_tables_for,
     generate_columnar_trace,
@@ -115,27 +113,6 @@ class TestColumnarTablesCache:
         first = columnar_tables_for(profile.sfg)
         assert columnar_tables_cached(profile.sfg)
         assert columnar_tables_for(profile.sfg) is first
-
-    def test_adopted_tables_are_served_from_cache(self, small_trace,
-                                                  config):
-        donor = profile_trace(small_trace, config, order=1)
-        receiver = profile_trace(small_trace, config, order=1)
-        tables = build_columnar_tables(donor.sfg)
-        adopt_columnar_tables(receiver.sfg, tables)
-        assert columnar_tables_cached(receiver.sfg)
-        assert columnar_tables_for(receiver.sfg) is tables
-
-    def test_adopted_tables_synthesize_identically(self, small_trace,
-                                                   config):
-        donor = profile_trace(small_trace, config, order=1)
-        receiver = profile_trace(small_trace, config, order=1)
-        adopt_columnar_tables(receiver.sfg,
-                              build_columnar_tables(donor.sfg))
-        a = generate_columnar_trace(donor, 4.0, seed=0)
-        b = generate_columnar_trace(receiver, 4.0, seed=0)
-        assert np.array_equal(a.iclass, b.iclass)
-        assert np.array_equal(a.dep_val, b.dep_val)
-        assert np.array_equal(a.outcome, b.outcome)
 
 
 # ---------------------------------------------------------------------

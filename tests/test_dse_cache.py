@@ -12,6 +12,10 @@ METRICS = {"ipc": 1.5, "epc": 20.0, "edp": 8.9,
            "synthetic_instructions": 1000}
 
 
+def _object_count(cache_dir):
+    return len(list(cache_dir.glob("objects/*/*.json")))
+
+
 class TestKeying:
     def test_key_is_stable(self):
         assert result_key(PROFILE_HASH, "c" * 64, 0, 6.0) == \
@@ -47,7 +51,7 @@ class TestStore:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.writes == 1
-        assert len(cache) == 1
+        assert _object_count(tmp_path) == 1
 
     def test_corrupt_entry_discarded_and_remissed(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -85,27 +89,27 @@ class TestStore:
 
 
 class TestPhantomEntries:
-    """kill -9 between a writer's index update and its (re)written
-    object leaves the shard index pointing at nothing; the first read
-    that notices must de-index the ghost and sweep the dead writer's
-    orphaned tmp."""
+    """A writer killed mid-``put`` leaves no entry behind, only its
+    orphaned tmp; the next read of that key is a clean miss and sweeps
+    the tmp once its writer pid is dead."""
 
     def _key(self):
         return result_key(PROFILE_HASH, "c" * 64, 0, 6.0)
 
-    def test_indexed_phantom_is_deindexed_on_read(self, tmp_path):
+    def test_vanished_object_is_a_clean_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = self._key()
-        path = cache.put(key, METRICS)
-        assert len(cache) == 1
-        path.unlink()  # the kill-mid-evict interleave
+        cache.put(key, METRICS).unlink()
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is None
         assert fresh.stats.corrupt_discarded == 0  # a miss, not corruption
-        assert len(fresh) == 0
+        assert _object_count(tmp_path) == 0
 
-    def test_live_writer_tmp_survives_the_sweep(self, tmp_path):
+    def test_live_writer_tmp_survives_the_sweep(self, tmp_path,
+                                                monkeypatch):
         import os
+
+        import repro.dse.cache as cache_mod
 
         cache = ResultCache(tmp_path)
         key = self._key()
@@ -116,12 +120,25 @@ class TestPhantomEntries:
         assert ResultCache(tmp_path).get(key) is None
         assert inflight.exists()
 
+        # A live writer owned by another user cannot be signalled:
+        # os.kill raises PermissionError, which must read as "alive",
+        # not escape from get().
+        foreign = path.with_name(f"{path.name}.1.0.tmp")
+        foreign.write_text("{}")
+
+        def kill(pid, signum):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(cache_mod.os, "kill", kill)
+        assert ResultCache(tmp_path).get(key) is None
+        assert foreign.exists()
+        assert inflight.exists()
+
     def test_kill_minus_9_mid_put_leaves_no_phantom(self, tmp_path):
         """End to end: a subprocess is SIGKILLed exactly at the
-        ``os.replace`` of a re-put (index already carries the key from
-        an earlier put, the object is gone, the tmp is orphaned).  The
-        next reader sees one clean miss and a store that counts zero
-        entries."""
+        ``os.replace`` of a put (tmp written, object never lands).  No
+        entry appears; the next reader sees one clean miss and sweeps
+        the dead writer's tmp."""
         import os
         import signal
         import subprocess
@@ -137,14 +154,11 @@ class TestPhantomEntries:
             import repro.runner.checkpoint as checkpoint
 
             cache = ResultCache({str(tmp_path)!r})
-            key = {key!r}
-            path = cache.put(key, {METRICS!r})
-            path.unlink()  # the eviction half of the interleave
-            # Die at the atomic-rename instant of the re-put: tmp
+            # Die at the atomic-rename instant of the put: tmp
             # written, object never lands, finally never runs.
             checkpoint.os.replace = \\
                 lambda a, b: os.kill(os.getpid(), signal.SIGKILL)
-            cache.put(key, {METRICS!r})
+            cache.put({key!r}, {METRICS!r})
         """)
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -152,9 +166,8 @@ class TestPhantomEntries:
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         orphans = list(tmp_path.rglob("*.tmp"))
         assert orphans, "the kill must strand the writer's tmp"
+        assert _object_count(tmp_path) == 0  # no entry landed
         cache = ResultCache(tmp_path)
-        assert len(cache) == 1  # the ghost, before anyone reads
         assert cache.get(key) is None
         assert cache.stats.corrupt_discarded == 0
         assert list(tmp_path.rglob("*.tmp")) == []  # debris swept
-        assert len(cache) == 0

@@ -1,5 +1,5 @@
-"""Vector-mode design-space sweeps: cache keying, shared-table
-attachment, and serial/parallel agreement.
+"""Vector-mode design-space sweeps: cache keying, worker table
+warm-up, and serial/parallel agreement.
 
 The columnar draw stream is statistically equivalent to the scalar one
 but not identical, so the two modes must never share cache entries;
@@ -101,42 +101,39 @@ class TestVectorSweep:
             points, seeds=(0,), reduction_factor=4.0)
         assert scalar_again.cached == 2
 
+    def test_parallel_sweep_under_worker_kill_chaos(self, profile,
+                                                    points):
+        """A vector sweep whose workers are being chaos-killed still
+        finishes: the supervisor rebuilds the pool and every task is
+        accounted for."""
+        from repro.faults import ChaosPlan
+
+        engine = SweepEngine(
+            profile, jobs=2, vector=True,
+            fault_plan=ChaosPlan.parse("seed=3;worker-kill:rate=0.5"))
+        result = engine.evaluate(points, seeds=(0, 1),
+                                 reduction_factor=4.0)
+        assert result.total_tasks == 4
+
 
 class TestWorkerInit:
-    def test_worker_attaches_published_tables(self, profile,
-                                              monkeypatch):
-        """_worker_init with a tables descriptor attaches the shared
-        segment, adopts it for the profile's SFG, and counts the hit
-        (``dse.shared_tables_attached``)."""
+    @pytest.mark.parametrize("vector", [False, True],
+                             ids=["scalar", "vector"])
+    def test_only_the_sweep_modes_tables_are_warm(self, profile,
+                                                  vector):
+        """A worker warms the tables its sweep mode evaluates with —
+        columnar tables for a vector sweep, scalar recipes otherwise —
+        and never both."""
         import repro.dse.engine as engine_mod
-        from repro.core.columnar import (columnar_tables_cached,
-                                         columnar_tables_for)
+        from repro.core.columnar import columnar_tables_cached
         from repro.core.serialization import profile_to_dict
-        from repro.core.shm_tables import publish_tables
-        from repro.obs.metrics import get_registry
+        from repro.core.synthesis import tables_cached
 
-        published = publish_tables(columnar_tables_for(profile.sfg))
-        counter = get_registry().counter("dse.shared_tables_attached")
-        before = counter.value
+        _worker_init(profile_to_dict(profile), vector=vector)
         try:
-            _worker_init(profile_to_dict(profile),
-                         tables_descriptor=published.descriptor)
-            assert counter.value == before + 1
-            worker_profile = engine_mod._WORKER_PROFILE
-            assert columnar_tables_cached(worker_profile.sfg)
-            # The adopted tables came from the shared blob, not a
-            # local rebuild: their arrays are read-only views.
-            tables = columnar_tables_for(worker_profile.sfg)
-            assert not tables.iclass.flags.writeable
+            sfg = engine_mod._WORKER_PROFILE.sfg
+            assert columnar_tables_cached(sfg) is vector
+            assert tables_cached(sfg) is not vector
         finally:
-            published.unlink()
-
-    def test_worker_survives_vanished_segment(self, profile):
-        """A descriptor whose segment is already gone degrades to a
-        local build instead of crashing worker startup."""
-        from repro.core.serialization import profile_to_dict
-
-        _worker_init(profile_to_dict(profile),
-                     tables_descriptor={"kind": "shm",
-                                        "name": "psm_never_existed",
-                                        "size": 64})
+            engine_mod._WORKER_PROFILE = None
+            engine_mod._WORKER_FAULT_PLAN = None

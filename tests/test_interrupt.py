@@ -103,6 +103,32 @@ class TestEngineInterrupt:
         assert resumed.cached == 1
         assert resumed.evaluated == len(points) - 1
 
+    def test_ctrl_c_mid_parallel_sweep_cleans_up(self, profile, points,
+                                                 monkeypatch):
+        """Ctrl-C while a parallel sweep is running hands the caller
+        an INTERRUPTED partial report and leaves no lease directory
+        behind."""
+        import tempfile
+        from pathlib import Path
+
+        from repro.dse.supervisor import PoolSupervisor
+
+        tmp = Path(tempfile.gettempdir())
+        leases_before = set(tmp.glob("repro-leases-*"))
+        real_run = PoolSupervisor.run
+
+        def run_then_interrupt(self, tasks):
+            raise SweepInterrupted(real_run(self, tasks))
+
+        monkeypatch.setattr(PoolSupervisor, "run", run_then_interrupt)
+        sweep = SweepEngine(profile, jobs=2).evaluate(
+            points[:2], seeds=(0,), reduction_factor=4.0)
+        assert sweep.interrupted
+        assert "INTERRUPTED" in sweep.summary()
+        assert sweep.evaluated == 2
+        stale = set(tmp.glob("repro-leases-*")) - leases_before
+        assert not stale, stale
+
 
 class TestCliInterrupt:
     def test_exit_status_is_130(self):

@@ -5,7 +5,7 @@ The guide-table and Fenwick samplers carry a *draw-stability* contract
 the determinism goldens depend on; these tests check that contract
 directly against ``bisect_right`` over thousands of randomized draws,
 including adversarial weight shapes (zeros, single spikes, draining
-counts).  The alias sampler only promises the right distribution.
+counts).
 """
 
 import random
@@ -14,11 +14,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.core.sampling import (
-    AliasSampler,
-    FenwickSampler,
-    GuideTableSampler,
-)
+from repro.core.sampling import FenwickSampler, GuideTableSampler
 
 WEIGHT_SHAPES = [
     [1],
@@ -116,30 +112,3 @@ def test_fenwick_add_and_weight_roundtrip():
 def test_fenwick_rejects_negative_weights():
     with pytest.raises(ValueError):
         FenwickSampler([1, -2])
-
-
-def test_alias_distribution_and_determinism():
-    weights = [6, 1, 0, 3]
-    sampler = AliasSampler(weights)
-    rng = random.Random(17)
-    counts = [0] * len(weights)
-    draws = [rng.random() for _ in range(40000)]
-    for u in draws:
-        counts[sampler.sample(u)] += 1
-    assert counts[2] == 0  # zero-weight entry never drawn
-    total = sum(weights)
-    for index, weight in enumerate(weights):
-        expected = weight / total
-        assert abs(counts[index] / len(draws) - expected) < 0.02
-    # Same uniforms, same outcomes (the sampler itself is stateless).
-    again = [sampler.sample(u) for u in draws[:100]]
-    assert again == [sampler.sample(u) for u in draws[:100]]
-
-
-def test_alias_rejects_degenerate_tables():
-    with pytest.raises(ValueError):
-        AliasSampler([])
-    with pytest.raises(ValueError):
-        AliasSampler([0, 0])
-    with pytest.raises(ValueError):
-        AliasSampler([1, -1])
