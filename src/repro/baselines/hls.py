@@ -239,7 +239,7 @@ def generate_hls_trace(profile: HLSProfile, length: int,
         a, b, split = successors[current]
         current = a if rng.random() < split else b
 
-    return SyntheticTrace(
+    return SyntheticTrace.from_instructions(
         name=f"{profile.name}/hls",
         instructions=out[:length],
         order=-1,

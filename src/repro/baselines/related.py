@@ -195,12 +195,12 @@ class IndependentModel:
                     il1_miss=il1, l2i_miss=l2i, itlb_miss=itlb,
                     dl1_miss=dl1, l2d_miss=l2d, dtlb_miss=dtlb,
                     taken=taken, outcome=outcome))
-        return SyntheticTrace(name=f"{self.name}/independent",
-                              instructions=out[:length], order=-1,
-                              reduction_factor=(self.globals
-                                                .trace_instructions
-                                                / max(1, length)),
-                              seed=seed)
+        return SyntheticTrace.from_instructions(
+            name=f"{self.name}/independent", instructions=out[:length],
+            order=-1,
+            reduction_factor=(self.globals.trace_instructions
+                              / max(1, length)),
+            seed=seed)
 
 
 class SizeCorrelatedModel:
@@ -278,12 +278,12 @@ class SizeCorrelatedModel:
                     il1_miss=il1, l2i_miss=l2i, itlb_miss=itlb,
                     dl1_miss=dl1, l2d_miss=l2d, dtlb_miss=dtlb,
                     taken=taken, outcome=outcome))
-        return SyntheticTrace(name=f"{self.name}/size-correlated",
-                              instructions=out[:length], order=-1,
-                              reduction_factor=(self.globals
-                                                .trace_instructions
-                                                / max(1, length)),
-                              seed=seed)
+        return SyntheticTrace.from_instructions(
+            name=f"{self.name}/size-correlated", instructions=out[:length],
+            order=-1,
+            reduction_factor=(self.globals.trace_instructions
+                              / max(1, length)),
+            seed=seed)
 
 
 def run_model(model, config: MachineConfig, length: int, seed: int = 0

@@ -323,7 +323,7 @@ class ColumnarTrace:
             inst.outcome = (_OUTCOMES[outcome[i]]
                             if iclass in BRANCH_CLASSES else None)
             append(inst)
-        return SyntheticTrace(
+        return SyntheticTrace.from_instructions(
             name=self.name, instructions=out, order=self.order,
             reduction_factor=self.reduction_factor, seed=self.seed)
 

@@ -84,9 +84,10 @@ def simulate_synthetic_trace(
     synthetic: SyntheticTrace, config: MachineConfig
 ) -> Tuple[SimulationResult, PowerBreakdown]:
     """Synthetic-trace simulation (paper section 2.3): the shared
-    pipeline consuming pre-annotated slots, no caches, no predictors."""
+    pipeline consuming the trace's rows, priced once per distinct entry
+    for *config*; no caches, no predictors."""
     with trace_span("simulate", bench=synthetic.name, mode="synthetic"):
-        source = PreannotatedSource(synthetic.to_fetch_slots(config))
+        source = PreannotatedSource.from_trace(synthetic, config)
         result = simulate(config, source)
         power = WattchPowerModel(config).energy_per_cycle(result)
     return result, power

@@ -43,7 +43,9 @@ from repro.core.profiler import StatisticalProfile
 from repro.core.reduction import ReducedFlowGraph, reduce_flow_graph
 from repro.core.sampling import FenwickSampler, GuideTableSampler
 from repro.core.sfg import Context, ContextStats, StatisticalFlowGraph
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
+                                EV_L2D, EV_L2I, EV_LOCALITY)
 
 #: Emitted instructions between cooperative health checkpoints
 #: (:mod:`repro.health`); the checkpoint draws nothing from the RNG,
@@ -77,7 +79,7 @@ class _SlotRecipe:
     cumulative branch-outcome thresholds (precomputed once here; the
     old code sliced ``outcome_cumulative[:-1]`` per branch draw), and
     the produces-register flag the walk uses for the step 4 rejection
-    test without touching the emitted instruction objects.
+    test without looking back at the emitted entries.
     """
 
     __slots__ = ("packed",)
@@ -180,32 +182,45 @@ def _build_recipes(stats: ContextStats,
         for slot in range(stats.block_size)])
 
 
+def _edge_table(tables: _SfgTables, sfg: StatisticalFlowGraph,
+                context: Context) -> Tuple[Tuple[int, Context], ...]:
+    """*context*'s outgoing ``(weight, target)`` edges, built once per
+    history and cached per context."""
+    history = context[1:]
+    entries = tables.transitions.get(history)
+    if entries is None:
+        counts = sfg.transitions.get(history)
+        entries = tables.transitions[history] = tuple(
+            (weight, history + (block,))
+            for block, weight in counts.items()) if counts else ()
+    tables.edges[context] = entries
+    return entries
+
+
 def prepare_recipes(profile: StatisticalProfile,
+                    reduced: ReducedFlowGraph,
                     include_anti_dependencies: bool = False) -> int:
-    """Prebuild every context's slot recipes and every history's edge
-    table for *profile* (a DSE worker calls this once at startup so
-    each design-point evaluation starts with warm tables).  Returns the
-    number of contexts whose recipes were built by this call."""
+    """Prebuild slot recipes and edge tables for the contexts *reduced*
+    keeps, the only ones a walk of it can emit (a DSE worker calls this
+    once at startup so each design-point evaluation starts with warm
+    tables).  Returns the number of contexts whose recipes were built
+    by this call."""
     sfg = profile.sfg
+    if reduced.sfg is not sfg:
+        raise SynthesisError(
+            "reduced graph does not belong to this profile")
+    contexts = reduced.occurrences
     tables = _tables_for(sfg)
     recipes = (tables.anti_recipes if include_anti_dependencies
                else tables.recipes)
     built = 0
-    for context, stats in sfg.contexts.items():
+    for context in contexts:
         if context not in recipes:
-            recipes[context] = _build_recipes(stats,
+            recipes[context] = _build_recipes(sfg.contexts[context],
                                               include_anti_dependencies)
             built += 1
-    transition_cache = tables.transitions
-    for history, counts in sfg.transitions.items():
-        if history not in transition_cache:
-            transition_cache[history] = tuple(
-                (weight, history + (block,))
-                for block, weight in counts.items())
-    edges = tables.edges
-    for context in sfg.contexts:
-        if context not in edges:
-            edges[context] = transition_cache.get(context[1:], ())
+        if context not in tables.edges:
+            _edge_table(tables, sfg, context)
     if built:
         get_registry().counter("synthesis.recipe_contexts_built").inc(
             built)
@@ -244,46 +259,62 @@ def prepare_recipes(profile: StatisticalProfile,
 # Interning: an emitted instruction is fully determined by its class,
 # its event bits and its dependency distances, so the emitter packs the
 # first two into one int key (``int(iclass) << 9 | bits``, paired with
-# the distance tuple when there are dependencies) and takes the instance
-# from a per-call :class:`_Interner`.  The table lives for one synthesis
-# call only: held across calls it would keep every instance of every
-# seed and design point alive.
+# the distance tuple when there are dependencies) and appends that key's
+# entry id from a per-call :class:`_Interner`.  The trace is those ids
+# plus one ``(iclass, events, deps, taken, outcome)`` entry per key
+# (:class:`~repro.core.synthetic.SyntheticTrace`); no per-instruction
+# object is built.  The table lives for one synthesis call only.
 
-#: Event bits of an interning key (the outcome index sits in bits 7-8).
-_IL1, _L2I, _ITLB, _DL1, _L2D, _DTLB, _TAKEN = (1 << b for b in range(7))
+#: Bits of an interning key: the six locality events in ``EV_*`` order,
+#: the taken flag, the outcome index (bits 7-8) and the class code.
+_IL1, _L2I, _ITLB, _DL1, _L2D, _DTLB = (EV_IL1, EV_L2I, EV_ITLB, EV_DL1,
+                                        EV_L2D, EV_DTLB)
+_TAKEN = 1 << 6
 _OUTCOME_SHIFT = 7
 _CLASS_SHIFT = 9
 _ICLASSES = tuple(IClass)
-_NEW = SyntheticInstruction.__new__
 
 
 class _Interner(dict):
-    """One synthesis call's table of emitted instructions, keyed by
-    ``int(iclass) << 9 | event bits`` or ``(that int, deps)``; a missing
-    key builds (and keeps) its instruction."""
+    """One synthesis call's entry ids, keyed by ``int(iclass) << 9 |
+    event bits`` or ``(that int, deps)``; a missing key takes the next
+    id and is recorded in :attr:`order`."""
 
-    __slots__ = ()
+    __slots__ = ("order",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.order: List[object] = []
 
     def __missing__(self, key):
-        if key.__class__ is int:
-            bits, deps = key, ()
-        else:
-            bits, deps = key
-        iclass = _ICLASSES[bits >> _CLASS_SHIFT]
-        # Direct slot stores via __new__ skip the __init__ call frame.
-        inst = self[key] = _NEW(SyntheticInstruction)
-        inst.iclass = iclass
-        inst.dep_distances = deps
-        inst.il1_miss = bits & _IL1 != 0
-        inst.l2i_miss = bits & _L2I != 0
-        inst.itlb_miss = bits & _ITLB != 0
-        inst.dl1_miss = bits & _DL1 != 0
-        inst.l2d_miss = bits & _L2D != 0
-        inst.dtlb_miss = bits & _DTLB != 0
-        inst.taken = bits & _TAKEN != 0
-        inst.outcome = (_OUTCOMES[(bits >> _OUTCOME_SHIFT) & 3]
-                        if iclass in BRANCH_CLASSES else None)
-        return inst
+        order = self.order
+        entry_id = self[key] = len(order)
+        order.append(key)
+        return entry_id
+
+    def entries(self) -> List[tuple]:
+        """The ``(iclass, events, deps, taken, outcome)`` entry of every
+        id, in id order."""
+        heads: Dict[int, tuple] = {}
+        entries = []
+        for key in self.order:
+            if key.__class__ is int:
+                bits, deps = key, ()
+            else:
+                bits, deps = key
+            head = heads.get(bits)
+            if head is None:
+                iclass = _ICLASSES[bits >> _CLASS_SHIFT]
+                head = heads[bits] = (
+                    iclass,
+                    bits & EV_LOCALITY
+                    | (EV_DATA if iclass is IClass.LOAD else 0),
+                    bits & _TAKEN != 0,
+                    _OUTCOMES[(bits >> _OUTCOME_SHIFT) & 3]
+                    if iclass in BRANCH_CLASSES else None)
+            iclass, events, taken, outcome = head
+            entries.append((iclass, events, deps, taken, outcome))
+        return entries
 
 
 def _can_accept(produces: List[int], base: int, dists: tuple) -> bool:
@@ -534,9 +565,7 @@ def _generate_synthetic_trace(
                     else tables.recipes)
     if recipe_cache:
         get_registry().counter("synthesis.table_reuse").inc()
-    transition_cache = tables.transitions
     sfg_contexts = sfg.contexts
-    sfg_transitions = sfg.transitions
 
     # Step 1 state: budgets as a Fenwick tree so a restart draw is
     # O(log n) instead of an O(n) cumulative rebuild (contexts in the
@@ -555,14 +584,13 @@ def _generate_synthetic_trace(
     pending: Dict[Context, int] = {}
     pending_get = pending.get
 
-    out: List[SyntheticInstruction] = []
+    out: List[int] = []
     produces: List[int] = []
     built = 0
     limit = (max_instructions if max_instructions is not None
              else float("inf"))
     recipe_get = recipe_cache.get
-    edges_cache = tables.edges
-    edges_get = edges_cache.get
+    edges_get = tables.edges.get
     # Reused per-draw scratch for the eligible-edge scan (step 9).
     eligible_weights: List[int] = []
     eligible_targets: List[Context] = []
@@ -596,15 +624,7 @@ def _generate_synthetic_trace(
             # Step 9: draw an outgoing edge among targets with budget.
             entries = edges_get(context)
             if entries is None:
-                history = context[1:]
-                entries = transition_cache.get(history)
-                if entries is None:
-                    counts = sfg_transitions.get(history)
-                    entries = tuple((weight, history + (block,))
-                                    for block, weight in counts.items()) \
-                        if counts else ()
-                    transition_cache[history] = entries
-                edges_cache[context] = entries
+                entries = _edge_table(tables, sfg, context)
             if not entries:
                 break
             eligible_weights.clear()
@@ -635,7 +655,8 @@ def _generate_synthetic_trace(
             squashes)
     return SyntheticTrace(
         name=f"{profile.name}/synthetic",
-        instructions=out,
+        keys=out,
+        distinct=intern.entries(),
         order=order,
         reduction_factor=reduction_factor,
         seed=seed,

@@ -95,11 +95,11 @@ def profile_rates(profile: StatisticalProfile) -> CharacteristicRates:
 
 def synthetic_rates(synthetic: SyntheticTrace) -> CharacteristicRates:
     """Characteristic rates realized in a synthetic trace."""
-    instructions = len(synthetic.instructions)
+    instructions = len(synthetic)
     loads = branches = taken = mispredicted = redirected = 0
     dl1 = l2d = il1 = 0
     dependencies = distance_mass = 0
-    for inst in synthetic.instructions:
+    for inst in synthetic:
         il1 += inst.il1_miss
         if inst.is_load:
             loads += 1

@@ -43,9 +43,9 @@ from __future__ import annotations
 import weakref
 from array import array
 from collections import Counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.branch.unit import BranchPredictorUnit
+from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.config import BranchPredictorConfig, MachineConfig
 from repro.frontend.trace import Trace
 from repro.frontend.warming import (warm_branch_predictor,
@@ -74,6 +74,36 @@ EV_LOCALITY = 63
 EV_DATA = 64
 
 _LOAD = IClass.LOAD
+_STORE = IClass.STORE
+_CLASS_IS_BRANCH = [c in BRANCH_CLASSES for c in IClass]
+_MISPREDICTION = BranchOutcome.MISPREDICTION
+_REDIRECTION = BranchOutcome.FETCH_REDIRECTION
+
+
+def entry_tallies(counted: Iterable[Tuple[tuple, int]]) -> tuple:
+    """The source tallies of ``(entry, count)`` pairs, one pair per
+    distinct ``(iclass, events, deps, taken, outcome)`` entry:
+    ``(branches, taken_branches, mispredictions, redirections,
+    act_bpred, act_dl1, act_l2)``.  An entry whose outcome is None (a
+    live branch) counts no misprediction or redirection."""
+    branches = taken = mispredicted = redirected = mem = l2 = 0
+    for (iclass, events, _deps, was_taken, outcome), count in counted:
+        if events & EV_IL1:
+            l2 += count
+        if iclass is _LOAD or iclass is _STORE:
+            mem += count
+            if events & EV_DL1:
+                l2 += count
+        if _CLASS_IS_BRANCH[iclass]:
+            branches += count
+            if was_taken:
+                taken += count
+            if outcome is _MISPREDICTION:
+                mispredicted += count
+            elif outcome is _REDIRECTION:
+                redirected += count
+    return (branches, taken, mispredicted, redirected, 2 * branches, mem,
+            l2)
 
 
 def cache_geometry(config: MachineConfig) -> tuple:
@@ -96,8 +126,11 @@ class LocalityResolution:
 
     ``keys[i]`` (an unsigned ``array``) indexes instruction *i*'s entry
     in ``distinct``, one ``(iclass, event bits, dependency distances,
-    taken)`` tuple per distinct combination.  The resolutions of one
-    walk share their equal entries and one ``annotations`` dict.
+    taken, None)`` tuple per distinct combination: the entry form of a
+    :class:`~repro.core.synthetic.SyntheticTrace`, whose last field is
+    the branch outcome that here the live predictor decides.  The
+    resolutions of one walk share their equal entries and one
+    ``annotations`` dict.
     """
 
     __slots__ = ("key", "keys", "distinct", "tallies", "annotations",
@@ -112,19 +145,10 @@ class LocalityResolution:
         self.annotations = annotations
         self._warmup = (None if warmup_trace is None
                         else weakref.ref(warmup_trace))
-        # The source tallies that do not depend on the predictor:
-        # (branches, taken_branches, act_bpred, act_dl1, act_l2).
-        branches = taken = mem = l2 = 0
-        for index, count in Counter(keys).items():
-            iclass, events, _deps, was_taken = distinct[index]
-            l2 += count * bool(events & EV_IL1)
-            if iclass is _LOAD or iclass is IClass.STORE:
-                mem += count
-                l2 += count * bool(events & EV_DL1)
-            if iclass in BRANCH_CLASSES:
-                branches += count
-                taken += count * was_taken
-        self.tallies = (branches, taken, 2 * branches, mem, l2)
+        # The source tallies that do not depend on the predictor.
+        self.tallies = entry_tallies(
+            (distinct[index], count)
+            for index, count in Counter(keys).items())
 
     def predictor(self, config: BranchPredictorConfig) -> BranchPredictorUnit:
         """A private predictor for *config* in its warmed state."""
@@ -324,7 +348,7 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
             if entry is None:
                 iclass, deps, taken = bases[combined >> 7]
                 entry = entries[combined] = (iclass, combined & 127, deps,
-                                             taken)
+                                             taken, None)
             distinct.append(entry)
         resolutions[key] = LocalityResolution(key, keys, distinct,
                                               warmup_trace, annotations)

@@ -17,10 +17,17 @@ cursor ``_pos``)::
   branches are live: a branch row carries ``CTRL_LIVE`` and its row per
   outcome, and the pipeline asks the source to classify it against the
   live predictor at fetch and to train it at dispatch.
-* :class:`PreannotatedSource` replays slots that the synthetic trace
-  generator annotated in advance, and :class:`ColumnarSource` resolves
-  a columnar synthetic trace (the statistical simulator, which per the
-  paper "does not need to model branch predictors nor caches").
+* :class:`PreannotatedSource` replays a synthetic trace whose
+  outcomes the generator decided in advance, and :class:`ColumnarSource`
+  resolves a columnar synthetic trace (the statistical simulator, which
+  per the paper "does not need to model branch predictors nor caches").
+
+A resolution and a synthetic trace share one form: ``keys[i]`` indexes
+position *i*'s entry in ``distinct``, one ``(iclass, event bits,
+dependency distances, taken, outcome)`` tuple per distinct
+instruction.  :func:`price_entries` turns each distinct entry into its
+row once per machine config, and the tallies come from per-entry
+counts (:func:`~repro.cpu.locality.entry_tallies`).
 
 A :class:`FetchSlot` is the same instruction as an object — class,
 execution latency, fetch stall, RAW dependency distances and branch
@@ -46,8 +53,8 @@ from repro.frontend.trace import Trace
 from repro.branch.unit import BranchOutcome
 from repro.cache.hierarchy import fetch_stall, load_latency
 from repro.cpu.locality import (  # noqa: F401 -- MAX_DEPENDENCY_DISTANCE
-    EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I,
-    MAX_DEPENDENCY_DISTANCE, LocalityResolution, resolve_locality)
+    EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I, EV_LOCALITY,
+    MAX_DEPENDENCY_DISTANCE, entry_tallies, resolve_locality)
 
 #: Control-byte bits of a row (see the module docstring).  Wrong-path
 #: fillers carry none.  ``CTRL_LIVE`` marks a branch whose outcome the
@@ -64,6 +71,7 @@ CTRL_LIVE = 16
 #: lookup (``IClass.LOAD``) is a slow class-attribute access.
 _FU_IDX = [int(functional_unit(c)) for c in IClass]
 _CLASS_IS_BRANCH = [c in BRANCH_CLASSES for c in IClass]
+_CLASS_LATENCY = [execution_latency(c) for c in IClass]
 _LOAD, _STORE = IClass.LOAD, IClass.STORE
 _MISPREDICTION = BranchOutcome.MISPREDICTION
 _REDIRECTION = BranchOutcome.FETCH_REDIRECTION
@@ -189,23 +197,13 @@ class _Tallies:
     branches = taken_branches = mispredictions = redirections = 0
     act_bpred = act_dl1 = act_l2 = 0
 
-    def _tally(self, slot: FetchSlot, count: int = 1) -> None:
-        """Add *count* fetches of correct-path *slot*."""
-        self.act_l2 += count * slot.il1_miss
-        if slot.is_mem:
-            self.act_dl1 += count
-            self.act_l2 += count * slot.dl1_miss
-        if slot.is_branch:
-            self.branches += count
-            # Fetch classifies the branch; dispatch updates the
-            # predictor model.
-            self.act_bpred += 2 * count
-            if slot.taken:
-                self.taken_branches += count
-            if slot.outcome is _MISPREDICTION:
-                self.mispredictions += count
-            elif slot.outcome is _REDIRECTION:
-                self.redirections += count
+    def _adopt(self, tallies: tuple) -> None:
+        """Take an :func:`~repro.cpu.locality.entry_tallies` tuple (fetch
+        classifies a branch and dispatch updates the predictor model,
+        hence two predictor accesses per branch)."""
+        (self.branches, self.taken_branches, self.mispredictions,
+         self.redirections, self.act_bpred, self.act_dl1,
+         self.act_l2) = tallies
 
 
 #: Wrong-path fillers, one shared slot per IClass code.  A filler
@@ -254,10 +252,10 @@ class ExecutionDrivenSource(_Tallies):
                           else resolution.predictor(config.predictor))
         self._resolution = resolution
         self._instructions = trace.instructions
-        self.rows = _execution_rows(resolution, config,
-                                    perfect_branch_prediction)
-        (self.branches, self.taken_branches, self.act_bpred,
-         self.act_dl1, self.act_l2) = resolution.tallies
+        row_of = price_entries(resolution.distinct, config,
+                               live_branches=not perfect_branch_prediction)
+        self.rows = list(map(row_of.__getitem__, resolution.keys))
+        self._adopt(resolution.tallies)
         self._pos = 0
 
     def __len__(self) -> int:
@@ -283,7 +281,7 @@ class ExecutionDrivenSource(_Tallies):
             return None
         self._pos = pos + 1
         resolution = self._resolution
-        iclass, events, deps, taken = \
+        iclass, events, deps, taken, _outcome = \
             resolution.distinct[resolution.keys[pos]]
         row = self.rows[pos]
         if row[6] & CTRL_LIVE:
@@ -323,46 +321,58 @@ class ExecutionDrivenSource(_Tallies):
             self.predictor.train(slot.raw)
 
 
-def _execution_rows(resolution: LocalityResolution, config: MachineConfig,
-                    perfect_branch_prediction: bool) -> List[tuple]:
-    """The rows of *resolution* priced with *config*'s latencies: one
-    row object per distinct instruction (a 60K-instruction trace has a
-    few dozen to a few thousand), shared by all its occurrences.
+def price_entries(distinct: Sequence[tuple], config: MachineConfig,
+                  live_branches: bool = False) -> List[tuple]:
+    """One row per distinct ``(iclass, events, deps, taken, outcome)``
+    entry, priced with *config*'s latencies (paper section 2.3): a
+    load with ``EV_DATA`` takes its latency from the deepest level it
+    misses in, and instruction-side misses become fetch stalls.
 
-    A branch row of a live predictor carries ``CTRL_LIVE`` and, as a
-    tenth field, its row per :class:`BranchOutcome`.  Rows are built
-    per run (milliseconds) rather than kept with the resolution, whose
-    lifetime is its trace's.
+    A trace has a few dozen to a few thousand distinct entries, shared
+    by all their positions, so each is priced once per config through
+    two 64-entry tables indexed by its event bits.  With
+    *live_branches* a branch row carries ``CTRL_LIVE`` and, as a tenth
+    field, its row per :class:`BranchOutcome`; otherwise its control
+    byte comes from the entry's outcome.
     """
-    row_of = []
-    for iclass, events, deps, taken in resolution.distinct:
-        is_load = iclass is _LOAD
-        is_store = iclass is _STORE
-        if is_load and events & EV_DATA:
-            latency = load_latency(config, events & EV_DL1,
-                                   events & EV_L2D, events & EV_DTLB)
-        else:
-            latency = execution_latency(iclass)
-        stall = fetch_stall(config, events & EV_IL1, events & EV_L2I,
-                            events & EV_ITLB)
+    load_lat = [load_latency(config, e & EV_DL1, e & EV_L2D, e & EV_DTLB)
+                for e in range(EV_LOCALITY + 1)]
+    stall_of = [fetch_stall(config, e & EV_IL1, e & EV_L2I, e & EV_ITLB)
+                for e in range(EV_LOCALITY + 1)]
+    rows = []
+    append = rows.append
+    for iclass, events, deps, taken, outcome in distinct:
+        stall = stall_of[events & EV_LOCALITY]
         ctrl = CTRL_STALL if stall else 0
-        if taken:
-            ctrl |= CTRL_TAKEN
-        head = (latency, _FU_IDX[iclass], deps, is_load, is_store,
-                is_load or is_store)
-        tail = (stall, iclass)
-        if _CLASS_IS_BRANCH[iclass] and not perfect_branch_prediction:
-            outcomes = tuple(head + (ctrl | bit,) + tail
-                             for bit in (0, CTRL_REDIRECT, CTRL_MISPREDICT))
-            row_of.append(head + (ctrl | CTRL_LIVE,) + tail + (outcomes,))
+        if _CLASS_IS_BRANCH[iclass]:
+            if taken:
+                ctrl |= CTRL_TAKEN
+            head = (_CLASS_LATENCY[iclass], _FU_IDX[iclass], deps, False,
+                    False, False)
+            tail = (stall, iclass)
+            if live_branches:
+                outcomes = tuple(head + (ctrl | bit,) + tail for bit in
+                                 (0, CTRL_REDIRECT, CTRL_MISPREDICT))
+                append(head + (ctrl | CTRL_LIVE,) + tail + (outcomes,))
+                continue
+            if outcome is _MISPREDICTION:
+                ctrl |= CTRL_MISPREDICT
+            elif outcome is _REDIRECTION:
+                ctrl |= CTRL_REDIRECT
+            append(head + (ctrl,) + tail)
+        elif iclass is _LOAD:
+            append((load_lat[events & EV_LOCALITY] if events & EV_DATA
+                    else _CLASS_LATENCY[iclass], _FU_IDX[iclass], deps,
+                    True, False, True, ctrl, stall, iclass))
         else:
-            row_of.append(head + (ctrl,) + tail)
-    return [row_of[index] for index in resolution.keys]
+            is_store = iclass is _STORE
+            append((_CLASS_LATENCY[iclass], _FU_IDX[iclass], deps, False,
+                    is_store, is_store, ctrl, stall, iclass))
+    return rows
 
 
 #: Base latency per IClass code, for the vectorized row computation.
-_BASE_LAT = np.asarray([execution_latency(c) for c in IClass],
-                       dtype=np.int64)
+_BASE_LAT = np.asarray(_CLASS_LATENCY, dtype=np.int64)
 
 
 class ColumnarSource(_Tallies):
@@ -441,39 +451,96 @@ class ColumnarSource(_Tallies):
 
 
 class PreannotatedSource(_Tallies):
-    """Replays pre-resolved fetch slots (the synthetic-trace simulator).
+    """Replays pre-resolved instructions (the synthetic-trace simulator).
 
     All locality and branch outcomes were assigned during synthetic trace
     generation (paper section 2.2, steps 5-7), so this source holds no
-    caches and no predictor.  The pipeline reads :attr:`rows`, taken
-    from the slots once here; :class:`~repro.cpu.reference.
-    ReferencePipeline` drives the slots through the protocol methods.
+    caches and no predictor.  The pipeline reads :attr:`rows`.
+
+    Built from a list of :class:`FetchSlot` (hand-made streams, tests,
+    the fuzz oracle), or by :meth:`from_trace` from a synthetic trace
+    priced for one config: its rows come from the trace's distinct
+    entries and its tallies from their counts, and slots exist only
+    once :class:`~repro.cpu.reference.ReferencePipeline` fetches one.
     """
 
     def __init__(self, slots: Sequence[FetchSlot]) -> None:
-        self._slots: List[FetchSlot] = list(slots)
-        self.rows: List[tuple] = [slot.row for slot in self._slots]
-        # Synthetic traces share one slot per distinct instruction, so
-        # tally each distinct slot once (slots hash by identity).
-        for slot, count in Counter(self._slots).items():
-            self._tally(slot, count)
+        self._slots: Optional[List[FetchSlot]] = list(slots)
+        self._trace = None
+        self.rows: Sequence[tuple] = [slot.row for slot in self._slots]
+        # Slots hash by identity, so a slot shared by many positions is
+        # tallied once.
+        self._adopt(entry_tallies(
+            ((slot.iclass, event_bits(slot), slot.dep_distances,
+              slot.taken, slot.outcome), count)
+            for slot, count in Counter(self._slots).items()))
         self._pos = 0
 
+    @classmethod
+    def from_trace(cls, trace, config: MachineConfig
+                   ) -> "PreannotatedSource":
+        """The source of a :class:`~repro.core.synthetic.SyntheticTrace`
+        (``keys``, ``distinct``, ``tallies`` and ``to_fetch_slots``)
+        priced with *config*'s latencies."""
+        source = cls.__new__(cls)
+        source._slots = None
+        source._trace = trace
+        source.rows = trace.to_fetch_slots(config)
+        source._adopt(trace.tallies)
+        source._pos = 0
+        return source
+
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self.rows)
 
     def fetch(self) -> Optional[FetchSlot]:
-        if self._pos >= len(self._slots):
+        pos = self._pos
+        if pos >= len(self.rows):
             return None
-        slot = self._slots[self._pos]
-        self._pos += 1
-        return slot
+        if self._slots is None:
+            self._slots = _trace_slots(self._trace, self.rows)
+        self._pos = pos + 1
+        return self._slots[pos]
 
     def peek_filler(self, offset: int) -> Optional[FetchSlot]:
-        if not self._slots:
+        rows = self.rows
+        if not rows:
             return None
-        index = (self._pos + offset) % len(self._slots)
-        return _FILLER_SLOTS[self._slots[index].iclass]
+        return _FILLER_SLOTS[rows[(self._pos + offset) % len(rows)][8]]
 
     def on_dispatch(self, slot: FetchSlot) -> None:
         return None
+
+
+def event_bits(item) -> int:
+    """The six locality flags of a :class:`FetchSlot` or a synthetic
+    instruction as ``EV_*`` bits."""
+    return ((EV_IL1 if item.il1_miss else 0)
+            | (EV_L2I if item.l2i_miss else 0)
+            | (EV_ITLB if item.itlb_miss else 0)
+            | (EV_DL1 if item.dl1_miss else 0)
+            | (EV_L2D if item.l2d_miss else 0)
+            | (EV_DTLB if item.dtlb_miss else 0))
+
+
+def _trace_slots(trace, rows: Sequence[tuple]) -> List[FetchSlot]:
+    """One :class:`FetchSlot` per distinct entry of *trace*, from its
+    priced row, at every position the entry fills."""
+    distinct = trace.distinct
+    slot_of: dict = {}
+    slots = []
+    for key, row in zip(trace.keys, rows):
+        slot = slot_of.get(key)
+        if slot is None:
+            iclass, events, deps, taken, outcome = distinct[key]
+            slot = slot_of[key] = FetchSlot(
+                iclass, exec_latency=row[0], fetch_stall=row[7],
+                dep_distances=deps, taken=taken, outcome=outcome,
+                il1_miss=bool(events & EV_IL1),
+                l2i_miss=bool(events & EV_L2I),
+                dl1_miss=bool(events & EV_DL1),
+                l2d_miss=bool(events & EV_L2D),
+                itlb_miss=bool(events & EV_ITLB),
+                dtlb_miss=bool(events & EV_DTLB))
+        slots.append(slot)
+    return slots

@@ -27,6 +27,7 @@ mechanism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import tempfile
 import time
@@ -128,20 +129,24 @@ _WORKER_FAULT_PLAN: Optional[Any] = None
 _WORKER_LEASE_DIR: Optional[str] = None
 
 
-def _warm_tables(profile, vector: bool) -> None:
+def _warm_tables(profile, vector: bool, reduction_factor: float) -> None:
     """Build *profile*'s sampler tables for one sweep mode: columnar
-    tables for a vector sweep, scalar recipes otherwise."""
+    tables for a vector sweep, otherwise scalar recipes for the
+    contexts the sweep's *reduction_factor* keeps."""
     if vector:
         from repro.core.columnar import columnar_tables_for
 
         columnar_tables_for(profile.sfg)
     else:
+        from repro.core.reduction import reduce_flow_graph
         from repro.core.synthesis import prepare_recipes
 
-        prepare_recipes(profile)
+        prepare_recipes(profile,
+                        reduce_flow_graph(profile.sfg, reduction_factor))
 
 
 def _worker_init(profile_payload: Dict,
+                 reduction_factor: float,
                  chaos_spec: Optional[str] = None,
                  lease_dir: Optional[str] = None,
                  telemetry_payload: Optional[Dict] = None,
@@ -179,7 +184,7 @@ def _worker_init(profile_payload: Dict,
     # Warm the sweep mode's sampler tables once per worker so each of
     # the worker's (point, seed) evaluations starts with compiled
     # tables instead of building them on the first synthesis call.
-    _warm_tables(_WORKER_PROFILE, vector)
+    _warm_tables(_WORKER_PROFILE, vector, reduction_factor)
 
 
 def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
@@ -449,13 +454,14 @@ class SweepEngine:
 
     # -- execution paths -----------------------------------------------
 
-    def _run_serial(self, tasks: List[Dict[str, Any]]
-                    ) -> List[Dict[str, Any]]:
+    def _run_serial(self, tasks: List[Dict[str, Any]],
+                    reduction_factor: float) -> List[Dict[str, Any]]:
         """In-process path: one TaskRunner work unit per evaluation, so
-        timeouts/retry/fault-injection apply per design point."""
+        timeouts/retry/fault-injection apply per design point.  Every
+        task shares the sweep's *reduction_factor*."""
         # Same warm-start the pool workers get from _worker_init: build
         # the sampler tables once, before the first evaluation.
-        _warm_tables(self.profile, self.vector)
+        _warm_tables(self.profile, self.vector, reduction_factor)
         if self.vector:
             from repro.core.columnar import columnar_tables_cached
 
@@ -519,8 +525,8 @@ class SweepEngine:
             return str(Path(path).resolve().parent)
         return None
 
-    def _run_parallel(self, tasks: List[Dict[str, Any]]
-                      ) -> List[Dict[str, Any]]:
+    def _run_parallel(self, tasks: List[Dict[str, Any]],
+                      reduction_factor: float) -> List[Dict[str, Any]]:
         from repro.core.serialization import profile_to_dict
         from repro.obs import telemetry
 
@@ -545,8 +551,8 @@ class SweepEngine:
                 return ProcessPoolExecutor(
                     max_workers=self.jobs,
                     initializer=_worker_init,
-                    initargs=(payload, chaos_spec, lease_dir,
-                              telemetry_payload, flight_dir,
+                    initargs=(payload, reduction_factor, chaos_spec,
+                              lease_dir, telemetry_payload, flight_dir,
                               self.vector, health_payload))
 
             supervisor = PoolSupervisor(
@@ -555,7 +561,8 @@ class SweepEngine:
                 runner_policy=self.policy,
                 policy=self.supervisor_policy,
                 quarantine=self.quarantine,
-                serial_fn=self._run_serial,
+                serial_fn=functools.partial(
+                    self._run_serial, reduction_factor=reduction_factor),
                 lease_dir=lease_dir,
                 flight_dir=flight_dir,
                 log=self.log,
@@ -628,9 +635,10 @@ class SweepEngine:
                                   deadline_at=self._deadline_at))
             try:
                 if self.jobs > 1:
-                    outcomes = self._run_parallel(pending)
+                    outcomes = self._run_parallel(pending,
+                                                  reduction_factor)
                 else:
-                    outcomes = self._run_serial(pending)
+                    outcomes = self._run_serial(pending, reduction_factor)
             except KeyboardInterrupt as exc:
                 # Ctrl-C: keep whatever finished (the supervisor ships
                 # its collected outcomes on the exception; the serial

@@ -53,7 +53,7 @@ from repro.fuzz.oracle import (
     DifferentialReport,
     FieldDiff,
     diff_program,
-    diff_slots,
+    diff_synthetic,
     diff_sources,
 )
 
@@ -75,7 +75,7 @@ __all__ = [
     "case_rng",
     "chi_square_critical",
     "diff_program",
-    "diff_slots",
+    "diff_synthetic",
     "diff_sources",
     "entry_path",
     "evaluate_case",

@@ -159,9 +159,9 @@ def _profile_mix(profile: StatisticalProfile) -> Tuple[Dict[IClass, float], int]
 
 def _synthetic_mix(synthetic: SyntheticTrace) -> Tuple[Dict[IClass, float], int]:
     counts: Dict[IClass, int] = {}
-    for inst in synthetic.instructions:
+    for inst in synthetic:
         counts[inst.iclass] = counts.get(inst.iclass, 0) + 1
-    total = len(synthetic.instructions)
+    total = len(synthetic)
     return ({iclass: count / total for iclass, count in counts.items()}
             if total else {}, total)
 
@@ -186,7 +186,7 @@ def _profile_dep_buckets(profile: StatisticalProfile) -> Dict[int, int]:
 
 def _synthetic_dep_buckets(synthetic: SyntheticTrace) -> Dict[int, int]:
     buckets: Dict[int, int] = {}
-    for inst in synthetic.instructions:
+    for inst in synthetic:
         for distance in inst.dep_distances:
             bucket = _dep_bucket(distance)
             buckets[bucket] = buckets.get(bucket, 0) + 1
@@ -207,7 +207,7 @@ def acceptance_report(profile: StatisticalProfile,
                       ) -> AcceptanceReport:
     """Compare *synthetic* against *profile* statistic by statistic."""
     checks: List[StatisticCheck] = []
-    n = len(synthetic.instructions)
+    n = len(synthetic)
 
     # --- instruction mix, per class + chi-square across classes -----
     expected_mix, _ = _profile_mix(profile)
@@ -257,10 +257,10 @@ def acceptance_report(profile: StatisticalProfile,
     # --- branch and cache rates -------------------------------------
     expected_rates = profile_rates(profile).as_dict()
     realized_rates = synthetic_rates(synthetic).as_dict()
-    branches = sum(1 for inst in synthetic.instructions if inst.is_branch)
-    loads = sum(1 for inst in synthetic.instructions if inst.is_load)
-    dl1_misses = sum(inst.dl1_miss for inst in synthetic.instructions
-                     if inst.is_load)
+    instructions = synthetic.instructions
+    branches = sum(1 for inst in instructions if inst.is_branch)
+    loads = sum(1 for inst in instructions if inst.is_load)
+    dl1_misses = sum(inst.dl1_miss for inst in instructions if inst.is_load)
     rate_samples = {
         "taken_rate": branches,
         "misprediction_rate": branches,

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
 from repro.cpu.results import SimulationResult
-from repro.cpu.source import ExecutionDrivenSource, FetchSlot, PreannotatedSource
+from repro.cpu.source import ExecutionDrivenSource, PreannotatedSource
 from repro.frontend.functional import run_program
 from repro.isa.program import Program
 
@@ -183,14 +183,15 @@ def diff_program(program: Program, config: MachineConfig,
     )
 
 
-def diff_slots(slots: Sequence[FetchSlot], config: MachineConfig,
+def diff_synthetic(synthetic, config: MachineConfig,
                chaos=None, token: str = "") -> DifferentialReport:
-    """Differential check over a pre-annotated (synthetic) slot list."""
-    slots = list(slots)
+    """Differential check over a synthetic trace priced for *config*:
+    the reference pipeline fetches its slots, the optimized one reads
+    its rows."""
     return diff_sources(
         config,
-        lambda: PreannotatedSource(list(slots)),
-        lambda: PreannotatedSource(list(slots)),
+        lambda: PreannotatedSource.from_trace(synthetic, config),
+        lambda: PreannotatedSource.from_trace(synthetic, config),
         chaos=chaos,
         token=token,
     )

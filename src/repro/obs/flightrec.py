@@ -10,7 +10,11 @@ doing in its final moments, not just that it vanished.
 
 The dump path is deliberately boring: open, write lines, close.  No
 registry lookups, no new events mid-dump (the ``flightrec.dump`` event
-and counter fire *after* the file is safely on disk).
+and counter fire *after* the file is safely on disk).  The SIGTERM
+handler takes no lock at all: it runs on the main thread between two
+bytecodes, possibly while that thread holds the recorder's or the
+metrics registry's (non-reentrant) lock, so it snapshots the buffer
+unlocked and skips the event and counter.
 """
 
 from __future__ import annotations
@@ -70,6 +74,25 @@ class FlightRecorder:
         """
         with self._lock:
             buffered: List[Dict[str, Any]] = list(self._buffer)
+        path = self._write(reason, buffered, extra)
+        if path is not None:
+            try:
+                get_registry().counter("flightrec.dumps").inc()
+                events.emit("flightrec.dump", level="debug", reason=reason,
+                            path=str(path), events=len(buffered))
+            except Exception:
+                pass
+        return path
+
+    def dump_from_signal(self, reason: str) -> Optional[Path]:
+        """:meth:`dump` for a signal handler: no lock, no event, no
+        counter (see the module docstring).  Appending to and copying a
+        deque are each one C call under the GIL, so the unlocked
+        snapshot sees whole payloads."""
+        return self._write(reason, list(self._buffer), {})
+
+    def _write(self, reason: str, buffered: List[Dict[str, Any]],
+               extra: Dict[str, Any]) -> Optional[Path]:
         header = {
             "schema": FLIGHT_SCHEMA,
             "kind": "flightrec",
@@ -91,12 +114,6 @@ class FlightRecorder:
         except OSError:
             return None
         self._dumped = True
-        try:
-            get_registry().counter("flightrec.dumps").inc()
-            events.emit("flightrec.dump", level="debug", reason=reason,
-                        path=str(path), events=len(buffered))
-        except Exception:
-            pass
         return path
 
 
@@ -144,7 +161,7 @@ def install(directory: Union[str, Path],
     if signals and threading.current_thread() is threading.main_thread():
         def _on_sigterm(signum, frame):
             try:
-                recorder.dump("sigterm")
+                recorder.dump_from_signal("sigterm")
             except Exception:
                 pass
             signal.signal(signal.SIGTERM, signal.SIG_DFL)

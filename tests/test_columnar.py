@@ -140,17 +140,17 @@ class TestColumnarSourceCycleExact:
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_to_generic_loop(self, profile, config, seed):
         columnar = generate_columnar_trace(profile, 3.0, seed=seed)
-        slots = columnar.to_synthetic_trace().to_fetch_slots(config)
-        generic = simulate(config, PreannotatedSource(slots))
+        generic = simulate(config, PreannotatedSource.from_trace(
+            columnar.to_synthetic_trace(), config))
         fast = simulate(config, ColumnarSource(columnar, config))
         assert _result_fields(fast) == _result_fields(generic)
 
     def test_identical_commit_log(self, profile, config):
         columnar = generate_columnar_trace(profile, 4.0, seed=9)
-        slots = columnar.to_synthetic_trace().to_fetch_slots(config)
+        source = PreannotatedSource.from_trace(
+            columnar.to_synthetic_trace(), config)
         log_generic, log_fast = [], []
-        SuperscalarPipeline(config, PreannotatedSource(slots)).run(
-            commit_log=log_generic)
+        SuperscalarPipeline(config, source).run(commit_log=log_generic)
         SuperscalarPipeline(
             config, ColumnarSource(columnar, config)).run(
             commit_log=log_fast)

@@ -181,7 +181,7 @@ class TestContainment:
             ChaosPlan.parse("task-fail:match=unit,attempts=1"))
         assert retries.value - before == 1
         assert outcome["status"] == "ok" and outcome["attempts"] == 2
-        assert outcome["metrics"] == engine._run_serial([task])[0][
+        assert outcome["metrics"] == engine._run_serial([task], 4.0)[0][
             "metrics"]
 
     def test_parallel_workers_inject_from_env(self, profile, points,
@@ -212,14 +212,22 @@ class TestRecipeWarmStart:
         assert tables_cached(profile.sfg)
 
     def test_worker_init_prebuilds_tables(self, profile):
+        from repro.core.reduction import reduce_flow_graph
         from repro.core.serialization import profile_to_dict
         from repro.core.synthesis import tables_cached
         from repro.dse import engine
+        from repro.obs.metrics import get_registry
 
-        engine._worker_init(profile_to_dict(profile))
+        built = get_registry().counter("synthesis.recipe_contexts_built")
+        before = built.value
+        engine._worker_init(profile_to_dict(profile), 4.0)
         try:
             assert engine._WORKER_PROFILE is not None
-            assert tables_cached(engine._WORKER_PROFILE.sfg)
+            sfg = engine._WORKER_PROFILE.sfg
+            assert tables_cached(sfg)
+            # Only the contexts the sweep's reduced graph keeps.
+            kept = reduce_flow_graph(sfg, 4.0).occurrences
+            assert built.value - before == len(kept) < len(sfg.contexts)
         finally:
             engine._WORKER_PROFILE = None
             engine._WORKER_FAULT_PLAN = None

@@ -129,7 +129,7 @@ class TestWorkerInit:
         from repro.core.serialization import profile_to_dict
         from repro.core.synthesis import tables_cached
 
-        _worker_init(profile_to_dict(profile), vector=vector)
+        _worker_init(profile_to_dict(profile), 4.0, vector=vector)
         try:
             sfg = engine_mod._WORKER_PROFILE.sfg
             assert columnar_tables_cached(sfg) is vector

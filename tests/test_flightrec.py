@@ -108,7 +108,7 @@ class TestInstall:
 
 
 class TestDeathDumps:
-    def _run(self, tmp_path, body):
+    def _run(self, tmp_path, body, timeout=60):
         script = (
             "import sys\n"
             f"sys.path.insert(0, {str(SRC)!r})\n"
@@ -119,7 +119,7 @@ class TestDeathDumps:
             + body)
         return subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True,
-                              timeout=60)
+                              timeout=timeout)
 
     def _single_dump(self, tmp_path):
         (dump,) = list(Path(tmp_path).glob("flightrec-*.jsonl"))
@@ -145,3 +145,26 @@ class TestDeathDumps:
         assert proc.returncode == -signal.SIGTERM
         header, _body = self._single_dump(tmp_path)
         assert header["reason"] == "sigterm"
+
+    @pytest.mark.parametrize("lock", [
+        "flightrec.installed()._lock",
+        "__import__('repro.obs.metrics').obs.metrics.get_registry()._lock",
+    ], ids=["recorder", "registry"])
+    def test_sigterm_while_main_thread_holds_a_lock(self, tmp_path, lock):
+        # A pool worker can take SIGTERM inside ``record`` or inside a
+        # registry call; the handler runs on that same thread, so it
+        # must not wait for either (non-reentrant) lock.
+        try:
+            proc = self._run(
+                tmp_path,
+                "import os, signal, time\n"
+                f"{lock}.acquire()\n"
+                "os.kill(os.getpid(), signal.SIGTERM)\n"
+                "time.sleep(60)\n",
+                timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail("SIGTERM handler deadlocked on a held lock")
+        assert proc.returncode == -signal.SIGTERM
+        header, body = self._single_dump(tmp_path)
+        assert header["reason"] == "sigterm"
+        assert any(entry.get("event") == "unit_start" for entry in body)

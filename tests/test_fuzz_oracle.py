@@ -7,7 +7,7 @@ from repro.cpu.source import ExecutionDrivenSource
 from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.fuzz.generator import random_case
-from repro.fuzz.oracle import diff_program, diff_slots
+from repro.fuzz.oracle import diff_program, diff_synthetic
 
 
 def _small_case():
@@ -51,7 +51,7 @@ class TestIdenticalPipelines:
         trace = run_program(case.program(), 1500)
         profile = profile_trace(trace, config, order=1)
         synthetic = generate_synthetic_trace(profile, 3.0, seed=2)
-        report = diff_slots(synthetic.to_fetch_slots(config), config)
+        report = diff_synthetic(synthetic, config)
         assert report.identical
 
 

@@ -5,6 +5,7 @@ columnar-specific failures are minimized, corpus-filed under kind
 
 import pytest
 
+from repro.core.synthetic import SyntheticTrace
 from repro.fuzz.corpus import load_entry
 from repro.fuzz.generator import random_case
 from repro.fuzz.harness import (
@@ -58,10 +59,13 @@ def _broken_vector_synthetic(profile, case):
     columnar = generate_columnar_trace(profile, case.reduction_factor,
                                        seed=case.synthesis_seed)
     trace = columnar.to_synthetic_trace()
-    for inst in trace.instructions:
+    instructions = trace.instructions
+    for inst in instructions:
         inst.iclass = IClass.INT_ALU
         inst.taken = False
-    return trace
+    return SyntheticTrace.from_instructions(
+        trace.name, instructions, trace.order, trace.reduction_factor,
+        trace.seed)
 
 
 class TestVectorFailure:

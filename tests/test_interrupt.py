@@ -35,7 +35,7 @@ def points():
 class TestEngineInterrupt:
     def test_immediate_interrupt_reports_everything_unstarted(
             self, profile, points, monkeypatch):
-        def interrupted(self, tasks):
+        def interrupted(self, tasks, reduction_factor):
             raise KeyboardInterrupt()
 
         monkeypatch.setattr(SweepEngine, "_run_serial", interrupted)
@@ -50,8 +50,9 @@ class TestEngineInterrupt:
                                                monkeypatch, tmp_path):
         real_run = SweepEngine._run_serial
 
-        def finish_one_then_interrupt(self, tasks):
-            raise SweepInterrupted(real_run(self, tasks[:1]))
+        def finish_one_then_interrupt(self, tasks, reduction_factor):
+            raise SweepInterrupted(
+                real_run(self, tasks[:1], reduction_factor))
 
         monkeypatch.setattr(SweepEngine, "_run_serial",
                             finish_one_then_interrupt)
@@ -69,7 +70,7 @@ class TestEngineInterrupt:
 
     def test_interrupt_still_writes_quarantine_manifest(
             self, profile, points, monkeypatch, tmp_path):
-        def interrupted(self, tasks):
+        def interrupted(self, tasks, reduction_factor):
             raise KeyboardInterrupt()
 
         monkeypatch.setattr(SweepEngine, "_run_serial", interrupted)
@@ -84,8 +85,9 @@ class TestEngineInterrupt:
             self, profile, points, monkeypatch, tmp_path):
         real_run = SweepEngine._run_serial
 
-        def finish_one_then_interrupt(self, tasks):
-            raise SweepInterrupted(real_run(self, tasks[:1]))
+        def finish_one_then_interrupt(self, tasks, reduction_factor):
+            raise SweepInterrupted(
+                real_run(self, tasks[:1], reduction_factor))
 
         monkeypatch.setattr(SweepEngine, "_run_serial",
                             finish_one_then_interrupt)

@@ -86,9 +86,10 @@ def synthetic_trace(request):
 def test_synthetic_source_identical(synthetic_trace, variant):
     _profile, synthetic = synthetic_trace
     config = _config(variant)
-    slots = synthetic.to_fetch_slots(config)
-    new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run()
-    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run()
+    new = SuperscalarPipeline(
+        config, PreannotatedSource.from_trace(synthetic, config)).run()
+    old = ReferencePipeline(
+        config, PreannotatedSource.from_trace(synthetic, config)).run()
     _assert_identical(new, old)
 
 
@@ -99,12 +100,12 @@ def test_columnar_source_identical(synthetic_trace, variant):
     profile, _synthetic = synthetic_trace
     config = _config(variant)
     columnar = generate_columnar_trace(profile, 4.0, seed=3)
-    slots = columnar.to_synthetic_trace().to_fetch_slots(config)
+    slots = PreannotatedSource.from_trace(columnar.to_synthetic_trace(),
+                                          config)
     new_log, old_log = [], []
     new = SuperscalarPipeline(config, ColumnarSource(columnar, config)).run(
         commit_log=new_log)
-    old = ReferencePipeline(config, PreannotatedSource(slots)).run(
-        commit_log=old_log)
+    old = ReferencePipeline(config, slots).run(commit_log=old_log)
     _assert_identical(new, old)
     assert new_log == old_log
 

@@ -260,7 +260,7 @@ class TestLocalityMemo:
         resolution = locality.resolve_locality(trace, config, warm,
                                                perfect_caches=True)
         assert all(events & locality.EV_LOCALITY == 0
-                   for _iclass, events, _deps, _taken
+                   for _iclass, events, _deps, _taken, _outcome
                    in resolution.distinct)
 
     def test_walk_matches_per_fetch_walk(self, windows, config):

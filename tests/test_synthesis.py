@@ -11,9 +11,8 @@ from repro.branch.unit import BranchOutcome
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import reduce_flow_graph
 from repro.core.sfg import StatisticalFlowGraph
-from repro.core.synthesis import generate_synthetic_trace
+from repro.core.synthesis import generate_synthetic_trace, prepare_recipes
 from repro.core.synthetic import SyntheticTrace, dependency_targets
-from repro.cpu.source import FetchSlot
 from repro.experiments.common import QUICK_SCALE, prepare_benchmark
 from repro.frontend.warming import run_program_with_warmup
 from repro.obs.metrics import get_registry
@@ -73,6 +72,8 @@ class TestWalk:
         foreign = reduce_flow_graph(tiny_profile.sfg, 2)
         with pytest.raises(ValueError):
             generate_synthetic_trace(small_profile, 2, reduced=foreign)
+        with pytest.raises(ValueError):
+            prepare_recipes(small_profile, foreign)
 
 
 class TestDependencies:
@@ -289,23 +290,20 @@ class TestInterning:
         synthetic = generate_synthetic_trace(profile, 2, seed=0)
         assert len({id(inst) for inst in synthetic}) < len(synthetic) // 4
 
-    def test_instances_not_shared_across_calls(self, profile):
+    def test_entries_not_shared_across_calls(self, profile):
         first = generate_synthetic_trace(profile, 2, seed=0)
         second = generate_synthetic_trace(profile, 2, seed=0)
         assert _fields(first) == _fields(second)
-        assert not ({id(inst) for inst in first}
-                    & {id(inst) for inst in second})
+        assert not ({id(entry) for entry in first.distinct}
+                    & {id(entry) for entry in second.distinct})
 
     def test_fetch_slots_match_per_instance_conversion(self, profile,
                                                        config):
         synthetic = generate_synthetic_trace(profile, 2, seed=1)
-        slots = synthetic.to_fetch_slots(config)
-        assert len(slots) == len(synthetic)
-        assert len({id(slot) for slot in slots}) == \
-            len({id(inst) for inst in synthetic})
-        for inst, slot in zip(synthetic, slots):
-            alone = SyntheticTrace("one", [inst], order=1,
-                                   reduction_factor=1.0)
-            expected = alone.to_fetch_slots(config)[0]
-            assert [getattr(slot, f) for f in FetchSlot.__slots__] == \
-                [getattr(expected, f) for f in FetchSlot.__slots__]
+        rows = synthetic.to_fetch_slots(config)
+        assert len(rows) == len(synthetic)
+        assert len({id(row) for row in rows}) == len(synthetic.distinct)
+        for inst, row in zip(synthetic, rows):
+            alone = SyntheticTrace.from_instructions(
+                "one", [inst], order=1, reduction_factor=1.0)
+            assert alone.to_fetch_slots(config)[0] == row

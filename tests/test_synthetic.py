@@ -1,5 +1,5 @@
-"""Tests for synthetic instruction/trace containers and slot
-conversion."""
+"""Tests for synthetic instruction/trace containers and their pricing
+into pipeline rows."""
 
 from dataclasses import replace
 
@@ -9,13 +9,19 @@ from repro.config import baseline_config
 from repro.isa.iclass import IClass, execution_latency
 from repro.branch.unit import BranchOutcome
 from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
-from repro.cpu.source import FetchSlot
+from repro.cpu.source import PreannotatedSource
 from repro.obs.metrics import get_registry
 
 
 def _trace(instructions):
-    return SyntheticTrace(name="t", instructions=instructions, order=1,
-                          reduction_factor=10)
+    return SyntheticTrace.from_instructions(
+        name="t", instructions=instructions, order=1, reduction_factor=10)
+
+
+def _slots(trace, config):
+    """The trace's fetch slots, through the slot protocol."""
+    source = PreannotatedSource.from_trace(trace, config)
+    return list(iter(source.fetch, None))
 
 
 class TestSyntheticInstruction:
@@ -47,7 +53,7 @@ class TestToFetchSlots:
             (SyntheticInstruction(IClass.LOAD, dtlb_miss=True),
              config.dl1.hit_latency + config.dtlb.miss_latency),
         ]
-        slots = _trace([c[0] for c in cases]).to_fetch_slots(config)
+        slots = _slots(_trace([c[0] for c in cases]), config)
         for slot, (_, expected) in zip(slots, cases):
             assert slot.exec_latency == expected
 
@@ -62,28 +68,28 @@ class TestToFetchSlots:
             (SyntheticInstruction(IClass.INT_ALU, itlb_miss=True),
              config.itlb.miss_latency),
         ]
-        slots = _trace([c[0] for c in cases]).to_fetch_slots(config)
+        slots = _slots(_trace([c[0] for c in cases]), config)
         for slot, (_, expected) in zip(slots, cases):
             assert slot.fetch_stall == expected
 
     def test_non_load_latency_is_class_latency(self):
         config = baseline_config()
         inst = SyntheticInstruction(IClass.FP_DIV)
-        slot = _trace([inst]).to_fetch_slots(config)[0]
+        slot = _slots(_trace([inst]), config)[0]
         assert slot.exec_latency == execution_latency(IClass.FP_DIV)
 
     def test_branch_annotations_forwarded(self):
         config = baseline_config()
         inst = SyntheticInstruction(IClass.INT_COND_BRANCH, taken=True,
                                     outcome=BranchOutcome.MISPREDICTION)
-        slot = _trace([inst]).to_fetch_slots(config)[0]
+        slot = _slots(_trace([inst]), config)[0]
         assert slot.taken is True
         assert slot.outcome is BranchOutcome.MISPREDICTION
 
     def test_dep_distances_forwarded(self):
         config = baseline_config()
         inst = SyntheticInstruction(IClass.INT_ALU, dep_distances=(3, 7))
-        slot = _trace([inst]).to_fetch_slots(config)[0]
+        slot = _slots(_trace([inst]), config)[0]
         assert slot.dep_distances == (3, 7)
 
 
@@ -103,9 +109,8 @@ def _every_event():
     ]
 
 
-def _values(slots):
-    return [[getattr(slot, f) for f in FetchSlot.__slots__]
-            for slot in slots]
+def _values(rows):
+    return list(rows)
 
 
 def _priced_reused():
