@@ -34,7 +34,8 @@ from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.baselines.related import _Emitter
+from repro.core.synthetic import SyntheticTrace
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
 
@@ -177,75 +178,31 @@ def generate_hls_trace(profile: HLSProfile, length: int,
         for _ in range(HLS_NUM_BLOCKS)
     ]
 
+    # The profile's distances are sorted, but a hand-built profile's
+    # need not be: keep HLS's own sampler rather than re-sort them.
     distances, weights = profile.dependency_distances
     distance_cumulative = list(accumulate(weights))
-    rates = profile.miss_rates
-    p_il1 = rates["il1"]
-    p_l2i = rates["l2_instruction"]
-    p_dl1 = rates["dl1"]
-    p_l2d = rates["l2_data"]
-    p_itlb = rates["itlb"]
-    p_dtlb = rates["dtlb"]
+    sample = ((lambda r: _weighted_choice(r, distances,
+                                          distance_cumulative))
+              if distances else None)
 
-    out: List[SyntheticInstruction] = []
+    out = _Emitter()
     current = rng.randrange(HLS_NUM_BLOCKS)
     while len(out) < length:
         for iclass in blocks[current]:
-            position = len(out)
-            dep_distances: List[int] = []
             counts = profile.operand_counts.get(iclass)
             if counts:
                 n_src = _weighted_choice(
                     rng, counts[0], list(accumulate(counts[1])))
             else:
                 n_src = 0
-            for _ in range(n_src):
-                if not distances or rng.random() >= profile.dependency_fraction:
-                    continue
-                for _ in range(1000):
-                    distance = _weighted_choice(rng, distances,
-                                                distance_cumulative)
-                    target = position - distance
-                    if target >= 0 and not out[target].produces_register:
-                        continue
-                    dep_distances.append(distance)
-                    break
-            il1 = rng.random() < p_il1
-            l2i = il1 and rng.random() < p_l2i
-            itlb = rng.random() < p_itlb
-            dl1 = l2d = dtlb = False
-            taken = False
-            outcome = None
-            if iclass is IClass.LOAD:
-                dl1 = rng.random() < p_dl1
-                l2d = dl1 and rng.random() < p_l2d
-                dtlb = rng.random() < p_dtlb
-            if iclass in BRANCH_CLASSES:
-                taken = rng.random() < profile.taken_rate
-                draw = rng.random()
-                if draw < profile.misprediction_rate:
-                    outcome = BranchOutcome.MISPREDICTION
-                elif draw < (profile.misprediction_rate
-                             + profile.redirect_rate):
-                    outcome = BranchOutcome.FETCH_REDIRECTION
-                else:
-                    outcome = BranchOutcome.CORRECT
-            out.append(SyntheticInstruction(
-                iclass=iclass, dep_distances=tuple(dep_distances),
-                il1_miss=il1, l2i_miss=l2i, itlb_miss=itlb,
-                dl1_miss=dl1, l2d_miss=l2d, dtlb_miss=dtlb,
-                taken=taken, outcome=outcome,
-            ))
+            out.emit(rng, iclass, n_src, profile.dependency_fraction,
+                     sample, profile)
         a, b, split = successors[current]
         current = a if rng.random() < split else b
 
-    return SyntheticTrace.from_instructions(
-        name=f"{profile.name}/hls",
-        instructions=out[:length],
-        order=-1,
-        reduction_factor=profile.trace_instructions / max(1, length),
-        seed=seed,
-    )
+    return out.trace(f"{profile.name}/hls", length,
+                     profile.trace_instructions, seed)
 
 
 def run_hls_simulation(trace: Trace, config: MachineConfig,

@@ -26,15 +26,17 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
-from repro.isa.iclass import BRANCH_CLASSES, IClass
+from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
 from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
+                                EV_L2D, EV_L2I)
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
 
@@ -101,19 +103,28 @@ def _measure_globals(trace: Trace, config: MachineConfig) -> _GlobalStats:
 
 
 def _sample_locality(rng: random.Random, iclass: IClass,
-                     stats: _GlobalStats):
-    """Sample the per-instruction flags shared by both models."""
+                     stats: _GlobalStats, deps: Tuple[int, ...]) -> tuple:
+    """The ``(iclass, events, deps, taken, outcome)`` entry of one
+    instruction, its flags drawn from *stats*' global rates (an
+    :class:`~repro.baselines.hls.HLSProfile` has the same fields)."""
     rates = stats.miss_rates
-    il1 = rng.random() < rates["il1"]
-    l2i = il1 and rng.random() < rates["l2_instruction"]
-    itlb = rng.random() < rates["itlb"]
-    dl1 = l2d = dtlb = False
+    events = 0
+    if rng.random() < rates["il1"]:
+        events = EV_IL1
+        if rng.random() < rates["l2_instruction"]:
+            events |= EV_L2I
+    if rng.random() < rates["itlb"]:
+        events |= EV_ITLB
     taken = False
     outcome: Optional[BranchOutcome] = None
     if iclass is IClass.LOAD:
-        dl1 = rng.random() < rates["dl1"]
-        l2d = dl1 and rng.random() < rates["l2_data"]
-        dtlb = rng.random() < rates["dtlb"]
+        events |= EV_DATA
+        if rng.random() < rates["dl1"]:
+            events |= EV_DL1
+            if rng.random() < rates["l2_data"]:
+                events |= EV_L2D
+        if rng.random() < rates["dtlb"]:
+            events |= EV_DTLB
     if iclass in BRANCH_CLASSES:
         taken = rng.random() < stats.taken_rate
         draw = rng.random()
@@ -123,25 +134,57 @@ def _sample_locality(rng: random.Random, iclass: IClass,
             outcome = BranchOutcome.FETCH_REDIRECTION
         else:
             outcome = BranchOutcome.CORRECT
-    return il1, l2i, itlb, dl1, l2d, dtlb, taken, outcome
+    return (iclass, events, deps, taken, outcome)
 
 
 def _sample_dependencies(rng: random.Random, n_src: int, p_dep: float,
-                         distribution: _Distribution,
-                         out: List[SyntheticInstruction]) -> Tuple[int, ...]:
+                         sample: Optional[Callable[[random.Random], int]],
+                         producers: List[bool]) -> Tuple[int, ...]:
+    """Dependency distances of the instruction at ``len(producers)``:
+    each of *n_src* operands depends with probability *p_dep* on a
+    distance drawn by *sample* (None: nothing to draw), redrawn up to
+    1,000 times while it names a position that writes no register."""
     distances: List[int] = []
-    position = len(out)
+    position = len(producers)
     for _ in range(n_src):
-        if not distribution or rng.random() >= p_dep:
+        if sample is None or rng.random() >= p_dep:
             continue
         for _ in range(1000):
-            distance = distribution.sample(rng)
+            distance = sample(rng)
             target = position - distance
-            if target >= 0 and not out[target].produces_register:
+            if target >= 0 and not producers[target]:
                 continue
             distances.append(distance)
             break
     return tuple(distances)
+
+
+class _Emitter:
+    """A baseline trace under construction: one entry per position, and
+    whether that position writes a register."""
+
+    def __init__(self) -> None:
+        self.entries: List[tuple] = []
+        self.producers: List[bool] = []
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def emit(self, rng: random.Random, iclass: IClass, n_src: int,
+             p_dep: float, sample, stats) -> None:
+        """Append *iclass* with sampled dependencies and flags."""
+        deps = _sample_dependencies(rng, n_src, p_dep, sample,
+                                    self.producers)
+        self.entries.append(_sample_locality(rng, iclass, stats, deps))
+        self.producers.append(iclass in PRODUCING_CLASSES)
+
+    def trace(self, name: str, length: int, trace_instructions: int,
+              seed: int) -> SyntheticTrace:
+        """The first *length* entries as a trace with no SFG order."""
+        return SyntheticTrace.from_entries(
+            name, self.entries[:length], order=-1,
+            reduction_factor=trace_instructions / max(1, length),
+            seed=seed)
 
 
 class IndependentModel:
@@ -178,29 +221,18 @@ class IndependentModel:
     def generate(self, length: int, seed: int = 0) -> SyntheticTrace:
         """Draw instructions i.i.d.; blocks only delimit branches."""
         rng = random.Random(seed)
-        out: List[SyntheticInstruction] = []
+        out = _Emitter()
+        sample = self._distances.sample if self._distances else None
         while len(out) < length:
             size = self._sizes.sample(rng)
             for slot in range(size):
                 is_branch = slot == size - 1
                 iclass = (IClass.INT_COND_BRANCH if is_branch
                           else self._mix.sample(rng))
-                distances = _sample_dependencies(
-                    rng, self._operand_counts.sample(rng), self._p_dep,
-                    self._distances, out)
-                (il1, l2i, itlb, dl1, l2d, dtlb, taken,
-                 outcome) = _sample_locality(rng, iclass, self.globals)
-                out.append(SyntheticInstruction(
-                    iclass=iclass, dep_distances=distances,
-                    il1_miss=il1, l2i_miss=l2i, itlb_miss=itlb,
-                    dl1_miss=dl1, l2d_miss=l2d, dtlb_miss=dtlb,
-                    taken=taken, outcome=outcome))
-        return SyntheticTrace.from_instructions(
-            name=f"{self.name}/independent", instructions=out[:length],
-            order=-1,
-            reduction_factor=(self.globals.trace_instructions
-                              / max(1, length)),
-            seed=seed)
+                out.emit(rng, iclass, self._operand_counts.sample(rng),
+                         self._p_dep, sample, self.globals)
+        return out.trace(f"{self.name}/independent", length,
+                         self.globals.trace_instructions, seed)
 
 
 class SizeCorrelatedModel:
@@ -260,30 +292,18 @@ class SizeCorrelatedModel:
 
     def generate(self, length: int, seed: int = 0) -> SyntheticTrace:
         rng = random.Random(seed)
-        out: List[SyntheticInstruction] = []
+        out = _Emitter()
         while len(out) < length:
             size = self._sizes.sample(rng)
             slots = self._frozen[size]
-            distances_dist, p_dep = self._frozen_dep[size]
+            distances, p_dep = self._frozen_dep[size]
+            sample = distances.sample if distances else None
             for slot in range(size):
                 mix, operand_counts = slots[slot]
-                iclass = mix.sample(rng)
-                distances = _sample_dependencies(
-                    rng, operand_counts.sample(rng), p_dep,
-                    distances_dist, out)
-                (il1, l2i, itlb, dl1, l2d, dtlb, taken,
-                 outcome) = _sample_locality(rng, iclass, self.globals)
-                out.append(SyntheticInstruction(
-                    iclass=iclass, dep_distances=distances,
-                    il1_miss=il1, l2i_miss=l2i, itlb_miss=itlb,
-                    dl1_miss=dl1, l2d_miss=l2d, dtlb_miss=dtlb,
-                    taken=taken, outcome=outcome))
-        return SyntheticTrace.from_instructions(
-            name=f"{self.name}/size-correlated", instructions=out[:length],
-            order=-1,
-            reduction_factor=(self.globals.trace_instructions
-                              / max(1, length)),
-            seed=seed)
+                out.emit(rng, mix.sample(rng), operand_counts.sample(rng),
+                         p_dep, sample, self.globals)
+        return out.trace(f"{self.name}/size-correlated", length,
+                         self.globals.trace_instructions, seed)
 
 
 def run_model(model, config: MachineConfig, length: int, seed: int = 0

@@ -593,6 +593,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     from repro.core.serialization import load_profile
     from repro.core.synthesis import generate_synthetic_trace
+    from repro.core.validation import synthetic_rates
 
     profile = load_profile(args.profile)
     columnar = None
@@ -601,17 +602,17 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
         columnar = generate_columnar_trace(
             profile, args.reduction_factor, seed=args.seed)
-        summary = columnar.summary()
+        synthetic = columnar.to_synthetic_trace()
     else:
         synthetic = generate_synthetic_trace(
             profile, args.reduction_factor, seed=args.seed)
-        summary = synthetic.summary()
+    rates = synthetic_rates(synthetic).as_dict()
     mode = " [vector]" if args.vector else ""
-    print(f"synthetic trace: {summary['instructions']:,} instructions "
+    print(f"synthetic trace: {len(synthetic):,} instructions "
           f"(R = {args.reduction_factor:g}){mode}")
     for key in ("load_fraction", "branch_fraction", "il1_miss_rate",
                 "dl1_miss_rate", "misprediction_rate"):
-        print(f"  {key}: {summary[key]:.4f}")
+        print(f"  {key}: {rates[key]:.4f}")
     if args.simulate:
         if columnar is not None:
             from repro.core.framework import simulate_columnar_trace

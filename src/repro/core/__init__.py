@@ -19,7 +19,7 @@ from repro.core.sfg import ContextStats, StatisticalFlowGraph
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import ReducedFlowGraph, reduce_flow_graph
 from repro.core.synthesis import generate_synthetic_trace
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import SyntheticTrace
 from repro.core.framework import (
     StatisticalSimulationReport,
     run_execution_driven,
@@ -52,7 +52,6 @@ __all__ = [
     "ReducedFlowGraph",
     "reduce_flow_graph",
     "generate_synthetic_trace",
-    "SyntheticInstruction",
     "SyntheticTrace",
     "StatisticalSimulationReport",
     "run_statistical_simulation",

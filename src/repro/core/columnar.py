@@ -1,12 +1,11 @@
 """Columnar batch synthesis: the nine-step algorithm, vectorized.
 
-The scalar generator (:mod:`repro.core.synthesis`) emits one
-``SyntheticInstruction`` object per instruction and consumes one uniform
-per decision.  That object model caps throughput at Python interpreter
-speed, so this module provides the batch twin: the random walk over the
-reduced SFG stays scalar (it is inherently sequential and cheap — one
-node per *basic block*), but everything per *instruction* is emitted in
-whole-trace numpy columns:
+The scalar generator (:mod:`repro.core.synthesis`) appends one interned
+entry id per instruction and consumes one uniform per decision, at
+Python interpreter speed.  This module is the batch twin: the random
+walk over the reduced SFG stays scalar (it is inherently sequential and
+cheap — one node per *basic block*), but everything per *instruction*
+is emitted in whole-trace numpy columns:
 
 * per-context slot statistics are compiled once per SFG into flat
   per-slot arrays (:class:`ColumnarTables`) — event probabilities,
@@ -31,6 +30,9 @@ scalar path.  The scalar generator remains the accuracy oracle; the
 statistical-equivalence suite (``repro.fuzz.acceptance`` tolerances)
 pins the columnar draws to the scalar distributions, and
 ``tests/test_columnar.py`` pins end-to-end IPC agreement.
+:meth:`ColumnarTrace.to_synthetic_trace` interns the columns into the
+scalar path's ``(iclass, events, deps, taken, outcome)`` entries, so
+every trace statistic and the fuzz oracle read one form.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ from repro.core.sampling import FenwickSampler
 from repro.core.sfg import Context, StatisticalFlowGraph
 from repro.core.synthesis import MAX_DEPENDENCY_RETRIES
 from repro.core.synthesis import _HEALTH_EVERY
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
+                                EV_L2D, EV_L2I)
 
 _OUTCOMES = (BranchOutcome(0), BranchOutcome(1), BranchOutcome(2))
 
@@ -292,60 +296,28 @@ class ColumnarTrace:
         return int(self.iclass.size)
 
     def to_synthetic_trace(self) -> SyntheticTrace:
-        """Materialize per-instruction objects (tests, reports and the
-        fuzz oracle; the pipeline consumes the columns directly)."""
-        iclasses = [IClass(code) for code in self.iclass.tolist()]
+        """The same trace as interned entries (tests, the fuzz oracle
+        and the health canary; the pipeline consumes the columns
+        directly)."""
+        is_load = self.iclass == int(IClass.LOAD)
+        events = (self.il1 * EV_IL1 + self.l2i * EV_L2I
+                  + self.itlb * EV_ITLB + self.dl1 * EV_DL1
+                  + self.l2d * EV_L2D + self.dtlb * EV_DTLB
+                  + is_load * EV_DATA).tolist()
         dep_off = self.dep_off.tolist()
         dep_val = self.dep_val.tolist()
-        il1 = self.il1.tolist()
-        l2i = self.l2i.tolist()
-        itlb = self.itlb.tolist()
-        dl1 = self.dl1.tolist()
-        l2d = self.l2d.tolist()
-        dtlb = self.dtlb.tolist()
         taken = self.taken.tolist()
         outcome = self.outcome.tolist()
-        new = SyntheticInstruction.__new__
-        out: List[SyntheticInstruction] = []
-        append = out.append
-        for i, iclass in enumerate(iclasses):
-            inst = new(SyntheticInstruction)
-            inst.iclass = iclass
+        entries = []
+        for i, iclass in enumerate(map(IClass, self.iclass.tolist())):
             lo, hi = dep_off[i], dep_off[i + 1]
-            inst.dep_distances = tuple(dep_val[lo:hi]) if hi > lo else ()
-            inst.il1_miss = il1[i]
-            inst.l2i_miss = l2i[i]
-            inst.itlb_miss = itlb[i]
-            inst.dl1_miss = dl1[i]
-            inst.l2d_miss = l2d[i]
-            inst.dtlb_miss = dtlb[i]
-            inst.taken = taken[i]
-            inst.outcome = (_OUTCOMES[outcome[i]]
-                            if iclass in BRANCH_CLASSES else None)
-            append(inst)
-        return SyntheticTrace.from_instructions(
-            name=self.name, instructions=out, order=self.order,
-            reduction_factor=self.reduction_factor, seed=self.seed)
-
-    def summary(self) -> dict:
-        """Aggregate annotation rates (vectorized twin of
-        :meth:`SyntheticTrace.summary`)."""
-        n = max(1, len(self))
-        is_branch = np.isin(self.iclass,
-                            [int(c) for c in BRANCH_CLASSES])
-        loads = int((self.iclass == int(IClass.LOAD)).sum())
-        branches = int(is_branch.sum())
-        return {
-            "instructions": len(self),
-            "load_fraction": loads / n,
-            "branch_fraction": branches / n,
-            "il1_miss_rate": float(self.il1.sum()) / n,
-            "dl1_miss_rate": (float(self.dl1.sum()) / loads
-                              if loads else 0.0),
-            "misprediction_rate": (
-                float((self.outcome[is_branch] == 2).sum()) / branches
-                if branches else 0.0),
-        }
+            entries.append((
+                iclass, events[i], tuple(dep_val[lo:hi]), bool(taken[i]),
+                _OUTCOMES[outcome[i]] if iclass in BRANCH_CLASSES
+                else None))
+        return SyntheticTrace.from_entries(
+            self.name, entries, self.order, self.reduction_factor,
+            self.seed)
 
 
 # -- generation ---------------------------------------------------------

@@ -498,33 +498,6 @@ def generate_synthetic_trace(
             include_anti_dependencies=include_anti_dependencies)
 
 
-def generate_synthetic_trace_columnar(
-    profile: StatisticalProfile,
-    reduction_factor: float,
-    seed: int = 0,
-    reduced: Optional[ReducedFlowGraph] = None,
-    max_instructions: Optional[int] = None,
-    include_anti_dependencies: bool = False,
-):
-    """Columnar batch twin of :func:`generate_synthetic_trace`.
-
-    Same parameters and reduced-graph semantics, but the result is a
-    :class:`repro.core.columnar.ColumnarTrace` of parallel numpy
-    columns, emitted in whole-trace batches.  Both walks drain every
-    context's full reduced budget, so the trace length and per-class
-    instruction counts match the scalar trace exactly; the visit order
-    and the per-instruction draws come from an independent ``numpy``
-    stream — statistically equivalent, not draw-for-draw identical
-    (see docs/performance.md).
-    """
-    from repro.core.columnar import generate_columnar_trace
-
-    return generate_columnar_trace(
-        profile, reduction_factor, seed=seed, reduced=reduced,
-        max_instructions=max_instructions,
-        include_anti_dependencies=include_anti_dependencies)
-
-
 def _generate_synthetic_trace(
     profile: StatisticalProfile,
     reduction_factor: float,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.branch.unit import BranchOutcome
-from repro.isa.iclass import IClass
+from repro.isa.iclass import BRANCH_CLASSES, IClass
+from repro.cpu.locality import EV_DL1, EV_IL1, EV_L2D
 from repro.core.profiler import StatisticalProfile
 from repro.core.synthetic import SyntheticTrace
 
@@ -99,22 +100,26 @@ def synthetic_rates(synthetic: SyntheticTrace) -> CharacteristicRates:
     loads = branches = taken = mispredicted = redirected = 0
     dl1 = l2d = il1 = 0
     dependencies = distance_mass = 0
-    for inst in synthetic:
-        il1 += inst.il1_miss
-        if inst.is_load:
-            loads += 1
-            dl1 += inst.dl1_miss
-            l2d += inst.l2d_miss
-        if inst.is_branch:
-            branches += 1
-            taken += inst.taken
-            mispredicted += (inst.outcome
-                             is BranchOutcome.MISPREDICTION)
-            redirected += (inst.outcome
-                           is BranchOutcome.FETCH_REDIRECTION)
-        for distance in inst.dep_distances:
-            dependencies += 1
-            distance_mass += distance
+    for (iclass, events, deps, was_taken, outcome), count \
+            in synthetic.counted:
+        if events & EV_IL1:
+            il1 += count
+        if iclass is IClass.LOAD:
+            loads += count
+            if events & EV_DL1:
+                dl1 += count
+            if events & EV_L2D:
+                l2d += count
+        if iclass in BRANCH_CLASSES:
+            branches += count
+            if was_taken:
+                taken += count
+            if outcome is BranchOutcome.MISPREDICTION:
+                mispredicted += count
+            elif outcome is BranchOutcome.FETCH_REDIRECTION:
+                redirected += count
+        dependencies += len(deps) * count
+        distance_mass += sum(deps) * count
     return CharacteristicRates(
         load_fraction=loads / max(1, instructions),
         branch_fraction=branches / max(1, instructions),

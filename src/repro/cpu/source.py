@@ -31,9 +31,11 @@ counts (:func:`~repro.cpu.locality.entry_tallies`).
 
 A :class:`FetchSlot` is the same instruction as an object — class,
 execution latency, fetch stall, RAW dependency distances and branch
-outcome — deliberately identical for real and synthetic instructions;
-:class:`~repro.cpu.reference.ReferencePipeline` and the tests drive
-sources through its ``fetch``/``peek_filler``/``on_dispatch`` protocol.
+outcome — deliberately identical for real and synthetic instructions.
+It exists only for the slot protocol (``fetch``/``peek_filler``/
+``on_dispatch``) that :class:`~repro.cpu.reference.ReferencePipeline`
+and the tests drive, and for hand-built streams
+(``PreannotatedSource(slots)``).
 Every source also keeps the branch and locality tallies of its correct
 path (:class:`_Tallies`): they do not depend on pipeline timing, so
 the loop reads them once at the end instead of counting them per fetch.
@@ -281,32 +283,17 @@ class ExecutionDrivenSource(_Tallies):
             return None
         self._pos = pos + 1
         resolution = self._resolution
-        iclass, events, deps, taken, _outcome = \
-            resolution.distinct[resolution.keys[pos]]
+        entry = resolution.distinct[resolution.keys[pos]]
         row = self.rows[pos]
         if row[6] & CTRL_LIVE:
             row = self.resolve_branch(pos)
         outcome = None
-        if _CLASS_IS_BRANCH[iclass]:
+        if _CLASS_IS_BRANCH[entry[0]]:
             ctrl = row[6]
             outcome = (_MISPREDICTION if ctrl & CTRL_MISPREDICT
                        else _REDIRECTION if ctrl & CTRL_REDIRECT
                        else BranchOutcome.CORRECT)
-        return FetchSlot(
-            iclass=iclass,
-            exec_latency=row[0],
-            fetch_stall=row[7],
-            dep_distances=deps,
-            taken=taken,
-            outcome=outcome,
-            il1_miss=bool(events & EV_IL1),
-            l2i_miss=bool(events & EV_L2I),
-            dl1_miss=bool(events & EV_DL1),
-            l2d_miss=bool(events & EV_L2D),
-            itlb_miss=bool(events & EV_ITLB),
-            dtlb_miss=bool(events & EV_DTLB),
-            raw=self._instructions[pos],
-        )
+        return _entry_slot(entry, row, outcome, raw=self._instructions[pos])
 
     def peek_filler(self, offset: int) -> Optional[FetchSlot]:
         instructions = self._instructions
@@ -512,15 +499,30 @@ class PreannotatedSource(_Tallies):
         return None
 
 
-def event_bits(item) -> int:
-    """The six locality flags of a :class:`FetchSlot` or a synthetic
-    instruction as ``EV_*`` bits."""
-    return ((EV_IL1 if item.il1_miss else 0)
-            | (EV_L2I if item.l2i_miss else 0)
-            | (EV_ITLB if item.itlb_miss else 0)
-            | (EV_DL1 if item.dl1_miss else 0)
-            | (EV_L2D if item.l2d_miss else 0)
-            | (EV_DTLB if item.dtlb_miss else 0))
+def event_bits(slot: FetchSlot) -> int:
+    """The six locality flags of a :class:`FetchSlot` as ``EV_*``
+    bits."""
+    return ((EV_IL1 if slot.il1_miss else 0)
+            | (EV_L2I if slot.l2i_miss else 0)
+            | (EV_ITLB if slot.itlb_miss else 0)
+            | (EV_DL1 if slot.dl1_miss else 0)
+            | (EV_L2D if slot.l2d_miss else 0)
+            | (EV_DTLB if slot.dtlb_miss else 0))
+
+
+def _entry_slot(entry: tuple, row: tuple,
+               outcome: Optional[BranchOutcome],
+               raw: object = None) -> FetchSlot:
+    """The :class:`FetchSlot` of an ``(iclass, events, deps, taken,
+    outcome)`` entry priced as *row*, resolved to *outcome*."""
+    iclass, events, deps, taken, _outcome = entry
+    return FetchSlot(
+        iclass, exec_latency=row[0], fetch_stall=row[7],
+        dep_distances=deps, taken=taken, outcome=outcome,
+        il1_miss=bool(events & EV_IL1), l2i_miss=bool(events & EV_L2I),
+        dl1_miss=bool(events & EV_DL1), l2d_miss=bool(events & EV_L2D),
+        itlb_miss=bool(events & EV_ITLB), dtlb_miss=bool(events & EV_DTLB),
+        raw=raw)
 
 
 def _trace_slots(trace, rows: Sequence[tuple]) -> List[FetchSlot]:
@@ -532,15 +534,7 @@ def _trace_slots(trace, rows: Sequence[tuple]) -> List[FetchSlot]:
     for key, row in zip(trace.keys, rows):
         slot = slot_of.get(key)
         if slot is None:
-            iclass, events, deps, taken, outcome = distinct[key]
-            slot = slot_of[key] = FetchSlot(
-                iclass, exec_latency=row[0], fetch_stall=row[7],
-                dep_distances=deps, taken=taken, outcome=outcome,
-                il1_miss=bool(events & EV_IL1),
-                l2i_miss=bool(events & EV_L2I),
-                dl1_miss=bool(events & EV_DL1),
-                l2d_miss=bool(events & EV_L2D),
-                itlb_miss=bool(events & EV_ITLB),
-                dtlb_miss=bool(events & EV_DTLB))
+            entry = distinct[key]
+            slot = slot_of[key] = _entry_slot(entry, row, entry[4])
         slots.append(slot)
     return slots

@@ -34,7 +34,8 @@ from typing import Dict, List, Tuple
 from repro.core.profiler import StatisticalProfile
 from repro.core.synthetic import SyntheticTrace
 from repro.core.validation import profile_rates, synthetic_rates
-from repro.isa.iclass import IClass
+from repro.cpu.locality import EV_DL1
+from repro.isa.iclass import BRANCH_CLASSES, IClass
 
 #: Dependency distances are bucketed at powers of two: 1, 2, (2,4],
 #: (4,8], ... (256,512].  Coarse enough to be stable at fuzz-trace
@@ -159,8 +160,8 @@ def _profile_mix(profile: StatisticalProfile) -> Tuple[Dict[IClass, float], int]
 
 def _synthetic_mix(synthetic: SyntheticTrace) -> Tuple[Dict[IClass, float], int]:
     counts: Dict[IClass, int] = {}
-    for inst in synthetic:
-        counts[inst.iclass] = counts.get(inst.iclass, 0) + 1
+    for entry, count in synthetic.counted:
+        counts[entry[0]] = counts.get(entry[0], 0) + count
     total = len(synthetic)
     return ({iclass: count / total for iclass, count in counts.items()}
             if total else {}, total)
@@ -186,10 +187,10 @@ def _profile_dep_buckets(profile: StatisticalProfile) -> Dict[int, int]:
 
 def _synthetic_dep_buckets(synthetic: SyntheticTrace) -> Dict[int, int]:
     buckets: Dict[int, int] = {}
-    for inst in synthetic:
-        for distance in inst.dep_distances:
+    for entry, count in synthetic.counted:
+        for distance in entry[2]:
             bucket = _dep_bucket(distance)
-            buckets[bucket] = buckets.get(bucket, 0) + 1
+            buckets[bucket] = buckets.get(bucket, 0) + count
     return buckets
 
 
@@ -257,10 +258,12 @@ def acceptance_report(profile: StatisticalProfile,
     # --- branch and cache rates -------------------------------------
     expected_rates = profile_rates(profile).as_dict()
     realized_rates = synthetic_rates(synthetic).as_dict()
-    instructions = synthetic.instructions
-    branches = sum(1 for inst in instructions if inst.is_branch)
-    loads = sum(1 for inst in instructions if inst.is_load)
-    dl1_misses = sum(inst.dl1_miss for inst in instructions if inst.is_load)
+    branches = sum(count for entry, count in synthetic.counted
+                   if entry[0] in BRANCH_CLASSES)
+    loads = sum(count for entry, count in synthetic.counted
+                if entry[0] is IClass.LOAD)
+    dl1_misses = sum(count for entry, count in synthetic.counted
+                     if entry[0] is IClass.LOAD and entry[1] & EV_DL1)
     rate_samples = {
         "taken_rate": branches,
         "misprediction_rate": branches,

@@ -105,3 +105,37 @@ def small_program(small_workload_config) -> Program:
 @pytest.fixture
 def small_trace(small_program):
     return run_program(small_program, n_instructions=3000)
+
+
+def entries_digest(trace) -> str:
+    """SHA-256 of a synthetic trace's entries in position order, as
+    canonical JSON: ``[iclass, event bits, distances, taken,
+    outcome]`` per position."""
+    import hashlib
+    import json
+
+    rows = []
+    for key in trace.keys:
+        iclass, events, deps, taken, outcome = trace.distinct[key]
+        rows.append([iclass.name, int(events), list(deps), bool(taken),
+                     outcome.name if outcome is not None else None])
+    payload = json.dumps(rows, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def gzip_reference():
+    """A warmed gzip reference trace shared by the baseline digests."""
+    from repro.frontend.warming import run_program_with_warmup
+    from repro.workloads.spec import build_benchmark
+
+    _warm, trace = run_program_with_warmup(
+        build_benchmark("gzip"), warmup=1_000, n_instructions=4_000)
+    return trace
+
+
+def positions(trace) -> list:
+    """A synthetic trace's ``(iclass, events, deps, taken, outcome)``
+    entry at every position, in order."""
+    distinct = trace.distinct
+    return [distinct[key] for key in trace.keys]

@@ -36,13 +36,24 @@ class TestCommands:
         assert "execution-driven" in output
         assert "IPC error" in output
 
-    def test_profile_and_synthesize(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", [[], ["--vector"]],
+                             ids=["scalar", "vector"])
+    def test_profile_and_synthesize(self, tmp_path, capsys, mode):
         path = tmp_path / "p.json"
         assert main(["profile", "vpr", "-o", str(path),
                      "--instructions", "4000", "--warmup", "2000"]) == 0
         assert path.exists()
-        assert main(["synthesize", str(path), "-R", "4",
-                     "--simulate"]) == 0
-        output = capsys.readouterr().out
-        assert "synthetic trace" in output
-        assert "IPC" in output
+        assert main(["synthesize", str(path), "-R", "4", "--simulate"]
+                    + mode) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = [line for line in lines
+                  if line.startswith("synthetic trace: ")]
+        assert len(header) == 1
+        assert header[0].endswith(" [vector]") == bool(mode)
+        for key in ("load_fraction", "branch_fraction", "il1_miss_rate",
+                    "dl1_miss_rate", "misprediction_rate"):
+            rate = [line for line in lines
+                    if line.startswith(f"  {key}: ")]
+            assert len(rate) == 1, key
+            assert 0.0 <= float(rate[0].split(": ")[1]) <= 1.0
+        assert any(line.startswith("  simulated: IPC ") for line in lines)

@@ -29,10 +29,11 @@ from repro.core.columnar import (
     generate_columnar_trace,
 )
 from repro.core.profiler import profile_trace
-from repro.core.synthesis import (
-    generate_synthetic_trace,
-    generate_synthetic_trace_columnar,
-)
+from repro.isa.iclass import BRANCH_CLASSES, IClass
+from repro.core.synthesis import generate_synthetic_trace
+from repro.core.validation import synthetic_rates
+from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
+                                EV_L2D, EV_L2I)
 from repro.cpu.pipeline import SuperscalarPipeline, simulate
 from repro.cpu.source import ColumnarSource, PreannotatedSource
 from repro.fuzz.acceptance import ToleranceConfig, acceptance_report
@@ -56,9 +57,9 @@ class TestColumnarSynthesis:
         differ between the streams."""
         scalar = generate_synthetic_trace(profile, 3.0, seed=5)
         columnar = generate_columnar_trace(profile, 3.0, seed=5)
-        assert len(columnar.iclass) == len(scalar.instructions)
+        assert len(columnar.iclass) == len(scalar)
         scalar_classes = np.bincount(
-            [int(inst.iclass) for inst in scalar.instructions],
+            [int(scalar.distinct[key][0]) for key in scalar.keys],
             minlength=16)
         columnar_classes = np.bincount(columnar.iclass, minlength=16)
         assert scalar_classes.tolist() == columnar_classes.tolist()
@@ -86,16 +87,47 @@ class TestColumnarSynthesis:
         assert not np.array_equal(a.dep_val, c.dep_val)
 
     def test_summary_matches_materialized_trace(self, profile):
+        """The materialized trace realizes the columns' rates."""
+        columnar = generate_columnar_trace(profile, 4.0, seed=1)
+        rates = synthetic_rates(columnar.to_synthetic_trace())
+        n = len(columnar)
+        is_load = columnar.iclass == int(IClass.LOAD)
+        is_branch = np.isin(columnar.iclass,
+                            [int(c) for c in BRANCH_CLASSES])
+        assert rates.load_fraction == is_load.sum() / n
+        assert rates.branch_fraction == is_branch.sum() / n
+        assert rates.il1_miss_rate == columnar.il1.sum() / n
+        assert rates.dl1_miss_rate == \
+            columnar.dl1[is_load].sum() / is_load.sum()
+        assert rates.misprediction_rate == \
+            (columnar.outcome[is_branch] == 2).sum() / is_branch.sum()
+
+    def test_materialized_entries_match_columns(self, profile):
         columnar = generate_columnar_trace(profile, 4.0, seed=1)
         materialized = columnar.to_synthetic_trace()
-        assert columnar.summary() == materialized.summary()
+        assert len(materialized) == len(columnar)
+        flags = ((columnar.il1, EV_IL1), (columnar.l2i, EV_L2I),
+                 (columnar.itlb, EV_ITLB), (columnar.dl1, EV_DL1),
+                 (columnar.l2d, EV_L2D), (columnar.dtlb, EV_DTLB))
+        for i, key in enumerate(materialized.keys):
+            iclass, events, deps, taken, outcome = \
+                materialized.distinct[key]
+            assert int(iclass) == columnar.iclass[i]
+            expected = sum(bit for column, bit in flags if column[i])
+            if iclass is IClass.LOAD:
+                expected |= EV_DATA
+            assert events == expected
+            lo, hi = columnar.dep_off[i], columnar.dep_off[i + 1]
+            assert deps == tuple(columnar.dep_val[lo:hi].tolist())
+            assert taken == bool(columnar.taken[i])
+            assert (outcome is None) == (iclass not in BRANCH_CLASSES)
+            if outcome is not None:
+                assert int(outcome) == columnar.outcome[i]
 
-    def test_public_wrapper_is_the_columnar_generator(self, profile):
-        trace = generate_synthetic_trace_columnar(profile, 4.0, seed=2)
+    def test_generator_returns_a_columnar_trace(self, profile):
+        trace = generate_columnar_trace(profile, 4.0, seed=2)
         assert isinstance(trace, ColumnarTrace)
-        twin = generate_columnar_trace(profile, 4.0, seed=2)
-        assert np.array_equal(trace.iclass, twin.iclass)
-        assert np.array_equal(trace.dep_val, twin.dep_val)
+        assert len(trace) == len(trace.iclass) == len(trace.dep_off) - 1
 
     def test_dependency_distances_within_bounds(self, profile):
         columnar = generate_columnar_trace(profile, 2.0, seed=0)

@@ -24,6 +24,8 @@ from repro.config import baseline_config
 from repro.core.framework import simulate_synthetic_trace
 from repro.core.profiler import profile_trace
 from repro.core.synthesis import generate_synthetic_trace
+from repro.cpu.locality import (EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D,
+                                EV_L2I)
 from repro.frontend.warming import run_program_with_warmup
 from repro.workloads.spec import build_benchmark
 
@@ -55,15 +57,17 @@ def _build_profile(benchmark):
 
 
 def _trace_payload(synthetic):
-    """Canonical JSON form of a synthetic trace (byte-stable)."""
-    return [
-        [inst.iclass.name, list(inst.dep_distances),
-         int(inst.il1_miss), int(inst.l2i_miss), int(inst.itlb_miss),
-         int(inst.dl1_miss), int(inst.l2d_miss), int(inst.dtlb_miss),
-         int(inst.taken),
-         inst.outcome.name if inst.outcome is not None else None]
-        for inst in synthetic.instructions
-    ]
+    """Canonical JSON form of a synthetic trace (byte-stable): one
+    ``[class, distances, il1, l2i, itlb, dl1, l2d, dtlb, taken,
+    outcome]`` row per position, from its interned entry."""
+    rows = []
+    for iclass, events, deps, taken, outcome in synthetic.distinct:
+        rows.append(
+            [iclass.name, list(deps)]
+            + [int(bool(events & bit)) for bit in (
+                EV_IL1, EV_L2I, EV_ITLB, EV_DL1, EV_L2D, EV_DTLB)]
+            + [int(taken), outcome.name if outcome is not None else None])
+    return [rows[key] for key in synthetic.keys]
 
 
 def _result_payload(result):

@@ -57,8 +57,8 @@ class TestTinyInputs:
         assert len(synthetic) == 0
 
     def test_simulating_empty_synthetic_trace(self, config):
-        empty = SyntheticTrace.from_instructions(
-            name="empty", instructions=[], order=1, reduction_factor=1)
+        empty = SyntheticTrace.from_entries(
+            name="empty", entries=[], order=1, reduction_factor=1)
         result, power = simulate_synthetic_trace(empty, config)
         assert result.instructions == 0
         assert power.total > 0  # idle power remains

@@ -6,6 +6,7 @@ from repro.config import baseline_config
 from repro.core.profiler import profile_trace
 from repro.core.synthesis import generate_synthetic_trace
 from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import EV_LOCALITY
 from repro.frontend.functional import run_program
 from repro.fuzz.acceptance import (
     ToleranceConfig,
@@ -13,7 +14,7 @@ from repro.fuzz.acceptance import (
     chi_square_critical,
 )
 from repro.fuzz.generator import random_case
-from repro.isa.iclass import IClass
+from repro.isa.iclass import BRANCH_CLASSES, IClass
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestAcceptance:
         profile, synthetic = profile_and_synthetic
         report = acceptance_report(profile, synthetic)
         assert report.passed, report.summary()
-        assert report.synthetic_instructions == len(synthetic.instructions)
+        assert report.synthetic_instructions == len(synthetic)
         names = {check.name for check in report.checks}
         assert any(name.startswith("mix[") for name in names)
         assert "taken_rate" in names
@@ -47,12 +48,13 @@ class TestAcceptance:
         profile, synthetic = profile_and_synthetic
         # Rewrite every non-branch instruction to INT_ALU: the realized
         # mix no longer matches the profile.
-        instructions = synthetic.instructions
-        for inst in instructions:
-            if not inst.is_branch:
-                inst.iclass = IClass.INT_ALU
-        tampered = SyntheticTrace.from_instructions(
-            synthetic.name, instructions, synthetic.order,
+        entries = [
+            entry if entry[0] in BRANCH_CLASSES
+            else (IClass.INT_ALU, entry[1] & EV_LOCALITY) + entry[2:]
+            for entry in map(synthetic.distinct.__getitem__,
+                             synthetic.keys)]
+        tampered = SyntheticTrace.from_entries(
+            synthetic.name, entries, synthetic.order,
             synthetic.reduction_factor, synthetic.seed)
         report = acceptance_report(profile, tampered)
         assert not report.passed

@@ -6,6 +6,7 @@ columnar-specific failures are minimized, corpus-filed under kind
 import pytest
 
 from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import EV_LOCALITY
 from repro.fuzz.corpus import load_entry
 from repro.fuzz.generator import random_case
 from repro.fuzz.harness import (
@@ -59,12 +60,11 @@ def _broken_vector_synthetic(profile, case):
     columnar = generate_columnar_trace(profile, case.reduction_factor,
                                        seed=case.synthesis_seed)
     trace = columnar.to_synthetic_trace()
-    instructions = trace.instructions
-    for inst in instructions:
-        inst.iclass = IClass.INT_ALU
-        inst.taken = False
-    return SyntheticTrace.from_instructions(
-        trace.name, instructions, trace.order, trace.reduction_factor,
+    entries = [(IClass.INT_ALU, events & EV_LOCALITY, deps, False, outcome)
+               for _iclass, events, deps, _taken, outcome
+               in map(trace.distinct.__getitem__, trace.keys)]
+    return SyntheticTrace.from_entries(
+        trace.name, entries, trace.order, trace.reduction_factor,
         trace.seed)
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import simplescalar_default_config
-from repro.isa.iclass import BRANCH_CLASSES, IClass
+from conftest import entries_digest, positions
+from repro.config import baseline_config, simplescalar_default_config
+from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
 from repro.branch.unit import BranchOutcome
 from repro.baselines.hls import (
     HLS_NUM_BLOCKS,
@@ -55,28 +56,47 @@ class TestHlsTraceGeneration:
     def test_deterministic(self, profile):
         a = generate_hls_trace(profile, length=300, seed=4)
         b = generate_hls_trace(profile, length=300, seed=4)
-        assert [i.iclass for i in a] == [i.iclass for i in b]
+        assert positions(a) == positions(b)
 
     def test_no_deps_on_branch_or_store(self, profile):
         trace = generate_hls_trace(profile, length=800, seed=1)
-        instructions = trace.instructions
-        for index, inst in enumerate(instructions):
-            for distance in inst.dep_distances:
+        entries = positions(trace)
+        for index, entry in enumerate(entries):
+            for distance in entry[2]:
                 target = index - distance
                 if target >= 0:
-                    assert instructions[target].produces_register
+                    assert entries[target][0] in PRODUCING_CLASSES
 
     def test_branches_annotated(self, profile):
         trace = generate_hls_trace(profile, length=800, seed=1)
-        for inst in trace:
-            if inst.is_branch:
-                assert inst.outcome in BranchOutcome
+        for iclass, _events, _deps, _taken, outcome in trace.distinct:
+            if iclass in BRANCH_CLASSES:
+                assert outcome in BranchOutcome
 
     def test_mix_roughly_preserved(self, profile):
         trace = generate_hls_trace(profile, length=4000, seed=2)
-        load_fraction = sum(i.is_load for i in trace) / len(trace)
+        load_fraction = sum(count for entry, count in trace.counted
+                            if entry[0] is IClass.LOAD) / len(trace)
         target = profile.instruction_mix.get(IClass.LOAD, 0.0)
         assert abs(load_fraction - target) < 0.08
+
+
+#: ``entries_digest`` of a 2,000-instruction HLS trace of the warmed
+#: gzip reference, per seed: pins the draw order (block build, walk,
+#: operand counts, dependency draws with their rejection of
+#: non-producing targets, il1, l2i|il1, itlb, the load flags, taken and
+#: the outcome draw).
+HLS_DIGESTS = {
+    0: "0730a991dd1f84858878c2a8e9d2649980715463b4096c4eed67cec60fb46ccc",
+    1: "2b7e704e8e0ffe478067ab6c347040eb6322bdea191554017c8baae780789ef4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HLS_DIGESTS))
+def test_hls_draws_pinned(gzip_reference, seed):
+    profile = hls_profile(gzip_reference, baseline_config())
+    trace = generate_hls_trace(profile, length=2000, seed=seed)
+    assert entries_digest(trace) == HLS_DIGESTS[seed]
 
 
 class TestHlsSimulation:

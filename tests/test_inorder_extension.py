@@ -80,8 +80,10 @@ class TestAntiDependencySynthesis:
         without = generate_synthetic_trace(profile, 4, seed=0)
         with_anti = generate_synthetic_trace(
             profile, 4, seed=0, include_anti_dependencies=True)
-        n_without = sum(len(i.dep_distances) for i in without)
-        n_with = sum(len(i.dep_distances) for i in with_anti)
+        n_without = sum(len(entry[2]) * count
+                        for entry, count in without.counted)
+        n_with = sum(len(entry[2]) * count
+                     for entry, count in with_anti.counted)
         assert n_with > n_without
 
     def test_eds_source_adds_anti_deps(self, tiny_trace, config):

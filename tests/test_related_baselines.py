@@ -3,7 +3,9 @@ size-correlated)."""
 
 import pytest
 
-from repro.isa.iclass import BRANCH_CLASSES, IClass
+from conftest import entries_digest, positions
+from repro.config import baseline_config
+from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES
 from repro.branch.unit import BranchOutcome
 from repro.baselines.related import (
     IndependentModel,
@@ -49,22 +51,22 @@ class TestIndependentModel:
     def test_deterministic(self, independent):
         a = independent.generate(400, seed=3)
         b = independent.generate(400, seed=3)
-        assert [i.iclass for i in a] == [i.iclass for i in b]
+        assert positions(a) == positions(b)
 
     def test_branches_end_blocks(self, independent):
         trace = independent.generate(600, seed=1)
-        for inst in trace:
-            if inst.is_branch:
-                assert inst.outcome in BranchOutcome
+        for iclass, _events, _deps, _taken, outcome in trace.distinct:
+            if iclass in BRANCH_CLASSES:
+                assert outcome in BranchOutcome
 
     def test_dependencies_valid(self, independent):
         trace = independent.generate(600, seed=1)
-        instructions = trace.instructions
-        for index, inst in enumerate(instructions):
-            for distance in inst.dep_distances:
+        entries = positions(trace)
+        for index, entry in enumerate(entries):
+            for distance in entry[2]:
                 target = index - distance
                 if target >= 0:
-                    assert instructions[target].produces_register
+                    assert entries[target][0] in PRODUCING_CLASSES
 
     def test_simulates(self, independent, config):
         result, power = run_model(independent, config, length=600)
@@ -79,9 +81,9 @@ class TestSizeCorrelatedModel:
         # walking the trace, each sampled block ends with one branch.
         count = 0
         sizes = set(size_correlated.globals.block_sizes)
-        for inst in trace:
+        for entry in positions(trace):
             count += 1
-            if inst.is_branch:
+            if entry[0] in BRANCH_CLASSES:
                 assert count in sizes
                 count = 0
 
@@ -90,9 +92,9 @@ class TestSizeCorrelatedModel:
         trace = size_correlated.generate(2500, seed=0)
         sizes = []
         count = 0
-        for inst in trace:
+        for entry in positions(trace):
             count += 1
-            if inst.is_branch:
+            if entry[0] in BRANCH_CLASSES:
                 sizes.append(count)
                 count = 0
         generated_mean = sum(sizes) / len(sizes)
@@ -104,8 +106,32 @@ class TestSizeCorrelatedModel:
     def test_deterministic(self, size_correlated):
         a = size_correlated.generate(400, seed=2)
         b = size_correlated.generate(400, seed=2)
-        assert [i.iclass for i in a] == [i.iclass for i in b]
+        assert positions(a) == positions(b)
 
     def test_simulates(self, size_correlated, config):
         result, power = run_model(size_correlated, config, length=600)
         assert result.instructions == 600
+
+
+#: ``entries_digest`` of a 2,000-instruction trace of the warmed gzip
+#: reference, per model and seed: pins both models' draw order.
+MODEL_DIGESTS = {
+    (IndependentModel, 0):
+        "906b3152c3e04a9a8501a92208a3712f8abc97a35057d29d3b30723166b4705d",
+    (IndependentModel, 1):
+        "403f56638a00f9ff11e4f5fc634a7826725a5c19264c6c10062b18db6eb7da22",
+    (SizeCorrelatedModel, 0):
+        "5196abb24a4ee6c937ef679be199da525c31c6337ad44df017e1956b3de4453b",
+    (SizeCorrelatedModel, 1):
+        "e7cbc59154bc9a789339d7e498664fc65e8711b88c539b58835b2e62d63b9c29",
+}
+
+
+@pytest.mark.parametrize(
+    "model_class, seed", sorted(MODEL_DIGESTS, key=lambda k: (
+        k[0].__name__, k[1])),
+    ids=lambda value: getattr(value, "__name__", str(value)))
+def test_model_draws_pinned(gzip_reference, model_class, seed):
+    model = model_class(gzip_reference, baseline_config())
+    trace = model.generate(2000, seed=seed)
+    assert entries_digest(trace) == MODEL_DIGESTS[(model_class, seed)]

@@ -5,14 +5,17 @@ import json
 
 import pytest
 
+from conftest import positions
 from repro.config import baseline_config
-from repro.isa.iclass import BRANCH_CLASSES, IClass
+from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
 from repro.branch.unit import BranchOutcome
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import reduce_flow_graph
 from repro.core.sfg import StatisticalFlowGraph
 from repro.core.synthesis import generate_synthetic_trace, prepare_recipes
-from repro.core.synthetic import SyntheticTrace, dependency_targets
+from repro.core.synthetic import SyntheticTrace
+from repro.cpu.locality import (EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D,
+                                EV_L2I)
 from repro.experiments.common import QUICK_SCALE, prepare_benchmark
 from repro.frontend.warming import run_program_with_warmup
 from repro.obs.metrics import get_registry
@@ -33,33 +36,35 @@ class TestWalk:
     def test_emits_budgeted_blocks(self, tiny_profile):
         reduced = reduce_flow_graph(tiny_profile.sfg, 4)
         synthetic = generate_synthetic_trace(tiny_profile, 4, seed=0)
-        branches = sum(1 for inst in synthetic if inst.is_branch)
+        branches = sum(count for entry, count in synthetic.counted
+                       if entry[0] in BRANCH_CLASSES)
         assert branches == reduced.total_blocks
 
     def test_deterministic_per_seed(self, small_profile):
         a = generate_synthetic_trace(small_profile, 4, seed=7)
         b = generate_synthetic_trace(small_profile, 4, seed=7)
         assert len(a) == len(b)
-        assert [i.iclass for i in a] == [i.iclass for i in b]
-        assert [i.dep_distances for i in a] == \
-            [i.dep_distances for i in b]
+        assert [e[0] for e in positions(a)] == [e[0] for e in positions(b)]
+        assert [e[2] for e in positions(a)] == [e[2] for e in positions(b)]
 
     def test_seeds_differ(self, small_profile):
         a = generate_synthetic_trace(small_profile, 4, seed=1)
         b = generate_synthetic_trace(small_profile, 4, seed=2)
-        assert [i.iclass for i in a] != [i.iclass for i in b]
+        assert [e[0] for e in positions(a)] != [e[0] for e in positions(b)]
 
     def test_order_zero_walk(self, small_trace, config):
         profile = profile_trace(small_trace, config, order=0)
         synthetic = generate_synthetic_trace(profile, 4, seed=0)
         reduced = reduce_flow_graph(profile.sfg, 4)
-        branches = sum(1 for inst in synthetic if inst.is_branch)
+        branches = sum(count for entry, count in synthetic.counted
+                       if entry[0] in BRANCH_CLASSES)
         assert branches == reduced.total_blocks
 
     def test_block_mix_preserved(self, small_profile, small_trace):
         synthetic = generate_synthetic_trace(small_profile, 2, seed=0)
         real_mix = small_trace.instruction_mix()
-        loads = sum(inst.is_load for inst in synthetic) / len(synthetic)
+        loads = sum(count for entry, count in synthetic.counted
+                    if entry[0] is IClass.LOAD) / len(synthetic)
         assert abs(loads - real_mix.get(IClass.LOAD, 0.0)) < 0.08
 
     def test_max_instructions_cap(self, small_profile):
@@ -81,43 +86,44 @@ class TestDependencies:
         # Paper section 2.2 step 4: rejected and redrawn, squashed
         # after 1000 tries.
         synthetic = generate_synthetic_trace(small_profile, 2, seed=3)
-        instructions = synthetic.instructions
-        for index, inst in enumerate(instructions):
-            for target in dependency_targets(instructions, index):
-                assert instructions[target].produces_register
+        entries = positions(synthetic)
+        for index, entry in enumerate(entries):
+            for distance in entry[2]:
+                if index - distance >= 0:
+                    assert entries[index - distance][0] in \
+                        PRODUCING_CLASSES
 
     def test_distances_positive(self, small_profile):
         synthetic = generate_synthetic_trace(small_profile, 2, seed=3)
-        for inst in synthetic:
-            for distance in inst.dep_distances:
+        for entry in synthetic.distinct:
+            for distance in entry[2]:
                 assert distance > 0
 
 
 class TestAnnotations:
     def test_flags_only_on_loads(self, small_profile):
         synthetic = generate_synthetic_trace(small_profile, 2, seed=1)
-        for inst in synthetic:
-            if not inst.is_load:
-                assert not inst.dl1_miss
-                assert not inst.l2d_miss
-                assert not inst.dtlb_miss
+        for iclass, events, _deps, _taken, _outcome in synthetic.distinct:
+            if iclass is not IClass.LOAD:
+                assert not events & (EV_DL1 | EV_L2D | EV_DTLB)
 
     def test_l2_miss_requires_l1_miss(self, small_profile):
         synthetic = generate_synthetic_trace(small_profile, 2, seed=1)
-        for inst in synthetic:
-            if inst.l2d_miss:
-                assert inst.dl1_miss
-            if inst.l2i_miss:
-                assert inst.il1_miss
+        for entry in synthetic.distinct:
+            events = entry[1]
+            if events & EV_L2D:
+                assert events & EV_DL1
+            if events & EV_L2I:
+                assert events & EV_IL1
 
     def test_outcomes_only_on_branches(self, small_profile):
         synthetic = generate_synthetic_trace(small_profile, 2, seed=1)
-        for inst in synthetic:
-            if inst.is_branch:
-                assert inst.outcome in BranchOutcome
+        for iclass, _events, _deps, taken, outcome in synthetic.distinct:
+            if iclass in BRANCH_CLASSES:
+                assert outcome in BranchOutcome
             else:
-                assert inst.outcome is None
-                assert not inst.taken
+                assert outcome is None
+                assert not taken
 
     def test_misprediction_rate_preserved(self, small_trace, config):
         profile = profile_trace(small_trace, config, order=1)
@@ -127,9 +133,10 @@ class TestAnnotations:
                           for s in profile.sfg.contexts.values())
         total = sum(s.occurrences for s in profile.sfg.contexts.values())
         real_rate = mispredicts / total
-        branches = [i for i in synthetic if i.is_branch]
-        syn_rate = sum(i.outcome is BranchOutcome.MISPREDICTION
-                       for i in branches) / len(branches)
+        branches = [e for e in positions(synthetic)
+                    if e[0] in BRANCH_CLASSES]
+        syn_rate = sum(e[4] is BranchOutcome.MISPREDICTION
+                       for e in branches) / len(branches)
         assert abs(syn_rate - real_rate) < 0.05
 
     def test_perfect_profile_gives_clean_trace(self, small_trace,
@@ -138,25 +145,28 @@ class TestAnnotations:
                                 branch_mode="perfect",
                                 perfect_caches=True)
         synthetic = generate_synthetic_trace(profile, 2, seed=0)
-        for inst in synthetic:
-            assert not inst.il1_miss and not inst.dl1_miss
-            if inst.is_branch:
-                assert inst.outcome is BranchOutcome.CORRECT
+        for iclass, events, _deps, _taken, outcome in synthetic.distinct:
+            assert not events & (EV_IL1 | EV_DL1)
+            if iclass in BRANCH_CLASSES:
+                assert outcome is BranchOutcome.CORRECT
 
     def test_taken_rate_preserved(self, small_trace, config):
         profile = profile_trace(small_trace, config, order=1)
         synthetic = generate_synthetic_trace(profile, 2, seed=0)
         taken_real = sum(s.taken for s in profile.sfg.contexts.values())
         total = sum(s.occurrences for s in profile.sfg.contexts.values())
-        branches = [i for i in synthetic if i.is_branch]
-        taken_syn = sum(i.taken for i in branches) / len(branches)
+        branches = [e for e in positions(synthetic)
+                    if e[0] in BRANCH_CLASSES]
+        taken_syn = sum(e[3] for e in branches) / len(branches)
         assert abs(taken_syn - taken_real / total) < 0.07
 
 
 def _fields(trace):
-    return [(i.iclass, i.dep_distances, i.il1_miss, i.l2i_miss,
-             i.itlb_miss, i.dl1_miss, i.l2d_miss, i.dtlb_miss, i.taken,
-             i.outcome) for i in trace]
+    return [(iclass, deps)
+            + tuple(bool(events & bit) for bit in (
+                EV_IL1, EV_L2I, EV_ITLB, EV_DL1, EV_L2D, EV_DTLB))
+            + (taken, outcome)
+            for iclass, events, deps, taken, outcome in positions(trace)]
 
 
 #: Per block: slot classes and one operand dependency table per slot
@@ -270,13 +280,13 @@ class TestDependencySquashSkip:
         # Blocks 0 and 1 squash slot 2 on each of their 40 visits.
         assert counter.value - before >= 80
         # Block 2's long retry loops do reach the one accepted distance.
-        assert any(inst.dep_distances == (9,) for inst in synthetic)
+        assert any(entry[2] == (9,) for entry in synthetic.distinct)
 
 
 class TestInterning:
     """Within one synthesis call, instructions with the same class,
-    events and dependencies are one shared instance, and the pipeline
-    conversion builds one fetch slot per instance."""
+    events and dependencies are one shared entry, and the pipeline
+    conversion prices one row per entry."""
 
     @pytest.fixture(scope="class")
     def profile(self):
@@ -288,7 +298,8 @@ class TestInterning:
 
     def test_trace_reuses_instances(self, profile):
         synthetic = generate_synthetic_trace(profile, 2, seed=0)
-        assert len({id(inst) for inst in synthetic}) < len(synthetic) // 4
+        assert len(synthetic.distinct) < len(synthetic) // 4
+        assert len(set(synthetic.distinct)) == len(synthetic.distinct)
 
     def test_entries_not_shared_across_calls(self, profile):
         first = generate_synthetic_trace(profile, 2, seed=0)
@@ -303,7 +314,7 @@ class TestInterning:
         rows = synthetic.to_fetch_slots(config)
         assert len(rows) == len(synthetic)
         assert len({id(row) for row in rows}) == len(synthetic.distinct)
-        for inst, row in zip(synthetic, rows):
-            alone = SyntheticTrace.from_instructions(
-                "one", [inst], order=1, reduction_factor=1.0)
+        for entry, row in zip(positions(synthetic), rows):
+            alone = SyntheticTrace.from_entries(
+                "one", [entry], order=1, reduction_factor=1.0)
             assert alone.to_fetch_slots(config)[0] == row

@@ -1,21 +1,32 @@
-"""Tests for synthetic instruction/trace containers and their pricing
-into pipeline rows."""
+"""Tests for synthetic traces (interned ``(iclass, events, deps, taken,
+outcome)`` entries) and their pricing into pipeline rows."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.config import baseline_config
-from repro.isa.iclass import IClass, execution_latency
+from repro.isa.iclass import (BRANCH_CLASSES, PRODUCING_CLASSES, IClass,
+                              execution_latency)
 from repro.branch.unit import BranchOutcome
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import SyntheticTrace
+from repro.core.validation import synthetic_rates
+from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
+                                EV_L2D, EV_L2I)
 from repro.cpu.source import PreannotatedSource
 from repro.obs.metrics import get_registry
 
 
-def _trace(instructions):
-    return SyntheticTrace.from_instructions(
-        name="t", instructions=instructions, order=1, reduction_factor=10)
+def _inst(iclass, events=0, deps=(), taken=False, outcome=None):
+    """One synthetic instruction's entry (``EV_DATA`` on every load)."""
+    if iclass is IClass.LOAD:
+        events |= EV_DATA
+    return (iclass, events, deps, taken, outcome)
+
+
+def _trace(entries):
+    return SyntheticTrace.from_entries(
+        name="t", entries=entries, order=1, reduction_factor=10)
 
 
 def _slots(trace, config):
@@ -25,32 +36,37 @@ def _slots(trace, config):
 
 
 class TestSyntheticInstruction:
+    """A synthetic instruction is one interned entry."""
+
     def test_flags(self):
-        inst = SyntheticInstruction(IClass.LOAD, dl1_miss=True)
-        assert inst.is_load
-        assert inst.produces_register
-        assert not inst.is_branch
+        trace = _trace([_inst(IClass.LOAD, EV_DL1)])
+        slot = _slots(trace, baseline_config())[0]
+        assert slot.is_load and slot.is_mem and not slot.is_branch
+        assert slot.dl1_miss and not slot.l2d_miss
+        rates = synthetic_rates(trace)
+        assert rates.load_fraction == 1.0 and rates.dl1_miss_rate == 1.0
+        assert IClass.LOAD in PRODUCING_CLASSES
 
     def test_store_produces_nothing(self):
-        assert not SyntheticInstruction(IClass.STORE).produces_register
+        assert IClass.STORE not in PRODUCING_CLASSES
+        slot = _slots(_trace([_inst(IClass.STORE)]), baseline_config())[0]
+        assert slot.is_store and not slot.is_load
 
     def test_branch_produces_nothing(self):
-        inst = SyntheticInstruction(IClass.INT_COND_BRANCH,
-                                    outcome=BranchOutcome.CORRECT)
-        assert inst.is_branch
-        assert not inst.produces_register
+        assert not PRODUCING_CLASSES & BRANCH_CLASSES
+        trace = _trace([_inst(IClass.INT_COND_BRANCH,
+                              outcome=BranchOutcome.CORRECT)])
+        assert _slots(trace, baseline_config())[0].is_branch
 
 
 class TestToFetchSlots:
     def test_load_latency_mapping(self):
         config = baseline_config()
         cases = [
-            (SyntheticInstruction(IClass.LOAD), config.dl1.hit_latency),
-            (SyntheticInstruction(IClass.LOAD, dl1_miss=True),
-             config.l2.hit_latency),
-            (SyntheticInstruction(IClass.LOAD, dl1_miss=True,
-                                  l2d_miss=True), config.memory_latency),
-            (SyntheticInstruction(IClass.LOAD, dtlb_miss=True),
+            (_inst(IClass.LOAD), config.dl1.hit_latency),
+            (_inst(IClass.LOAD, EV_DL1), config.l2.hit_latency),
+            (_inst(IClass.LOAD, EV_DL1 | EV_L2D), config.memory_latency),
+            (_inst(IClass.LOAD, EV_DTLB),
              config.dl1.hit_latency + config.dtlb.miss_latency),
         ]
         slots = _slots(_trace([c[0] for c in cases]), config)
@@ -60,13 +76,10 @@ class TestToFetchSlots:
     def test_fetch_stall_mapping(self):
         config = baseline_config()
         cases = [
-            (SyntheticInstruction(IClass.INT_ALU), 0),
-            (SyntheticInstruction(IClass.INT_ALU, il1_miss=True),
-             config.l2.hit_latency),
-            (SyntheticInstruction(IClass.INT_ALU, il1_miss=True,
-                                  l2i_miss=True), config.memory_latency),
-            (SyntheticInstruction(IClass.INT_ALU, itlb_miss=True),
-             config.itlb.miss_latency),
+            (_inst(IClass.INT_ALU), 0),
+            (_inst(IClass.INT_ALU, EV_IL1), config.l2.hit_latency),
+            (_inst(IClass.INT_ALU, EV_IL1 | EV_L2I), config.memory_latency),
+            (_inst(IClass.INT_ALU, EV_ITLB), config.itlb.miss_latency),
         ]
         slots = _slots(_trace([c[0] for c in cases]), config)
         for slot, (_, expected) in zip(slots, cases):
@@ -74,21 +87,21 @@ class TestToFetchSlots:
 
     def test_non_load_latency_is_class_latency(self):
         config = baseline_config()
-        inst = SyntheticInstruction(IClass.FP_DIV)
+        inst = _inst(IClass.FP_DIV)
         slot = _slots(_trace([inst]), config)[0]
         assert slot.exec_latency == execution_latency(IClass.FP_DIV)
 
     def test_branch_annotations_forwarded(self):
         config = baseline_config()
-        inst = SyntheticInstruction(IClass.INT_COND_BRANCH, taken=True,
-                                    outcome=BranchOutcome.MISPREDICTION)
+        inst = _inst(IClass.INT_COND_BRANCH, taken=True,
+                     outcome=BranchOutcome.MISPREDICTION)
         slot = _slots(_trace([inst]), config)[0]
         assert slot.taken is True
         assert slot.outcome is BranchOutcome.MISPREDICTION
 
     def test_dep_distances_forwarded(self):
         config = baseline_config()
-        inst = SyntheticInstruction(IClass.INT_ALU, dep_distances=(3, 7))
+        inst = _inst(IClass.INT_ALU, deps=(3, 7))
         slot = _slots(_trace([inst]), config)[0]
         assert slot.dep_distances == (3, 7)
 
@@ -96,16 +109,15 @@ class TestToFetchSlots:
 def _every_event():
     """One instruction per locality event the latency helpers price."""
     return [
-        SyntheticInstruction(IClass.LOAD),
-        SyntheticInstruction(IClass.LOAD, dl1_miss=True),
-        SyntheticInstruction(IClass.LOAD, dl1_miss=True, l2d_miss=True),
-        SyntheticInstruction(IClass.LOAD, dtlb_miss=True),
-        SyntheticInstruction(IClass.INT_ALU, il1_miss=True),
-        SyntheticInstruction(IClass.INT_ALU, il1_miss=True,
-                             l2i_miss=True),
-        SyntheticInstruction(IClass.INT_ALU, itlb_miss=True),
-        SyntheticInstruction(IClass.INT_COND_BRANCH, taken=True,
-                             outcome=BranchOutcome.CORRECT),
+        _inst(IClass.LOAD),
+        _inst(IClass.LOAD, EV_DL1),
+        _inst(IClass.LOAD, EV_DL1 | EV_L2D),
+        _inst(IClass.LOAD, EV_DTLB),
+        _inst(IClass.INT_ALU, EV_IL1),
+        _inst(IClass.INT_ALU, EV_IL1 | EV_L2I),
+        _inst(IClass.INT_ALU, EV_ITLB),
+        _inst(IClass.INT_COND_BRANCH, taken=True,
+              outcome=BranchOutcome.CORRECT),
     ]
 
 
@@ -181,21 +193,26 @@ class TestPriceMemo:
 
 class TestSummary:
     def test_summary_rates(self):
-        instructions = [
-            SyntheticInstruction(IClass.LOAD, dl1_miss=True),
-            SyntheticInstruction(IClass.LOAD),
-            SyntheticInstruction(IClass.INT_ALU),
-            SyntheticInstruction(IClass.INT_COND_BRANCH,
-                                 outcome=BranchOutcome.MISPREDICTION),
+        entries = [
+            _inst(IClass.LOAD, EV_DL1),
+            _inst(IClass.LOAD),
+            _inst(IClass.INT_ALU),
+            _inst(IClass.INT_COND_BRANCH,
+                  outcome=BranchOutcome.MISPREDICTION),
         ]
-        summary = _trace(instructions).summary()
-        assert summary["instructions"] == 4
-        assert summary["load_fraction"] == pytest.approx(0.5)
-        assert summary["dl1_miss_rate"] == pytest.approx(0.5)
-        assert summary["misprediction_rate"] == pytest.approx(1.0)
+        trace = _trace(entries)
+        rates = synthetic_rates(trace)
+        assert len(trace) == 4
+        assert rates.load_fraction == pytest.approx(0.5)
+        assert rates.dl1_miss_rate == pytest.approx(0.5)
+        assert rates.misprediction_rate == pytest.approx(1.0)
 
     def test_container_protocol(self):
-        trace = _trace([SyntheticInstruction(IClass.INT_ALU)])
-        assert len(trace) == 1
-        assert trace[0].iclass is IClass.INT_ALU
-        assert [i.iclass for i in trace] == [IClass.INT_ALU]
+        alu = _inst(IClass.INT_ALU)
+        load = _inst(IClass.LOAD)
+        trace = _trace([alu, load, alu])
+        assert len(trace) == 3
+        assert trace.distinct == [alu, load]
+        assert list(trace.keys) == [0, 1, 0]
+        assert sorted(trace.counted, key=lambda pair: pair[1]) == \
+            [(load, 1), (alu, 2)]

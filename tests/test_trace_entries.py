@@ -1,7 +1,8 @@
 """A synthetic trace as entry ids into distinct entries, priced once per
-entry: every position must price and tally exactly as the
-per-instruction path (one :class:`FetchSlot` per instruction) does, and
-a scalar design-point evaluation must build neither object."""
+entry: every position must price and tally exactly as a
+:class:`FetchSlot` built from its entry's fields with the paper's
+latency rules does, and a scalar design-point evaluation must build no
+``FetchSlot``."""
 
 import gc
 from dataclasses import replace
@@ -14,12 +15,13 @@ from repro.config import baseline_config
 from repro.core import framework
 from repro.core.profiler import profile_trace
 from repro.core.synthesis import generate_synthetic_trace
-from repro.core.synthetic import SyntheticInstruction
+from repro.cpu.locality import (EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D,
+                                EV_L2I)
 from repro.cpu.pipeline import simulate
 from repro.cpu.source import FetchSlot, PreannotatedSource
 from repro.dse.engine import evaluate_metrics
 from repro.frontend.warming import run_program_with_warmup
-from repro.isa.iclass import IClass, execution_latency
+from repro.isa.iclass import BRANCH_CLASSES, IClass, execution_latency
 from repro.workloads.spec import build_benchmark
 
 BENCHMARKS = ("gzip", "parser")
@@ -51,37 +53,36 @@ def profile(request):
                          branch_mode="delayed", warmup_trace=warm)
 
 
-def _slot(inst: SyntheticInstruction, config) -> FetchSlot:
-    """The per-instruction conversion (paper section 2.3)."""
-    if inst.is_load:
-        latency = load_latency(config, inst.dl1_miss, inst.l2d_miss,
-                               inst.dtlb_miss)
+def _slot(entry: tuple, config) -> FetchSlot:
+    """The conversion of one entry (paper section 2.3)."""
+    iclass, events, deps, taken, outcome = entry
+    il1, l2i, itlb, dl1, l2d, dtlb = (bool(events & bit) for bit in (
+        EV_IL1, EV_L2I, EV_ITLB, EV_DL1, EV_L2D, EV_DTLB))
+    if iclass is IClass.LOAD:
+        latency = load_latency(config, dl1, l2d, dtlb)
     else:
-        latency = execution_latency(inst.iclass)
+        latency = execution_latency(iclass)
     return FetchSlot(
-        iclass=inst.iclass, exec_latency=latency,
-        fetch_stall=fetch_stall(config, inst.il1_miss, inst.l2i_miss,
-                                inst.itlb_miss),
-        dep_distances=inst.dep_distances, taken=inst.taken,
-        outcome=inst.outcome, il1_miss=inst.il1_miss,
-        l2i_miss=inst.l2i_miss, dl1_miss=inst.dl1_miss,
-        l2d_miss=inst.l2d_miss, itlb_miss=inst.itlb_miss,
-        dtlb_miss=inst.dtlb_miss)
+        iclass=iclass, exec_latency=latency,
+        fetch_stall=fetch_stall(config, il1, l2i, itlb),
+        dep_distances=deps, taken=taken, outcome=outcome, il1_miss=il1,
+        l2i_miss=l2i, dl1_miss=dl1, l2d_miss=l2d, itlb_miss=itlb,
+        dtlb_miss=dtlb)
 
 
-def _counted_tallies(instructions) -> tuple:
+def _counted_tallies(entries) -> tuple:
     """The source tallies, counted position by position."""
     branches = taken = mispredicted = redirected = mem = l2 = 0
-    for inst in instructions:
-        l2 += inst.il1_miss
-        if inst.is_load or inst.iclass is IClass.STORE:
+    for iclass, events, _deps, was_taken, outcome in entries:
+        l2 += bool(events & EV_IL1)
+        if iclass in (IClass.LOAD, IClass.STORE):
             mem += 1
-            l2 += inst.dl1_miss
-        if inst.is_branch:
+            l2 += bool(events & EV_DL1)
+        if iclass in BRANCH_CLASSES:
             branches += 1
-            taken += inst.taken
-            mispredicted += inst.outcome is BranchOutcome.MISPREDICTION
-            redirected += inst.outcome is BranchOutcome.FETCH_REDIRECTION
+            taken += was_taken
+            mispredicted += outcome is BranchOutcome.MISPREDICTION
+            redirected += outcome is BranchOutcome.FETCH_REDIRECTION
     return (branches, taken, mispredicted, redirected, 2 * branches, mem,
             l2)
 
@@ -95,7 +96,7 @@ def test_prices_and_tallies_like_per_instruction_slots(profile, shape,
     synthetic = generate_synthetic_trace(
         profile, 2, seed=5, include_anti_dependencies=anti,
         max_instructions=cap)
-    instructions = synthetic.instructions
+    entries = [synthetic.distinct[key] for key in synthetic.keys]
     assert len(synthetic.distinct) < len(synthetic)
     if anti:
         assert any(len(entry[2]) > 1 for entry in synthetic.distinct)
@@ -104,11 +105,10 @@ def test_prices_and_tallies_like_per_instruction_slots(profile, shape,
             generate_synthetic_trace(profile, 2, seed=5))
 
     rows = synthetic.to_fetch_slots(config)
-    assert list(rows) == [_slot(inst, config).row
-                          for inst in instructions]
+    assert list(rows) == [_slot(entry, config).row for entry in entries]
 
     source = PreannotatedSource.from_trace(synthetic, config)
-    expected = _counted_tallies(instructions)
+    expected = _counted_tallies(entries)
     assert (source.branches, source.taken_branches, source.mispredictions,
             source.redirections, source.act_bpred, source.act_dl1,
             source.act_l2) == expected
@@ -119,44 +119,40 @@ def test_prices_and_tallies_like_per_instruction_slots(profile, shape,
     assert [[getattr(slot, f) for f in FetchSlot.__slots__]
             for slot in fetched] == \
         [[getattr(slot, f) for f in FetchSlot.__slots__]
-         for slot in (_slot(inst, config) for inst in instructions)]
+         for slot in (_slot(entry, config) for entry in entries)]
 
 
-def _live(cls) -> int:
-    """Live instances of *cls*, however they were allocated."""
-    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+def _live_slots() -> int:
+    """Live :class:`FetchSlot` instances, however they were allocated."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is FetchSlot)
 
 
 def test_scalar_evaluation_builds_no_per_instruction_object(profile,
                                                             monkeypatch):
-    """Two probes: constructor calls, and a count of live instances
-    taken around the simulation while the evaluation's trace and
-    source are still referenced (this one also catches instances made
-    through ``__new__``, which skips ``__init__``)."""
+    """Two probes on :class:`FetchSlot`: constructor calls, and a count
+    of live instances taken around the simulation while the
+    evaluation's trace and source are still referenced (this one also
+    catches instances made through ``__new__``, which skips
+    ``__init__``)."""
     built = []
+    init = FetchSlot.__init__
 
-    def counting(init):
-        def __init__(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
-        return __init__
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SyntheticInstruction, "__init__",
-                        counting(SyntheticInstruction.__init__))
-    monkeypatch.setattr(FetchSlot, "__init__",
-                        counting(FetchSlot.__init__))
-    classes = (SyntheticInstruction, FetchSlot)
+    monkeypatch.setattr(FetchSlot, "__init__", counting)
     live_during = []
 
     def probed_simulate(config, source):
-        live_during.append([_live(cls) for cls in classes])
+        live_during.append(_live_slots())
         result = simulate(config, source)
-        live_during.append([_live(cls) for cls in classes])
+        live_during.append(_live_slots())
         return result
 
     monkeypatch.setattr(framework, "simulate", probed_simulate)
     gc.collect()
-    live_before = [_live(cls) for cls in classes]
+    live_before = _live_slots()
     metrics = evaluate_metrics(profile, baseline_config(), seed=3,
                                reduction_factor=2.0)
     assert metrics["mode"] == "scalar"

@@ -43,14 +43,6 @@ class TestProfileRates:
 
 
 class TestSyntheticRates:
-    def test_rates_match_summary(self, synthetic):
-        rates = synthetic_rates(synthetic)
-        summary = synthetic.summary()
-        assert rates.load_fraction == pytest.approx(
-            summary["load_fraction"])
-        assert rates.misprediction_rate == pytest.approx(
-            summary["misprediction_rate"])
-
     def test_dependency_statistics(self, synthetic):
         rates = synthetic_rates(synthetic)
         assert rates.dependencies_per_instruction > 0
