@@ -31,10 +31,7 @@ from typing import Dict, List, Tuple
 from repro.config import MachineConfig
 from repro.isa.iclass import BRANCH_CLASSES, IClass
 from repro.frontend.trace import Trace
-from repro.branch.profiler import profile_branches_delayed
-from repro.branch.unit import BranchOutcome, BranchPredictorUnit
-from repro.cache.hierarchy import CacheHierarchy
-from repro.baselines.related import _Emitter
+from repro.baselines.related import _Emitter, _measure_globals
 from repro.core.synthetic import SyntheticTrace
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
@@ -63,7 +60,7 @@ class HLSProfile:
 
 def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
     """Measure HLS's global statistical profile from a dynamic trace."""
-    hierarchy = CacheHierarchy(config)
+    stats = _measure_globals(trace, config)
     mix: Dict[IClass, int] = {}
     block_sizes: List[int] = []
     size = 0
@@ -72,7 +69,6 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
     operands_total = 0
     operands_with_dep = 0
     last_writer: Dict[int, int] = {}
-    loads = 0
 
     for inst in trace.instructions:
         mix[inst.iclass] = mix.get(inst.iclass, 0) + 1
@@ -89,23 +85,9 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
                 distance_hist[distance] = distance_hist.get(distance, 0) + 1
         if inst.dst_reg is not None:
             last_writer[inst.dst_reg] = inst.seq
-        hierarchy.access_instruction(inst.pc)
-        if inst.mem_addr is not None:
-            hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
-            loads += inst.is_load
         if inst.is_branch:
             block_sizes.append(size)
             size = 0
-
-    records = profile_branches_delayed(
-        trace, BranchPredictorUnit(config.predictor),
-        fifo_size=config.ifq_size)
-    n_branches = max(1, len(records))
-    taken = sum(r.taken for r in records)
-    redirect = sum(r.outcome is BranchOutcome.FETCH_REDIRECTION
-                   for r in records)
-    mispredict = sum(r.outcome is BranchOutcome.MISPREDICTION
-                     for r in records)
 
     total = len(trace)
     mean_size = (sum(block_sizes) / len(block_sizes)) if block_sizes else 1.0
@@ -131,11 +113,11 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
         dependency_distances=(distances, weights),
         dependency_fraction=(operands_with_dep / operands_total
                              if operands_total else 0.0),
-        taken_rate=taken / n_branches,
-        redirect_rate=redirect / n_branches,
-        misprediction_rate=mispredict / n_branches,
-        miss_rates=hierarchy.miss_rates(),
-        trace_instructions=total,
+        taken_rate=stats.taken_rate,
+        redirect_rate=stats.redirect_rate,
+        misprediction_rate=stats.misprediction_rate,
+        miss_rates=stats.miss_rates,
+        trace_instructions=stats.trace_instructions,
     )
 
 
@@ -186,14 +168,16 @@ def generate_hls_trace(profile: HLSProfile, length: int,
                                           distance_cumulative))
               if distances else None)
 
+    operand_counts = {iclass: (values, list(accumulate(weights)))
+                      for iclass, (values, weights)
+                      in profile.operand_counts.items()}
     out = _Emitter()
     current = rng.randrange(HLS_NUM_BLOCKS)
     while len(out) < length:
         for iclass in blocks[current]:
-            counts = profile.operand_counts.get(iclass)
+            counts = operand_counts.get(iclass)
             if counts:
-                n_src = _weighted_choice(
-                    rng, counts[0], list(accumulate(counts[1])))
+                n_src = _weighted_choice(rng, *counts)
             else:
                 n_src = 0
             out.emit(rng, iclass, n_src, profile.dependency_fraction,

@@ -29,6 +29,7 @@ the pre-overhaul generator's traces by ``tests/test_synthesis.py``).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -60,15 +61,36 @@ MAX_DEPENDENCY_RETRIES = 1000
 _OUTCOMES = (BranchOutcome(0), BranchOutcome(1), BranchOutcome(2))
 
 
+def _uniform_threshold(floor: int, total: int) -> float:
+    """The smallest float ``u`` with ``u * total >= floor``: a uniform
+    draw below it scales to a cumulative draw below *floor*."""
+    u = floor / total
+    while u > 0.0 and math.nextafter(u, 0.0) * total >= floor:
+        u = math.nextafter(u, 0.0)
+    while u * total < floor:
+        u = math.nextafter(u, 1.0)
+    return u
+
+
 def _operand_table(histogram: Dict[int, int], occurrences: int) -> tuple:
     """Flat guide-table form of one operand's distance distribution:
-    ``(p_dep, total, distances, cumulative, guide, inv, buckets, n)``,
-    unpacked and walked directly inside the emit loop."""
+    ``(p_dep, total, distances, cumulative, guide, inv, thresholds)``,
+    unpacked and walked directly inside the emit loop.
+
+    *distances* repeats its last entry and *cumulative* ends in ``inf``,
+    so the walk needs no bounds test; the guide's spare last bucket
+    takes a draw that scales to the top bucket.  ``thresholds[j]`` is
+    the uniform below which a draw lands before distance ``j``."""
     distances = sorted(histogram)
     table = GuideTableSampler([histogram[d] for d in distances])
-    p_dep = table.total / occurrences if occurrences else 0.0
-    return (p_dep, table.total, distances, table.cumulative,
-            table.guide, table.inv, table.buckets, table.n)
+    total = table.total
+    p_dep = total / occurrences if occurrences else 0.0
+    floors = [0] + table.cumulative[:-1] if total else []
+    thresholds = tuple(_uniform_threshold(floor, total)
+                       for floor in floors)
+    return (p_dep, total, distances + distances[-1:],
+            table.cumulative + [math.inf], table.guide, table.inv,
+            thresholds)
 
 
 class _SlotRecipe:
@@ -246,15 +268,23 @@ def prepare_recipes(profile: StatisticalProfile,
 # touching the rng), so they are simply omitted from the generated
 # code.
 #
-# Certain squashes: while one operand's retry loop runs, neither the
+# Redraw floor: while one operand's retry loop runs, neither the
 # instruction's position nor the produces-register flags change, so
-# after its first rejected draw the emitter checks once whether any
-# distance in the table could be accepted.  If none can, the remaining
-# retries are certain to fail; the generator is advanced past them in
-# one ``getrandbits(64 * remaining)`` call and the dependency squashed.
-# CPython's ``random()`` consumes exactly two 32-bit MT19937 words and
-# ``getrandbits(64 * m)`` exactly ``2 * m``, so the stream stays
-# draw-for-draw identical to the legacy loop.
+# after its first rejected draw the emitter hands the operand to
+# :func:`_redraw`, which scans the distances once, shortest first, for
+# the shortest acceptable one.  If there is none, the remaining retries
+# are certain to fail (a certain squash): the generator is advanced
+# past them in one ``getrandbits(64 * remaining)`` call and the
+# dependency squashed.  CPython's ``random()`` consumes exactly two
+# 32-bit MT19937 words and ``getrandbits(64 * m)`` exactly ``2 * m``, so
+# the stream stays draw-for-draw identical to the legacy loop.
+# Otherwise the cumulative weight below that distance is a floor: a
+# draw that scales below it lands on a shorter distance, and every
+# shorter one is rejected.  Each table carries, per distance, the exact
+# uniform threshold of that floor (the smallest ``u`` with
+# ``u * total >= floor``), so a redraw below it is rejected by one
+# float comparison; only the draws at or above it walk the table and
+# test the producer.  Every redraw still consumes its one ``random()``.
 #
 # Interning: an emitted instruction is fully determined by its class,
 # its event bits and its dependency distances, so the emitter packs the
@@ -317,26 +347,41 @@ class _Interner(dict):
         return entries
 
 
-def _can_accept(produces: List[int], base: int, dists: tuple) -> bool:
-    """Whether any distance in *dists* (descending) names an acceptable
-    producer for the instruction at *base*: one before the trace start,
-    or one that writes a register.  Longest first: a rejected draw is
-    typical of a tight loop of stores and branches, which the longest
-    distances reach past."""
-    if dists[0] > base:
-        return True
-    for d in dists:
-        if produces[base - d]:
-            return True
-    return False
+def _redraw(rand, squash, produces: List[int], base: int,
+            table: tuple) -> Optional[int]:
+    """Step 4's redraws for the operand at *base* after its first draw
+    was rejected: the accepted distance, or None once the dependency is
+    squashed.  A redraw below the floor of the shortest acceptable
+    distance (one before the trace start, or one that writes a
+    register) is rejected without walking the table."""
+    _p_dep, total, dists, cumulative, guide, inv, thresholds = table
+    for d, threshold in zip(dists, thresholds):
+        if d > base or produces[base - d]:
+            break
+    else:
+        squash(MAX_DEPENDENCY_RETRIES - 1)
+        return None
+    for _ in range(MAX_DEPENDENCY_RETRIES - 1):
+        u = rand()
+        if u < threshold:
+            continue
+        draw = u * total
+        i = guide[int(draw * inv)]
+        while cumulative[i] <= draw:
+            i += 1
+        d = dists[i]
+        if d > base or produces[base - d]:
+            return d
+    squash(0)
+    return None
 
 
 def _emit_distance_walk(body: List[str], pad: str, table: tuple,
                         bind) -> str:
     """Generate the inlined guide-table walk; returns the expression
     holding the sampled distance."""
-    _p_dep, total, dists, cumulative, guide, inv, buckets, n = table
-    if n == 1:
+    _p_dep, total, dists, cumulative, guide, inv, thresholds = table
+    if len(thresholds) == 1:
         # Single-distance table: the draw is consumed but the outcome
         # is fixed, so skip the table walk entirely.
         body.append(f"{pad}rand()")
@@ -345,13 +390,10 @@ def _emit_distance_walk(body: List[str], pad: str, table: tuple,
     c = bind("_C", cumulative)
     d = bind("_D", dists)
     body.append(f"{pad}draw = rand() * {total}")
-    body.append(f"{pad}b = int(draw * {inv!r})")
-    body.append(f"{pad}if b >= {buckets}:")
-    body.append(f"{pad}    b = {buckets - 1}")
-    body.append(f"{pad}i = {g}[b]")
-    body.append(f"{pad}while i < {n} and {c}[i] <= draw:")
+    body.append(f"{pad}i = {g}[int(draw * {inv!r})]")
+    body.append(f"{pad}while {c}[i] <= draw:")
     body.append(f"{pad}    i += 1")
-    body.append(f"{pad}dd = {d}[i] if i < {n} else {dists[-1]}")
+    body.append(f"{pad}dd = {d}[i]")
     return "dd"
 
 
@@ -361,29 +403,21 @@ def _emit_operand(body: List[str], k: int, table: tuple, bind) -> None:
     producers, then a squash."""
     retries_left = MAX_DEPENDENCY_RETRIES - 1
     body.append(f"    if rand() < {table[0]!r}:")
-    if table[7] == 1:
+    expr = _emit_distance_walk(body, "        ", table, bind)
+    body.append(f"        t = position + {k} - {expr}")
+    body.append("        if t >= 0 and not produces[t]:")
+    if len(table[6]) == 1:
         # One distance: a rejected first draw is a certain squash.
-        expr = _emit_distance_walk(body, "        ", table, bind)
-        body.append(f"        t = position + {k} - {expr}")
-        body.append("        if t >= 0 and not produces[t]:")
         body.append(f"            squash({retries_left})")
         body.append("        else:")
         body.append(f"            deps += ({expr},)")
         return
-    body.append(f"        for _r in range({MAX_DEPENDENCY_RETRIES}):")
-    expr = _emit_distance_walk(body, "            ", table, bind)
-    dists = bind("_R", tuple(reversed(table[2])))
-    body.append(f"            t = position + {k} - {expr}")
-    body.append("            if t >= 0 and not produces[t]:")
-    body.append(f"                if _r or _OK(produces, position + {k},"
-                f" {dists}):")
-    body.append("                    continue")
-    body.append(f"                squash({retries_left})")
-    body.append("                break")
-    body.append(f"            deps += ({expr},)")
-    body.append("            break")
+    body.append(f"            dd = _REDRAW(rand, squash, produces,"
+                f" position + {k}, {bind('_T', table)})")
+    body.append("            if dd:")
+    body.append("                deps += (dd,)")
     body.append("        else:")
-    body.append("            squash(0)")
+    body.append("            deps += (dd,)")
 
 
 def _emit_event(body: List[str], pad: str, p: float, bit: int) -> None:
@@ -402,8 +436,8 @@ def _compile_emitter(packed_recipes: List[tuple]):
     ``emit(out, produces, rand, squash, intern)`` function (steps 3-8
     specialized): *squash(m)* skips *m* draws and counts a squashed
     dependency, *intern* is the call's :class:`_Interner`."""
-    env: Dict[str, object] = {"_OK": _can_accept}
-    names: List[str] = ["_OK"]
+    env: Dict[str, object] = {"_REDRAW": _redraw}
+    names: List[str] = ["_REDRAW"]
 
     def bind(prefix: str, value) -> str:
         name = f"{prefix}{len(names)}"

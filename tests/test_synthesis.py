@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import math
+import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import positions
 from repro.config import baseline_config
@@ -11,8 +17,10 @@ from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
 from repro.branch.unit import BranchOutcome
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import reduce_flow_graph
-from repro.core.sfg import StatisticalFlowGraph
-from repro.core.synthesis import generate_synthetic_trace, prepare_recipes
+from repro.core.sfg import ContextStats, StatisticalFlowGraph
+from repro.core.synthesis import (MAX_DEPENDENCY_RETRIES, _build_recipes,
+                                  _Interner, _uniform_threshold,
+                                  generate_synthetic_trace, prepare_recipes)
 from repro.core.synthetic import SyntheticTrace
 from repro.cpu.locality import (EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D,
                                 EV_L2I)
@@ -191,10 +199,27 @@ _RETRY_BLOCKS = {
 }
 
 
-def _retry_profile(config, visits=40):
+#: Blocks whose retry loops reject redraws below a floor.
+_FLOOR_BLOCKS = {
+    # Slot 3's shortest distance reaches the ALU in slot 2, so the floor
+    # is 0 and every redraw walks the table; distances 2 and 3 land on
+    # stores.
+    0: ([_ST, _ST, _ALU, _ALU, _BR], [None, None, None,
+                                      {1: 5, 2: 30, 3: 30}, None]),
+    # Slot 5's distances alternate: 1, 2 and 4 land on stores, 3 and 5
+    # on ALUs and 6 on the previous block's branch.  Rejected distances
+    # lie on both sides of the shortest acceptable one (3), so a redraw
+    # above the floor can still be rejected; now and then all 1,000
+    # retries are exhausted.
+    1: ([_ALU, _ST, _ALU, _ST, _ST, _ALU, _BR],
+        [None] * 5 + [{1: 300, 2: 300, 3: 1, 4: 60, 5: 1, 6: 40}, None]),
+}
+
+
+def _retry_profile(config, visits=40, blocks=_RETRY_BLOCKS):
     sfg = StatisticalFlowGraph(order=1)
-    for block, (iclasses, tables) in _RETRY_BLOCKS.items():
-        previous = (block - 1) % len(_RETRY_BLOCKS)
+    for block, (iclasses, tables) in blocks.items():
+        previous = (block - 1) % len(blocks)
         stats = sfg.context_for(
             (previous,), block, iclasses,
             [0 if table is None else 1 for table in tables])
@@ -214,7 +239,9 @@ def _retry_profile(config, visits=40):
         sfg.total_block_executions += visits
     return StatisticalProfile(
         name="retry", order=1, sfg=sfg,
-        trace_instructions=visits * 19, branch_mode="delayed",
+        trace_instructions=visits * sum(
+            len(iclasses) for iclasses, _tables in blocks.values()),
+        branch_mode="delayed",
         perfect_caches=False, config=config)
 
 
@@ -281,6 +308,111 @@ class TestDependencySquashSkip:
         assert counter.value - before >= 80
         # Block 2's long retry loops do reach the one accepted distance.
         assert any(entry[2] == (9,) for entry in synthetic.distinct)
+
+
+#: ``_digest`` of the trace of ``_retry_profile(_FLOOR_BLOCKS)`` at
+#: R = 1, per seed, generated by the emitter that walked the table on
+#: every redraw.
+_FLOOR_DIGESTS = {
+    0: "d0a1f1a4972a0495570d6e5cd25974c860db68a70b7c9fbd213eebca400dd1ac",
+    1: "d3bfa325bfdd5256602884d5389decd781e3a6ce10b6e16225e3b014e0032988",
+    2: "a2287dc1c1efc6ef9c1b400cda087a7a3ba2de72f14ab3f5afc7bdfa7ef85cee",
+    3: "c7b9e72aa16e88cc6c6b15a164e899dda8eb2366957583a54d0a390002abebe7",
+}
+
+
+def _one_operand_emitter(histogram):
+    """The compiled emitter of a one-slot ALU block whose only operand
+    always has a dependency, drawn from *histogram*."""
+    stats = ContextStats([IClass.INT_ALU], [1])
+    stats.occurrences = sum(histogram.values())
+    stats.dep_hists[0][0] = dict(histogram)
+    return _build_recipes(stats, False)
+
+
+def _emitted_deps(emit, produces, rng, rand=None):
+    """Run *emit* once after a *produces* window; its dependencies."""
+    def squash(skipped):
+        if skipped:
+            rng.getrandbits(64 * skipped)
+
+    out = [0] * len(produces)
+    intern = _Interner()
+    emit(out, list(produces), rand or rng.random, squash, intern)
+    return intern.entries()[out[-1]][2]
+
+
+def _reference_deps(histogram, produces, rng):
+    """Step 4 as the paper states it, one table lookup per draw, for the
+    block of :func:`_one_operand_emitter`."""
+    distances = sorted(histogram)
+    cumulative = list(accumulate(histogram[d] for d in distances))
+    base = len(produces)
+    rng.random()  # the gate draw, p_dep = 1
+    deps = ()
+    for _ in range(MAX_DEPENDENCY_RETRIES):
+        index = bisect_right(cumulative, rng.random() * cumulative[-1])
+        distance = distances[min(index, len(distances) - 1)]
+        if distance > base or produces[base - distance]:
+            deps = (distance,)
+            break
+    rng.random()  # il1, rate 0
+    rng.random()  # itlb, rate 0
+    return deps
+
+
+class TestRedrawFloor:
+    """Step 4 redraws below the shortest acceptable distance are
+    rejected without a table walk; no draw moves."""
+
+    @pytest.mark.parametrize("seed", sorted(_FLOOR_DIGESTS))
+    def test_floor_blocks_match_pinned_digest(self, config, seed):
+        profile = _retry_profile(config, blocks=_FLOOR_BLOCKS)
+        synthetic = generate_synthetic_trace(profile, 1, seed=seed)
+        assert _digest(synthetic) == _FLOOR_DIGESTS[seed]
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram=st.dictionaries(
+               st.integers(1, 16),
+               st.one_of(st.integers(1, 9), st.integers(1, 10 ** 9)),
+               min_size=1, max_size=8),
+           produces=st.lists(st.sampled_from((0, 0, 0, 1)), max_size=20),
+           seed=st.integers(0, 2 ** 32))
+    def test_retry_loop_matches_per_draw_reference(self, histogram,
+                                                   produces, seed):
+        emitted = random.Random(seed)
+        reference = random.Random(seed)
+        deps = _emitted_deps(_one_operand_emitter(histogram), produces,
+                             emitted)
+        assert deps == _reference_deps(histogram, produces, reference)
+        assert emitted.getstate() == reference.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(total=st.integers(2, 2 ** 53), data=st.data())
+    def test_threshold_is_smallest_uniform_reaching_floor(self, total,
+                                                          data):
+        floor = data.draw(st.integers(0, total - 1))
+        threshold = _uniform_threshold(floor, total)
+        assert threshold * total >= floor
+        assert threshold == 0.0 or \
+            math.nextafter(threshold, 0.0) * total < floor
+
+    @pytest.mark.parametrize("uniforms, produces", [
+        # The first draw is 1.0.
+        ((0.0, 1.0), [1] * 8),
+        # The first draw lands on distance 1, which is rejected; the
+        # redraw is 1.0.
+        ((0.0, 0.0, 1.0), [0, 1, 1, 1, 1, 1, 1, 0]),
+    ], ids=["first-draw", "redraw"])
+    def test_walk_is_bounded_at_the_closed_end(self, uniforms, produces):
+        # random() never returns 1.0, but the walk's sentinels keep it in
+        # the table there too, on the last distance, as
+        # GuideTableSampler.sample clamps.
+        histogram = {1: 3, 2: 5, 7: 11}
+        draws = iter(uniforms + (0.5, 0.5))
+        deps = _emitted_deps(_one_operand_emitter(histogram), produces,
+                             random.Random(0), rand=draws.__next__)
+        assert deps == (7,)
 
 
 class TestInterning:
