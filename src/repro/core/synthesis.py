@@ -61,36 +61,24 @@ MAX_DEPENDENCY_RETRIES = 1000
 _OUTCOMES = (BranchOutcome(0), BranchOutcome(1), BranchOutcome(2))
 
 
-def _uniform_threshold(floor: int, total: int) -> float:
-    """The smallest float ``u`` with ``u * total >= floor``: a uniform
-    draw below it scales to a cumulative draw below *floor*."""
-    u = floor / total
-    while u > 0.0 and math.nextafter(u, 0.0) * total >= floor:
-        u = math.nextafter(u, 0.0)
-    while u * total < floor:
-        u = math.nextafter(u, 1.0)
-    return u
-
-
 def _operand_table(histogram: Dict[int, int], occurrences: int) -> tuple:
     """Flat guide-table form of one operand's distance distribution:
-    ``(p_dep, total, distances, cumulative, guide, inv, thresholds)``,
-    unpacked and walked directly inside the emit loop.
+    ``(p_dep, total, distances, cumulative, guide, inv)``, unpacked and
+    walked directly inside the emit loop.
 
     *distances* repeats its last entry and *cumulative* ends in ``inf``,
     so the walk needs no bounds test; the guide's spare last bucket
-    takes a draw that scales to the top bucket.  ``thresholds[j]`` is
-    the uniform below which a draw lands before distance ``j``."""
+    takes a draw that scales to the top bucket.  *total* and
+    *cumulative* are floats, exact for counts below ``2**53``, so the
+    walk and the redraw floor compare float to float (mixed int/float
+    arithmetic made parser synthesis about 15% slower)."""
     distances = sorted(histogram)
     table = GuideTableSampler([histogram[d] for d in distances])
     total = table.total
     p_dep = total / occurrences if occurrences else 0.0
-    floors = [0] + table.cumulative[:-1] if total else []
-    thresholds = tuple(_uniform_threshold(floor, total)
-                       for floor in floors)
-    return (p_dep, total, distances + distances[-1:],
-            table.cumulative + [math.inf], table.guide, table.inv,
-            thresholds)
+    return (p_dep, float(total), distances + distances[-1:],
+            [float(c) for c in table.cumulative] + [math.inf],
+            table.guide, table.inv)
 
 
 class _SlotRecipe:
@@ -280,11 +268,10 @@ def prepare_recipes(profile: StatisticalProfile,
 # the stream stays draw-for-draw identical to the legacy loop.
 # Otherwise the cumulative weight below that distance is a floor: a
 # draw that scales below it lands on a shorter distance, and every
-# shorter one is rejected.  Each table carries, per distance, the exact
-# uniform threshold of that floor (the smallest ``u`` with
-# ``u * total >= floor``), so a redraw below it is rejected by one
-# float comparison; only the draws at or above it walk the table and
-# test the producer.  Every redraw still consumes its one ``random()``.
+# shorter one is rejected.  So a redraw that scales below the floor is
+# rejected by one comparison; only the draws at or above it walk the
+# table and test the producer.  Every redraw still consumes its one
+# ``random()``.
 #
 # Interning: an emitted instruction is fully determined by its class,
 # its event bits and its dependency distances, so the emitter packs the
@@ -354,18 +341,19 @@ def _redraw(rand, squash, produces: List[int], base: int,
     squashed.  A redraw below the floor of the shortest acceptable
     distance (one before the trace start, or one that writes a
     register) is rejected without walking the table."""
-    _p_dep, total, dists, cumulative, guide, inv, thresholds = table
-    for d, threshold in zip(dists, thresholds):
+    _p_dep, total, dists, cumulative, guide, inv = table
+    floor = 0.0
+    for d, weight in zip(dists, cumulative):
         if d > base or produces[base - d]:
             break
+        floor = weight
     else:
         squash(MAX_DEPENDENCY_RETRIES - 1)
         return None
     for _ in range(MAX_DEPENDENCY_RETRIES - 1):
-        u = rand()
-        if u < threshold:
+        draw = rand() * total
+        if draw < floor:
             continue
-        draw = u * total
         i = guide[int(draw * inv)]
         while cumulative[i] <= draw:
             i += 1
@@ -380,10 +368,11 @@ def _emit_distance_walk(body: List[str], pad: str, table: tuple,
                         bind) -> str:
     """Generate the inlined guide-table walk; returns the expression
     holding the sampled distance."""
-    _p_dep, total, dists, cumulative, guide, inv, thresholds = table
-    if len(thresholds) == 1:
-        # Single-distance table: the draw is consumed but the outcome
-        # is fixed, so skip the table walk entirely.
+    _p_dep, total, dists, cumulative, guide, inv = table
+    if len(dists) == 2:
+        # Single-distance table (one distance and its sentinel): the
+        # draw is consumed but the outcome is fixed, so skip the table
+        # walk entirely.
         body.append(f"{pad}rand()")
         return repr(dists[0])
     g = bind("_G", guide)
@@ -406,8 +395,9 @@ def _emit_operand(body: List[str], k: int, table: tuple, bind) -> None:
     expr = _emit_distance_walk(body, "        ", table, bind)
     body.append(f"        t = position + {k} - {expr}")
     body.append("        if t >= 0 and not produces[t]:")
-    if len(table[6]) == 1:
-        # One distance: a rejected first draw is a certain squash.
+    if len(table[2]) == 2:
+        # One distance (and its sentinel): a rejected first draw is a
+        # certain squash.
         body.append(f"            squash({retries_left})")
         body.append("        else:")
         body.append(f"            deps += ({expr},)")

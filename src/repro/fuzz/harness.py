@@ -32,6 +32,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -154,7 +155,9 @@ class FuzzReport:
 
         No wall-clock fields: two runs with the same seed and case
         count produce byte-identical payloads, so the file diffs
-        cleanly in CI history.
+        cleanly in CI history.  Means use ``math.fsum``, which rounds
+        correctly on every Python version (``sum`` over floats
+        compensates from 3.12 on and rounds differently).
         """
         margins: Dict[str, List[float]] = {}
         for verdict in self.verdicts:
@@ -163,7 +166,7 @@ class FuzzReport:
         margin_stats = {
             name: {
                 "min": min(values),
-                "mean": sum(values) / len(values),
+                "mean": math.fsum(values) / len(values),
                 "cases": len(values),
             }
             for name, values in sorted(margins.items())

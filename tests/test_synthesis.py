@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import random
 from bisect import bisect_right
 from itertools import accumulate
@@ -19,8 +18,8 @@ from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import reduce_flow_graph
 from repro.core.sfg import ContextStats, StatisticalFlowGraph
 from repro.core.synthesis import (MAX_DEPENDENCY_RETRIES, _build_recipes,
-                                  _Interner, _uniform_threshold,
-                                  generate_synthetic_trace, prepare_recipes)
+                                  _Interner, generate_synthetic_trace,
+                                  prepare_recipes)
 from repro.core.synthetic import SyntheticTrace
 from repro.cpu.locality import (EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D,
                                 EV_L2I)
@@ -387,16 +386,6 @@ class TestRedrawFloor:
         assert deps == _reference_deps(histogram, produces, reference)
         assert emitted.getstate() == reference.getstate()
 
-    @settings(max_examples=300, deadline=None)
-    @given(total=st.integers(2, 2 ** 53), data=st.data())
-    def test_threshold_is_smallest_uniform_reaching_floor(self, total,
-                                                          data):
-        floor = data.draw(st.integers(0, total - 1))
-        threshold = _uniform_threshold(floor, total)
-        assert threshold * total >= floor
-        assert threshold == 0.0 or \
-            math.nextafter(threshold, 0.0) * total < floor
-
     @pytest.mark.parametrize("uniforms, produces", [
         # The first draw is 1.0.
         ((0.0, 1.0), [1] * 8),
@@ -413,6 +402,17 @@ class TestRedrawFloor:
         deps = _emitted_deps(_one_operand_emitter(histogram), produces,
                              random.Random(0), rand=draws.__next__)
         assert deps == (7,)
+
+    def test_redraw_at_the_floor_walks(self):
+        # Distance 1 is rejected and distance 2 accepted, so the floor is
+        # distance 1's weight, 1 of 4.  A redraw of 0.25 scales to exactly
+        # the floor and lands on distance 2, as in the per-draw loop.
+        histogram = {1: 1, 2: 1, 7: 2}
+        produces = [1, 1, 1, 1, 1, 1, 1, 0]
+        draws = iter((0.0, 0.0, 0.25, 0.5, 0.5, 0.5))
+        deps = _emitted_deps(_one_operand_emitter(histogram), produces,
+                             random.Random(0), rand=draws.__next__)
+        assert deps == (2,)
 
 
 class TestInterning:
