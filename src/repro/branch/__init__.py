@@ -1,21 +1,17 @@
 """Branch prediction substrate.
 
 Implements the paper's Table 2 predictor (8K-entry hybrid of a bimodal
-table and a two-level local predictor with history XOR PC indexing, a
-512-entry 4-way BTB and a 64-entry RAS) plus the branch *profiling*
+table and a two-level local predictor with history XOR PC indexing, and
+a 512-entry 4-way BTB) as one flat unit, plus the branch *profiling*
 machinery of section 2.1.3: classification of every dynamic branch into
 correct / fetch-redirection / misprediction, under either immediate
 update or the paper's delayed-update FIFO.
+
+:mod:`repro.branch.predictors` and :mod:`repro.branch.btb` hold the
+same predictor as composed component classes; they have no production
+caller and serve as the reference the flat unit is tested against.
 """
 
-from repro.branch.predictors import (
-    BimodalPredictor,
-    HybridPredictor,
-    TwoLevelLocalPredictor,
-    build_direction_predictor,
-)
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.ras import ReturnAddressStack
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit, BranchRecord
 from repro.branch.profiler import (
     profile_branches_delayed,
@@ -24,12 +20,6 @@ from repro.branch.profiler import (
 )
 
 __all__ = [
-    "BimodalPredictor",
-    "TwoLevelLocalPredictor",
-    "HybridPredictor",
-    "build_direction_predictor",
-    "BranchTargetBuffer",
-    "ReturnAddressStack",
     "BranchOutcome",
     "BranchRecord",
     "BranchPredictorUnit",

@@ -1,4 +1,9 @@
-"""Branch target buffer: set-associative, LRU-replaced target cache."""
+"""Branch target buffer: set-associative, LRU-replaced target cache.
+
+Reference only: :class:`~repro.branch.unit.BranchPredictorUnit` keeps
+its own BTB sets and inlines this lookup and update; a differential
+test checks the two against each other.
+"""
 
 from __future__ import annotations
 

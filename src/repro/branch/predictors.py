@@ -5,6 +5,13 @@ Table 2 configuration.  All predictors are deterministic finite-state
 machines; state advances only through :meth:`update`, which is what makes
 the immediate- versus delayed-update distinction of section 2.1.3
 meaningful.
+
+Reference only: no production code calls these classes.  Simulation,
+warming and branch profiling use
+:class:`~repro.branch.unit.BranchPredictorUnit`, which implements the
+same predictor as straight-line code over plain lists; a differential
+test drives both through random branch streams and compares every
+outcome and table.  Keep them frozen, like ``ReferencePipeline``.
 """
 
 from __future__ import annotations

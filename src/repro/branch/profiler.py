@@ -37,10 +37,11 @@ def profile_branches_immediate(
     rate a pipelined machine experiences (paper Figure 3).
     """
     records: List[BranchRecord] = []
+    record, train = unit.record, unit.train
     for inst in trace:
         if inst.is_branch:
-            records.append(unit.record(inst))
-            unit.train(inst)
+            records.append(record(inst))
+            train(inst)
     return records
 
 
@@ -64,19 +65,20 @@ def profile_branches_delayed(
     # in-FIFO branch; final (surviving) classifications per trace seq.
     final: Dict[int, BranchRecord] = {}
     fifo: deque = deque()  # elements: (index, BranchRecord | None)
+    record_of, train = unit.record, unit.train
     i = 0
     while i < n or fifo:
         # Fill the FIFO from the trace.
         while i < n and len(fifo) < fifo_size:
             inst = instructions[i]
-            record = unit.record(inst) if inst.is_branch else None
+            record = record_of(inst) if inst.is_branch else None
             fifo.append((i, record))
             i += 1
         # Remove one instruction from the tail.
         index, record = fifo.popleft()
         if record is not None:
             final[index] = record
-            unit.train(instructions[index])
+            train(instructions[index])
             if record.outcome is BranchOutcome.MISPREDICTION and fifo:
                 # Squash: the in-flight lookups were made on the wrong
                 # path; refetch those instructions with updated state.

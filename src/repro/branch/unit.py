@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from repro.config import BranchPredictorConfig
 from repro.isa.iclass import CONDITIONAL_BRANCH_CLASSES, IClass
 from repro.isa.instruction import DynamicInstruction
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.predictors import build_direction_predictor
-from repro.branch.ras import ReturnAddressStack
 
 
 class BranchOutcome(enum.IntEnum):
@@ -31,6 +28,12 @@ class BranchOutcome(enum.IntEnum):
     CORRECT = 0
     FETCH_REDIRECTION = 1
     MISPREDICTION = 2
+
+
+_CORRECT = BranchOutcome.CORRECT
+_REDIRECTION = BranchOutcome.FETCH_REDIRECTION
+_MISPREDICTION = BranchOutcome.MISPREDICTION
+_INDIRECT = IClass.INDIRECT_BRANCH
 
 
 @dataclass(frozen=True)
@@ -48,55 +51,147 @@ class BranchRecord:
 
 
 class BranchPredictorUnit:
-    """Direction predictor + BTB (+ RAS), with lookup/update split.
+    """The paper's Table 2 predictor, with lookup/update split.
 
-    ``classify`` performs a *lookup only* — no state changes — returning
-    the :class:`BranchOutcome` the fetch engine would see given the
-    predictor's current state.  ``train`` applies the resolved outcome.
-    Separating the two is what lets callers model immediate update,
-    delayed update (section 2.1.3) and dispatch-time speculative update
-    in the pipeline.
+    A meta table of 2-bit counters chooses between a bimodal table and
+    a two-level local predictor whose pattern history table is indexed
+    by the branch's local history XOR-ed with its PC (SimpleScalar's
+    ``comb``); a set-associative, LRU-replaced BTB supplies targets.
+    Every table is indexed by ``pc >> 3`` (instructions are 8-byte
+    aligned).  Counters start weakly taken, the meta table weakly
+    toward the bimodal side.
+
+    ``classify`` performs a *lookup only* — no prediction state changes;
+    a BTB hit refreshes its entry's LRU position — and returns the
+    :class:`BranchOutcome` the fetch engine would see.  ``train``
+    applies the resolved outcome: the meta table moves toward whichever
+    component was right when they disagree, both components train, and
+    taken or indirect branches install their target.  Separating the
+    two is what lets callers model immediate update, delayed update
+    (section 2.1.3) and dispatch-time speculative update in the
+    pipeline.
+
+    Both are straight-line code over plain lists: every live branch of
+    an execution-driven run goes through them.  The composed classes in
+    :mod:`repro.branch.predictors` and :mod:`repro.branch.btb` are the
+    reference they are tested against.
     """
 
+    __slots__ = ("config", "meta", "bimodal", "histories", "pht",
+                 "btb_sets", "_meta_entries", "_bimodal_entries",
+                 "_history_entries", "_pht_entries", "_history_mask",
+                 "_btb_set_count", "_btb_ways")
+
     def __init__(self, config: BranchPredictorConfig) -> None:
+        if min(config.meta_entries, config.bimodal_entries,
+               config.local_history_entries, config.local_pht_entries,
+               config.local_history_bits) < 1:
+            raise ValueError("all table parameters must be >= 1")
+        if config.btb_entries < 1 or config.btb_associativity < 1:
+            raise ValueError("entries and associativity must be >= 1")
+        if config.btb_entries % config.btb_associativity:
+            raise ValueError("entries must be a multiple of associativity")
         self.config = config
-        self.direction = build_direction_predictor(config)
-        self.btb = BranchTargetBuffer(config.btb_entries,
-                                      config.btb_associativity)
-        self.ras = ReturnAddressStack(config.ras_entries)
-        self.lookups = 0
-        self.updates = 0
+        self._meta_entries = config.meta_entries
+        self._bimodal_entries = config.bimodal_entries
+        self._history_entries = config.local_history_entries
+        self._pht_entries = config.local_pht_entries
+        self._history_mask = (1 << config.local_history_bits) - 1
+        self._btb_set_count = config.btb_entries // config.btb_associativity
+        self._btb_ways = config.btb_associativity
+        self.meta = [1] * config.meta_entries
+        self.bimodal = [2] * config.bimodal_entries
+        self.histories = [0] * config.local_history_entries
+        self.pht = [2] * config.local_pht_entries
+        # Each set: list of (pc, target), most recently used last.
+        self.btb_sets = [[] for _ in range(self._btb_set_count)]
 
     def classify(self, inst: DynamicInstruction) -> BranchOutcome:
         """Classify the lookup for branch *inst* (no training)."""
-        self.lookups += 1
-        if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
-            predicted_taken = self.direction.lookup(inst.pc)
-            if predicted_taken != inst.taken:
-                return BranchOutcome.MISPREDICTION
-            if not inst.taken:
-                return BranchOutcome.CORRECT
+        pc = inst.pc
+        index = pc >> 3
+        iclass = inst.iclass
+        if iclass in CONDITIONAL_BRANCH_CLASSES:
+            if self.meta[index % self._meta_entries] >= 2:
+                history = self.histories[index % self._history_entries]
+                predicted = (self.pht[(history ^ index) % self._pht_entries]
+                             >= 2)
+            else:
+                predicted = self.bimodal[index % self._bimodal_entries] >= 2
+            taken = inst.taken
+            if predicted != taken:
+                return _MISPREDICTION
+            if not taken:
+                return _CORRECT
             # Correct taken prediction: need the target from the BTB.
-            target = self.btb.lookup(inst.pc)
-            if target == inst.target:
-                return BranchOutcome.CORRECT
-            return BranchOutcome.FETCH_REDIRECTION
-        if inst.iclass is IClass.INDIRECT_BRANCH:
-            target = self.btb.lookup(inst.pc)
-            if target == inst.target:
-                return BranchOutcome.CORRECT
-            return BranchOutcome.MISPREDICTION
-        raise ValueError(f"not a branch: {inst!r}")
+            missed = _REDIRECTION
+        elif iclass is _INDIRECT:
+            missed = _MISPREDICTION
+        else:
+            raise ValueError(f"not a branch: {inst!r}")
+        ways = self.btb_sets[index % self._btb_set_count]
+        target = None
+        if ways and ways[-1][0] == pc:
+            # Most recently used: a hit needs no LRU refresh.
+            target = ways[-1][1]
+        else:
+            for i, entry in enumerate(ways):
+                if entry[0] == pc:
+                    target = entry[1]
+                    ways.append(ways.pop(i))
+                    break
+        if target == inst.target:
+            return _CORRECT
+        return missed
 
     def train(self, inst: DynamicInstruction) -> None:
         """Train direction predictor and BTB with the resolved branch."""
-        self.updates += 1
+        pc = inst.pc
+        index = pc >> 3
         if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
-            self.direction.update(inst.pc, inst.taken)
-            if inst.taken:
-                self.btb.update(inst.pc, inst.target)
-        else:
-            self.btb.update(inst.pc, inst.target)
+            taken = inst.taken
+            bimodal = self.bimodal
+            b = index % self._bimodal_entries
+            bimodal_counter = bimodal[b]
+            histories = self.histories
+            h = index % self._history_entries
+            history = histories[h]
+            pht = self.pht
+            p = (history ^ index) % self._pht_entries
+            pht_counter = pht[p]
+            pht_taken = pht_counter >= 2
+            if (bimodal_counter >= 2) != pht_taken:
+                meta = self.meta
+                m = index % self._meta_entries
+                counter = meta[m]
+                if pht_taken == taken:
+                    if counter < 3:
+                        meta[m] = counter + 1
+                elif counter > 0:
+                    meta[m] = counter - 1
+            if not taken:
+                if bimodal_counter > 0:
+                    bimodal[b] = bimodal_counter - 1
+                if pht_counter > 0:
+                    pht[p] = pht_counter - 1
+                histories[h] = (history << 1) & self._history_mask
+                return
+            if bimodal_counter < 3:
+                bimodal[b] = bimodal_counter + 1
+            if pht_counter < 3:
+                pht[p] = pht_counter + 1
+            histories[h] = ((history << 1) | 1) & self._history_mask
+        ways = self.btb_sets[index % self._btb_set_count]
+        if ways and ways[-1][0] == pc:
+            ways[-1] = (pc, inst.target)
+            return
+        for i, entry in enumerate(ways):
+            if entry[0] == pc:
+                del ways[i]
+                break
+        if len(ways) >= self._btb_ways:
+            del ways[0]
+        ways.append((pc, inst.target))
 
     def clone(self) -> "BranchPredictorUnit":
         """An independent copy of the current state: training the copy

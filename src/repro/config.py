@@ -61,7 +61,11 @@ class TLBConfig:
 class BranchPredictorConfig:
     """The Table 2 hybrid predictor: a meta table chooses between a
     bimodal table and a two-level local predictor whose local history is
-    XOR-ed with the branch PC; plus a set-associative BTB and an RAS."""
+    XOR-ed with the branch PC; plus a set-associative BTB.
+
+    ``ras_entries`` records Table 2's 64-entry return address stack.
+    No model reads it (the synthetic ISA has no call/return pairs), but
+    it stays part of the config and so of every config hash."""
 
     meta_entries: int = 8192
     bimodal_entries: int = 8192
@@ -74,15 +78,18 @@ class BranchPredictorConfig:
 
     def scaled(self, factor: float) -> "BranchPredictorConfig":
         """Scale all table sizes by *factor* (the paper's branch
-        predictor sweep uses base/4 .. base*4)."""
+        predictor sweep uses base/4 .. base*4).  The BTB keeps its
+        associativity: its size rounds down to whole sets, at least
+        one."""
+        ways = self.btb_associativity
+        btb_sets = max(1, int(self.btb_entries * factor) // ways)
         return replace(
             self,
             meta_entries=max(4, int(self.meta_entries * factor)),
             bimodal_entries=max(4, int(self.bimodal_entries * factor)),
             local_history_entries=max(4, int(self.local_history_entries * factor)),
             local_pht_entries=max(4, int(self.local_pht_entries * factor)),
-            btb_entries=max(self.btb_associativity,
-                            int(self.btb_entries * factor)),
+            btb_entries=btb_sets * ways,
         )
 
 

@@ -252,6 +252,9 @@ class ExecutionDrivenSource(_Tallies):
                                       perfect_caches)
         self.predictor = (None if perfect_branch_prediction
                           else resolution.predictor(config.predictor))
+        if self.predictor is not None:
+            self._classify = self.predictor.classify
+            self._train = self.predictor.train
         self._resolution = resolution
         self._instructions = trace.instructions
         row_of = price_entries(resolution.distinct, config,
@@ -266,7 +269,7 @@ class ExecutionDrivenSource(_Tallies):
     def resolve_branch(self, pos: int) -> tuple:
         """Classify the branch at *pos* against the predictor as it
         stands (no training) and return its row."""
-        outcome = self.predictor.classify(self._instructions[pos])
+        outcome = self._classify(self._instructions[pos])
         if outcome is _MISPREDICTION:
             self.mispredictions += 1
         elif outcome is _REDIRECTION:
@@ -275,7 +278,7 @@ class ExecutionDrivenSource(_Tallies):
 
     def train_branch(self, pos: int) -> None:
         """Train the predictor with the branch at *pos* (dispatch)."""
-        self.predictor.train(self._instructions[pos])
+        self._train(self._instructions[pos])
 
     def fetch(self) -> Optional[FetchSlot]:
         pos = self._pos

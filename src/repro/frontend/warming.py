@@ -86,8 +86,6 @@ def warm_branch_predictor(warmup_trace: Optional[Trace],
     for inst in warmup_trace.instructions:
         if inst.is_branch:
             train(inst)
-    predictor.lookups = 0
-    predictor.updates = 0
     return predictor
 
 

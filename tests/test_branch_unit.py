@@ -1,10 +1,14 @@
 """Tests for the branch predictor unit's outcome taxonomy."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.config import BranchPredictorConfig
-from repro.isa.iclass import IClass
+from repro.isa.iclass import CONDITIONAL_BRANCH_CLASSES, IClass
 from repro.isa.instruction import DynamicInstruction
+from repro.branch.btb import BranchTargetBuffer
+from repro.branch.predictors import build_direction_predictor
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 
 
@@ -12,6 +16,12 @@ def _branch(pc=0x1000, taken=True, target=0x2000,
             iclass=IClass.INT_COND_BRANCH, seq=0):
     return DynamicInstruction(seq=seq, pc=pc, iclass=iclass, bb_id=0,
                               taken=taken, target=target)
+
+
+def _tables(unit):
+    """Copies of every table of *unit*, BTB sets in LRU order."""
+    return (unit.meta[:], unit.bimodal[:], unit.histories[:], unit.pht[:],
+            [ways[:] for ways in unit.btb_sets])
 
 
 @pytest.fixture
@@ -35,11 +45,14 @@ class TestConditionalOutcomes:
         assert unit.classify(_branch(taken=False)) is BranchOutcome.CORRECT
 
     def test_correct_taken_with_btb_miss_is_redirection(self, unit):
-        # Train direction only (train() fills the BTB, so train a branch
-        # at a different PC and force direction state via the direction
-        # predictor directly).
+        # Train the direction taken, then evict the BTB entry: indirect
+        # branches mapping to the same one of the 16 sets fill its four
+        # ways without touching the direction tables.
         for _ in range(8):
-            unit.direction.update(0x1000, True)
+            unit.train(_branch(taken=True))
+        for way in range(1, 5):
+            unit.train(_branch(pc=0x1000 + way * 16 * 8,
+                               iclass=IClass.INDIRECT_BRANCH))
         outcome = unit.classify(_branch(taken=True))
         assert outcome is BranchOutcome.FETCH_REDIRECTION
 
@@ -73,12 +86,14 @@ class TestIndirectOutcomes:
 
 
 class TestUnitBookkeeping:
-    def test_counters(self, unit):
+    def test_classify_does_not_train(self, unit):
         branch = _branch()
-        unit.classify(branch)
+        before = _tables(unit)
+        for _ in range(8):
+            unit.classify(branch)
+        assert _tables(unit) == before
         unit.train(branch)
-        assert unit.lookups == 1
-        assert unit.updates == 1
+        assert _tables(unit) != before
 
     def test_classify_rejects_non_branch(self, unit):
         inst = DynamicInstruction(0, 0x1000, IClass.LOAD, 0)
@@ -94,7 +109,12 @@ class TestUnitBookkeeping:
     def test_not_taken_branches_do_not_fill_btb(self, unit):
         for _ in range(8):
             unit.train(_branch(taken=False))
-        assert unit.btb.lookup(0x1000) is None
+        assert not any(unit.btb_sets)
+
+    def test_rejects_partial_btb_set(self):
+        with pytest.raises(ValueError):
+            BranchPredictorUnit(BranchPredictorConfig(btb_entries=10,
+                                                      btb_associativity=4))
 
 
 class TestClone:
@@ -102,21 +122,98 @@ class TestClone:
         for seq in range(40):
             unit.train(_branch(pc=0x1000 + 8 * (seq % 5),
                                taken=bool(seq % 3), seq=seq))
-        direction = unit.direction
-        before = (direction._meta[:], direction.component_a._table[:],
-                  direction.component_b._pht[:],
-                  direction.component_b._histories[:],
-                  [ways[:] for ways in unit.btb._sets], unit.updates)
+        before = _tables(unit)
         twin = unit.clone()
         probe = _branch(pc=0x1008, taken=False)
         assert twin.classify(probe) is unit.classify(probe)
         for seq in range(200):
             twin.train(_branch(pc=0x1000 + 8 * (seq % 7), taken=False,
                                target=0x3000 + seq, seq=seq))
-        assert before == (direction._meta, direction.component_a._table,
-                          direction.component_b._pht,
-                          direction.component_b._histories,
-                          unit.btb._sets, unit.updates)
-        assert twin.updates == unit.updates + 200
-        twin.ras.push(0x4000)
-        assert len(unit.ras) == 0
+        assert _tables(unit) == before
+        assert _tables(twin) != before
+
+
+class _ReferenceUnit:
+    """The Table 2 predictor composed from the reference component
+    classes, with the classify/train protocol the flat unit replaced."""
+
+    def __init__(self, config):
+        self.direction = build_direction_predictor(config)
+        self.btb = BranchTargetBuffer(config.btb_entries,
+                                      config.btb_associativity)
+
+    def classify(self, inst):
+        if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
+            if self.direction.lookup(inst.pc) != inst.taken:
+                return BranchOutcome.MISPREDICTION
+            if not inst.taken:
+                return BranchOutcome.CORRECT
+            if self.btb.lookup(inst.pc) == inst.target:
+                return BranchOutcome.CORRECT
+            return BranchOutcome.FETCH_REDIRECTION
+        if self.btb.lookup(inst.pc) == inst.target:
+            return BranchOutcome.CORRECT
+        return BranchOutcome.MISPREDICTION
+
+    def train(self, inst):
+        if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
+            self.direction.update(inst.pc, inst.taken)
+            if inst.taken:
+                self.btb.update(inst.pc, inst.target)
+        else:
+            self.btb.update(inst.pc, inst.target)
+
+    def tables(self):
+        direction = self.direction
+        return (direction._meta, direction.component_a._table,
+                direction.component_b._histories, direction.component_b._pht,
+                self.btb._sets)
+
+
+#: 16-entry direction tables, 2-bit histories, a 2-way 8-entry BTB (4
+#: sets): counters saturate and sets evict within a few dozen branches.
+TINY = BranchPredictorConfig(
+    meta_entries=16, bimodal_entries=16, local_history_entries=16,
+    local_pht_entries=16, local_history_bits=2, btb_entries=8,
+    btb_associativity=2)
+
+#: Instruction slots 0, 1, 4, 16, 17 and 32: 0/16/32 and 1/17 share
+#: every direction-table entry, and 0/4/16/32 one BTB set.
+_PCS = [0x1000 + 8 * slot for slot in (0, 1, 4, 16, 17, 32)]
+
+_ops = st.lists(
+    st.tuples(st.booleans(),                       # train, else classify
+              st.sampled_from(_PCS),
+              st.sampled_from([IClass.INT_COND_BRANCH,
+                               IClass.FP_COND_BRANCH,
+                               IClass.INDIRECT_BRANCH]),
+              st.booleans(),                       # taken
+              st.sampled_from([0x2000, 0x3000])),  # target
+    min_size=1, max_size=200)
+
+
+class TestMatchesReferenceComposition:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_ops, split=st.integers(min_value=0, max_value=200))
+    def test_random_interleavings(self, ops, split):
+        flat = BranchPredictorUnit(TINY)
+        reference = _ReferenceUnit(TINY)
+        split = min(split, len(ops))
+        template = None
+        for step, (train, pc, iclass, taken, target) in enumerate(ops):
+            if step == split:
+                # Continue on a clone; the template must not move.
+                template, snapshot = flat, _tables(flat)
+                flat = flat.clone()
+            inst = _branch(pc=pc, iclass=iclass, seq=step,
+                           taken=taken or iclass is IClass.INDIRECT_BRANCH,
+                           target=target)
+            if train:
+                flat.train(inst)
+                reference.train(inst)
+            else:
+                assert flat.classify(inst) is reference.classify(inst), step
+        assert (flat.meta, flat.bimodal, flat.histories, flat.pht,
+                flat.btb_sets) == reference.tables()
+        if template is not None:
+            assert _tables(template) == snapshot

@@ -1,9 +1,8 @@
-"""Tests for the branch target buffer and return address stack."""
+"""Tests for the reference branch target buffer."""
 
 import pytest
 
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.ras import ReturnAddressStack
 
 
 class TestBTB:
@@ -51,32 +50,3 @@ class TestBTB:
         with pytest.raises(ValueError):
             BranchTargetBuffer(entries=0, associativity=1)
 
-
-class TestRAS:
-    def test_push_pop(self):
-        ras = ReturnAddressStack(entries=8)
-        ras.push(0x100)
-        ras.push(0x200)
-        assert ras.pop() == 0x200
-        assert ras.pop() == 0x100
-        assert ras.pop() is None
-
-    def test_overflow_overwrites_oldest(self):
-        ras = ReturnAddressStack(entries=2)
-        ras.push(1)
-        ras.push(2)
-        ras.push(3)  # overwrites 1
-        assert len(ras) == 2
-        assert ras.pop() == 3
-        assert ras.pop() == 2
-        assert ras.pop() is None
-
-    def test_len(self):
-        ras = ReturnAddressStack(entries=4)
-        assert len(ras) == 0
-        ras.push(1)
-        assert len(ras) == 1
-
-    def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            ReturnAddressStack(entries=0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.branch.unit import BranchPredictorUnit
 from repro.config import (
     BranchPredictorConfig,
     CacheConfig,
@@ -110,3 +111,22 @@ class TestSweepHelpers:
 
     def test_tlb_sets(self):
         assert TLBConfig("t", 32, 8).num_sets == 4
+
+    @pytest.mark.parametrize("factor,entries", [(0.3, 152), (3.3, 1688)])
+    def test_predictor_scale_keeps_btb_whole_sets(self, factor, entries):
+        scaled = baseline_config().with_predictor_scale(factor).predictor
+        assert scaled.btb_entries == entries
+        assert scaled.btb_entries % scaled.btb_associativity == 0
+        unit = BranchPredictorUnit(scaled)
+        assert len(unit.btb_sets) == entries // 4
+
+    @pytest.mark.parametrize("factor,entries",
+                             [(0.25, 128), (0.5, 256), (1, 512), (2, 1024),
+                              (4, 2048)])
+    def test_predictor_scale_paper_points_unchanged(self, factor, entries):
+        assert BranchPredictorConfig().scaled(factor).btb_entries == entries
+
+    def test_predictor_scale_btb_floor_is_one_set(self):
+        scaled = BranchPredictorConfig(btb_entries=8,
+                                       btb_associativity=4).scaled(0.01)
+        assert scaled.btb_entries == 4

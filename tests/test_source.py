@@ -304,7 +304,5 @@ class TestLocalityMemo:
 
 
 def predictor_state(unit):
-    direction = unit.direction
-    return (direction._meta, direction.component_a._table,
-            direction.component_b._pht, direction.component_b._histories,
-            unit.btb._sets, unit.lookups, unit.updates)
+    return (unit.meta, unit.bimodal, unit.pht, unit.histories,
+            unit.btb_sets)
