@@ -160,6 +160,12 @@ class MachineConfig:
                      "commit_width", "ruu_size", "lsq_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # A load completes no earlier than the cycle after it issues.
+        for name, latency in (("dl1.hit_latency", self.dl1.hit_latency),
+                              ("l2.hit_latency", self.l2.hit_latency),
+                              ("memory_latency", self.memory_latency)):
+            if latency < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def fetch_width(self) -> int:

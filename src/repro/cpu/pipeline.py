@@ -28,9 +28,11 @@ hands over its list of immutable rows (layout in
 :mod:`repro.cpu.source`) up front, and fetch indexes it.  The
 execution-driven source's rows come from a locality resolution built
 once per cache geometry, so no ``FetchSlot`` exists in an
-execution-driven run either.  Its only live rows are its branches:
-fetch asks the source to classify each against the predictor, and
-dispatch asks it to train the predictor.  The synthetic trace
+execution-driven run either.  Its only live rows are its branches: the
+loop binds the source predictor's ``classify`` and ``train`` once per
+run, classifies each live branch at fetch (counting the outcome in the
+source's ``outcomes``, where the misprediction and redirection tallies
+are defined) and trains it at dispatch.  The synthetic trace
 simulator is thus the execution-driven machine with a different
 instruction source, as in the paper.  Branch and locality tallies come
 from the source, not from the fetch stage: correct-path instructions
@@ -41,18 +43,24 @@ The loop is event-driven (see ``docs/performance.md``): after any cycle
 in which no stage did work, the clock fast-forwards to the next
 scheduled event (earliest functional-unit completion, fetch unblock, or
 IFQ-head decode readiness) and the skipped idle cycles are accounted
-analytically.  ``_Inflight`` records are pooled, and the RUU and IFQ are
-index-based ring buffers instead of deques.  The results are
-cycle-for-cycle identical to the strictly iterative loop preserved in
-:mod:`repro.cpu.reference`, which ``tests/test_pipeline_equivalence.py``
-enforces exactly.
+analytically.  Completions wait in a wheel of reusable buckets sized
+from the source's longest latency.  A dependency-history entry is
+released as soon as its instruction completes or is squashed, so
+dispatch only asks whether the slot a distance names is occupied.
+``_Inflight`` records are pooled, and the RUU and IFQ are index-based
+ring buffers instead of deques.  The ``max_cycles`` guard is checked on
+the health-checkpoint cadence, clamped to fire at exactly
+``max_cycles``.  The results are cycle-for-cycle identical to the
+strictly iterative loop preserved in :mod:`repro.cpu.reference`, which
+``tests/test_pipeline_equivalence.py`` and
+``tests/test_pipeline_bookkeeping.py`` enforce exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import MachineConfig
 from repro.errors import SimulationError
@@ -60,19 +68,22 @@ from repro.obs.metrics import record_simulation
 from repro.isa.iclass import FunctionalUnit
 from repro.cpu.results import SimulationResult
 from repro.cpu.source import (CTRL_LIVE, CTRL_MISPREDICT, CTRL_REDIRECT,
-                              CTRL_STALL, CTRL_TAKEN, _FILLER_ROWS,
+                              CTRL_STALL, CTRL_TAKEN,
+                              MAX_DEPENDENCY_DISTANCE, _FILLER_ROWS,
                               InstructionSource)
 
 from repro.health.budget import checkpoint as _health_checkpoint
 
-#: Dependency-resolution window (matches the profile's distance cap).
-_HISTORY = 512
+#: Dependency-resolution window (matches the profile's distance cap;
+#: a power of two, so the cursor wraps with a mask).
+_HISTORY = MAX_DEPENDENCY_DISTANCE
 
 #: Cycles between cooperative health checkpoints (deadline check,
 #: progress heartbeat, RSS guardrail — :mod:`repro.health`).  The
 #: checkpoint consumes no randomness and touches no machine state, so
 #: the simulated results are bit-identical with or without a budget;
-#: the in-loop cost is one integer comparison per cycle.
+#: the in-loop cost, run-length guard included, is one integer
+#: comparison per cycle.
 _HEALTH_EVERY = 4096
 
 #: Knobs that must be >= 1.  MachineConfig validates its own widths and
@@ -91,8 +102,8 @@ class _Inflight:
     ``row`` is the instruction's immutable data (see
     :mod:`repro.cpu.source`); everything else is pipeline state.
     Instances are pooled: a record is recycled once nothing can
-    reference it again — at commit (after its history slot, waiter list
-    and store-forwarding pointer are cleared) or when the IFQ is
+    reference it again — at commit (its history slot and waiter list
+    were already released when it completed) or when the IFQ is
     squashed before the instruction ever dispatched.  Squashed RUU
     instructions are *not* recycled; they may still sit in the ready
     heap or a completion bucket, where the ``squashed`` flag keeps them
@@ -101,13 +112,12 @@ class _Inflight:
 
     __slots__ = ("row", "pseq", "pending", "waiters", "completed",
                  "squashed", "recover", "is_mem", "decode_ready",
-                 "issued", "hist_slot")
+                 "hist_slot")
 
     def __init__(self) -> None:
         self.pending = 0
         self.waiters: List["_Inflight"] = []
         self.squashed = False
-        self.hist_slot = -1
 
 
 class SuperscalarPipeline:
@@ -150,16 +160,22 @@ class SuperscalarPipeline:
         conservative_loads = config.conservative_loads
         # Fetch and wrong-path peeking are list indexes (the ``_pos``
         # cursor is written back on every exit).  A live row
-        # (CTRL_LIVE) is a branch the source classifies at fetch.
+        # (CTRL_LIVE) is a branch the predictor classifies at fetch.
         rows = source.rows
         n_rows = len(rows)
         pos = source._pos
-        resolve_branch = getattr(source, "resolve_branch", None)
-        train_branch = getattr(source, "train_branch", None)
+        predictor = getattr(source, "predictor", None)
+        if predictor is not None:
+            classify = predictor.classify
+            train = predictor.train
+            instructions = source.instructions
+            outcomes = source.outcomes
         # Correct-path branches dispatch in fetch order and are never
-        # squashed, so a FIFO of (pseq, position) hands each live one
-        # to train_branch (the predictor's dispatch-time update).
+        # squashed, so a FIFO of (record, instruction) hands each live
+        # one to train (the predictor's dispatch-time update);
+        # ``next_live`` is the record at its head.
         live_branches: deque = deque()
+        next_live: Optional[_Inflight] = None
         filler_rows = _FILLER_ROWS
         heap_push = heappush
         heap_pop = heappop
@@ -177,10 +193,13 @@ class SuperscalarPipeline:
 
         # Index-based ring buffers: the RUU and IFQ have hard capacity
         # bounds, so a fixed list with head/count cursors replaces the
-        # deque (no per-cycle allocation, O(1) everything).
+        # deque (no per-cycle allocation, O(1) everything).  In-order
+        # issue only ever issues the oldest unissued entry, so the
+        # issued entries are the first ``ruu_issued`` of the RUU.
         ruu_buf: List[Optional[_Inflight]] = [None] * ruu_size
         ruu_head = 0
         ruu_count = 0
+        ruu_issued = 0
         ifq_buf: List[Optional[_Inflight]] = [None] * ifq_size
         ifq_head = 0
         ifq_count = 0
@@ -196,18 +215,26 @@ class SuperscalarPipeline:
         rq_fifo: List[_Inflight] = []
         rq_head = 0
         rq_heap: list = []  # heap of (pseq, _Inflight)
-        completing: Dict[int, List[_Inflight]] = {}
-        event_times: list = []  # heap of completion cycles (one per key)
+        # Completion wheel: an instruction finishing at cycle f waits
+        # in bucket ``f & wheel_mask``.  Writeback drains the current
+        # cycle's bucket before issue fills any, so pending finishes
+        # lie in (cycle, cycle + longest] and a wheel of at least
+        # ``longest`` buckets never holds two finish cycles in one.
+        wheel_size = 1 << (max(source.longest_latency, 1) - 1).bit_length()
+        wheel_mask = wheel_size - 1
+        wheel: List[List[_Inflight]] = [[] for _ in range(wheel_size)]
+        # The last _HISTORY dispatches, by dependency distance.  An
+        # entry is cleared when its instruction completes or is
+        # squashed, so a non-None producer is always still pending.
         history: List[Optional[_Inflight]] = [None] * _HISTORY
         hist_pos = 0
-        dispatch_count = 0
+        hist_mask = _HISTORY - 1
         lsq_count = 0
         free: List[_Inflight] = []  # recycled _Inflight records
         free_pop = free.pop
         free_append = free.append
 
         cycle = 0
-        next_health = _HEALTH_EVERY
         fetch_block_until = 0
         episode: Optional[_Inflight] = None  # unresolved mispredicted branch
         filler_offset = 0
@@ -225,6 +252,11 @@ class SuperscalarPipeline:
 
         if max_cycles is None:
             max_cycles = 1000 * max(n_rows, 1) + 100_000
+        # The run-length guard rides on the health cadence: the next
+        # check is the next health checkpoint or max_cycles, whichever
+        # comes first.
+        next_health = _HEALTH_EVERY
+        next_check = min(next_health, max_cycles)
 
         while True:
             # ---------------------------------------------------- commit
@@ -244,35 +276,25 @@ class SuperscalarPipeline:
                 retired += 1
                 if commit_log is not None:
                     commit_log.append((cycle, head.pseq))
-                # Recycle: a committed record is inert everywhere it
-                # may still appear (completed=True short-circuits the
-                # dependency paths), so clearing those references and
-                # pooling it is behaviour-preserving.  hist_slot is
-                # always valid here: commit implies dispatch, which
-                # assigned it.
-                slot_index = head.hist_slot
-                if history[slot_index] is head:
-                    history[slot_index] = None
-                if head.waiters:
-                    head.waiters.clear()
+                # Recycle: completion already released the history
+                # slot and the waiter list, so only the store-forwarding
+                # pointer can still name the record.
                 if last_store is head:
                     last_store = None
                 free_append(head)
             committed += retired
+            ruu_issued -= retired
 
             # ------------------------------------------------- writeback
-            # ``event_times`` and ``completing`` move in lockstep: a
-            # cycle is pushed exactly when its bucket is created and
-            # popped exactly when it is drained, so the heap top tells
-            # whether anything completes this cycle without touching
-            # the dict.
-            if event_times and event_times[0] == cycle:
-                heap_pop(event_times)
-                done = completing.pop(cycle)
+            done = wheel[cycle & wheel_mask]
+            if done:
                 for inst in done:
                     if inst.squashed:
                         continue
                     inst.completed = True
+                    slot_index = inst.hist_slot
+                    if history[slot_index] is inst:
+                        history[slot_index] = None
                     waiters = inst.waiters
                     if waiters:
                         for waiter in waiters:
@@ -281,6 +303,7 @@ class SuperscalarPipeline:
                             waiter.pending -= 1
                             if waiter.pending == 0:
                                 heap_push(rq_heap, (waiter.pseq, waiter))
+                        waiters.clear()
                     if inst.recover:
                         # Mispredicted branch resolves: squash younger.
                         pseq_limit = inst.pseq
@@ -294,9 +317,14 @@ class SuperscalarPipeline:
                             ruu_buf[tail] = None
                             ruu_count -= 1
                             victim.squashed = True
+                            slot_index = victim.hist_slot
+                            if history[slot_index] is victim:
+                                history[slot_index] = None
                             if victim.is_mem:
                                 lsq_count -= 1
                             squashed_total += 1
+                        if ruu_issued > ruu_count:
+                            ruu_issued = ruu_count
                         squashed_total += ifq_count
                         index = ifq_head
                         for _ in range(ifq_count):
@@ -313,6 +341,7 @@ class SuperscalarPipeline:
                         filler_offset = 0
                         if cycle + mispredict_penalty > fetch_block_until:
                             fetch_block_until = cycle + mispredict_penalty
+                done.clear()
                 worked = True
             else:
                 worked = retired > 0
@@ -321,41 +350,40 @@ class SuperscalarPipeline:
             if in_order:
                 # In-order issue: instructions leave for the functional
                 # units strictly in program order; the first stalled
-                # instruction blocks all younger ones.
+                # instruction blocks all younger ones.  It walks the
+                # RUU, so the ready queue only needs emptying.
+                if rq_fifo:
+                    rq_fifo.clear()
+                if rq_heap:
+                    rq_heap.clear()
                 issued = 0
                 fu_free = fu_caps[:]
-                index = ruu_head
-                for _ in range(ruu_count):
+                index = ruu_head + ruu_issued
+                if index >= ruu_size:
+                    index -= ruu_size
+                for _ in range(ruu_count - ruu_issued):
+                    if issued >= issue_width:
+                        break
                     inst = ruu_buf[index]
                     index += 1
                     if index == ruu_size:
                         index = 0
-                    if issued >= issue_width:
-                        break
-                    if inst.issued:
-                        continue
                     row = inst.row
                     fi = row[1]
                     if inst.pending > 0 or fu_free[fi] <= 0:
                         break
                     fu_free[fi] -= 1
-                    inst.issued = True
                     issued += 1
                     fu_counts[fi] += 1
-                    finish = cycle + row[0]
-                    bucket = completing.get(finish)
-                    if bucket is None:
-                        completing[finish] = [inst]
-                        heap_push(event_times, finish)
-                    else:
-                        bucket.append(inst)
+                    wheel[(cycle + row[0]) & wheel_mask].append(inst)
+                ruu_issued += issued
                 act_issue += issued
                 if issued:
                     worked = True
             elif rq_heap or rq_head < len(rq_fifo):
                 fu_free = fu_caps[:]
                 issued = 0
-                deferred = []
+                deferred = None
                 n_deferred = 0
                 rq_tail = len(rq_fifo)
                 while issued < issue_width and n_deferred < 64:
@@ -378,22 +406,19 @@ class SuperscalarPipeline:
                         fu_free[fi] -= 1
                         issued += 1
                         fu_counts[fi] += 1
-                        finish = cycle + row[0]
-                        bucket = completing.get(finish)
-                        if bucket is None:
-                            completing[finish] = [inst]
-                            heap_push(event_times, finish)
-                        else:
-                            bucket.append(inst)
+                        wheel[(cycle + row[0]) & wheel_mask].append(inst)
                     else:
+                        if deferred is None:
+                            deferred = []
                         deferred.append((inst.pseq, inst))
                         n_deferred += 1
                 # Deferred instructions re-enter via the heap after the
                 # scan (never mid-scan: each blocked instruction must be
                 # passed over exactly once per cycle, as the reference
                 # loop does).
-                for item in deferred:
-                    heap_push(rq_heap, item)
+                if deferred is not None:
+                    for item in deferred:
+                        heap_push(rq_heap, item)
                 if rq_head == rq_tail and rq_head:
                     del rq_fifo[:rq_head]
                     rq_head = 0
@@ -422,23 +447,20 @@ class SuperscalarPipeline:
                 if inst.is_mem:
                     lsq_count += 1
                 row = inst.row
-                if live_branches and live_branches[0][0] == inst.pseq:
-                    train_branch(live_branches.popleft()[1])
+                if inst is next_live:
+                    train(live_branches.popleft()[1])
+                    next_live = live_branches[0][0] if live_branches else None
                 # Resolve RAW dependencies against dispatch history.
+                # Rows carry no distance beyond _HISTORY, and a slot
+                # nothing was dispatched into yet is None, so a
+                # negative index needs no fix-up.
                 distances = row[2]
                 if distances:
                     for distance in distances:
-                        if distance > dispatch_count or distance > _HISTORY:
-                            continue
-                        index = hist_pos - distance
-                        if index < 0:
-                            index += _HISTORY
-                        producer = history[index]
-                        if (producer is None or producer.completed
-                                or producer.squashed):
-                            continue
-                        inst.pending += 1
-                        producer.waiters.append(inst)
+                        producer = history[hist_pos - distance]
+                        if producer is not None:
+                            inst.pending += 1
+                            producer.waiters.append(inst)
                 if conservative_loads:
                     if (row[3] and last_store is not None
                             and not last_store.completed
@@ -449,10 +471,7 @@ class SuperscalarPipeline:
                         last_store = inst
                 history[hist_pos] = inst
                 inst.hist_slot = hist_pos
-                hist_pos += 1
-                if hist_pos == _HISTORY:
-                    hist_pos = 0
-                dispatch_count += 1
+                hist_pos = hist_pos + 1 & hist_mask
                 dispatched += 1
                 if inst.pending == 0:
                     rq_fifo.append(inst)
@@ -476,9 +495,6 @@ class SuperscalarPipeline:
                             act_dl1_filler += 1
                     elif pos < n_rows:
                         row = rows[pos]
-                        if row[6] & CTRL_LIVE:
-                            row = resolve_branch(pos)
-                            live_branches.append((pseq_counter, pos))
                         pos += 1
                     else:
                         exhausted = True
@@ -488,15 +504,14 @@ class SuperscalarPipeline:
                         # hist_slot reset: pending is always 0 by the
                         # time a record is recyclable, only RUU-squashed
                         # records (never recycled) carry squashed=True,
-                        # and hist_slot is only read at commit, which
-                        # dispatch always re-assigns first.
+                        # and hist_slot is only read after dispatch,
+                        # which always re-assigns it first.
                         inst = free_pop()
                     else:
                         inst = _Inflight()
                     inst.row = row
                     inst.pseq = pseq_counter
                     inst.decode_ready = decode_ready
-                    inst.issued = False
                     inst.completed = False
                     inst.recover = False
                     inst.is_mem = row[5]
@@ -509,6 +524,18 @@ class SuperscalarPipeline:
                     fetched += 1
                     ctrl = row[6]
                     if ctrl:
+                        if ctrl & CTRL_LIVE:
+                            # Classify against the predictor as it
+                            # stands; the row for the outcome shares
+                            # every field fetch has read so far.
+                            branch = instructions[pos - 1]
+                            outcome = classify(branch)
+                            outcomes[outcome] += 1
+                            row = inst.row = row[9][outcome]
+                            ctrl = row[6]
+                            live_branches.append((inst, branch))
+                            if next_live is None:
+                                next_live = inst
                         # The bit priority is the fetch group's break
                         # order: a correctly predicted taken branch ends
                         # the group before any I-miss stall counts.
@@ -538,18 +565,21 @@ class SuperscalarPipeline:
             lsq_occupancy_sum += lsq_count
             ifq_occupancy_sum += ifq_count
             cycle += 1
-            if cycle >= next_health:
-                next_health = cycle + _HEALTH_EVERY
-                _health_checkpoint(committed)
+            if cycle >= next_check:
+                if cycle >= next_health:
+                    next_health = cycle + _HEALTH_EVERY
+                    _health_checkpoint(committed)
+                if (cycle >= max_cycles
+                        and not (exhausted and not ifq_count
+                                 and not ruu_count)):
+                    source._pos = pos
+                    raise RuntimeError(
+                        f"pipeline did not drain within {max_cycles} "
+                        f"cycles ({committed} committed)")
+                next_check = min(next_health, max_cycles)
 
             if exhausted and not ifq_count and not ruu_count:
                 break
-            if cycle >= max_cycles:
-                source._pos = pos
-                raise RuntimeError(
-                    f"pipeline did not drain within {max_cycles} cycles "
-                    f"({committed} committed)"
-                )
 
             if not worked:
                 # Event-driven fast-forward: a cycle in which every
@@ -563,14 +593,22 @@ class SuperscalarPipeline:
                 # skip clamps to zero and the loop proceeds normally.
                 # Candidates in the past are stale, not constraints.
                 target = max_cycles
-                if event_times and event_times[0] < target:
-                    target = event_times[0]
                 if cycle <= fetch_block_until < target:
                     target = fetch_block_until
                 if ifq_count:
                     head_ready = ifq_buf[ifq_head].decode_ready
                     if cycle <= head_ready < target:
                         target = head_ready
+                # Every pending finish lies within one wheel turn.
+                scan_end = cycle + wheel_size
+                if scan_end > target:
+                    scan_end = target
+                finish = cycle
+                while finish < scan_end:
+                    if wheel[finish & wheel_mask]:
+                        target = finish
+                        break
+                    finish += 1
                 skip = target - cycle
                 if skip > 0:
                     ruu_occupancy_sum += ruu_count * skip
