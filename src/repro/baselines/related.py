@@ -76,13 +76,11 @@ class _GlobalStats:
 
 def _measure_globals(trace: Trace, config: MachineConfig) -> _GlobalStats:
     hierarchy = CacheHierarchy(config)
+    hierarchy.walk(trace.instructions)
     sizes: Dict[int, int] = {}
     count = 0
     for inst in trace.instructions:
         count += 1
-        hierarchy.access_instruction(inst.pc)
-        if inst.mem_addr is not None:
-            hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
         if inst.is_branch:
             sizes[count] = sizes.get(count, 0) + 1
             count = 0

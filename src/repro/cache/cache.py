@@ -21,10 +21,7 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        line = config.line_bytes
-        if line & (line - 1):
-            raise ValueError("line size must be a power of two")
-        self._line_shift = line.bit_length() - 1
+        self._line_shift = config.line_bytes.bit_length() - 1
         self._num_sets = config.num_sets
         # Each set is an LRU list of line tags, most recently used last.
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]

@@ -5,21 +5,47 @@ and data TLBs translate in parallel.  The hierarchy distinguishes L2
 misses caused by instruction fetches from those caused by data accesses,
 because the paper's statistical profile records them separately
 (section 2.1.2, footnote 1).
+
+Two ways in.  :meth:`CacheHierarchy.access_instruction` and
+:meth:`CacheHierarchy.access_data` take one access each, through the
+:class:`~repro.cache.cache.SetAssociativeCache` and
+:class:`~repro.cache.tlb.TranslationLookasideBuffer` methods; they are
+the reference.  :meth:`CacheHierarchy.walk` takes a whole instruction
+stream in program order: one straight-line loop over the same sets,
+last lines and pages, holding every counter in a local and writing it
+back once at the end, and optionally recording each instruction's
+event bits (``EV_*``).  Warming, the execution-driven locality walk and
+the related-work baselines use it; ``tests/test_cache_walk.py`` holds
+it to the per-access methods.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.config import MachineConfig
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.tlb import TranslationLookasideBuffer
+from repro.isa.iclass import IClass
+
+#: Event bits of one instruction: the paper's six locality events
+#: (the data-side ones recorded for loads only, as the profile does).
+EV_IL1 = 1
+EV_L2I = 2
+EV_ITLB = 4
+EV_DL1 = 8
+EV_L2D = 16
+EV_DTLB = 32
+#: All six.
+EV_LOCALITY = 63
+#: A load whose latency comes from the data hierarchy: every load with
+#: an address, and every load under perfect caches.  A load without an
+#: address keeps its class's base latency.
+EV_DATA = 64
 
 
 class InstructionAccessResult(NamedTuple):
-    """Locality events for one instruction fetch.  A named tuple: every
-    warm-up and walk builds one per fetch, at half the cost of a frozen
-    dataclass."""
+    """Locality events for one instruction fetch."""
 
     il1_miss: bool
     l2_miss: bool
@@ -27,16 +53,11 @@ class InstructionAccessResult(NamedTuple):
 
 
 class DataAccessResult(NamedTuple):
-    """Locality events for one data access (a named tuple, like
-    :class:`InstructionAccessResult`)."""
+    """Locality events for one data access."""
 
     dl1_miss: bool
     l2_miss: bool
     dtlb_miss: bool
-
-
-_FETCH_HIT = InstructionAccessResult(False, False, False)
-_DATA_HIT = DataAccessResult(False, False, False)
 
 
 class CacheHierarchy:
@@ -59,23 +80,10 @@ class CacheHierarchy:
         self.l2_instruction_misses = 0
         self.l2_data_accesses = 0
         self.l2_data_misses = 0
-        self._il1_shift = config.il1.line_bytes.bit_length() - 1
-        self._itlb_shift = config.itlb.page_bytes.bit_length() - 1
-        self._dl1_shift = config.dl1.line_bytes.bit_length() - 1
-        self._dtlb_shift = config.dtlb.page_bytes.bit_length() - 1
 
     # ----------------------------------------------------------- access
-    # An access to the line (and page) the L1 (and TLB) saw last is a
-    # hit that moves nothing, so it only counts; most fetches take this
-    # path, since consecutive instructions share a line.
     def access_instruction(self, pc: int) -> InstructionAccessResult:
         """Fetch the instruction at *pc* through IL1 -> unified L2."""
-        il1, itlb = self.il1, self.itlb
-        if (pc >> self._il1_shift == il1.last_line
-                and pc >> self._itlb_shift == itlb.last_page):
-            il1.accesses += 1
-            itlb.accesses += 1
-            return _FETCH_HIT
         itlb_miss = not self.itlb.access(pc)
         il1_miss = not self.il1.access(pc)
         l2_miss = False
@@ -94,12 +102,6 @@ class CacheHierarchy:
         synthetic traces only annotate loads; the *is_store* flag exists
         so callers can separate statistics.
         """
-        dl1, dtlb = self.dl1, self.dtlb
-        if (address >> self._dl1_shift == dl1.last_line
-                and address >> self._dtlb_shift == dtlb.last_page):
-            dl1.accesses += 1
-            dtlb.accesses += 1
-            return _DATA_HIT
         dtlb_miss = not self.dtlb.access(address)
         dl1_miss = not self.dl1.access(address)
         l2_miss = False
@@ -109,6 +111,169 @@ class CacheHierarchy:
             if l2_miss:
                 self.l2_data_misses += 1
         return DataAccessResult(dl1_miss, l2_miss, dtlb_miss)
+
+    # ------------------------------------------------------------- walk
+    def walk(self, instructions, events: Optional[bytearray] = None
+             ) -> None:
+        """Run *instructions* (a sequence of dynamic instructions, in
+        program order) through the hierarchy: each fetch as
+        :meth:`access_instruction`, then each load or store as
+        :meth:`access_data`, with the same final state and counters.
+
+        With *events*, append one byte per instruction: its fetch bits
+        (``EV_IL1``, ``EV_L2I``, ``EV_ITLB``) and, for a load with an
+        address, ``EV_DATA`` and its data bits.  The per-structure
+        logic is written out inline, one block per structure: the line
+        (page) it saw last is a hit that moves nothing; a resident
+        line moves to the MRU end unless already there; a missing one
+        evicts the LRU way of a full set.  The unified L2 has one last
+        line for both sides.  Every geometry is valid by construction
+        (:class:`~repro.config.CacheConfig`,
+        :class:`~repro.config.TLBConfig`).
+        """
+        il1, dl1, l2, itlb, dtlb = (self.il1, self.dl1, self.l2,
+                                    self.itlb, self.dtlb)
+        il1_sets, il1_n, il1_shift, il1_ways, il1_last = (
+            il1._sets, il1._num_sets, il1._line_shift,
+            il1.config.associativity, il1.last_line)
+        dl1_sets, dl1_n, dl1_shift, dl1_ways, dl1_last = (
+            dl1._sets, dl1._num_sets, dl1._line_shift,
+            dl1.config.associativity, dl1.last_line)
+        l2_sets, l2_n, l2_shift, l2_ways, l2_last = (
+            l2._sets, l2._num_sets, l2._line_shift,
+            l2.config.associativity, l2.last_line)
+        itlb_sets, itlb_n, itlb_shift, itlb_ways, itlb_last = (
+            itlb._sets, itlb._num_sets, itlb._page_shift,
+            itlb.config.associativity, itlb.last_page)
+        dtlb_sets, dtlb_n, dtlb_shift, dtlb_ways, dtlb_last = (
+            dtlb._sets, dtlb._num_sets, dtlb._page_shift,
+            dtlb.config.associativity, dtlb.last_page)
+        il1_misses = itlb_misses = dl1_misses = dtlb_misses = 0
+        l2i_accesses = l2i_misses = l2d_accesses = l2d_misses = 0
+        data = 0
+        record = None if events is None else events.append
+        load = IClass.LOAD
+
+        for inst in instructions:
+            pc = inst.pc
+            e = 0
+            # I-TLB.
+            page = pc >> itlb_shift
+            if page != itlb_last:
+                itlb_last = page
+                ways = itlb_sets[page % itlb_n]
+                if page in ways:
+                    if ways[-1] != page:
+                        ways.remove(page)
+                        ways.append(page)
+                else:
+                    itlb_misses += 1
+                    e = EV_ITLB
+                    if len(ways) == itlb_ways:
+                        del ways[0]
+                    ways.append(page)
+            # IL1, and the unified L2 behind it.
+            line = pc >> il1_shift
+            if line != il1_last:
+                il1_last = line
+                ways = il1_sets[line % il1_n]
+                if line in ways:
+                    if ways[-1] != line:
+                        ways.remove(line)
+                        ways.append(line)
+                else:
+                    il1_misses += 1
+                    e += EV_IL1
+                    if len(ways) == il1_ways:
+                        del ways[0]
+                    ways.append(line)
+                    l2i_accesses += 1
+                    line = pc >> l2_shift
+                    if line != l2_last:
+                        l2_last = line
+                        ways = l2_sets[line % l2_n]
+                        if line in ways:
+                            if ways[-1] != line:
+                                ways.remove(line)
+                                ways.append(line)
+                        else:
+                            l2i_misses += 1
+                            e += EV_L2I
+                            if len(ways) == l2_ways:
+                                del ways[0]
+                            ways.append(line)
+            address = inst.mem_addr
+            if address is not None:
+                data += 1
+                d = EV_DATA
+                # D-TLB.
+                page = address >> dtlb_shift
+                if page != dtlb_last:
+                    dtlb_last = page
+                    ways = dtlb_sets[page % dtlb_n]
+                    if page in ways:
+                        if ways[-1] != page:
+                            ways.remove(page)
+                            ways.append(page)
+                    else:
+                        dtlb_misses += 1
+                        d += EV_DTLB
+                        if len(ways) == dtlb_ways:
+                            del ways[0]
+                        ways.append(page)
+                # DL1, and the unified L2 behind it.
+                line = address >> dl1_shift
+                if line != dl1_last:
+                    dl1_last = line
+                    ways = dl1_sets[line % dl1_n]
+                    if line in ways:
+                        if ways[-1] != line:
+                            ways.remove(line)
+                            ways.append(line)
+                    else:
+                        dl1_misses += 1
+                        d += EV_DL1
+                        if len(ways) == dl1_ways:
+                            del ways[0]
+                        ways.append(line)
+                        l2d_accesses += 1
+                        line = address >> l2_shift
+                        if line != l2_last:
+                            l2_last = line
+                            ways = l2_sets[line % l2_n]
+                            if line in ways:
+                                if ways[-1] != line:
+                                    ways.remove(line)
+                                    ways.append(line)
+                            else:
+                                l2d_misses += 1
+                                d += EV_L2D
+                                if len(ways) == l2_ways:
+                                    del ways[0]
+                                ways.append(line)
+                if inst.iclass is load:
+                    e += d
+            if record is not None:
+                record(e)
+
+        fetches = len(instructions)
+        il1.last_line, dl1.last_line, l2.last_line = (il1_last, dl1_last,
+                                                      l2_last)
+        itlb.last_page, dtlb.last_page = itlb_last, dtlb_last
+        il1.accesses += fetches
+        il1.misses += il1_misses
+        itlb.accesses += fetches
+        itlb.misses += itlb_misses
+        dl1.accesses += data
+        dl1.misses += dl1_misses
+        dtlb.accesses += data
+        dtlb.misses += dtlb_misses
+        l2.accesses += l2i_accesses + l2d_accesses
+        l2.misses += l2i_misses + l2d_misses
+        self.l2_instruction_accesses += l2i_accesses
+        self.l2_instruction_misses += l2i_misses
+        self.l2_data_accesses += l2d_accesses
+        self.l2_data_misses += l2d_misses
 
     # ------------------------------------------------------- statistics
     def miss_rates(self) -> dict:

@@ -15,11 +15,8 @@ class TranslationLookasideBuffer:
                  "accesses", "misses", "last_page")
 
     def __init__(self, config: TLBConfig) -> None:
-        page = config.page_bytes
-        if page & (page - 1):
-            raise ValueError("page size must be a power of two")
         self.config = config
-        self._page_shift = page.bit_length() - 1
+        self._page_shift = config.page_bytes.bit_length() - 1
         self._num_sets = config.num_sets
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
         self.accesses = 0

@@ -11,6 +11,10 @@ from dataclasses import dataclass, field, replace
 from typing import Dict
 
 
+def _power_of_two(value: int) -> bool:
+    return value > 0 and not value & (value - 1)
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and latency of one cache level."""
@@ -24,6 +28,11 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_bytes <= 0:
             raise ValueError("cache size and line size must be positive")
+        if not _power_of_two(self.line_bytes):
+            raise ValueError(
+                f"{self.name}: line size must be a power of two")
+        if self.associativity < 1:
+            raise ValueError(f"{self.name}: associativity must be >= 1")
         if self.size_bytes % (self.line_bytes * self.associativity):
             raise ValueError(
                 f"{self.name}: size must be a multiple of line*assoc"
@@ -52,9 +61,21 @@ class TLBConfig:
     page_bytes: int = 4096
     miss_latency: int = 30
 
+    def __post_init__(self) -> None:
+        if not _power_of_two(self.page_bytes):
+            raise ValueError(
+                f"{self.name}: page size must be a power of two")
+        if self.associativity < 1:
+            raise ValueError(f"{self.name}: associativity must be >= 1")
+        if self.entries < 1:
+            raise ValueError(f"{self.name}: entries must be >= 1")
+        if self.entries % self.associativity:
+            raise ValueError(
+                f"{self.name}: entries must be a multiple of associativity")
+
     @property
     def num_sets(self) -> int:
-        return max(1, self.entries // self.associativity)
+        return self.entries // self.associativity
 
 
 @dataclass(frozen=True)

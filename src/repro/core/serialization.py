@@ -11,7 +11,6 @@ across sessions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -29,6 +28,8 @@ from repro.core.sfg import ContextStats, StatisticalFlowGraph
 
 FORMAT_VERSION = 1
 
+_SUB_CONFIGS = (CacheConfig, TLBConfig, BranchPredictorConfig)
+
 #: Keys every serialized profile must carry (beyond the optional
 #: integrity checksum added at save time).
 REQUIRED_KEYS = (
@@ -44,9 +45,12 @@ def config_to_dict(config: MachineConfig) -> Dict:
     The canonical encoding of this dict is also what the design-space
     subsystem (:mod:`repro.dse`) hashes to content-address results, so
     the field set must round-trip exactly through
-    :func:`config_from_dict`.
+    :func:`config_from_dict`.  Every field is a scalar or one of the
+    flat sub-configs, so a shallow copy per level gives what
+    :func:`dataclasses.asdict` would, without its deep copies.
     """
-    return asdict(config)
+    return {name: dict(vars(value)) if isinstance(value, _SUB_CONFIGS)
+            else value for name, value in vars(config).items()}
 
 
 def config_from_dict(data: Dict) -> MachineConfig:
@@ -215,7 +219,7 @@ def profile_from_dict(data: Dict) -> StatisticalProfile:
             perfect_caches=data["perfect_caches"],
             config=_config_from_dict(data["config"]),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ArtifactCorruptError(
             f"profile payload is malformed: {exc!r}") from exc
 

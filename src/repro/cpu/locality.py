@@ -14,14 +14,19 @@ prices the events with its own (:mod:`repro.cpu.source`).
 
 One walk serves a whole sweep.  :func:`plan_locality` names the
 configs a sweep will ask for, and the first :func:`resolve_locality`
-of any of them walks the trace once, in program order, through one
-warmed hierarchy per distinct geometry, computing each instruction's
-dependency tuple once: the single-pass multi-configuration simulation
-the paper cites cheetah for (section 2.1.2).  A resolution nobody
-planned is the same walk with one config.  A window or width sweep
-walks its caches once, and a cache sweep walks all its geometries in
-one pass.  The walk runs inside the first run or profile that needs
-it, not in the planner.
+of any of them resolves all of them together: the multi-configuration
+simulation the paper cites cheetah for (section 2.1.2), with the
+configuration-independent work done once.  Each distinct geometry
+gets one hierarchy, warmed by
+:func:`~repro.frontend.warming.warm_locality_structures` and then run
+over the trace by one :meth:`~repro.cache.hierarchy.CacheHierarchy.walk`
+call, which records every instruction's event bits; each
+instruction's dependency tuple and geometry-independent entry are
+computed in one pass per trace, whatever the number of geometries.  A
+resolution nobody planned is the same walk with one config.  A window
+or width sweep walks its caches once, and a cache sweep walks each
+geometry once.  The walk runs inside the first run or profile that
+needs it, not in the planner.
 
 The branch predictor is the one structure that stays live.  It
 classifies a branch at fetch and trains at dispatch, so the state a
@@ -46,6 +51,8 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
+from repro.cache.hierarchy import (  # noqa: F401 -- re-exported
+    EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I, EV_LOCALITY)
 from repro.config import BranchPredictorConfig, MachineConfig
 from repro.frontend.trace import Trace
 from repro.frontend.warming import (warm_branch_predictor,
@@ -57,21 +64,6 @@ from repro.obs.metrics import get_registry
 #: realistic instruction window; the paper caps the dependency-distance
 #: distribution at 512 for the same reason (section 2.1.1).
 MAX_DEPENDENCY_DISTANCE = 512
-
-#: Event bits of one instruction: the paper's six locality events
-#: (the data-side ones recorded for loads only, as the profile does).
-EV_IL1 = 1
-EV_L2I = 2
-EV_ITLB = 4
-EV_DL1 = 8
-EV_L2D = 16
-EV_DTLB = 32
-#: All six.
-EV_LOCALITY = 63
-#: A load whose latency comes from the data hierarchy: every load with
-#: an address, and every load under perfect caches.  A load without an
-#: address keeps its class's base latency.
-EV_DATA = 64
 
 _LOAD = IClass.LOAD
 _STORE = IClass.STORE
@@ -228,33 +220,31 @@ def resolve_locality(trace: Trace, config: MachineConfig,
 
 def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
           warmup_trace: Optional[Trace]) -> Dict[tuple, LocalityResolution]:
-    """One program-order pass over *trace* for every key of *configs*.
+    """The resolutions of *trace* for every key of *configs*.
 
     Every instruction fetch and every load and store goes through one
-    hierarchy per distinct geometry, each warmed by
-    :func:`warm_locality_structures`, exactly as the per-fetch walk of
-    the reference simulator does.  Perfect caches need neither warming
-    nor a hierarchy: every access hits.  Each instruction's dependency
-    tuple and its geometry-independent entry are computed once; a
-    resolution's entry adds its geometry's event bits.
+    hierarchy per distinct geometry, warmed by
+    :func:`warm_locality_structures` and walked in program order by
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.walk`, exactly as the
+    per-fetch walk of the reference simulator does.  Perfect caches
+    need neither warming nor a hierarchy: every access hits.  Each
+    instruction's dependency tuple and its geometry-independent entry
+    are computed in one pass; a resolution's entry adds its geometry's
+    event bits.
     """
     registry = get_registry()
     registry.counter("eds.locality_walks").inc()
     registry.counter("eds.locality_built").inc(len(configs))
+    instructions = trace.instructions
     perfect = next(iter(configs))[2]
-    geometries: Dict[tuple, int] = {}
-    walkers = []
-    events_by_geometry: List[bytearray] = []
+    geometries: Dict[tuple, bytearray] = {}
     if not perfect:
         for (geometry, _anti, _perfect), config in configs.items():
             if geometry not in geometries:
-                geometries[geometry] = len(walkers)
                 hierarchy, _ = warm_locality_structures(warmup_trace,
                                                         config)
-                events = bytearray()
-                events_by_geometry.append(events)
-                walkers.append((hierarchy.access_instruction,
-                                hierarchy.access_data, events.append))
+                events = geometries[geometry] = bytearray()
+                hierarchy.walk(instructions, events)
     plain = any(not anti for _geometry, anti, _perfect in configs)
     anti = any(anti for _geometry, anti, _perfect in configs)
 
@@ -270,7 +260,6 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
     reader_get = last_reader.get
     cap = MAX_DEPENDENCY_DISTANCE
     branch_classes = BRANCH_CLASSES
-    store = IClass.STORE
 
     def intern(entry: tuple) -> int:
         position = base_index.get(entry)
@@ -279,22 +268,8 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
             bases.append(entry)
         return position
 
-    for inst in trace.instructions:
+    for inst in instructions:
         iclass = inst.iclass
-        if walkers:
-            pc = inst.pc
-            address = inst.mem_addr
-            for access_instruction, access_data, record in walkers:
-                il1, l2, itlb = access_instruction(pc)
-                events = il1 | l2 << 1 | itlb << 2
-                if address is not None:
-                    dl1, l2d, dtlb = access_data(address,
-                                                 is_store=iclass is store)
-                    if iclass is _LOAD:
-                        events |= (EV_DATA | dl1 << 3 | l2d << 4
-                                   | dtlb << 5)
-                record(events)
-
         deps = []
         seq = inst.seq
         for reg in inst.src_regs:
@@ -334,7 +309,7 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
         if perfect:
             events = bytes(load_events[base] for base in ids)
         else:
-            events = events_by_geometry[geometries[geometry]]
+            events = geometries[geometry]
         # Entry ids in order of first appearance, as one walk per
         # geometry would number them; an entry is keyed by its base id
         # and its seven event bits.

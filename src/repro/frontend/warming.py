@@ -39,10 +39,7 @@ def warm_locality_structures(
     """
     hierarchy = hierarchy or CacheHierarchy(config)
     if warmup_trace is not None:
-        for inst in warmup_trace.instructions:
-            hierarchy.access_instruction(inst.pc)
-            if inst.mem_addr is not None:
-                hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
+        hierarchy.walk(warmup_trace.instructions)
         hierarchy.il1.reset_statistics()
         hierarchy.dl1.reset_statistics()
         hierarchy.l2.reset_statistics()

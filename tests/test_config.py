@@ -1,5 +1,7 @@
 """Tests for machine configuration objects and sweep helpers."""
 
+import json
+
 import pytest
 
 from repro.branch.unit import BranchPredictorUnit
@@ -32,6 +34,68 @@ class TestCacheConfig:
         config = CacheConfig("c", 256, 4, 64, 1)
         tiny = config.scaled(0.01)
         assert tiny.size_bytes >= 64 * 4
+
+
+class TestImpossibleGeometries:
+    """Every geometry a cache or TLB could not hold is rejected where
+    the config is built (the bulk cache walk relies on it)."""
+
+    @pytest.mark.parametrize("ways", [0, -2])
+    def test_cache_associativity_below_one(self, ways):
+        with pytest.raises(ValueError, match="associativity"):
+            CacheConfig("c", 8 * 1024, ways, 32, 1)
+
+    def test_cache_line_not_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            CacheConfig("c", 48 * 64, 2, 48, 1)
+
+    def test_tlb_without_entries(self):
+        with pytest.raises(ValueError, match="entries"):
+            TLBConfig("t", 0, 8)
+
+    def test_tlb_entries_not_whole_sets(self):
+        with pytest.raises(ValueError, match="multiple"):
+            TLBConfig("t", 10, 4)
+
+    def test_tlb_associativity_below_one(self):
+        with pytest.raises(ValueError, match="associativity"):
+            TLBConfig("t", 32, 0)
+
+    def test_tlb_page_not_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            TLBConfig("t", 32, 8, page_bytes=3000)
+
+    @pytest.mark.parametrize("level,field,value", [
+        ("il1", "associativity", 0), ("l2", "line_bytes", 48),
+        ("itlb", "entries", 0), ("dtlb", "entries", 10),
+        ("dtlb", "page_bytes", 3000)])
+    def test_config_from_dict_and_load_profile_reject(
+            self, level, field, value, small_trace, tmp_path):
+        from repro.core.profiler import profile_trace
+        from repro.core.serialization import (config_from_dict,
+                                              config_to_dict, load_profile,
+                                              profile_to_dict)
+        from repro.errors import ArtifactCorruptError
+
+        data = config_to_dict(baseline_config())
+        data[level][field] = value
+        with pytest.raises(ValueError):
+            config_from_dict(data)
+        payload = profile_to_dict(profile_trace(small_trace,
+                                                baseline_config()))
+        payload["config"][level][field] = value
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactCorruptError):
+            load_profile(path)
+
+    def test_default_config_hashes_unchanged(self):
+        from repro.dse.space import config_hash
+
+        assert config_hash(baseline_config()) == (
+            "ac0e6cf59a4df402126b697abec6b7fc71cce477c4fc81eb9d159b471ccd84bf")
+        assert config_hash(simplescalar_default_config()) == (
+            "cb5a7a7e0cc2283695b261a7a97b77f4962d54dffb046bd8dcc47a5e5b7b0ed6")
 
 
 class TestTable2Defaults:

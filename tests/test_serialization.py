@@ -68,6 +68,19 @@ class TestRoundTrip:
         clone = load_profile(path)
         assert clone.num_nodes == profile.num_nodes
 
+    @pytest.mark.parametrize("config", [
+        baseline_config(), simplescalar_default_config(),
+        baseline_config().with_cache_scale(0.25).with_width(4)
+        .with_predictor_scale(0.3)])
+    def test_config_dict_matches_asdict(self, config):
+        from dataclasses import asdict
+
+        from repro.core.serialization import config_to_dict
+
+        data = config_to_dict(config)
+        assert data == asdict(config)
+        assert json.dumps(data) == json.dumps(asdict(config))
+
     def test_config_round_trip_non_default(self, small_trace):
         config = simplescalar_default_config()
         profile = profile_trace(small_trace, config, order=0)

@@ -17,9 +17,10 @@ from repro.branch.unit import BranchOutcome
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import reduce_flow_graph
 from repro.core.sfg import ContextStats, StatisticalFlowGraph
-from repro.core.synthesis import (MAX_DEPENDENCY_RETRIES, _build_recipes,
-                                  _Interner, generate_synthetic_trace,
-                                  prepare_recipes)
+from repro.core.synthesis import (EMITTER_CODE_BOUND,
+                                  MAX_DEPENDENCY_RETRIES, _EMITTER_CODE,
+                                  _build_recipes, _Interner, _SlotRecipe,
+                                  generate_synthetic_trace, prepare_recipes)
 from repro.core.synthetic import SyntheticTrace
 from repro.cpu.locality import (EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D,
                                 EV_L2I)
@@ -450,3 +451,74 @@ class TestInterning:
             alone = SyntheticTrace.from_entries(
                 "one", [entry], order=1, reduction_factor=1.0)
             assert alone.to_fetch_slots(config)[0] == row
+
+
+class TestSharedEmitterCode:
+    """Profiles of one trace under different cache geometries differ
+    only in event probabilities, which are bound values, so their
+    emitters share compiled code wherever the zero pattern agrees."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        warm, trace = run_program_with_warmup(
+            build_benchmark("parser"), warmup=2_000, n_instructions=6_000)
+        base = baseline_config()
+        return [profile_trace(trace, base.with_cache_scale(scale), order=1,
+                              warmup_trace=warm)
+                for scale in (1, 2)]
+
+    @staticmethod
+    def _zero_pattern(stats):
+        return [tuple(p == 0 for p in _SlotRecipe(stats, slot).packed[4:11])
+                for slot in range(stats.block_size)]
+
+    def test_same_code_wherever_zero_pattern_matches(self, profiles):
+        registry = get_registry()
+        reused = registry.counter("synthesis.emitter_code_reused").value
+        emitters = []
+        for profile in profiles:
+            emitters.append({
+                context: _build_recipes(stats, False)
+                for context, stats in profile.sfg.contexts.items()})
+        assert registry.counter(
+            "synthesis.emitter_code_reused").value > reused
+        first, second = (profile.sfg.contexts for profile in profiles)
+        shared = differ = 0
+        for context, emit in emitters[0].items():
+            other = emitters[1][context]
+            if (self._zero_pattern(first[context])
+                    == self._zero_pattern(second[context])):
+                assert emit.__code__ is other.__code__, context
+                shared += 1
+            else:
+                assert emit.__code__ is not other.__code__, context
+                differ += 1
+        assert shared and differ
+        assert len(_EMITTER_CODE) <= EMITTER_CODE_BOUND
+
+    def test_code_cache_stays_within_its_bound(self, profiles,
+                                               monkeypatch):
+        import repro.core.synthesis as synthesis
+
+        monkeypatch.setattr(synthesis, "_EMITTER_CODE", {})
+        monkeypatch.setattr(synthesis, "EMITTER_CODE_BOUND", 3)
+        for stats in profiles[0].sfg.contexts.values():
+            _build_recipes(stats, False)
+            assert len(synthesis._EMITTER_CODE) <= 3
+
+    def test_traces_unchanged_by_shared_code(self, profiles,
+                                             monkeypatch):
+        import repro.core.synthesis as synthesis
+
+        profile = profiles[1]
+        shared = generate_synthetic_trace(profile, 2, seed=3)
+        # Compile every emitter afresh: the same trace comes out.
+
+        class Forgetful(dict):
+            def get(self, key, default=None):
+                return default
+
+        monkeypatch.setattr(synthesis, "_EMITTER_CODE", Forgetful())
+        synthesis._TABLE_CACHE.pop(profile.sfg, None)
+        fresh = generate_synthetic_trace(profile, 2, seed=3)
+        assert _fields(shared) == _fields(fresh)
