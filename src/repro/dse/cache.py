@@ -27,7 +27,6 @@ Layout::
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -35,6 +34,7 @@ from typing import Any, Dict, Optional, Union
 from repro.errors import ArtifactCorruptError
 from repro.obs import events as obs_events
 from repro.runner.checkpoint import read_json_checked, write_json_atomic
+from repro.runner.lease import pid_alive
 from repro.dse.space import canonical_json
 
 #: Sentinel: "no explicit plan given, consult the environment".
@@ -213,9 +213,7 @@ def _sweep_dead_tmps(path: Path) -> None:
     mid-``put`` of *path* (a ``kill -9`` before the atomic rename).
 
     A tmp is swept only when its writer pid is dead — a live writer's
-    in-flight tmp must survive its ``os.replace``.  A pid we may not
-    signal (``PermissionError``: another user's process, as on a
-    shared cache directory) is alive.
+    in-flight tmp must survive its ``os.replace``.
     """
     if not path.parent.is_dir():
         return
@@ -225,13 +223,6 @@ def _sweep_dead_tmps(path: Path) -> None:
             pid = int(orphan.name.split(".")[-3])
         except (IndexError, ValueError):
             pid = None
-        if pid is not None:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                pass  # dead owner: debris
-            except PermissionError:
-                continue  # alive, owned by another user
-            else:
-                continue  # writer still alive
+        if pid is not None and pid_alive(pid):
+            continue
         orphan.unlink(missing_ok=True)

@@ -21,15 +21,18 @@ and a resumed sweep all produce bit-identical metrics.
 
 With a :class:`~repro.dse.cache.ResultCache` attached, already-known
 (profile, config, seed) evaluations are served from disk and fresh ones
-are written back — the cache *is* the sweep's checkpoint/resume
-mechanism.
+are written back as the parent receives them — the cache *is* the
+sweep's checkpoint/resume mechanism, and a sweep killed with
+``kill -9`` resumes without evaluating a finished point again.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import tempfile
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +46,7 @@ from repro.health.budget import (Budget, HealthPolicy, active_budget,
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.runner import OK, RunnerPolicy, TaskRunner, WorkUnit
-from repro.runner.lease import clear_lease, write_lease
+from repro.runner.lease import clear_lease, lease_directory, write_lease
 from repro.runner.runner import run_attempts
 from repro.dse.cache import ResultCache, result_key
 from repro.dse.space import DesignPoint, profile_content_hash
@@ -145,6 +148,18 @@ def _warm_tables(profile, vector: bool, reduction_factor: float) -> None:
                         reduce_flow_graph(profile.sfg, reduction_factor))
 
 
+def _exit_with_parent(parent: int, interval: float = 0.5) -> None:
+    """End this pool worker once its sweep parent is gone.
+
+    A worker idles in ``call_queue.get()``, and a forked worker holds
+    the queue's write end itself, so it never sees EOF when the parent
+    is killed; without this check it would sleep forever under init.
+    """
+    while os.getppid() == parent:
+        time.sleep(interval)
+    os._exit(1)
+
+
 def _worker_init(profile_payload: Dict,
                  reduction_factor: float,
                  chaos_spec: Optional[str] = None,
@@ -157,6 +172,9 @@ def _worker_init(profile_payload: Dict,
     from repro.core.serialization import profile_from_dict
     from repro.obs import flightrec, telemetry
 
+    if multiprocessing.parent_process() is not None:
+        threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                         name="repro-parent-watch", daemon=True).start()
     # Adopt the parent's trace context first, so every event this
     # worker ever emits (including recipe warm-up below) carries the
     # sweep's trace id; install the flight recorder next, so a chaos
@@ -438,6 +456,7 @@ class SweepEngine:
                         f"{point.point_id}/seed{seed}"),
             "point_index": index,
             "point_id": point.point_id,
+            "config_hash": point.config_hash,
             "benchmark": self.benchmark,
             "config": config_to_dict(point.config),
             "base_seed": seed,
@@ -495,11 +514,11 @@ class SweepEngine:
                 task["derived_seed"], task["reduction_factor"],
                 vector=bool(task.get("vector")))
 
-        report = runner.run(units, fn)
-        outcomes = []
-        for task, unit_outcome in zip(tasks, report.outcomes):
-            outcomes.append({
-                "task": task,
+        outcomes: List[Dict[str, Any]] = []
+
+        def collect(unit: WorkUnit, unit_outcome) -> None:
+            outcome = {
+                "task": task_by_unit[unit],
                 "status": ("ok" if unit_outcome.status != "failed"
                            else "failed"),
                 "metrics": unit_outcome.result,
@@ -507,8 +526,38 @@ class SweepEngine:
                 "elapsed": unit_outcome.elapsed,
                 "error": unit_outcome.error,
                 "recipe_reuse": recipe_reuse,
-            })
+            }
+            self._store(outcome)
+            outcomes.append(outcome)
+
+        runner.run(units, fn, on_outcome=collect)
         return outcomes
+
+    def _store(self, outcome: Dict[str, Any]) -> None:
+        """Write one finished ``ok`` evaluation to the cache the moment
+        the parent receives it, so a sweep killed mid-run keeps every
+        evaluation it had collected."""
+        if self.cache is None or outcome["status"] != "ok":
+            return
+        task = outcome["task"]
+        key = task["key"]
+        mode = outcome["metrics"].get("mode")
+        keyed = "vector" if task.get("vector") else "scalar"
+        if mode and mode != keyed:
+            # The worker degraded rungs mid-sweep (e.g. canary drift
+            # tripped vector→scalar): store the result under the rung
+            # that actually ran, never under the key the dispatcher
+            # assumed.
+            key = result_key(self.profile_hash,
+                             task["config_hash"], task["base_seed"],
+                             task["reduction_factor"], mode=mode)
+        self.cache.put(key, outcome["metrics"], meta={
+            "task_id": task["task_id"],
+            "base_seed": task["base_seed"],
+            "derived_seed": task["derived_seed"],
+            "reduction_factor": task["reduction_factor"],
+            "profile": self.profile_hash,
+        })
 
     def _flight_dir(self) -> Optional[str]:
         """Where worker flight-recorder dumps land: the telemetry trace
@@ -545,8 +594,7 @@ class SweepEngine:
         flight_dir = self._flight_dir()
         health_payload = {"policy": self.health.to_payload(),
                           "deadline_at": self._deadline_at}
-        with tempfile.TemporaryDirectory(
-                prefix="repro-leases-") as lease_dir:
+        with lease_directory() as lease_dir:
             def pool_factory() -> ProcessPoolExecutor:
                 return ProcessPoolExecutor(
                     max_workers=self.jobs,
@@ -563,6 +611,7 @@ class SweepEngine:
                 quarantine=self.quarantine,
                 serial_fn=functools.partial(
                     self._run_serial, reduction_factor=reduction_factor),
+                on_outcome=self._store,
                 lease_dir=lease_dir,
                 flight_dir=flight_dir,
                 log=self.log,
@@ -578,7 +627,7 @@ class SweepEngine:
 
         Cache hits are resolved up front in the parent process; only
         misses are dispatched.  Fresh results (but never failures) are
-        written back to the cache.
+        written back to the cache as each one arrives.
         """
         from repro.obs.tracing import trace_span
 
@@ -670,30 +719,6 @@ class SweepEngine:
                 evaluated += 1
                 result.per_seed[task["base_seed"]] = outcome["metrics"]
                 result.evaluated_seeds += 1
-                if self.cache is not None:
-                    key = task["key"]
-                    mode = outcome["metrics"].get("mode")
-                    keyed = "vector" if task.get("vector") else "scalar"
-                    if mode and mode != keyed:
-                        # The worker degraded rungs mid-sweep (e.g.
-                        # canary drift tripped vector→scalar): store
-                        # the result under the rung that actually ran,
-                        # never under the key the dispatcher assumed.
-                        key = result_key(
-                            self.profile_hash,
-                            result.point.config_hash,
-                            task["base_seed"],
-                            task["reduction_factor"], mode=mode)
-                    self.cache.put(key, outcome["metrics"],
-                                   meta={
-                                       "task_id": task["task_id"],
-                                       "base_seed": task["base_seed"],
-                                       "derived_seed":
-                                           task["derived_seed"],
-                                       "reduction_factor":
-                                           task["reduction_factor"],
-                                       "profile": self.profile_hash,
-                                   })
             elif outcome["status"] == "quarantined":
                 quarantined += 1
                 result.quarantined_seeds += 1

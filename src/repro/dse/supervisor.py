@@ -171,7 +171,9 @@ class PoolSupervisor:
     ``lease_dir``; ``serial_fn(tasks)`` is the in-process degradation
     path.  ``run`` returns one outcome dict per task (the same shape
     ``task_fn`` returns), plus synthesized ``status="quarantined"``
-    outcomes for poison points.
+    outcomes for poison points.  ``on_outcome(outcome)`` sees each
+    pool outcome the moment it is collected (``serial_fn`` reports
+    its own).
     """
 
     def __init__(
@@ -183,6 +185,7 @@ class PoolSupervisor:
         quarantine: Optional[Quarantine] = None,
         serial_fn: Optional[Callable[[List[Dict[str, Any]]],
                                      List[Dict[str, Any]]]] = None,
+        on_outcome: Optional[Callable[[Dict[str, Any]], None]] = None,
         lease_dir: Optional[Union[str, Path]] = None,
         flight_dir: Optional[Union[str, Path]] = None,
         log: Optional[Callable[[str], None]] = None,
@@ -195,6 +198,7 @@ class PoolSupervisor:
         self.quarantine = quarantine if quarantine is not None \
             else Quarantine(max_point_retries=self.policy.max_point_retries)
         self.serial_fn = serial_fn
+        self.on_outcome = on_outcome or (lambda outcome: None)
         self.lease_dir = Path(lease_dir) if lease_dir else None
         self.flight_dir = Path(flight_dir) if flight_dir else None
         self.log = log or (lambda message: None)
@@ -422,7 +426,9 @@ class PoolSupervisor:
                     for future in done:
                         task = waiting.pop(future)
                         try:
-                            outcomes.append(future.result())
+                            outcome = future.result()
+                            self.on_outcome(outcome)
+                            outcomes.append(outcome)
                             completed += 1
                         except BrokenProcessPool:
                             in_flight.append(task)

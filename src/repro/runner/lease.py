@@ -1,12 +1,16 @@
 """Lease files: "process *pid* is running *task_id*", on disk.
 
-One lease per in-flight piece of work — a design-space pool worker's
-task (:mod:`repro.dse.supervisor`) or a service daemon's running job
-(:mod:`repro.service.jobs`).  The owner writes the lease before it
+One lease per in-flight design-space evaluation: a pool worker's task
+(:mod:`repro.dse.supervisor`).  The owner writes the lease before it
 starts, refreshes it as a heartbeat while it works
 (:mod:`repro.health`), and removes it when it finishes; a hard crash
 skips the removal, so surviving leases name exactly the work that was
 in flight.
+
+A sweep keeps its leases in a private temporary directory named after
+its own pid (:func:`lease_directory`).  A sweep parent killed with
+``kill -9`` never removes that directory, so every new sweep first
+removes the lease directories whose owner is dead.
 
 Layout: ``<lease_dir>/<sanitized id>.lease`` holding one JSON record::
 
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -93,7 +99,9 @@ def lease_age(record: Dict[str, Any],
     return (time.time() if now is None else now) - beat
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether process *pid* exists.  A pid we may not signal
+    (``PermissionError``: another user's process) is alive."""
     if pid == os.getpid():
         return True
     try:
@@ -101,7 +109,7 @@ def _pid_alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     except PermissionError:
-        pass  # alive, owned by someone else
+        pass
     return True
 
 
@@ -116,11 +124,35 @@ def lease_is_stale(record: Optional[Dict[str, Any]], ttl: float) -> bool:
         pid = int(record["pid"])
     except (KeyError, TypeError, ValueError):
         return True
-    return age is None or age > ttl or not _pid_alive(pid)
+    return age is None or age > ttl or not pid_alive(pid)
+
+
+_DIR_PREFIX = "repro-leases-"
+
+
+def remove_orphan_lease_dirs(root: Union[str, Path, None] = None) -> None:
+    """Delete the ``repro-leases-<pid>-*`` directories under *root*
+    (default: the temporary directory) whose owner pid is dead.  A name
+    without a pid has no known owner and stays."""
+    for path in Path(root or tempfile.gettempdir()).glob(_DIR_PREFIX + "*"):
+        try:
+            pid = int(path.name[len(_DIR_PREFIX):].split("-")[0])
+        except ValueError:
+            continue
+        if not pid_alive(pid):
+            shutil.rmtree(path, ignore_errors=True)
+
+
+def lease_directory() -> tempfile.TemporaryDirectory:
+    """A fresh lease directory for one sweep, named after this process
+    (``repro-leases-<pid>-*``) so a later sweep can tell whether its
+    owner still lives.  Orphans of dead owners are removed first."""
+    remove_orphan_lease_dirs()
+    return tempfile.TemporaryDirectory(prefix=f"{_DIR_PREFIX}{os.getpid()}-")
 
 
 __all__ = [
-    "clear_lease", "clear_leases", "lease_age", "lease_is_stale",
-    "lease_path", "read_lease", "read_leases",
-    "write_lease",
+    "clear_lease", "clear_leases", "lease_age", "lease_directory",
+    "lease_is_stale", "lease_path", "pid_alive", "read_lease",
+    "read_leases", "remove_orphan_lease_dirs", "write_lease",
 ]

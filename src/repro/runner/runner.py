@@ -395,13 +395,16 @@ class TaskRunner:
 
     def run(self, units: Sequence[WorkUnit],
             fn: Callable[[WorkUnit], Any],
-            manifest: Optional[Dict[str, Any]] = None) -> RunReport:
+            manifest: Optional[Dict[str, Any]] = None,
+            on_outcome: Optional[Callable[[WorkUnit, UnitOutcome],
+                                          None]] = None) -> RunReport:
         """Execute every unit; return the aggregate report.
 
         ``fn(unit)`` must return a JSON-serializable value for the
-        checkpoint to round-trip.  When every unit fails (and at least
-        one ran), the last exception is re-raised so a systematically
-        broken experiment still fails loudly.
+        checkpoint to round-trip.  ``on_outcome(unit, outcome)`` sees
+        each outcome as soon as its unit finishes.  When every unit
+        fails (and at least one ran), the last exception is re-raised
+        so a systematically broken experiment still fails loudly.
         """
         if self.store is not None and manifest is not None:
             self.store.write_manifest(manifest)
@@ -424,6 +427,8 @@ class TaskRunner:
                                  f"checkpointable ({exc})")
             else:
                 self.log(f"{unit.unit_id}: resumed from checkpoint")
+            if on_outcome is not None:
+                on_outcome(unit, outcome)
             report.outcomes.append(outcome)
         self.last_report = report
         obs_events.emit("runner_summary", level="debug",

@@ -109,7 +109,7 @@ class TestPhantomEntries:
                                                 monkeypatch):
         import os
 
-        import repro.dse.cache as cache_mod
+        import repro.runner.lease as lease_mod
 
         cache = ResultCache(tmp_path)
         key = self._key()
@@ -129,7 +129,7 @@ class TestPhantomEntries:
         def kill(pid, signum):
             raise PermissionError(1, "Operation not permitted")
 
-        monkeypatch.setattr(cache_mod.os, "kill", kill)
+        monkeypatch.setattr(lease_mod.os, "kill", kill)
         assert ResultCache(tmp_path).get(key) is None
         assert foreign.exists()
         assert inflight.exists()

@@ -133,6 +133,26 @@ class TestCaching:
         assert healed.evaluated == len(points)
         assert all(r.ok for r in healed.results)
 
+    def test_serial_sweep_caches_each_evaluation_on_arrival(
+            self, profile, points, tmp_path, monkeypatch):
+        """Each evaluation is in the cache before the next one starts,
+        so a sweep killed mid-run keeps its finished work."""
+        from repro.dse import engine
+
+        cache = ResultCache(tmp_path)
+        seen = []
+        real = engine.evaluate_metrics
+
+        def counting(*args, **kwargs):
+            seen.append(cache.stats.writes)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_metrics", counting)
+        SweepEngine(profile, cache=cache).evaluate(
+            points, seeds=(0,), reduction_factor=4.0)
+        assert seen == list(range(len(points)))
+        assert cache.stats.writes == len(points)
+
     def test_failures_are_never_cached(self, profile, points, tmp_path):
         plan = ChaosPlan.parse("task-fail:match=unit")
         cache = ResultCache(tmp_path)

@@ -27,7 +27,9 @@ from repro.runner import RunnerPolicy
 from repro.runner.lease import (
     clear_lease,
     lease_path,
+    pid_alive,
     read_leases,
+    remove_orphan_lease_dirs,
     write_lease,
 )
 
@@ -73,6 +75,24 @@ class TestLeases:
         assert leases[0]["dispatch"] == 2 and leases[0]["pid"] == 123
         clear_lease(tmp_path, "exp/bench/p/seed0")
         assert read_leases(tmp_path) == []
+
+    def test_orphan_lease_dirs_of_dead_owners_removed(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        assert not pid_alive(dead.pid)
+        orphan = tmp_path / f"repro-leases-{dead.pid}-x1"
+        live = tmp_path / f"repro-leases-{os.getpid()}-x2"
+        unnamed = tmp_path / "repro-leases-abc_12"
+        for path in (orphan, live, unnamed):
+            path.mkdir()
+        write_lease(orphan, "t", pid=dead.pid)
+        remove_orphan_lease_dirs(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == sorted([live.name, unnamed.name])
 
     def test_clear_missing_lease_is_noop(self, tmp_path):
         clear_lease(tmp_path, "never-written")
