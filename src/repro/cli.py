@@ -14,11 +14,7 @@ Commands mirror the paper's workflow:
 * ``fuzz`` — differential fuzzing and statistical acceptance: seeded
   random programs through both pipeline implementations plus the
   profile → synthesize loop, with failure minimization and a replayable
-  regression corpus (see ``docs/fuzzing.md``);
-* ``serve`` / ``submit`` / ``jobs`` / ``tail`` / ``cancel`` — the
-  durable simulation service: a crash-safe job daemon over a
-  write-ahead journaled store, with idempotent content-addressed
-  submissions and admission control (see ``docs/service.md``).
+  regression corpus (see ``docs/fuzzing.md``).
 """
 
 from __future__ import annotations
@@ -407,121 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scale", default="quick",
                         choices=("quick", "default"))
 
-    service_parent = argparse.ArgumentParser(add_help=False)
-    service_parent.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="the daemon's durable state directory (journal, "
-             "checkpoint, leases, default socket)")
-    service_parent.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="the daemon's Unix socket (default: "
-             "STATE_DIR/service.sock)")
-
-    serve = sub.add_parser(
-        "serve", parents=[obs_parent, service_parent],
-        help="run the durable simulation-job daemon "
-             "(see docs/service.md)")
-    serve.add_argument("--workers", type=_positive_int, default=1,
-                       help="concurrent job slots (default: 1)")
-    serve.add_argument("--queue-depth", type=_positive_int, default=32,
-                       help="admission cap on queued jobs "
-                            "(default: 32)")
-    serve.add_argument("--client-cap", type=_positive_int, default=4,
-                       help="per-client in-flight job cap "
-                            "(default: 4)")
-    serve.add_argument("--lease-ttl", type=_positive_float,
-                       default=15.0, metavar="SECONDS",
-                       help="running jobs whose heartbeat is older "
-                            "than this are requeued on restart "
-                            "(default: 15)")
-    serve.add_argument("--heartbeat", type=_positive_float,
-                       default=2.0, metavar="SECONDS",
-                       help="lease heartbeat interval (default: 2)")
-    serve.add_argument("--checkpoint-every", type=_positive_int,
-                       default=64, metavar="N",
-                       help="absorb the journal into a checkpoint "
-                            "every N mutations (default: 64)")
-    serve.add_argument("--drain-deadline", type=_positive_float,
-                       default=10.0, metavar="SECONDS",
-                       help="on SIGTERM, running jobs get this long "
-                            "to finish before being requeued "
-                            "(default: 10)")
-    serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="deterministic fault-injection spec (same grammar as "
-             "REPRO_CHAOS, e.g. 'seed=1;journal-corrupt:rate=0.2'); "
-             "overrides the environment")
-
-    submit = sub.add_parser(
-        "submit", parents=[obs_parent, service_parent],
-        help="submit a job to a running daemon (idempotent: "
-             "identical submissions dedup onto one job)")
-    submit.add_argument("--benchmark", default="twolf",
-                        help="workload for a sweep job (default: "
-                             "twolf)")
-    submit.add_argument("--sweep", default=None, metavar="SPEC.json",
-                        help="sweep specification file (default: the "
-                             "reduced section 4.6 grid)")
-    submit.add_argument("--scale", default="quick",
-                        choices=("quick", "default"))
-    submit.add_argument("--sweep-jobs", type=_positive_int, default=1,
-                        help="worker processes the sweep itself uses "
-                             "(default: 1)")
-    submit.add_argument("--cache-dir", default=None,
-                        help="shared result cache for the sweep "
-                             "(multi-process safe; overlapping "
-                             "sweeps skip duplicate evaluations)")
-    submit.add_argument("--seeds", default=None, metavar="N[,N...]",
-                        help="synthesis seeds (default: the scale's)")
-    submit.add_argument("--deadline", type=_positive_float,
-                        default=None, metavar="SECONDS",
-                        help="wall-clock budget for the sweep job; "
-                             "evaluations past the cutoff fail fast "
-                             "at their next cooperative checkpoint")
-    submit.add_argument("--sleep", type=_positive_float, default=None,
-                        metavar="SECONDS",
-                        help="instead of a sweep, submit a no-op job "
-                             "that sleeps (testing/ops)")
-    submit.add_argument("--client", default=None,
-                        help="client identity for the per-client "
-                             "in-flight cap (default: pid-<pid>)")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes; exit "
-                             "non-zero when it failed")
-    submit.add_argument("--timeout", type=_positive_float,
-                        default=None, metavar="SECONDS",
-                        help="give up on --wait after this long")
-
-    jobs = sub.add_parser(
-        "jobs", parents=[obs_parent, service_parent],
-        help="list the daemon's jobs")
-    jobs.add_argument("--state", default=None,
-                      choices=("queued", "running", "done", "failed",
-                               "cancelled"),
-                      help="show only jobs in this state")
-
-    tail = sub.add_parser(
-        "tail", parents=[obs_parent, service_parent],
-        help="stream job lifecycle events from the daemon")
-    tail.add_argument("--job", default=None, metavar="ID",
-                      help="follow one job until it finishes "
-                           "(default: all jobs, until Ctrl-C)")
-
-    cancel = sub.add_parser(
-        "cancel", parents=[obs_parent, service_parent],
-        help="cancel a queued job (running jobs finish their "
-             "current attempt, then land in 'cancelled')")
-    cancel.add_argument("job", metavar="ID")
-
-    top = sub.add_parser(
-        "top", parents=[obs_parent, service_parent],
-        help="live fleet view: queue depth, in-flight jobs, cache "
-             "hit rate, points/sec and per-phase latency percentiles")
-    top.add_argument("--interval", type=_positive_float, default=2.0,
-                     metavar="SECONDS",
-                     help="refresh interval (default: 2)")
-    top.add_argument("--once", action="store_true",
-                     help="print a single frame and exit (scripting)")
     return parser
 
 
@@ -1035,166 +916,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_socket(args: argparse.Namespace) -> Optional[Path]:
-    """The daemon socket the service commands talk to, or None after
-    reporting the missing flag (caller exits 2)."""
-    if getattr(args, "socket", None):
-        return Path(args.socket)
-    if getattr(args, "state_dir", None):
-        from repro.service import default_socket_path
-
-        return default_socket_path(args.state_dir)
-    obs.error("service commands need --state-dir (or --socket) to "
-              "find the daemon", event="cli_error")
-    return None
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceConfig
-    from repro.service.daemon import serve as serve_daemon
-
-    if not args.state_dir:
-        obs.error("serve needs --state-dir for its durable state",
-                  event="cli_error")
-        return 2
-    chaos = _parse_chaos_arg(args)
-    if chaos is None:
-        return 2
-    config = ServiceConfig(
-        state_dir=Path(args.state_dir),
-        socket_path=Path(args.socket) if args.socket else None,
-        workers=args.workers,
-        max_queue_depth=args.queue_depth,
-        max_client_inflight=args.client_cap,
-        lease_ttl=args.lease_ttl,
-        heartbeat_interval=args.heartbeat,
-        checkpoint_every=args.checkpoint_every,
-        drain_deadline=args.drain_deadline,
-    )
-    serve_kwargs = {}
-    if chaos is not _NO_CHAOS:
-        serve_kwargs["fault_plan"] = chaos
-    return serve_daemon(config, **serve_kwargs)
-
-
-def _submit_payload(args: argparse.Namespace) -> Optional[dict]:
-    if args.sleep is not None:
-        return {"kind": "sleep", "seconds": args.sleep}
-    payload = {
-        "kind": "sweep",
-        "benchmark": args.benchmark,
-        "scale": args.scale,
-        "jobs": args.sweep_jobs,
-        "cache_dir": args.cache_dir,
-        "spec": None,
-    }
-    if args.sweep:
-        from repro.dse import SweepSpec
-
-        payload["spec"] = SweepSpec.from_file(args.sweep).to_dict()
-    if args.seeds:
-        try:
-            seeds = [int(part) for part in args.seeds.split(",")
-                     if part.strip()]
-        except ValueError:
-            obs.error(f"--seeds must be comma-separated integers, "
-                      f"got {args.seeds!r}", event="cli_error")
-            return None
-        payload["seeds"] = seeds
-    if getattr(args, "deadline", None) is not None:
-        payload["deadline"] = args.deadline
-    return payload
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-    from repro.workloads.spec import benchmark_names
-
-    socket_path = _service_socket(args)
-    if socket_path is None:
-        return 2
-    if args.sleep is None and args.benchmark not in benchmark_names():
-        obs.error(f"unknown benchmark {args.benchmark!r}; run "
-                  f"'repro benchmarks' for the suite",
-                  event="cli_error")
-        return 2
-    payload = _submit_payload(args)
-    if payload is None:
-        return 2
-    client = ServiceClient(socket_path, client_id=args.client)
-    response = client.submit(payload)
-    job = response["job"]
-    print(f"job {job['job_id']} "
-          f"{'submitted' if response.get('created') else 'already known'} "
-          f"({job['state']})")
-    if not args.wait:
-        return 0
-    final = client.wait(job["job_id"], timeout=args.timeout)
-    print(f"job {final['job_id']} finished: {final['state']}"
-          + (f" ({final['error']})" if final.get("error") else ""))
-    return 0 if final["state"] == "done" else 1
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    socket_path = _service_socket(args)
-    if socket_path is None:
-        return 2
-    listing = ServiceClient(socket_path).jobs(state=args.state)
-    if not listing:
-        print("no jobs")
-        return 0
-    print(f"{'job':12} {'state':10} {'kind':6} {'client':14} "
-          f"{'attempts':>8} {'requeues':>8}")
-    for job in listing:
-        print(f"{job['job_id']:12} {job['state']:10} "
-              f"{(job.get('kind') or '-'):6} "
-              f"{(job.get('client') or '-'):14} "
-              f"{job.get('attempts', 0):>8} "
-              f"{job.get('requeues', 0):>8}"
-              + (f"  {job['error']}" if job.get("error") else ""))
-    return 0
-
-
-def _cmd_tail(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    socket_path = _service_socket(args)
-    if socket_path is None:
-        return 2
-    for event in ServiceClient(socket_path).tail(job_id=args.job):
-        name = event.get("event", "?")
-        job = event.get("job", "-")
-        message = event.get("msg") or ""
-        print(f"{name:26} {job:12} {message}")
-    return 0
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    socket_path = _service_socket(args)
-    if socket_path is None:
-        return 2
-    response = ServiceClient(socket_path).cancel(args.job)
-    print(f"job {args.job}: {response['disposition']}")
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, run_top
-
-    socket_path = _service_socket(args)
-    if socket_path is None:
-        return 2
-    try:
-        return run_top(ServiceClient(socket_path),
-                       interval=args.interval, once=args.once)
-    except KeyboardInterrupt:
-        return 0
-
-
 #: Commands whose work units are profiled individually by the runner;
 #: the CLI-level profile wrapper skips them so one thread never hosts
 #: two active profilers.
@@ -1224,18 +945,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_trace(args)
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "jobs":
-        return _cmd_jobs(args)
-    if args.command == "tail":
-        return _cmd_tail(args)
-    if args.command == "cancel":
-        return _cmd_cancel(args)
-    if args.command == "top":
-        return _cmd_top(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

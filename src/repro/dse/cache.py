@@ -8,8 +8,8 @@ Re-running a sweep, extending a grid, or running a second sweep that
 overlaps the first all skip the already-evaluated points, whatever
 order or process produced them.
 
-The cache is a **shared concurrent store**: multiple sweeps — and the
-service daemon's jobs — read and write one directory simultaneously.
+The cache is a **shared concurrent store**: multiple sweeps read and
+write one directory simultaneously.
 Entry files are named by their content address and written atomically
 with an embedded SHA-256 checksum (reusing
 :mod:`repro.runner.checkpoint`'s scheme), so concurrent writers need

@@ -123,27 +123,6 @@ class SweepInterrupted(KeyboardInterrupt):
         self.outcomes = list(outcomes or [])
 
 
-class ServiceError(ReproError):
-    """The simulation service (:mod:`repro.service`) failed at the
-    protocol or daemon level: unreachable socket, malformed request,
-    or a daemon that went away mid-conversation."""
-
-    retryable = True
-
-
-class JobRejectedError(ServiceError):
-    """The daemon refused a submission under admission control (queue
-    full, per-client cap, draining).  Retryable by contract: the
-    ``retry_after`` attribute carries the daemon's suggested delay and
-    the client honors it with jittered exponential backoff."""
-
-    def __init__(self, message: str, reason: str = "rejected",
-                 retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.reason = reason
-        self.retry_after = retry_after
-
-
 class WorkerCrashError(ReproError):
     """A pool worker process died (segfault, OOM kill, injected
     worker-kill) while executing a task.  Retryable: the supervisor

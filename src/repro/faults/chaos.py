@@ -23,20 +23,6 @@ hooks.  The injection *sites*:
     checksum-verify-and-discard path.
 ``slow-call``
     Sleep ``delay`` seconds before a task attempt (timeout testing).
-``journal-corrupt``
-    Garble the tail of the service job journal right after an append
-    (:mod:`repro.service.journal`), exercising the skip-bad-lines
-    recovery path — a crashed daemon must requeue every journaled job
-    even when its last write was torn.
-``submit-drop``
-    Drop a job-submission response on the daemon side after the job
-    was enqueued (:mod:`repro.service.daemon`): the client sees a dead
-    connection and retries, and idempotent submission keying is what
-    keeps the retry from double-enqueueing.
-``heartbeat-loss``
-    Skip a running job's lease-heartbeat write
-    (:mod:`repro.service.jobs`), so the lease goes stale and a
-    restarted daemon requeues the job exactly like a crashed one.
 ``worker-hang``
     Spin a pool worker forever right before it runs a task — alive,
     consuming a slot, making no progress and writing no heartbeats.
@@ -101,8 +87,7 @@ from repro.errors import ChaosSpecError, InjectedFaultError, InjectedIOError
 
 #: Every site name the spec grammar accepts.
 SITES = ("worker-kill", "worker-hang", "mem-balloon", "task-fail",
-         "io-error", "artifact-corrupt", "slow-call", "journal-corrupt",
-         "submit-drop", "heartbeat-loss", "pipeline-skew")
+         "io-error", "artifact-corrupt", "slow-call", "pipeline-skew")
 
 #: Exit status used by the worker-kill site; distinctive on purpose so
 #: supervisor logs and tests can tell an injected kill from a real one.
@@ -347,38 +332,6 @@ class ChaosPlan:
         cut = data[:max(1, len(data) // 2)]
         target.write_bytes(bytes([cut[0] ^ 0xFF]) + cut[1:])
         return True
-
-    def maybe_corrupt_journal(self, path, token: str) -> bool:
-        """journal-corrupt site: tear the tail of the append-only job
-        journal at *path* — truncate mid-record and flip the last
-        surviving byte, the on-disk shape of a power cut during an
-        append.  Returns whether it fired.
-
-        The decision token is the appended record's sequence number,
-        so which append gets torn is stable across runs.
-        """
-        if not self.fires("journal-corrupt", token):
-            return False
-        target = Path(path)
-        data = target.read_bytes()
-        if not data:
-            return True
-        keep = max(1, len(data) - max(2, len(data) // 8))
-        cut = bytearray(data[:keep])
-        cut[-1] ^= 0xFF
-        target.write_bytes(bytes(cut))
-        return True
-
-    def drops_submit(self, token: str) -> bool:
-        """submit-drop site: whether the daemon should drop this
-        submission's response after enqueueing (the client must retry
-        into the idempotent-submission path)."""
-        return self.fires("submit-drop", token)
-
-    def loses_heartbeat(self, token: str, attempt: int = 1) -> bool:
-        """heartbeat-loss site: whether this lease-heartbeat write
-        should be skipped, letting the lease go stale."""
-        return self.fires("heartbeat-loss", token, attempt)
 
     def skews_pipeline(self, token: str) -> bool:
         """pipeline-skew site: whether the differential oracle should

@@ -7,8 +7,7 @@ fallback was an ad-hoc ``except`` clause that left no trace.  The ladder makes e
 those transitions *explicit* and *observable*: a per-dependency circuit
 breaker holds the current rung, every rung change is emitted as a
 ``health.rung_change`` event plus ``health.rung.<dependency>`` gauge,
-and the daemon's ``health`` verb (surfaced in ``repro top``) renders
-the whole table.
+and :meth:`DegradationLadder.snapshot` renders the whole table.
 
 Breakers are **process-local**: a pool worker that trips its vector
 breaker degrades its own evaluations without a cross-process consensus
@@ -149,7 +148,7 @@ class DegradationLadder:
             return self._breakers[dependency].rung
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """JSON-ready rung table (the ``health`` verb's payload)."""
+        """JSON-ready rung table, one entry per dependency."""
         with self._lock:
             return {name: breaker.snapshot()
                     for name, breaker in sorted(self._breakers.items())}

@@ -54,10 +54,9 @@ _LOGGER.propagate = False
 _CONTEXT_PROVIDERS: List[Callable[[], Dict[str, Any]]] = []
 
 #: In-process subscribers receiving every emitted payload dict (the
-#: service daemon registers one to stream job lifecycle events to
-#: ``repro tail`` clients).  Sinks see events regardless of handler
-#: levels — a tailing client wants debug-level job progress even when
-#: the daemon's console does not.
+#: flight recorder registers one to keep a process's last events).
+#: Sinks see events regardless of handler levels — a crash dump wants
+#: debug-level progress even when the console does not.
 _SINKS: List[Callable[[Dict[str, Any]], None]] = []
 
 

@@ -6,8 +6,8 @@ exposition format: ``# TYPE`` before samples, counters suffixed
 ``_total``, summaries with ``quantile`` labels, a single terminating
 ``# EOF``), merges snapshots from many fleet processes into one, and
 aggregates a run directory's ``metrics-<pid>.json`` files
-(:mod:`repro.obs.telemetry`) so the daemon's ``metrics`` verb and
-``repro top`` see the whole fleet, not just one process.
+(:mod:`repro.obs.telemetry`) so ``repro trace --openmetrics`` sees
+the whole fleet, not just one process.
 
 :func:`validate_openmetrics` is the line-grammar check CI runs against
 everything we expose — a renderer bug fails the build, not a scrape.

@@ -1,13 +1,13 @@
 """Fleet telemetry: one trace identity across every repro process.
 
-A sweep is a fleet — CLI, daemon, supervisor, N pool workers — and
-each process has its own event log and metrics registry.  This module
-gives them a shared identity:
+A sweep is a fleet — CLI, supervisor, N pool workers — and each
+process has its own event log and metrics registry.  This module gives
+them a shared identity:
 
 * A :class:`TraceContext` (``trace_id`` + the parent span to hang
-  child spans off) is minted once at the CLI/daemon entry point and
-  shipped to workers through pool-init args and to the daemon through
-  the socket protocol (:func:`propagation_payload` / :func:`adopt`).
+  child spans off) is minted once at the CLI entry point and shipped
+  to workers through pool-init args (:func:`propagation_payload` /
+  :func:`adopt`).
 * While a context is active, every span finished by
   :func:`repro.obs.tracing.trace_span` is appended to a per-process
   ``trace-<pid>.jsonl`` file in the trace directory; ``repro trace
@@ -16,8 +16,8 @@ gives them a shared identity:
 * The process's :class:`~repro.obs.metrics.MetricsRegistry` is
   periodically snapshotted to ``metrics-<pid>.json`` in the same
   directory, so cross-process aggregation
-  (:func:`repro.obs.exposition.aggregate_run_dir`) and ``repro top``
-  can see worker-side counters without any IPC.
+  (:func:`repro.obs.exposition.aggregate_run_dir`, ``repro trace
+  --openmetrics``) can see worker-side counters without any IPC.
 
 Everything degrades to a no-op when no context is active: processes
 that never call :func:`start` or :func:`adopt` emit exactly the same
@@ -64,7 +64,7 @@ class TraceContext:
         return TraceContext(self.trace_id, parent_span_id)
 
     def to_wire(self) -> Dict[str, Any]:
-        """Compact dict shipped through initargs / the socket protocol."""
+        """Compact dict shipped through pool initargs."""
         return {"trace": self.trace_id, "parent": self.parent_span_id}
 
     @classmethod
@@ -90,7 +90,6 @@ class _State:
 
 
 _STATE = _State()
-_LOCAL = threading.local()
 
 
 def start(trace_dir: Optional[Union[str, Path]] = None,
@@ -121,14 +120,10 @@ def reset() -> None:
         _STATE.context = None
         _STATE.trace_dir = None
         _STATE.last_metrics_flush = 0.0
-    _LOCAL.context = None
 
 
 def current_context() -> Optional[TraceContext]:
-    """The active context: a thread override if set, else the process's."""
-    local = getattr(_LOCAL, "context", None)
-    if local is not None:
-        return local
+    """The process's active context, None when telemetry is off."""
     return _STATE.context
 
 
@@ -137,32 +132,12 @@ def trace_directory() -> Optional[Path]:
     return _STATE.trace_dir
 
 
-def activate(context: Optional[TraceContext]):
-    """Thread-scoped context override (daemon job threads).
-
-    Returns a context manager; inside it, spans started on this thread
-    parent to *context* instead of the process context.
-    """
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _activation():
-        previous = getattr(_LOCAL, "context", None)
-        _LOCAL.context = context
-        try:
-            yield context
-        finally:
-            _LOCAL.context = previous
-
-    return _activation()
-
-
 def propagation_payload() -> Optional[Dict[str, Any]]:
-    """The wire form handed to child processes (pool initargs, socket).
+    """The wire form handed to child processes (pool initargs).
 
     The parent span is the caller's innermost active span when there is
-    one — so worker spans hang off the ``sweep``/``job`` span that
-    spawned them, not off the root.
+    one — so worker spans hang off the ``sweep`` span that spawned
+    them, not off the root.
     """
     context = current_context()
     if context is None:

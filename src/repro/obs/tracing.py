@@ -15,8 +15,8 @@ shared across processes plus a ``parent_id`` linking it into the
 cross-process tree.  The parent is the innermost active span of this
 thread if any, else the process's adopted
 :class:`~repro.obs.telemetry.TraceContext` parent, so a worker span's
-chain resolves back through the pool-init handoff to the CLI or
-daemon span that caused it.
+chain resolves back through the pool-init handoff to the CLI span
+that caused it.
 """
 
 from __future__ import annotations

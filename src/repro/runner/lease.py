@@ -113,20 +113,6 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-def lease_is_stale(record: Optional[Dict[str, Any]], ttl: float) -> bool:
-    """Whether a lease belongs to a dead or silent owner: the record is
-    missing or unreadable, its beat is older than *ttl* seconds, or its
-    pid is dead."""
-    if record is None:
-        return True
-    age = lease_age(record)
-    try:
-        pid = int(record["pid"])
-    except (KeyError, TypeError, ValueError):
-        return True
-    return age is None or age > ttl or not pid_alive(pid)
-
-
 _DIR_PREFIX = "repro-leases-"
 
 
@@ -153,6 +139,6 @@ def lease_directory() -> tempfile.TemporaryDirectory:
 
 __all__ = [
     "clear_lease", "clear_leases", "lease_age", "lease_directory",
-    "lease_is_stale", "lease_path", "pid_alive", "read_lease",
-    "read_leases", "remove_orphan_lease_dirs", "write_lease",
+    "lease_path", "pid_alive", "read_lease", "read_leases",
+    "remove_orphan_lease_dirs", "write_lease",
 ]

@@ -25,7 +25,6 @@ K skipped`` instead of crashing the experiment.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 import traceback
@@ -91,19 +90,10 @@ class RunnerPolicy:
     backoff_cap: float = 2.0
 
 
-def backoff_delay(attempt: int, base: float, cap: float,
-                  rng: Optional[random.Random] = None) -> float:
+def backoff_delay(attempt: int, base: float, cap: float) -> float:
     """Seconds to wait before retry number *attempt* (1-based): *base*
-    doubling per attempt, capped at *cap*.
-
-    Without *rng* the delay is deterministic (the runner's retries);
-    with one it is jittered into ``[delay/2, delay]`` so a herd of
-    service clients decorrelates instead of re-colliding.
-    """
-    delay = min(cap, base * 2 ** (attempt - 1))
-    if rng is not None:
-        delay *= 0.5 + rng.random() / 2
-    return delay
+    doubling per attempt, capped at *cap*."""
+    return min(cap, base * 2 ** (attempt - 1))
 
 
 @dataclass

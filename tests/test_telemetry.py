@@ -83,13 +83,6 @@ class TestProcessTelemetry:
         assert adopted.trace_id == context.trace_id
         assert telemetry.trace_directory() == tmp_path
 
-    def test_activate_is_thread_scoped(self, tmp_path):
-        process_ctx = telemetry.start(trace_dir=tmp_path)
-        override = TraceContext()
-        with telemetry.activate(override):
-            assert telemetry.current_context() is override
-        assert telemetry.current_context() is process_ctx
-
     def test_spans_written_and_linked(self, tmp_path):
         telemetry.start(trace_dir=tmp_path)
         with trace_span("outer", bench="gzip"):
