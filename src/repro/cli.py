@@ -29,7 +29,8 @@ from repro import obs
 from repro.errors import ReproError
 
 #: Experiments whose ``run`` accepts a fault-tolerant ``runner=``
-#: (multi-benchmark batch jobs with checkpoint/resume support).
+#: (multi-benchmark batch jobs whose finished units a run directory
+#: keeps for reuse).
 RUNNER_AWARE_EXPERIMENTS = frozenset(
     {"table1", "fig6", "table4", "sec46", "speedup"})
 
@@ -199,12 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict the run to a comma-separated benchmark subset")
     experiment.add_argument(
         "--run-dir", default=None,
-        help="checkpoint directory: each finished work unit is saved "
-             "there, enabling --resume after a crash or kill")
+        help="run directory: each finished work unit is stored there "
+             "by its inputs' content hash and reused by any later run "
+             "with the same inputs (a resume after a crash or kill)")
     experiment.add_argument(
         "--resume", action="store_true",
-        help="skip work units already checkpointed ok in --run-dir; "
-             "failed or missing units are re-run")
+        help="continue an interrupted run from --run-dir (reuse is "
+             "automatic whenever --run-dir is given; this flag only "
+             "asserts a run directory is present)")
     experiment.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="wall-clock budget per work unit (exceeded units are "
@@ -583,7 +586,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         scale = scale.with_benchmarks(chosen)
     if args.resume and not args.run_dir:
         obs.error("--resume requires --run-dir (there is nothing "
-                  "to resume from without a checkpoint directory)",
+                  "to resume from without a run directory)",
                   event="cli_error")
         return 2
 
@@ -596,7 +599,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             policy=RunnerPolicy(timeout=args.timeout,
                                 max_retries=args.retries),
             run_dir=args.run_dir,
-            resume=args.resume,
             **runner_kwargs,
         )
     elif args.run_dir or args.timeout is not None or args.chaos:

@@ -34,7 +34,6 @@ from repro.core.metrics import (
 from repro.core.analysis import (
     hottest_contexts,
     reduced_connectivity,
-    to_networkx,
     transition_entropy,
 )
 from repro.core.serialization import (
@@ -60,7 +59,6 @@ __all__ = [
     "absolute_error",
     "relative_error",
     "coefficient_of_variation",
-    "to_networkx",
     "transition_entropy",
     "reduced_connectivity",
     "hottest_contexts",

@@ -3,53 +3,18 @@
 The paper asserts qualitative properties of the SFG — that it stays
 "both simpler and smaller" than SMART's fully-qualified graphs, and
 that after reduction "the interconnection is still strong enough" for
-accurate prediction.  These helpers quantify such properties: graph
-export for inspection (networkx), transition entropy (how much control
-flow is actually conditioned by history), and connectivity of reduced
-graphs.
+accurate prediction.  These helpers quantify such properties:
+transition entropy (how much control flow is actually conditioned by
+history) and connectivity of reduced graphs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from repro.core.reduction import ReducedFlowGraph
 from repro.core.sfg import StatisticalFlowGraph
-
-
-def to_networkx(sfg: StatisticalFlowGraph,
-                reduced: Optional[ReducedFlowGraph] = None) -> nx.DiGraph:
-    """Export an SFG (optionally restricted to a reduced graph's
-    surviving nodes) as a networkx DiGraph.
-
-    Nodes are contexts (``(k+1)``-gram tuples) with ``occurrences``
-    attributes; edges carry the profiled transition ``probability`` and
-    ``count``.
-    """
-    keep = None if reduced is None else set(reduced.occurrences)
-    graph = nx.DiGraph(order=sfg.order)
-    for context, stats in sfg.contexts.items():
-        if keep is not None and context not in keep:
-            continue
-        occurrences = (reduced.occurrences[context] if reduced is not None
-                       else stats.occurrences)
-        graph.add_node(context, occurrences=occurrences,
-                       block=context[-1], block_size=stats.block_size)
-    for context in list(graph.nodes):
-        history = context[1:] if sfg.order > 0 else ()
-        counts = sfg.transitions.get(history)
-        if not counts:
-            continue
-        total = sum(counts.values())
-        for block, count in counts.items():
-            successor = history + (block,)
-            if successor in graph:
-                graph.add_edge(context, successor, count=count,
-                               probability=count / total)
-    return graph
 
 
 def transition_entropy(sfg: StatisticalFlowGraph) -> float:
@@ -83,16 +48,40 @@ def reduced_connectivity(sfg: StatisticalFlowGraph,
     connected component, the number of components, and the fraction of
     the surviving occurrence mass that the largest component holds.
     """
-    graph = to_networkx(sfg, reduced=reduced)
-    if graph.number_of_nodes() == 0:
+    nodes: List[Tuple[int, ...]] = [
+        context for context in sfg.contexts
+        if context in reduced.occurrences]
+    if not nodes:
         return {"largest_component_fraction": 0.0, "components": 0,
                 "largest_component_mass": 0.0}
-    components = list(nx.weakly_connected_components(graph))
-    largest = max(components, key=len)
+    # Union-find over the surviving contexts: a context links to every
+    # surviving successor its history's transitions reach (direction
+    # does not matter for weak connectivity).
+    index = {context: i for i, context in enumerate(nodes)}
+    parent = list(range(len(nodes)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, context in enumerate(nodes):
+        history = context[1:] if sfg.order > 0 else ()
+        for block in sfg.transitions.get(history, ()):
+            j = index.get(history + (block,))
+            if j is not None:
+                parent[root(j)] = root(i)
+    # Components in order of their first context, so ties for the
+    # largest resolve to the earliest one.
+    components: Dict[int, List[Tuple[int, ...]]] = {}
+    for i, context in enumerate(nodes):
+        components.setdefault(root(i), []).append(context)
+    largest = max(components.values(), key=len)
     total_mass = sum(reduced.occurrences.values())
     largest_mass = sum(reduced.occurrences[c] for c in largest)
     return {
-        "largest_component_fraction": len(largest) / graph.number_of_nodes(),
+        "largest_component_fraction": len(largest) / len(nodes),
         "components": len(components),
         "largest_component_mass": (largest_mass / total_mass
                                    if total_mass else 0.0),

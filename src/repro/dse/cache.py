@@ -1,4 +1,5 @@
-"""Content-addressed result cache for design-space evaluations.
+"""Content-addressed result cache: the one durable store for finished
+work.
 
 One statistical-simulation evaluation is fully determined by the
 profile content, the machine configuration, the synthesis seed and the
@@ -6,7 +7,10 @@ reduction factor — so its metrics are cached under
 ``sha256(profile_hash, config_hash, seed, reduction_factor)``.
 Re-running a sweep, extending a grid, or running a second sweep that
 overlaps the first all skip the already-evaluated points, whatever
-order or process produced them.
+order or process produced them.  An experiment's work units live in
+the same store (a :class:`~repro.runner.TaskRunner` run directory),
+keyed by the unit id plus every input the unit reads, so a run
+directory only ever serves results computed from the same inputs.
 
 The cache is a **shared concurrent store**: multiple sweeps read and
 write one directory simultaneously.
@@ -45,6 +49,13 @@ _ENV_PLAN = object()
 CACHE_FORMAT = 1
 
 
+def content_key(payload: Dict[str, Any]) -> str:
+    """The content address of *payload*: sha256 over the canonical JSON
+    of :data:`CACHE_FORMAT` plus the payload's fields."""
+    return hashlib.sha256(canonical_json(
+        {"format": CACHE_FORMAT, **payload}).encode("utf-8")).hexdigest()
+
+
 def result_key(profile_hash: str, config_hash: str, seed: int,
                reduction_factor: float, mode: str = "scalar") -> str:
     """The content address of one evaluation.
@@ -55,8 +66,7 @@ def result_key(profile_hash: str, config_hash: str, seed: int,
     from a scalar entry (or vice versa).  ``"scalar"`` is omitted from
     the hashed payload so every pre-existing cache entry keeps its key.
     """
-    payload = {
-        "format": CACHE_FORMAT,
+    payload: Dict[str, Any] = {
         "profile": profile_hash,
         "config": config_hash,
         "seed": seed,
@@ -64,8 +74,7 @@ def result_key(profile_hash: str, config_hash: str, seed: int,
     }
     if mode != "scalar":
         payload["mode"] = mode
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 @dataclass

@@ -8,11 +8,12 @@ this engine fans (point, seed) evaluations out over a
 :class:`~repro.dse.supervisor.PoolSupervisor` — worker death breaks a
 pool, the supervisor rebuilds it, requeues the lease-tracked in-flight
 tasks, quarantines repeat offenders as poison points, and degrades to
-serial in-process execution when the pool cannot be kept alive — while
-keeping the fault-tolerance semantics of
-:class:`~repro.runner.TaskRunner` — per-evaluation wall-clock
-timeouts, bounded retry with backoff, fault injection, and exception
-containment — applied **per design point** rather than per benchmark.
+serial in-process execution when the pool cannot be kept alive.  Every
+evaluation, pooled or serial, runs through the experiment runner's
+retry loop (:func:`~repro.runner.runner.run_attempts`): per-evaluation
+wall-clock timeouts, bounded retry with backoff, fault injection, and
+exception containment, applied **per design point** rather than per
+benchmark.
 
 Determinism: each evaluation's synthesis seed is derived from a stable
 hash of (experiment, benchmark, config hash, base seed), never from
@@ -45,7 +46,7 @@ from repro.health.budget import (Budget, HealthPolicy, active_budget,
                                  check_expired, install_budget)
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.runner import OK, RunnerPolicy, TaskRunner, WorkUnit
+from repro.runner import OK, RunnerPolicy
 from repro.runner.lease import clear_lease, lease_directory, write_lease
 from repro.runner.runner import run_attempts
 from repro.dse.cache import ResultCache, result_key
@@ -206,11 +207,13 @@ def _worker_init(profile_payload: Dict,
 
 
 def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
-              fault_plan: Optional[Any]) -> Dict[str, Any]:
+              fault_plan: Optional[Any], log=None) -> Dict[str, Any]:
     """Execute one (point, seed) evaluation through the runner's retry
     loop (:func:`~repro.runner.runner.run_attempts`): fault injection
     per attempt, wall-clock timeout, bounded retry with backoff, and
-    containment of any exception into a structured failure record."""
+    containment of any exception into a structured failure record.
+    Pool workers and the serial path both evaluate through here; *log*
+    receives retry messages."""
     from repro.core.serialization import config_from_dict
 
     vector = bool(task.get("vector"))
@@ -233,7 +236,7 @@ def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
 
     outcome = run_attempts(evaluate, task["task_id"], policy, fault_plan,
                            benchmark=task.get("benchmark"),
-                           seed=task.get("base_seed"))
+                           seed=task.get("base_seed"), log=log)
     # The error record carries the full remote traceback, so a
     # worker-side failure is debuggable from the parent's failure
     # record and events.jsonl, not just a bare exception type.
@@ -393,8 +396,8 @@ class SweepResult:
 class SweepEngine:
     """Evaluates design points against one statistical profile.
 
-    ``jobs=1`` routes every (point, seed) evaluation through a
-    :class:`~repro.runner.TaskRunner` in-process; ``jobs>1`` dispatches
+    ``jobs=1`` evaluates every (point, seed) in-process through the
+    runner's retry loop; ``jobs>1`` dispatches
     tasks to a supervised process pool
     (:class:`~repro.dse.supervisor.PoolSupervisor`) whose workers apply
     the same policy (timeout, retries, fault injection) per evaluation,
@@ -475,62 +478,24 @@ class SweepEngine:
 
     def _run_serial(self, tasks: List[Dict[str, Any]],
                     reduction_factor: float) -> List[Dict[str, Any]]:
-        """In-process path: one TaskRunner work unit per evaluation, so
-        timeouts/retry/fault-injection apply per design point.  Every
-        task shares the sweep's *reduction_factor*."""
+        """In-process path: each evaluation runs through the pool
+        worker's own :func:`_run_task` (timeouts, retry and fault
+        injection per design point) and is cached as it finishes.
+        Every task shares the sweep's *reduction_factor*."""
         # Same warm-start the pool workers get from _worker_init: build
         # the sampler tables once, before the first evaluation.
+        from repro.obs.tracing import trace_span
+
         _warm_tables(self.profile, self.vector, reduction_factor)
-        if self.vector:
-            from repro.core.columnar import columnar_tables_cached
-
-            recipe_reuse = columnar_tables_cached(self.profile.sfg)
-        else:
-            from repro.core.synthesis import tables_cached
-
-            recipe_reuse = tables_cached(self.profile.sfg)
-        runner = TaskRunner(policy=self.policy,
-                            fault_plan=self.fault_plan,
-                            raise_on_total_failure=False,
-                            log=self.log)
-        units = [WorkUnit(experiment=self.experiment,
-                          benchmark=self.benchmark,
-                          seed=task["base_seed"],
-                          params=(("point", task["point_index"]),))
-                 for task in tasks]
-        task_by_unit = dict(zip(units, tasks))
-
-        def fn(unit: WorkUnit) -> Dict[str, Any]:
-            from repro.core.serialization import config_from_dict
-
-            # Same fail-fast the pool workers get in _run_task: a
-            # blown deadline fails the remaining points immediately
-            # instead of waiting for an in-loop checkpoint (which a
-            # very short synthesis may never reach).
-            check_expired()
-            task = task_by_unit[unit]
-            return evaluate_metrics(
-                self.profile, config_from_dict(task["config"]),
-                task["derived_seed"], task["reduction_factor"],
-                vector=bool(task.get("vector")))
-
         outcomes: List[Dict[str, Any]] = []
-
-        def collect(unit: WorkUnit, unit_outcome) -> None:
-            outcome = {
-                "task": task_by_unit[unit],
-                "status": ("ok" if unit_outcome.status != "failed"
-                           else "failed"),
-                "metrics": unit_outcome.result,
-                "attempts": unit_outcome.attempts,
-                "elapsed": unit_outcome.elapsed,
-                "error": unit_outcome.error,
-                "recipe_reuse": recipe_reuse,
-            }
+        for task in tasks:
+            with trace_span("evaluate", task=task["task_id"],
+                            bench=task.get("benchmark"),
+                            seed=task.get("base_seed")):
+                outcome = _run_task(task, self.profile, self.policy,
+                                    self.fault_plan, log=self.log)
             self._store(outcome)
             outcomes.append(outcome)
-
-        runner.run(units, fn, on_outcome=collect)
         return outcomes
 
     def _store(self, outcome: Dict[str, Any]) -> None:

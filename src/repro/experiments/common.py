@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, baseline_config
 from repro.obs.tracing import trace_span
@@ -47,6 +47,13 @@ class ExperimentScale:
 
     def with_benchmarks(self, names: Sequence[str]) -> "ExperimentScale":
         return replace(self, benchmarks=tuple(names))
+
+    def unit_inputs(self) -> Dict[str, Any]:
+        """The fields a per-benchmark work unit reads (its benchmark is
+        in the unit id), for :meth:`~repro.runner.TaskRunner.run`."""
+        return {"warmup": self.warmup, "reference": self.reference,
+                "reduction_factor": self.reduction_factor,
+                "seeds": list(self.seeds)}
 
 
 DEFAULT_SCALE = ExperimentScale()
@@ -90,8 +97,8 @@ def prepare_suite(scale: ExperimentScale,
                   runner: Optional[TaskRunner] = None) -> PreparedSuite:
     """Prepared (warmup, reference) windows for every scale benchmark.
 
-    Preparation runs through the fault-tolerant runner (without
-    checkpointing — traces are not persisted): a workload that fails to
+    Preparation runs through the fault-tolerant runner (traces are not
+    stored in a run directory): a workload that fails to
     build or execute is dropped from the suite with its failure
     recorded on ``suite.report`` instead of aborting every experiment
     that shares the suite.
@@ -129,10 +136,12 @@ def run_per_benchmark(experiment: str,
     from the returned rows, with the :class:`~repro.runner.RunReport`
     attached as ``rows.report`` so renderers can surface warnings and
     the ``N ok / M failed / K skipped`` summary.  Pass a *runner* with
-    a run directory to get checkpoint/resume.
+    a run directory to reuse units finished there by an earlier run of
+    the same scale (the only input ``unit_fn`` may read besides the
+    benchmark).
 
     ``unit_fn`` may return one row dict or a list of row dicts; the
-    value must be JSON-serializable for checkpoints to round-trip.
+    value must be JSON-serializable to be stored.
     """
     runner = runner if runner is not None else TaskRunner()
     names = tuple(benchmarks) if benchmarks is not None \
@@ -141,12 +150,7 @@ def run_per_benchmark(experiment: str,
              for name in names]
     report = runner.run(
         units, lambda unit: unit_fn(unit.benchmark, scale),
-        manifest={"experiment": experiment,
-                  "benchmarks": list(names),
-                  "warmup": scale.warmup,
-                  "reference": scale.reference,
-                  "reduction_factor": scale.reduction_factor,
-                  "seeds": list(scale.seeds)})
+        inputs=scale.unit_inputs())
     rows: List[Dict] = []
     for result in report.results:
         if isinstance(result, list):

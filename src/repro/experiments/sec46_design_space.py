@@ -76,16 +76,14 @@ def run(benchmark: str = "twolf",
 
 def run_suite(benchmarks: Sequence[str] = ("twolf", "gzip", "parser"),
               scale: ExperimentScale = DEFAULT_SCALE,
-              runner: Optional[TaskRunner] = None, **kwargs
-              ) -> List[Dict]:
-    """One grid exploration per benchmark, each as an independent work
-    unit of the fault-tolerant runner (a 100+-point grid is exactly the
-    long batch job that must survive one benchmark crashing).  Within a
-    benchmark, the :mod:`repro.dse` engine additionally applies
-    timeout/retry/caching per design point."""
+              runner: Optional[TaskRunner] = None) -> List[Dict]:
+    """One default-grid exploration per benchmark, each as an
+    independent work unit of the fault-tolerant runner (a 100+-point
+    grid is exactly the long batch job that must survive one benchmark
+    crashing).  Within a benchmark, the :mod:`repro.dse` engine
+    additionally applies timeout/retry/caching per design point."""
     return run_per_benchmark(
-        "sec46", scale,
-        lambda name, sc: run(name, scale=sc, **kwargs),
+        "sec46", scale, lambda name, sc: run(name, scale=sc),
         runner=runner, benchmarks=benchmarks)
 
 

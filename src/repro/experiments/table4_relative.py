@@ -153,11 +153,11 @@ def _measure_sweep_benchmark(name: str, sweep: str,
                              scale: ExperimentScale,
                              definitions) -> List[List[Dict]]:
     """All design-point measurements of one benchmark along one sweep:
-    ``[[eds_metrics, ss_metrics], ...]`` per sweep point (the unit of
-    checkpointing, hence plain JSON lists).  All points' locality is
-    resolved in one walk, done by the first run that needs it.  A sweep
-    that reuses one profile synthesizes its seeds' traces once, for
-    every point."""
+    ``[[eds_metrics, ss_metrics], ...]`` per sweep point (the unit a
+    run directory stores, hence plain JSON lists).  All points'
+    locality is resolved in one walk, done by the first run that needs
+    it.  A sweep that reuses one profile synthesizes its seeds' traces
+    once, for every point."""
     sweep_points, builder, label, reprofile, metrics = definitions[sweep]
     warm, trace = prepare_benchmark(name, scale)
     plan_locality(trace, [builder(point) for point in sweep_points], warm)
@@ -182,8 +182,9 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     Every ``(sweep, benchmark)`` pair is one work unit of the
     fault-tolerant runner: a failing benchmark is dropped from that
     sweep's averages (with a warning in the rendered table) rather
-    than aborting the whole experiment, and a checkpointing runner
-    resumes a killed sweep without re-measuring finished pairs.
+    than aborting the whole experiment, and a runner with a run
+    directory resumes a killed sweep without re-measuring finished
+    pairs measured at the same scale and points.
     """
     definitions = _sweep_definitions(points)
     runner = runner if runner is not None else TaskRunner()
@@ -195,8 +196,9 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
         lambda unit: _measure_sweep_benchmark(
             unit.benchmark, dict(unit.params)["sweep"], scale,
             definitions),
-        manifest={"experiment": "table4", "sweeps": list(sweeps),
-                  "benchmarks": list(scale.benchmarks)})
+        inputs={**scale.unit_inputs(),
+                "points": {sweep: list(definitions[sweep][0])
+                           for sweep in sweeps}})
     # measurements[sweep][benchmark][point_index] -> [eds, ss]
     unit_sweeps = {unit.unit_id: dict(unit.params)["sweep"]
                    for unit in units}

@@ -1,12 +1,11 @@
-"""Fault-tolerant experiment execution: task runner, checkpoints,
-leases.
+"""Fault-tolerant experiment execution: task runner, checksummed
+files, leases.
 
 See :mod:`repro.runner.runner` for semantics and ``docs/robustness.md``
 for the operational guide.
 """
 
 from repro.runner.checkpoint import (
-    CheckpointStore,
     payload_checksum,
     read_json_checked,
     sanitize_unit_id,
@@ -27,7 +26,7 @@ from repro.runner.runner import (
 )
 
 __all__ = [
-    "CheckpointStore", "payload_checksum", "read_json_checked",
+    "payload_checksum", "read_json_checked",
     "sanitize_unit_id", "write_json_atomic", "write_text_atomic",
     "OK", "FAILED", "SKIPPED",
     "ResultRows", "RunnerPolicy", "RunReport", "TaskRunner",

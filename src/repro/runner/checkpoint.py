@@ -1,17 +1,12 @@
-"""Checkpoint persistence for the fault-tolerant runner.
+"""Atomic, checksummed JSON files.
 
-A run directory holds one JSON file per completed work unit plus a
-manifest.  Every file is written atomically (tmp file + ``os.replace``)
-and carries a SHA-256 checksum over its payload, so a killed sweep can
-never leave a half-written checkpoint that resumes incorrectly: a
-truncated or bit-flipped file fails verification and the unit is simply
-re-run.
-
-Layout::
-
-    <run_dir>/
-        manifest.json          # experiment name, scale, creation info
-        units/<unit_id>.json   # one UnitOutcome payload per unit
+Result-cache entries (which also hold a run directory's finished work
+units), saved profiles, quarantine records and the fuzz corpus are
+written atomically (tmp file + ``os.replace``) with a SHA-256 checksum
+over their payload, so a killed process can never leave a half-written
+file that is later trusted: a truncated or bit-flipped file fails
+verification and its work is simply redone.  Lease files and metrics
+snapshots share the atomic writer.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Union
 
 from repro.errors import ArtifactCorruptError
 
@@ -106,57 +101,3 @@ def sanitize_unit_id(unit_id: str) -> str:
     """A filesystem-safe file stem for a unit id."""
     return _UNSAFE.sub("_", unit_id)
 
-
-class CheckpointStore:
-    """Per-unit checkpoint files under one run directory."""
-
-    def __init__(self, run_dir: Union[str, Path]) -> None:
-        self.run_dir = Path(run_dir)
-        self.units_dir = self.run_dir / "units"
-        self.units_dir.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.run_dir / "manifest.json"
-
-    def write_manifest(self, manifest: Dict) -> None:
-        write_json_atomic(self.manifest_path, manifest)
-
-    def read_manifest(self) -> Optional[Dict]:
-        if not self.manifest_path.exists():
-            return None
-        return read_json_checked(self.manifest_path)
-
-    def _unit_path(self, unit_id: str) -> Path:
-        return self.units_dir / (sanitize_unit_id(unit_id) + ".json")
-
-    def store(self, unit_id: str, payload: Dict) -> Path:
-        """Persist one completed unit's outcome."""
-        path = self._unit_path(unit_id)
-        write_json_atomic(path, payload)
-        return path
-
-    def load(self, unit_id: str) -> Optional[Dict]:
-        """Load a unit's checkpoint, or None if absent.
-
-        A corrupt checkpoint raises :class:`ArtifactCorruptError`; the
-        runner treats that as "not checkpointed" and re-runs the unit.
-        """
-        path = self._unit_path(unit_id)
-        if not path.exists():
-            return None
-        return read_json_checked(path)
-
-    def discard(self, unit_id: str) -> None:
-        path = self._unit_path(unit_id)
-        if path.exists():
-            path.unlink()
-
-    def iter_units(self) -> Iterator[Tuple[Path, Optional[Dict]]]:
-        """Yield ``(path, payload-or-None)`` for every checkpoint file
-        (None for corrupt ones)."""
-        for path in sorted(self.units_dir.glob("*.json")):
-            try:
-                yield path, read_json_checked(path)
-            except ArtifactCorruptError:
-                yield path, None

@@ -13,9 +13,12 @@ with
   :class:`~repro.errors.TaskTimeoutError`;
 * **bounded retry with backoff** — retryable errors (timeouts,
   injected transients) are re-attempted up to ``max_retries`` times;
-* **checkpoint/resume** — each completed unit is persisted atomically
-  to a run directory, so a killed sweep resumes where it stopped and
-  re-runs only failed or missing units.
+* **durable results** — with a run directory, each unit that
+  finishes ok is an entry of the content-addressed
+  :class:`~repro.dse.cache.ResultCache` there, keyed by the unit id
+  plus the inputs the unit reads; a later run with the same inputs
+  (a resume after a crash or kill) skips it, while failed, missing or
+  differently-parameterised units run.
 
 A unit that exhausts its retries degrades gracefully: it is excluded
 from aggregate tables (with an explicit warning in the rendered
@@ -29,6 +32,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -40,17 +44,12 @@ from typing import (
     Union,
 )
 
-from repro.errors import (
-    ArtifactCorruptError,
-    TaskTimeoutError,
-    is_retryable,
-)
+from repro.errors import TaskTimeoutError, is_retryable
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.obs.profiling import maybe_profiled
 from repro.obs.tracing import trace_span
 from repro.faults import plan_from_env
-from repro.runner.checkpoint import CheckpointStore
 
 #: Sentinel: "no explicit plan given, consult the environment".
 _ENV_PLAN = object()
@@ -109,22 +108,9 @@ class UnitOutcome:
     attempts: int = 0
     elapsed: float = 0.0
     #: The exception behind a FAILED outcome (in-process only; never
-    #: checkpointed).
+    #: stored).
     exception: Optional[BaseException] = field(
         default=None, repr=False, compare=False)
-
-    def to_payload(self) -> Dict[str, Any]:
-        status = OK if self.status == SKIPPED else self.status
-        return {
-            "unit_id": self.unit_id,
-            "benchmark": self.benchmark,
-            "seed": self.seed,
-            "status": status,
-            "result": self.result,
-            "error": self.error,
-            "attempts": self.attempts,
-            "elapsed": self.elapsed,
-        }
 
 
 @dataclass
@@ -204,7 +190,7 @@ def _error_info(error: BaseException) -> Dict[str, Any]:
         "message": str(error),
         "retryable": is_retryable(error),
         # The formatted traceback makes a contained failure debuggable
-        # from the checkpoint / failure record alone — essential once
+        # from the failure record alone — essential once
         # the error crossed a process boundary and the live traceback
         # object is gone.
         "traceback": "".join(traceback.format_exception(
@@ -314,23 +300,27 @@ def run_attempts(fn: Callable[[], Any], unit_id: str,
 
 class TaskRunner:
     """Executes work units with containment, timeouts, retries and
-    checkpointing.  See the module docstring for semantics."""
+    durable results.  See the module docstring for semantics."""
 
     def __init__(
         self,
         policy: Optional[RunnerPolicy] = None,
-        run_dir: Optional[Union[str, "Path"]] = None,
-        resume: bool = False,
+        run_dir: Optional[Union[str, Path]] = None,
         fault_plan: Any = _ENV_PLAN,
         raise_on_total_failure: bool = True,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.policy = policy or RunnerPolicy()
-        self.store = CheckpointStore(run_dir) if run_dir else None
-        self.resume = resume
         if fault_plan is _ENV_PLAN:
             fault_plan = plan_from_env()
         self.fault_plan: Optional[Any] = fault_plan
+        self.run_dir = Path(run_dir) if run_dir else None
+        self.cache = None
+        if self.run_dir is not None:
+            # Imported here: repro.dse imports this module.
+            from repro.dse.cache import ResultCache
+
+            self.cache = ResultCache(self.run_dir, fault_plan=fault_plan)
         self.raise_on_total_failure = raise_on_total_failure
         self.log = log or (lambda message: None)
         self.last_report: Optional[RunReport] = None
@@ -353,85 +343,85 @@ class TaskRunner:
                 unit.unit_id, self.policy, self.fault_plan,
                 benchmark=unit.benchmark, seed=unit.seed, log=self.log)
 
-    def _resume_outcome(self, unit: WorkUnit) -> Optional[UnitOutcome]:
-        """A SKIPPED outcome when the unit already completed in a
-        previous run, else None (run it)."""
-        if self.store is None or not self.resume:
+    def _key(self, unit: WorkUnit,
+             inputs: Optional[Dict[str, Any]]) -> Optional[str]:
+        """*unit*'s content address in the run directory (None without
+        one)."""
+        if self.cache is None:
             return None
-        try:
-            payload = self.store.load(unit.unit_id)
-        except ArtifactCorruptError as exc:
-            message = (f"{unit.unit_id}: discarding corrupt checkpoint "
-                       f"({exc}); re-running")
-            obs_events.emit("checkpoint_corrupt", msg=message,
-                            level="warning", unit=unit.unit_id,
-                            benchmark=unit.benchmark)
-            self.log(message)
-            self.store.discard(unit.unit_id)
+        from repro.dse.cache import content_key
+
+        return content_key({"unit": unit.unit_id, "inputs": inputs})
+
+    def _stored_outcome(self, unit: WorkUnit,
+                        key: str) -> Optional[UnitOutcome]:
+        """A SKIPPED outcome when *key*'s result is already stored,
+        else None (run it)."""
+        entry = self.cache.get(key)
+        stored = entry.get("metrics") if entry is not None else None
+        if not isinstance(stored, dict) or "result" not in stored:
             return None
-        if payload is None or payload.get("status") != OK:
-            return None  # missing or failed units re-run
+        meta = entry.get("meta") or {}
         get_registry().counter("runner.units_resumed").inc()
-        obs_events.emit("unit_resumed",
-                        msg=f"{unit.unit_id}: resumed from checkpoint",
-                        level="info",
+        message = f"{unit.unit_id}: resumed from checkpoint"
+        obs_events.emit("unit_resumed", msg=message, level="info",
                         unit=unit.unit_id, benchmark=unit.benchmark)
+        self.log(message)
         return UnitOutcome(
             unit_id=unit.unit_id, status=SKIPPED,
             benchmark=unit.benchmark, seed=unit.seed,
-            result=payload.get("result"),
-            attempts=int(payload.get("attempts", 1)),
-            elapsed=float(payload.get("elapsed", 0.0)))
+            result=stored["result"],
+            attempts=int(meta.get("attempts", 1)),
+            elapsed=float(meta.get("elapsed", 0.0)))
+
+    def _store(self, key: str, outcome: UnitOutcome) -> None:
+        try:
+            self.cache.put(key, {"result": outcome.result}, meta={
+                "unit": outcome.unit_id, "attempts": outcome.attempts,
+                "elapsed": outcome.elapsed})
+        except (TypeError, ValueError) as exc:
+            # Non-JSON-serializable result: the unit still succeeded,
+            # it just cannot be reused.
+            self.log(f"{outcome.unit_id}: result not storable ({exc})")
 
     def run(self, units: Sequence[WorkUnit],
             fn: Callable[[WorkUnit], Any],
-            manifest: Optional[Dict[str, Any]] = None,
-            on_outcome: Optional[Callable[[WorkUnit, UnitOutcome],
-                                          None]] = None) -> RunReport:
+            inputs: Optional[Dict[str, Any]] = None) -> RunReport:
         """Execute every unit; return the aggregate report.
 
-        ``fn(unit)`` must return a JSON-serializable value for the
-        checkpoint to round-trip.  ``on_outcome(unit, outcome)`` sees
-        each outcome as soon as its unit finishes.  When every unit
-        fails (and at least one ran), the last exception is re-raised
-        so a systematically broken experiment still fails loudly.
+        ``fn(unit)`` must return a JSON-serializable value for its
+        result to be stored.  *inputs* is everything ``fn`` reads
+        besides the unit itself (scale, sweep points, ...): with a run
+        directory, a unit's stored result is reused only by a run with
+        the same unit id and the same *inputs*.  When every unit fails
+        (and at least one ran), the last exception is re-raised so a
+        systematically broken experiment still fails loudly.
         """
-        if self.store is not None and manifest is not None:
-            self.store.write_manifest(manifest)
-        self._last_error: Optional[BaseException] = None
+        last_error: Optional[BaseException] = None
         report = RunReport()
         for unit in units:
-            outcome = self._resume_outcome(unit)
+            key = self._key(unit, inputs)
+            outcome = (self._stored_outcome(unit, key)
+                       if key is not None else None)
             if outcome is None:
                 outcome = self._attempt_loop(fn, unit)
                 if outcome.exception is not None:
-                    self._last_error = outcome.exception
-                if self.store is not None:
-                    try:
-                        self.store.store(unit.unit_id,
-                                         outcome.to_payload())
-                    except (TypeError, ValueError) as exc:
-                        # Non-JSON-serializable result: the unit still
-                        # succeeded, it just cannot be resumed.
-                        self.log(f"{unit.unit_id}: result not "
-                                 f"checkpointable ({exc})")
-            else:
-                self.log(f"{unit.unit_id}: resumed from checkpoint")
-            if on_outcome is not None:
-                on_outcome(unit, outcome)
+                    last_error = outcome.exception
+                elif key is not None:
+                    self._store(key, outcome)
             report.outcomes.append(outcome)
         self.last_report = report
         obs_events.emit("runner_summary", level="debug",
                         units=len(report.outcomes),
                         ok=len(report.ok), failed=len(report.failed),
                         skipped=len(report.skipped))
-        if self.store is not None:
-            # The per-run observability manifest lives alongside the
-            # checkpoints, so a crashed or resumed run keeps its
+        if self.run_dir is not None:
+            # The run's metrics snapshot lives alongside its stored
+            # results, so a crashed or resumed run keeps its
             # wall-clock breakdown and counters on disk.
-            get_registry().write(self.store.run_dir / "metrics.json")
+            get_registry().write(self.run_dir / "metrics.json")
         if (self.raise_on_total_failure and report.outcomes
                 and len(report.failed) == len(report.outcomes)
-                and self._last_error is not None):
-            raise self._last_error
+                and last_error is not None):
+            raise last_error
         return report

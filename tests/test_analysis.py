@@ -1,11 +1,15 @@
 """Tests for SFG analysis utilities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.analysis import (
     hottest_contexts,
     reduced_connectivity,
-    to_networkx,
     transition_entropy,
 )
 from repro.core.profiler import profile_trace
@@ -16,33 +20,6 @@ from repro.core.reduction import reduce_flow_graph
 def profile(small_trace, config):
     return profile_trace(small_trace, config, order=1,
                          branch_mode="perfect", perfect_caches=True)
-
-
-class TestToNetworkx:
-    def test_nodes_match_contexts(self, profile):
-        graph = to_networkx(profile.sfg)
-        assert graph.number_of_nodes() == profile.num_nodes
-
-    def test_edge_probabilities_normalized(self, profile):
-        graph = to_networkx(profile.sfg)
-        for node in graph.nodes:
-            out = list(graph.out_edges(node, data=True))
-            if out:
-                total = sum(data["probability"] for _, _, data in out)
-                # Successor contexts outside the graph are impossible in
-                # the full SFG, so out-probabilities sum to 1.
-                assert total == pytest.approx(1.0)
-
-    def test_reduced_restriction(self, profile):
-        reduced = reduce_flow_graph(profile.sfg, 8)
-        graph = to_networkx(profile.sfg, reduced=reduced)
-        assert set(graph.nodes) == set(reduced.occurrences)
-
-    def test_node_attributes(self, profile):
-        graph = to_networkx(profile.sfg)
-        for context, data in graph.nodes(data=True):
-            assert data["block"] == context[-1]
-            assert data["occurrences"] >= 1
 
 
 class TestEntropy:
@@ -94,3 +71,44 @@ class TestHottestContexts:
         for _, count, share in ranked:
             assert share == pytest.approx(
                 count / profile.sfg.total_block_executions)
+
+
+BLOCKED_IMPORT = """
+import sys
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "networkx" or name.startswith("networkx."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, Blocker())
+import repro
+from repro.config import baseline_config
+from repro.core import profile_trace, reduce_flow_graph
+from repro.core.analysis import reduced_connectivity
+from repro.experiments.common import QUICK_SCALE, prepare_benchmark
+
+_, trace = prepare_benchmark("gzip", QUICK_SCALE)
+profile = profile_trace(trace, baseline_config(), order=1,
+                        branch_mode="perfect", perfect_caches=True)
+stats = reduced_connectivity(profile.sfg,
+                             reduce_flow_graph(profile.sfg, 8))
+assert "networkx" not in sys.modules
+assert stats["components"] >= 1, stats
+print("ok")
+"""
+
+
+def test_imports_and_runs_without_networkx():
+    """The package needs nothing beyond numpy: with networkx blocked,
+    ``import repro`` and the connectivity analysis still work."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BLOCKED_IMPORT],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -21,6 +21,16 @@ class TestKeying:
         assert result_key(PROFILE_HASH, "c" * 64, 0, 6.0) == \
             result_key(PROFILE_HASH, "c" * 64, 0, 6.0)
 
+    def test_key_is_pinned(self):
+        """Literal keys: a change to how the key payload is encoded
+        would otherwise leave every existing cache cold unnoticed."""
+        assert result_key("0" * 64, "f" * 64, 3, 4.0) == (
+            "01b190efcbf26115240da31fceb4bd48"
+            "15c3118465faa0da15dc44831f0d4ad9")
+        assert result_key("0" * 64, "f" * 64, 3, 4.0, mode="vector") == (
+            "4d99de8182fe80404fed54390945e4bb"
+            "6629a76a44b2cf15e9c3119c1444d78d")
+
     def test_changed_config_field_misses(self):
         base = baseline_config()
         changed = apply_overrides(base, {"ruu_size": 64})

@@ -1,5 +1,5 @@
 """Tests for the fault-tolerant task runner: containment, retries,
-timeouts, checkpoint/resume and artifact integrity."""
+timeouts, stored results and resume, and artifact integrity."""
 
 import json
 import time
@@ -18,8 +18,8 @@ from repro.errors import (
     is_retryable,
 )
 from repro.faults import ChaosPlan, plan_from_env
+from repro.dse.cache import ResultCache, content_key
 from repro.runner import (
-    CheckpointStore,
     ResultRows,
     RunnerPolicy,
     RunReport,
@@ -234,6 +234,9 @@ class TestFaultPlan:
 
 
 class TestCheckpointStore:
+    """The checksummed atomic JSON files every store writes, and a
+    run directory's unit entries in the result cache."""
+
     def test_atomic_write_and_checksum(self, tmp_path):
         path = tmp_path / "unit.json"
         write_json_atomic(path, {"a": 1})
@@ -263,11 +266,15 @@ class TestCheckpointStore:
             read_json_checked(path)
 
     def test_store_round_trip(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run")
-        store.store("exp/gzip", {"status": "ok", "result": [1, 2]})
-        assert store.load("exp/gzip") == {"status": "ok",
-                                          "result": [1, 2]}
-        assert store.load("exp/other") is None
+        runner = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        runner.run(units("gzip"), lambda u: [1, 2], inputs={"n": 1})
+        cache = ResultCache(tmp_path / "run", fault_plan=None)
+        key = content_key({"unit": "exp/gzip", "inputs": {"n": 1}})
+        entry = cache.get(key)
+        assert entry["metrics"] == {"result": [1, 2]}
+        assert entry["meta"]["unit"] == "exp/gzip"
+        assert cache.get(content_key({"unit": "exp/other",
+                                      "inputs": {"n": 1}})) is None
 
 
 class TestResume:
@@ -285,8 +292,7 @@ class TestResume:
         first.run(units("a", "b"), self._counting_fn(calls))
         assert calls == ["a", "b"]
 
-        second = TaskRunner(run_dir=tmp_path / "run", resume=True,
-                            fault_plan=None)
+        second = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
         report = second.run(units("a", "b"), self._counting_fn(calls))
         assert calls == ["a", "b"]  # nothing re-ran
         assert report.summary() == "0 ok / 0 failed / 2 skipped"
@@ -302,8 +308,7 @@ class TestResume:
             calls.append(unit.benchmark)
             return {"benchmark": unit.benchmark}
 
-        second = TaskRunner(run_dir=tmp_path / "run", resume=True,
-                            fault_plan=None)
+        second = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
         report = second.run(units("a", "bad"), fixed)
         assert calls == ["a", "bad", "bad"]
         assert report.summary() == "1 ok / 0 failed / 1 skipped"
@@ -315,8 +320,7 @@ class TestResume:
         first = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
         first.run(units("a"), self._counting_fn(calls))  # killed after a
 
-        second = TaskRunner(run_dir=tmp_path / "run", resume=True,
-                            fault_plan=None)
+        second = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
         report = second.run(units("a", "b", "c"),
                             self._counting_fn(calls))
         assert calls == ["a", "b", "c"]
@@ -327,23 +331,32 @@ class TestResume:
         run_dir = tmp_path / "run"
         first = TaskRunner(run_dir=run_dir, fault_plan=None)
         first.run(units("a"), self._counting_fn(calls))
-        checkpoint = next((run_dir / "units").glob("*.json"))
-        checkpoint.write_text(checkpoint.read_text()[:20])
+        entry = next((run_dir / "objects").glob("*/*.json"))
+        entry.write_text(entry.read_text()[:20])
 
-        second = TaskRunner(run_dir=run_dir, resume=True,
-                            fault_plan=None)
+        second = TaskRunner(run_dir=run_dir, fault_plan=None)
         report = second.run(units("a"), self._counting_fn(calls))
         assert calls == ["a", "a"]
         assert report.summary() == "1 ok / 0 failed / 0 skipped"
 
-    def test_without_resume_everything_reruns(self, tmp_path):
+    def test_changed_inputs_rerun(self, tmp_path):
+        """A stored result is reused only under the inputs it was
+        computed from; both entries then stay reusable."""
         calls = []
         run_dir = tmp_path / "run"
-        TaskRunner(run_dir=run_dir, fault_plan=None).run(
-            units("a"), self._counting_fn(calls))
-        TaskRunner(run_dir=run_dir, fault_plan=None).run(
-            units("a"), self._counting_fn(calls))
+        for scale, expected in ((1, "1 ok"), (2, "1 ok"),
+                                (1, "0 ok"), (2, "0 ok")):
+            report = TaskRunner(run_dir=run_dir, fault_plan=None).run(
+                units("a"), self._counting_fn(calls),
+                inputs={"scale": scale})
+            assert report.summary().startswith(expected)
         assert calls == ["a", "a"]
+
+    def test_unstorable_result_still_succeeds(self, tmp_path):
+        runner = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        report = runner.run(units("a"), lambda u: object())
+        assert report.summary() == "1 ok / 0 failed / 0 skipped"
+        assert not list((tmp_path / "run" / "objects").glob("*/*.json"))
 
 
 class TestReporting:

@@ -1,13 +1,16 @@
 """Acceptance tests: experiments routed through the fault-tolerant
-runner degrade gracefully under fault injection and resume from
-checkpoints (ISSUE 1 acceptance criteria)."""
+runner degrade gracefully under fault injection and resume from a run
+directory, which serves only results computed from the same inputs."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ProfileError, SimulationError, SynthesisError
-from repro.experiments import fig6_absolute, table1_baseline
-from repro.experiments.common import ExperimentScale
+from repro.experiments import fig6_absolute, table1_baseline, \
+    table4_relative
+from repro.experiments.common import ExperimentScale, run_per_benchmark
 from repro.faults import ChaosPlan
 from repro.runner import RunnerPolicy, TaskRunner
 
@@ -37,17 +40,16 @@ class TestGracefulDegradation:
         assert "run summary: 1 ok / 1 failed / 0 skipped" in text
 
     def test_resume_reruns_only_failed_units(self, tmp_path):
-        """Second invocation with resume: the previously ok benchmark
-        is skipped (loaded from its checkpoint), only the failed one
-        re-runs, and the full table comes out."""
+        """Second invocation on the same run directory: the previously
+        ok benchmark is skipped (loaded from its stored result), only
+        the failed one re-runs, and the full table comes out."""
         run_dir = tmp_path / "run"
         first = TaskRunner(
             policy=RunnerPolicy(max_retries=0), run_dir=run_dir,
             fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
         table1_baseline.run(TINY, runner=first)
 
-        second = TaskRunner(run_dir=run_dir, resume=True,
-                            fault_plan=None)
+        second = TaskRunner(run_dir=run_dir, fault_plan=None)
         rows = table1_baseline.run(TINY, runner=second)
 
         statuses = {outcome.benchmark: outcome.status
@@ -59,13 +61,12 @@ class TestGracefulDegradation:
         assert "run summary: 1 ok / 0 failed / 1 skipped" in text
 
     def test_resumed_rows_numerically_match(self, tmp_path):
-        """Checkpointed results round-trip exactly through JSON."""
+        """Stored results round-trip exactly through JSON."""
         run_dir = tmp_path / "run"
         fresh = table1_baseline.run(
             TINY, runner=TaskRunner(run_dir=run_dir, fault_plan=None))
         resumed = table1_baseline.run(
-            TINY, runner=TaskRunner(run_dir=run_dir, resume=True,
-                                    fault_plan=None))
+            TINY, runner=TaskRunner(run_dir=run_dir, fault_plan=None))
         assert list(fresh) == list(resumed)
 
     def test_transient_fault_recovers_via_retry(self):
@@ -99,6 +100,63 @@ class TestGracefulDegradation:
         text = fig6_absolute.format_rows(rows)
         assert "WARNING: fig6/twolf failed" in text
         assert "average errors" in text
+
+
+class TestStaleResume:
+    """A run directory serves a unit only under the inputs it was
+    computed from; entries for other inputs stay reusable."""
+
+    @staticmethod
+    def _probe(run_dir, scale, calls):
+        def unit_fn(name, sc):
+            calls.append((name, sc.reference))
+            return {"benchmark": name, "reference": sc.reference}
+
+        return run_per_benchmark(
+            "probe", scale, unit_fn,
+            runner=TaskRunner(run_dir=run_dir, fault_plan=None),
+            benchmarks=("gzip",))
+
+    @staticmethod
+    def _statuses(rows):
+        return [outcome.status for outcome in rows.report.outcomes]
+
+    def test_changed_scale_reruns_the_unit(self, tmp_path):
+        calls = []
+        first = self._probe(tmp_path, replace(TINY, reference=1), calls)
+        second = self._probe(tmp_path, replace(TINY, reference=2), calls)
+        assert self._statuses(second) == ["ok"]
+        assert list(second) == [{"benchmark": "gzip", "reference": 2}]
+        again = self._probe(tmp_path, replace(TINY, reference=1), calls)
+        assert self._statuses(again) == ["skipped"]
+        assert list(again) == list(first)
+        assert calls == [("gzip", 1), ("gzip", 2)]
+
+    def test_same_inputs_come_back_skipped(self, tmp_path):
+        calls = []
+        first = self._probe(tmp_path, TINY, calls)
+        second = self._probe(tmp_path, TINY, calls)
+        assert self._statuses(first) == ["ok"]
+        assert self._statuses(second) == ["skipped"]
+        assert list(second) == list(first)
+        assert len(calls) == 1
+
+    def test_changed_points_rerun_table4(self, tmp_path):
+        scale = TINY.with_benchmarks(["gzip"])
+
+        def run(window_points):
+            return table4_relative.run(
+                scale, sweeps=("window",),
+                points={"window": window_points},
+                runner=TaskRunner(run_dir=tmp_path, fault_plan=None))
+
+        first = run((16, 32))
+        second = run((32, 64))
+        assert self._statuses(second) == ["ok"]
+        assert {row["transition"] for row in second} == {"32 -> 64"}
+        again = run((16, 32))
+        assert self._statuses(again) == ["skipped"]
+        assert list(again) == list(first)
 
 
 class TestCLI:
