@@ -25,8 +25,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro import obs
-from repro.errors import ReproError
+from repro import faults, obs
+from repro.errors import ChaosSpecError, ReproError
 
 #: Experiments whose ``run`` accepts a fault-tolerant ``runner=``
 #: (multi-benchmark batch jobs whose finished units a run directory
@@ -519,31 +519,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 #: were still written — from a failed one.
 EXIT_INTERRUPTED = 130
 
-#: Sentinel distinguishing "--chaos not given" (consult the
-#: environment) from "--chaos explicitly parsed" (including errors).
-_NO_CHAOS = object()
-
-
-def _parse_chaos_arg(args: argparse.Namespace):
-    """Parse ``--chaos`` up front, before any expensive work.
-
-    Returns the parsed :class:`~repro.faults.ChaosPlan`, or the
-    ``_NO_CHAOS`` sentinel when the flag was absent, or ``None`` after
-    reporting a spec error (caller exits 2).
-    """
-    spec = getattr(args, "chaos", None)
-    if not spec:
-        return _NO_CHAOS
-    from repro.errors import ChaosSpecError
-    from repro.faults import ChaosPlan
-
-    try:
-        return ChaosPlan.parse(spec)
-    except ChaosSpecError as exc:
-        obs.error(f"--chaos: {exc}", event="cli_error")
-        return None
-
-
 def _health_policy(deadline):
     """The sweep's health policy: REPRO_HEALTH from the environment,
     with ``--deadline`` (when given) overriding the spec's deadline.
@@ -569,9 +544,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.runner import RunnerPolicy, TaskRunner
     from repro.workloads.spec import benchmark_names
 
-    chaos = _parse_chaos_arg(args)
-    if chaos is None:
-        return 2
     scale = QUICK_SCALE if args.scale == "quick" else DEFAULT_SCALE
     if args.benchmarks:
         chosen = tuple(name.strip()
@@ -592,14 +564,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     runner = None
     if args.name in RUNNER_AWARE_EXPERIMENTS:
-        runner_kwargs = {}
-        if chaos is not _NO_CHAOS:
-            runner_kwargs["fault_plan"] = chaos
         runner = TaskRunner(
             policy=RunnerPolicy(timeout=args.timeout,
                                 max_retries=args.retries),
             run_dir=args.run_dir,
-            **runner_kwargs,
         )
     elif args.run_dir or args.timeout is not None or args.chaos:
         obs.info(f"note: experiment {args.name!r} does not run through "
@@ -633,9 +601,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         obs.error("--resume requires --cache-dir (the cache is the "
                   "sweep's resume state)", event="cli_error")
         return 2
-    chaos = _parse_chaos_arg(args)
-    if chaos is None:
-        return 2
 
     spec = (SweepSpec.from_file(args.sweep) if args.sweep
             else reduced_sec46_spec())
@@ -655,15 +620,9 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             obs.error("--seeds must name at least one seed",
                       event="cli_error")
             return 2
-    log = obs.info
-
-    study_kwargs = {}
-    if chaos is not _NO_CHAOS:
-        study_kwargs["fault_plan"] = chaos
     health = _health_policy(args.deadline)
     if health is None:
         return 2
-    study_kwargs["health"] = health
     study = run_study(
         spec, args.benchmark, scale, jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -674,7 +633,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         supervisor_policy=SupervisorPolicy(
             max_point_retries=args.max_point_retries),
         quarantine_path=args.quarantine,
-        log=log, vector=args.vector, **study_kwargs)
+        vector=args.vector, health=health)
     print(study.render(margin=args.verify_margin))
     if study.sweep.interrupted:
         obs.warn(
@@ -711,10 +670,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     from repro.fuzz import FuzzPolicy, replay_corpus, run_fuzz
 
-    chaos = _parse_chaos_arg(args)
-    if chaos is None:
-        return 2
-
     if args.replay:
         if not args.corpus:
             obs.error("--replay requires --corpus (the directory of "
@@ -741,10 +696,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         minimize=not args.no_minimize,
         vector=args.vector,
     )
-    kwargs = {}
-    if chaos is not _NO_CHAOS:
-        kwargs["chaos"] = chaos
-    report = run_fuzz(policy, log=obs.debug, **kwargs)
+    report = run_fuzz(policy)
 
     for verdict in report.verdicts:
         if verdict.status == "ok":
@@ -993,6 +945,18 @@ def main(argv: Optional[List[str]] = None) -> int:
              argv=list(argv) if argv is not None else sys.argv[1:])
     status = 1
     try:
+        # Parsed before any expensive work, so a bad spec fails at
+        # startup; --chaos overrides REPRO_CHAOS for the whole process
+        # and the pool workers it starts.
+        spec = getattr(args, "chaos", None)
+        try:
+            plan = (faults.ChaosPlan.parse(spec) if spec
+                    else faults.active_plan())
+        except ChaosSpecError as exc:
+            obs.error(f"{'--chaos' if spec else 'REPRO_CHAOS'}: {exc}",
+                      event="cli_error")
+            status = 2
+            return status
         fn = lambda: _dispatch(args)  # noqa: E731
         if args.command not in _UNIT_PROFILED_COMMANDS:
             fn = obs.maybe_profiled(fn, f"cli.{args.command}")
@@ -1001,7 +965,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             inner = fn
             fn = lambda: _traced(inner, trace_span,  # noqa: E731
                                  args.command)
-        status = fn()
+        with faults.use(plan):
+            status = fn()
         return status
     except ReproError as exc:
         obs.error(str(exc), event="cli_error",

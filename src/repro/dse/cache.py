@@ -36,13 +36,11 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ArtifactCorruptError
+from repro.faults import active_plan
 from repro.obs import events as obs_events
 from repro.runner.checkpoint import read_json_checked, write_json_atomic
 from repro.runner.lease import pid_alive
 from repro.dse.space import canonical_json
-
-#: Sentinel: "no explicit plan given, consult the environment".
-_ENV_PLAN = object()
 
 #: Bump when the cached payload schema changes; part of the key, so a
 #: schema change is an automatic cold cache rather than a misread.
@@ -110,31 +108,20 @@ class CacheStats:
 class ResultCache:
     """Content-addressed store of evaluation metrics on disk.
 
-    ``fault_plan`` defaults to whatever ``REPRO_CHAOS`` asks for; pass
-    ``None`` to disable injection explicitly.  The cache is an
-    accelerator, so every fault — injected or real — is contained: a
-    failed read is a miss, a failed write skips caching, and the sweep
-    re-evaluates.
+    The cache is an accelerator, so every fault — injected by the
+    active chaos plan or real — is contained: a failed read is a miss,
+    a failed write skips caching, and the sweep re-evaluates.
     """
 
     cache_dir: Union[str, Path]
-    fault_plan: Any = _ENV_PLAN
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        if self.fault_plan is _ENV_PLAN:
-            from repro.faults import plan_from_env
-
-            self.fault_plan = plan_from_env()
         self.cache_dir = Path(self.cache_dir)
         (self.cache_dir / "objects").mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / "objects" / key[:2] / (key + ".json")
-
-    def _maybe_io_error(self, op: str, key: str) -> None:
-        if self.fault_plan is not None:
-            self.fault_plan.maybe_io_error(op, key)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached entry for *key*, or None on a miss.
@@ -158,7 +145,9 @@ class ResultCache:
             _sweep_dead_tmps(path)
             return None
         try:
-            self._maybe_io_error("cache_get", key)
+            plan = active_plan()
+            if plan is not None:
+                plan.maybe_io_error("cache_get", key)
             payload = read_json_checked(path)
         except ArtifactCorruptError:
             path.unlink(missing_ok=True)
@@ -193,8 +182,10 @@ class ResultCache:
         payload: Dict[str, Any] = {"metrics": dict(metrics)}
         if meta:
             payload["meta"] = dict(meta)
+        plan = active_plan()
         try:
-            self._maybe_io_error("cache_put", key)
+            if plan is not None:
+                plan.maybe_io_error("cache_put", key)
             path.parent.mkdir(parents=True, exist_ok=True)
             write_json_atomic(path, payload)
         except OSError as exc:
@@ -212,8 +203,8 @@ class ResultCache:
             return None
         self.stats.writes += 1
         obs_events.emit("cache_write", level="debug", key=key)
-        if self.fault_plan is not None:
-            self.fault_plan.maybe_corrupt_artifact(path)
+        if plan is not None:
+            plan.maybe_corrupt_artifact(path)
         return path
 
 

@@ -41,7 +41,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
-from repro.faults import ChaosPlan, plan_from_env
+from repro import faults
+from repro.errors import SweepInterrupted
 from repro.health.budget import (Budget, HealthPolicy, active_budget,
                                  check_expired, install_budget)
 from repro.obs import events as obs_events
@@ -52,9 +53,6 @@ from repro.runner.runner import run_attempts
 from repro.dse.cache import ResultCache, result_key
 from repro.dse.space import DesignPoint, profile_content_hash
 from repro.dse.supervisor import PoolSupervisor, Quarantine, SupervisorPolicy
-
-#: Sentinel: "no explicit plan given, consult the environment".
-_ENV_PLAN = object()
 
 
 def derive_point_seed(experiment: str, benchmark: Optional[str],
@@ -129,7 +127,6 @@ def evaluate_metrics(profile, config: MachineConfig, seed: int,
 # once per task.
 
 _WORKER_PROFILE = None
-_WORKER_FAULT_PLAN: Optional[Any] = None
 _WORKER_LEASE_DIR: Optional[str] = None
 
 
@@ -163,13 +160,13 @@ def _exit_with_parent(parent: int, interval: float = 0.5) -> None:
 
 def _worker_init(profile_payload: Dict,
                  reduction_factor: float,
-                 chaos_spec: Optional[str] = None,
+                 chaos_spec: str = "",
                  lease_dir: Optional[str] = None,
                  telemetry_payload: Optional[Dict] = None,
                  flight_dir: Optional[str] = None,
                  vector: bool = False,
                  health_payload: Optional[Dict] = None) -> None:
-    global _WORKER_PROFILE, _WORKER_FAULT_PLAN, _WORKER_LEASE_DIR
+    global _WORKER_PROFILE, _WORKER_LEASE_DIR
     from repro.core.serialization import profile_from_dict
     from repro.obs import flightrec, telemetry
 
@@ -187,11 +184,11 @@ def _worker_init(profile_payload: Dict,
         # "killed by SIGTERM" and crash attribution stays innocent.
         flightrec.install(flight_dir)
     _WORKER_PROFILE = profile_from_dict(profile_payload)
-    # An explicit plan from the parent (e.g. the CLI's --chaos) is
-    # shipped as its spec string; otherwise the worker consults the
-    # environment it inherited, same as the serial path.
-    _WORKER_FAULT_PLAN = (ChaosPlan.parse(chaos_spec) if chaos_spec
-                          else plan_from_env())
+    # The parent's active plan arrives as its spec string ("" = off),
+    # so a --chaos plan reaches the workers and an environment plan
+    # cannot override it.
+    faults.install(faults.ChaosPlan.parse(chaos_spec) if chaos_spec
+                   else None)
     _WORKER_LEASE_DIR = lease_dir
     if health_payload:
         # The sweep's budget (absolute deadline, RSS ceilings, canary
@@ -206,14 +203,13 @@ def _worker_init(profile_payload: Dict,
     _warm_tables(_WORKER_PROFILE, vector, reduction_factor)
 
 
-def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
-              fault_plan: Optional[Any], log=None) -> Dict[str, Any]:
+def _run_task(task: Dict[str, Any], profile,
+              policy: RunnerPolicy) -> Dict[str, Any]:
     """Execute one (point, seed) evaluation through the runner's retry
     loop (:func:`~repro.runner.runner.run_attempts`): fault injection
     per attempt, wall-clock timeout, bounded retry with backoff, and
     containment of any exception into a structured failure record.
-    Pool workers and the serial path both evaluate through here; *log*
-    receives retry messages."""
+    Pool workers and the serial path both evaluate through here."""
     from repro.core.serialization import config_from_dict
 
     vector = bool(task.get("vector"))
@@ -234,9 +230,9 @@ def _run_task(task: Dict[str, Any], profile, policy: RunnerPolicy,
         return evaluate_metrics(profile, config, task["derived_seed"],
                                 task["reduction_factor"], vector=vector)
 
-    outcome = run_attempts(evaluate, task["task_id"], policy, fault_plan,
+    outcome = run_attempts(evaluate, task["task_id"], policy,
                            benchmark=task.get("benchmark"),
-                           seed=task.get("base_seed"), log=log)
+                           seed=task.get("base_seed"))
     # The error record carries the full remote traceback, so a
     # worker-side failure is debuggable from the parent's failure
     # record and events.jsonl, not just a bare exception type.
@@ -279,7 +275,7 @@ def _evaluate_one(task: Dict[str, Any],
         with trace_span("evaluate", task=task_id,
                         bench=task.get("benchmark"),
                         seed=task.get("base_seed")):
-            plan = _WORKER_FAULT_PLAN
+            plan = faults.active_plan()
             if plan is not None:
                 dispatch = task.get("dispatch", 1)
                 plan.maybe_kill_worker(task_id, dispatch)
@@ -289,7 +285,7 @@ def _evaluate_one(task: Dict[str, Any],
                     # supervisor.
                     plan.maybe_hang_worker(task_id, dispatch)
                 plan.maybe_balloon_memory(task_id, dispatch)
-            return _run_task(task, _WORKER_PROFILE, policy, plan)
+            return _run_task(task, _WORKER_PROFILE, policy)
     finally:
         if budget is not None:
             budget.end_task()
@@ -415,12 +411,10 @@ class SweepEngine:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         policy: Optional[RunnerPolicy] = None,
-        fault_plan: Any = _ENV_PLAN,
         experiment: str = "dse",
         benchmark: Optional[str] = None,
         supervisor_policy: Optional[SupervisorPolicy] = None,
         quarantine_path: Optional[Union[str, Any]] = None,
-        log=None,
         vector: bool = False,
         health: Optional[HealthPolicy] = None,
     ) -> None:
@@ -435,16 +429,12 @@ class SweepEngine:
         self._deadline_at: Optional[float] = None
         self.cache = cache
         self.policy = policy or RunnerPolicy()
-        if fault_plan is _ENV_PLAN:
-            fault_plan = plan_from_env()
-        self.fault_plan: Optional[Any] = fault_plan
         self.experiment = experiment
         self.benchmark = benchmark
         self.supervisor_policy = supervisor_policy or SupervisorPolicy()
         self.quarantine = Quarantine(
             path=quarantine_path,
             max_point_retries=self.supervisor_policy.max_point_retries)
-        self.log = log or (lambda message: None)
         self.profile_hash = profile_content_hash(profile)
 
     # -- task construction ---------------------------------------------
@@ -481,21 +471,25 @@ class SweepEngine:
         """In-process path: each evaluation runs through the pool
         worker's own :func:`_run_task` (timeouts, retry and fault
         injection per design point) and is cached as it finishes.
-        Every task shares the sweep's *reduction_factor*."""
+        Every task shares the sweep's *reduction_factor*.  A Ctrl-C
+        raises :class:`~repro.errors.SweepInterrupted` carrying the
+        evaluations that finished before it."""
         # Same warm-start the pool workers get from _worker_init: build
         # the sampler tables once, before the first evaluation.
         from repro.obs.tracing import trace_span
 
         _warm_tables(self.profile, self.vector, reduction_factor)
         outcomes: List[Dict[str, Any]] = []
-        for task in tasks:
-            with trace_span("evaluate", task=task["task_id"],
-                            bench=task.get("benchmark"),
-                            seed=task.get("base_seed")):
-                outcome = _run_task(task, self.profile, self.policy,
-                                    self.fault_plan, log=self.log)
-            self._store(outcome)
-            outcomes.append(outcome)
+        try:
+            for task in tasks:
+                with trace_span("evaluate", task=task["task_id"],
+                                bench=task.get("benchmark"),
+                                seed=task.get("base_seed")):
+                    outcome = _run_task(task, self.profile, self.policy)
+                self._store(outcome)
+                outcomes.append(outcome)
+        except KeyboardInterrupt:
+            raise SweepInterrupted(outcomes) from None
         return outcomes
 
     def _store(self, outcome: Dict[str, Any]) -> None:
@@ -544,14 +538,15 @@ class SweepEngine:
         from repro.core.serialization import profile_to_dict
         from repro.obs import telemetry
 
-        self.log(f"dispatching {len(tasks)} evaluations to "
-                 f"{self.jobs} supervised workers")
+        obs_events.emit("sweep_dispatch", level="info",
+                        msg=(f"dispatching {len(tasks)} evaluations to "
+                             f"{self.jobs} supervised workers"),
+                        tasks=len(tasks), jobs=self.jobs)
         payload = profile_to_dict(self.profile)
-        # An explicit ChaosPlan must reach the workers even though it
-        # never entered the environment; ship its spec string through
-        # the pool initializer.
-        chaos_spec = (self.fault_plan.to_spec()
-                      if self.fault_plan is not None else None)
+        # The active plan (a --chaos plan need never enter the
+        # environment) ships to the workers as its spec string.
+        plan = faults.active_plan()
+        chaos_spec = plan.to_spec() if plan is not None else ""
         # Trace context + flight-recorder target ride the same
         # initializer, so worker spans stitch into this sweep's trace
         # and crashed workers leave flightrec-<pid>.jsonl behind.
@@ -579,7 +574,6 @@ class SweepEngine:
                 on_outcome=self._store,
                 lease_dir=lease_dir,
                 flight_dir=flight_dir,
-                log=self.log,
                 health=self.health)
             return supervisor.run(tasks)
 
@@ -654,11 +648,10 @@ class SweepEngine:
                 else:
                     outcomes = self._run_serial(pending, reduction_factor)
             except KeyboardInterrupt as exc:
-                # Ctrl-C: keep whatever finished (the supervisor ships
-                # its collected outcomes on the exception; the serial
-                # path has none), report the sweep as interrupted and
-                # let the caller exit with the interrupt status code
-                # instead of a raw pool traceback.
+                # Ctrl-C: keep whatever finished (both paths ship their
+                # collected outcomes on the exception), report the
+                # sweep as interrupted and let the caller exit with the
+                # interrupt status code instead of a raw pool traceback.
                 interrupted = True
                 outcomes = list(getattr(exc, "outcomes", []))
                 obs_events.emit(
@@ -706,7 +699,6 @@ class SweepEngine:
                                 attempts=outcome["attempts"],
                                 error=error.get("type"),
                                 traceback=error.get("traceback"))
-                self.log(message)
 
         registry.counter("dse.evaluated").inc(evaluated)
         registry.counter("dse.failed").inc(failed)

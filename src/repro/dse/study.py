@@ -25,8 +25,7 @@ from repro.dse.analysis import (
     verification_shortlist,
 )
 from repro.dse.cache import ResultCache
-from repro.dse.engine import _ENV_PLAN, PointResult, SweepEngine, \
-    SweepResult
+from repro.dse.engine import PointResult, SweepEngine, SweepResult
 from repro.dse.space import SweepSpec
 from repro.dse.supervisor import SupervisorPolicy
 
@@ -96,16 +95,13 @@ def run_study(
     verify_margin: float = DEFAULT_VERIFY_MARGIN,
     base_config: Optional[MachineConfig] = None,
     seeds: Optional[Sequence[int]] = None,
-    fault_plan: Any = _ENV_PLAN,
     supervisor_policy: Optional[SupervisorPolicy] = None,
     quarantine_path: Optional[str] = None,
-    log=None,
     vector: bool = False,
     health=None,
 ) -> StudyResult:
     """Run the full section 4.6 protocol for one benchmark.
 
-    ``fault_plan`` (default: from the environment),
     ``supervisor_policy`` (crash/rebuild budgets) and
     ``quarantine_path`` (poison-point manifest) pass straight through
     to the :class:`~repro.dse.engine.SweepEngine`; ``vector`` routes
@@ -122,11 +118,10 @@ def run_study(
     points = spec.expand(base_config)
     cache = ResultCache(cache_dir) if cache_dir else None
     engine = SweepEngine(profile, jobs=jobs, cache=cache, policy=policy,
-                         fault_plan=fault_plan,
                          experiment=spec.name, benchmark=benchmark,
                          supervisor_policy=supervisor_policy,
                          quarantine_path=quarantine_path,
-                         log=log, vector=vector, health=health)
+                         vector=vector, health=health)
     sweep = engine.evaluate(points, seeds=seeds or scale.seeds,
                             reduction_factor=scale.reduction_factor)
     study = StudyResult(benchmark=benchmark, spec=spec, sweep=sweep)

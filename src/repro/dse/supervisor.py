@@ -188,7 +188,6 @@ class PoolSupervisor:
         on_outcome: Optional[Callable[[Dict[str, Any]], None]] = None,
         lease_dir: Optional[Union[str, Path]] = None,
         flight_dir: Optional[Union[str, Path]] = None,
-        log: Optional[Callable[[str], None]] = None,
         health: Optional[Any] = None,
     ) -> None:
         self.pool_factory = pool_factory
@@ -201,7 +200,6 @@ class PoolSupervisor:
         self.on_outcome = on_outcome or (lambda outcome: None)
         self.lease_dir = Path(lease_dir) if lease_dir else None
         self.flight_dir = Path(flight_dir) if flight_dir else None
-        self.log = log or (lambda message: None)
         # The health policy supplies the hang watchdog's knobs; None
         # (or hang_timeout=0) disables the watchdog and restores plain
         # blocking collection.
@@ -222,8 +220,12 @@ class PoolSupervisor:
         try:
             return self.pool_factory()
         except Exception as exc:  # noqa: BLE001 — degrade, don't die
-            self.log(f"cannot build worker pool ({type(exc).__name__}: "
-                     f"{exc}); degrading to serial execution")
+            obs_events.emit("supervisor.pool_build_failed",
+                            level="warning",
+                            msg=(f"cannot build worker pool "
+                                 f"({type(exc).__name__}: {exc}); "
+                                 f"degrading to serial execution"),
+                            error=type(exc).__name__)
             return None
 
     @staticmethod
@@ -268,8 +270,6 @@ class PoolSupervisor:
         obs_events.emit("supervisor.quarantine", msg=message,
                         level="warning", task=task["task_id"],
                         crashes=crashes, flight_recorder=flight)
-        self.log(f"QUARANTINED {task['task_id']} after {crashes} "
-                 f"worker crash(es)")
         return {"task": task, "status": "quarantined", "metrics": None,
                 "attempts": crashes, "elapsed": 0.0, "error": error}
 
@@ -356,9 +356,6 @@ class PoolSupervisor:
                 task=record.get("task_id"), pid=int(pid),
                 stale_seconds=round(stale, 1),
                 progress=record.get("progress"))
-            self.log(f"hang watchdog: killed worker {pid} "
-                     f"({record.get('task_id')}, beat {stale:.1f}s "
-                     f"stale)")
 
     # -- execution ------------------------------------------------------
 
@@ -373,10 +370,14 @@ class PoolSupervisor:
                              f"{len(tasks)} remaining task(s) "
                              f"in-process"),
                         tasks=len(tasks))
-        self.log(f"pool unavailable: finishing {len(tasks)} task(s) "
-                 f"serially in-process")
         if self.serial_fn is not None:
-            outcomes.extend(self.serial_fn(tasks))
+            try:
+                outcomes.extend(self.serial_fn(tasks))
+            except SweepInterrupted as exc:
+                # Keep the serial path's finished work for the partial
+                # report the interrupt handler below raises.
+                outcomes.extend(exc.outcomes)
+                raise
         else:
             outcomes.extend(self.task_fn(task, self.runner_policy)
                             for task in tasks)
@@ -455,9 +456,12 @@ class PoolSupervisor:
                 barren_generations = 0 if completed else \
                     barren_generations + 1
                 if barren_generations > self.policy.max_pool_rebuilds:
-                    self.log(f"pool made no progress across "
+                    obs_events.emit(
+                        "supervisor.barren", level="warning",
+                        msg=(f"pool made no progress across "
                              f"{barren_generations} consecutive "
-                             f"generations; giving up on rebuilding")
+                             f"generations; giving up on rebuilding"),
+                        generations=barren_generations)
                     pool = None
                 elif pending:
                     get_registry().counter("supervisor.rebuilds").inc()

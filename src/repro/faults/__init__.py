@@ -3,14 +3,19 @@
 :class:`~repro.faults.chaos.ChaosPlan` is driven by one ``REPRO_CHAOS``
 spec string (seeded injection sites for worker-kill, task failures, IO
 errors, artifact corruption, slow calls and more); see
-:mod:`repro.faults.chaos` for the grammar.  :func:`plan_from_env`
-builds the plan the environment asks for, and :func:`maybe_io_error`
-is the hook for call sites that have no plan to thread through.
+:mod:`repro.faults.chaos` for the grammar.
+
+This module is the one place that decides which faults fire: every
+injection site asks :func:`active_plan`.  That is the plan installed
+by :func:`use` (the CLI's ``--chaos``; ``None`` forces chaos off), or,
+with nothing installed, the plan ``REPRO_CHAOS`` asks for.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.errors import ChaosSpecError
 from repro.faults.chaos import (
@@ -54,32 +59,56 @@ def plan_from_env(environ=os.environ):
     return ChaosPlan.parse(spec) if spec else None
 
 
-# Cache the parsed environment plan for the hot module-level hook
-# below: (spec string, parsed plan).
-_env_cache: tuple = ("", None)
+#: Installed plans, innermost last (``None`` = chaos off).  A module
+#: global rather than a ContextVar: ``call_with_timeout`` runs each
+#: attempt on a fresh thread, which must see the same plan.
+_INSTALLED: List[Optional[ChaosPlan]] = []
+
+# The parsed environment plan: (spec string, plan).  The first lookup
+# always parses, so a retired REPRO_FAULT_* variable fails it loudly.
+_env_cache: tuple = (None, None)
+
+
+def active_plan() -> Optional[ChaosPlan]:
+    """The plan every injection site obeys: the innermost one installed
+    by :func:`use`, else the one ``REPRO_CHAOS`` asks for (parsed once
+    per spec string), else None."""
+    global _env_cache
+    if _INSTALLED:
+        return _INSTALLED[-1]
+    spec = os.environ.get("REPRO_CHAOS", "").strip()
+    if _env_cache[0] != spec:
+        _env_cache = (spec, plan_from_env())
+    return _env_cache[1]
+
+
+@contextmanager
+def use(plan: Optional[ChaosPlan]) -> Iterator[Optional[ChaosPlan]]:
+    """Make *plan* the active plan for the block, whatever the
+    environment says; ``use(None)`` forces chaos off."""
+    _INSTALLED.append(plan)
+    try:
+        yield plan
+    finally:
+        _INSTALLED.pop()
+
+
+def install(plan: Optional[ChaosPlan]) -> None:
+    """Make *plan* this process's active plan for good (how a pool
+    worker adopts the plan its parent shipped)."""
+    _INSTALLED[:] = [plan]
 
 
 def maybe_io_error(op: str, token: str = "") -> None:
-    """Module-level io-error hook for call sites without a plan.
-
-    Serialization (:func:`repro.core.serialization.save_profile` /
-    ``load_profile``) has no fault-plan parameter to thread through;
-    this consults ``REPRO_CHAOS`` directly (parsed once per spec) and
-    is a no-op when unset — the common, production case costs one dict
-    lookup.
-    """
-    global _env_cache
-    spec = os.environ.get("REPRO_CHAOS", "").strip()
-    if not spec:
-        return
-    if _env_cache[0] != spec:
-        _env_cache = (spec, ChaosPlan.parse(spec))
-    plan = _env_cache[1]
+    """io-error hook for serialization: a no-op without an active
+    plan."""
+    plan = active_plan()
     if plan is not None:
         plan.maybe_io_error(op, token)
 
 
 __all__ = [
     "SITES", "WORKER_KILL_EXIT_CODE", "ChaosPlan", "ChaosSite",
-    "active_sites", "maybe_io_error", "plan_from_env",
+    "active_plan", "active_sites", "install", "maybe_io_error",
+    "plan_from_env", "use",
 ]

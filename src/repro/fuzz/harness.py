@@ -17,12 +17,12 @@ One fuzz *case* is evaluated in two layers:
 Failures are minimized (:mod:`repro.fuzz.minimize`) and written to the
 corpus (:mod:`repro.fuzz.corpus`).  Cases execute under the shared
 :class:`~repro.runner.TaskRunner`, so per-case timeouts, retries and
-crash containment behave exactly like ``repro experiment``; chaos
-injection (``REPRO_CHAOS``) composes — ``task-fail``/``slow-call``
-exercise the containment, and the dedicated ``pipeline-skew`` site
-plants a deliberate one-cycle discrepancy that must be caught,
-minimized and corpus-filed (the end-to-end canary for the oracle
-itself).
+crash containment behave exactly like ``repro experiment``; the active
+chaos plan (``--chaos`` or ``REPRO_CHAOS``) composes —
+``task-fail``/``slow-call`` exercise the containment, and the
+dedicated ``pipeline-skew`` site plants a deliberate one-cycle
+discrepancy that must be caught, minimized and corpus-filed (the
+end-to-end canary for the oracle itself).
 
 Everything is deterministic given ``(seed, case count, tolerances)``:
 identical invocations produce identical verdicts, which is what makes
@@ -33,12 +33,10 @@ suite.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro import obs
-from repro.faults import plan_from_env
+from repro import faults, obs
 from repro.fuzz.acceptance import (
     AcceptanceReport,
     ToleranceConfig,
@@ -59,10 +57,6 @@ from repro.errors import FuzzDiscrepancyError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace_span
 from repro.runner import RunnerPolicy, TaskRunner, WorkUnit
-
-#: "no chaos argument given": resolve from the environment, like the
-#: runner does.
-_ENV_CHAOS = object()
 
 OK = "ok"
 DIFFERENTIAL = "differential"
@@ -189,23 +183,6 @@ class FuzzReport:
         }
 
 
-def _acceptance_fails(program, n_instructions: int, case: FuzzCase,
-                      tolerances: ToleranceConfig) -> bool:
-    """Re-run the statistical loop on a shrunken program; True = still
-    out of tolerance (the minimization predicate for acceptance
-    failures)."""
-    from repro.core.profiler import profile_trace
-    from repro.core.synthesis import generate_synthetic_trace
-    from repro.frontend.functional import run_program
-
-    config = case.machine_config()
-    trace = run_program(program, n_instructions, warmup=case.warmup)
-    profile = profile_trace(trace, config, order=case.order)
-    synthetic = generate_synthetic_trace(profile, case.reduction_factor,
-                                         seed=case.synthesis_seed)
-    return not acceptance_report(profile, synthetic, tolerances).passed
-
-
 def _vector_synthetic(profile, case: FuzzCase):
     """The columnar generator's draws for *case*, materialized as a
     scalar trace so the acceptance checks apply unchanged."""
@@ -216,36 +193,65 @@ def _vector_synthetic(profile, case: FuzzCase):
     return columnar.to_synthetic_trace()
 
 
-def _vector_fails(program, n_instructions: int, case: FuzzCase,
-                  tolerances: ToleranceConfig) -> bool:
-    """Minimization predicate for vector failures: True while the
-    columnar draws stay out of tolerance on the shrunken program."""
+def _acceptance(program, n_instructions: int, case: FuzzCase,
+                tolerances: ToleranceConfig,
+                vector: bool = False) -> AcceptanceReport:
+    """The paper's loop on *program*: run it, profile the trace,
+    synthesize from the profile (the columnar generator's draws with
+    *vector*), and check the synthetic statistics against the
+    profile."""
     from repro.core.profiler import profile_trace
     from repro.frontend.functional import run_program
 
-    config = case.machine_config()
     trace = run_program(program, n_instructions, warmup=case.warmup)
-    profile = profile_trace(trace, config, order=case.order)
-    synthetic = _vector_synthetic(profile, case)
-    return not acceptance_report(profile, synthetic, tolerances).passed
+    profile = profile_trace(trace, case.machine_config(), order=case.order)
+    if vector:
+        synthetic = _vector_synthetic(profile, case)
+    else:
+        from repro.core.synthesis import generate_synthetic_trace
+
+        synthetic = generate_synthetic_trace(
+            profile, case.reduction_factor, seed=case.synthesis_seed)
+    return acceptance_report(profile, synthetic, tolerances)
 
 
-def evaluate_case(case: FuzzCase, policy: FuzzPolicy,
-                  chaos=None) -> CaseVerdict:
+def _shrink_and_file(verdict: CaseVerdict, case: FuzzCase,
+                     policy: FuzzPolicy, program, report,
+                     still_fails: Callable, max_trials: int
+                     ) -> CaseVerdict:
+    """Minimize a failing case's *program* while ``still_fails(program,
+    n_instructions)`` holds, then file the reproducer to the corpus
+    under the verdict's status."""
+    if policy.minimize:
+        minimized = minimize_program(program, case.trace_instructions,
+                                     still_fails, max_trials=max_trials)
+        get_registry().counter("fuzz.minimized").inc()
+        verdict.minimization = minimized.to_dict()
+        program = minimized.program
+    if policy.corpus_dir:
+        plan = faults.active_plan()
+        entry = CorpusEntry(
+            case_id=case.case_id, kind=verdict.status,
+            case=case.to_dict(), report=report.to_dict(),
+            program=program_to_dict(program),
+            minimization=verdict.minimization,
+            chaos_spec=plan.to_spec() if plan is not None else None,
+            skew_injected=verdict.skew_injected)
+        verdict.corpus_path = save_entry(policy.corpus_dir, entry)
+    return verdict
+
+
+def evaluate_case(case: FuzzCase, policy: FuzzPolicy) -> CaseVerdict:
     """Run the differential + acceptance checks for one case."""
-    from repro.core.profiler import profile_trace
-    from repro.core.synthesis import generate_synthetic_trace
-    from repro.frontend.functional import run_program
-
     registry = get_registry()
     config = case.machine_config()
     program = case.program()
+    shrink_trials = max(1, policy.max_trials // 4)
 
     with trace_span("fuzz.case", case=case.case_id):
         # ---- layer 1: differential oracle --------------------------
         diff = diff_program(program, config, case.trace_instructions,
-                            warmup=case.warmup, chaos=chaos,
-                            token=case.case_id)
+                            warmup=case.warmup, token=case.case_id)
         if not diff.identical:
             registry.counter("fuzz.differential").inc()
             obs.warn(f"{case.case_id}: pipelines diverged "
@@ -256,124 +262,70 @@ def evaluate_case(case: FuzzCase, policy: FuzzPolicy,
                                   status=DIFFERENTIAL,
                                   detail=diff.summary(),
                                   skew_injected=diff.skew_injected)
-            if policy.minimize:
-                minimized = minimize_program(
-                    program, case.trace_instructions,
-                    lambda prog, n: not diff_program(
-                        prog, config, n, warmup=case.warmup,
-                        chaos=chaos, token=case.case_id).identical,
-                    max_trials=policy.max_trials)
-                registry.counter("fuzz.minimized").inc()
-                verdict.minimization = minimized.to_dict()
-                program = minimized.program
-            if policy.corpus_dir:
-                entry = CorpusEntry(
-                    case_id=case.case_id, kind=DIFFERENTIAL,
-                    case=case.to_dict(), report=diff.to_dict(),
-                    program=program_to_dict(program),
-                    minimization=verdict.minimization,
-                    chaos_spec=(chaos.to_spec()
-                                if hasattr(chaos, "to_spec") else None),
-                    skew_injected=diff.skew_injected)
-                verdict.corpus_path = save_entry(policy.corpus_dir, entry)
-            return verdict
+            return _shrink_and_file(
+                verdict, case, policy, program, diff,
+                lambda prog, n: not diff_program(
+                    prog, config, n, warmup=case.warmup,
+                    token=case.case_id).identical,
+                policy.max_trials)
 
         # ---- layer 2: statistical acceptance ------------------------
-        trace = run_program(program, case.trace_instructions,
-                            warmup=case.warmup)
-        profile = profile_trace(trace, config, order=case.order)
-        synthetic = generate_synthetic_trace(profile,
-                                             case.reduction_factor,
-                                             seed=case.synthesis_seed)
-        report = acceptance_report(profile, synthetic, policy.tolerances)
+        report = _acceptance(program, case.trace_instructions, case,
+                             policy.tolerances)
         margins = {check.name: check.margin for check in report.checks}
-        if report.passed:
-            # ---- layer 3 (--vector): columnar draws vs profile ------
-            # The scalar draws just converged; the columnar generator's
-            # statistically-equivalent stream must converge to the same
-            # profile under the same tolerances.
-            if policy.vector:
-                vector_trace = _vector_synthetic(profile, case)
-                vector_report = acceptance_report(profile, vector_trace,
-                                                  policy.tolerances)
-                margins.update({f"vector.{check.name}": check.margin
-                                for check in vector_report.checks})
-                if not vector_report.passed:
-                    registry.counter("fuzz.vector").inc()
-                    obs.warn(
-                        f"{case.case_id}: columnar draws out of "
-                        f"tolerance ({vector_report.summary()})",
-                        event="fuzz.vector_failure", case=case.case_id)
-                    verdict = CaseVerdict(case_id=case.case_id,
-                                          status=VECTOR,
-                                          detail=vector_report.summary(),
-                                          margins=margins)
-                    if policy.minimize:
-                        minimized = minimize_program(
-                            program, case.trace_instructions,
-                            lambda prog, n: _vector_fails(
-                                prog, n, case, policy.tolerances),
-                            max_trials=max(1, policy.max_trials // 4))
-                        registry.counter("fuzz.minimized").inc()
-                        verdict.minimization = minimized.to_dict()
-                        program = minimized.program
-                    if policy.corpus_dir:
-                        entry = CorpusEntry(
-                            case_id=case.case_id, kind=VECTOR,
-                            case=case.to_dict(),
-                            report=vector_report.to_dict(),
-                            program=program_to_dict(program),
-                            minimization=verdict.minimization,
-                            chaos_spec=(chaos.to_spec()
-                                        if hasattr(chaos, "to_spec")
-                                        else None))
-                        verdict.corpus_path = save_entry(
-                            policy.corpus_dir, entry)
-                    return verdict
-            registry.counter("fuzz.ok").inc()
-            return CaseVerdict(case_id=case.case_id, status=OK,
-                               margins=margins)
+        if not report.passed:
+            registry.counter("fuzz.acceptance").inc()
+            obs.warn(f"{case.case_id}: synthetic statistics out of "
+                     f"tolerance ({report.summary()})",
+                     event="fuzz.acceptance_failure", case=case.case_id)
+            verdict = CaseVerdict(case_id=case.case_id,
+                                  status=ACCEPTANCE,
+                                  detail=report.summary(),
+                                  margins=margins)
+            return _shrink_and_file(
+                verdict, case, policy, program, report,
+                lambda prog, n: not _acceptance(
+                    prog, n, case, policy.tolerances).passed,
+                shrink_trials)
 
-        registry.counter("fuzz.acceptance").inc()
-        obs.warn(f"{case.case_id}: synthetic statistics out of "
-                 f"tolerance ({report.summary()})",
-                 event="fuzz.acceptance_failure", case=case.case_id)
-        verdict = CaseVerdict(case_id=case.case_id, status=ACCEPTANCE,
-                              detail=report.summary(), margins=margins)
-        if policy.minimize:
-            minimized = minimize_program(
-                program, case.trace_instructions,
-                lambda prog, n: _acceptance_fails(prog, n, case,
-                                                  policy.tolerances),
-                max_trials=max(1, policy.max_trials // 4))
-            registry.counter("fuzz.minimized").inc()
-            verdict.minimization = minimized.to_dict()
-            program = minimized.program
-        if policy.corpus_dir:
-            entry = CorpusEntry(
-                case_id=case.case_id, kind=ACCEPTANCE,
-                case=case.to_dict(), report=report.to_dict(),
-                program=program_to_dict(program),
-                minimization=verdict.minimization,
-                chaos_spec=(chaos.to_spec()
-                            if hasattr(chaos, "to_spec") else None))
-            verdict.corpus_path = save_entry(policy.corpus_dir, entry)
-        return verdict
+        # ---- layer 3 (--vector): columnar draws vs profile ----------
+        # The scalar draws just converged; the columnar generator's
+        # statistically-equivalent stream must converge to the same
+        # profile under the same tolerances.
+        if policy.vector:
+            vector_report = _acceptance(program, case.trace_instructions,
+                                        case, policy.tolerances,
+                                        vector=True)
+            margins.update({f"vector.{check.name}": check.margin
+                            for check in vector_report.checks})
+            if not vector_report.passed:
+                registry.counter("fuzz.vector").inc()
+                obs.warn(f"{case.case_id}: columnar draws out of "
+                         f"tolerance ({vector_report.summary()})",
+                         event="fuzz.vector_failure", case=case.case_id)
+                verdict = CaseVerdict(case_id=case.case_id,
+                                      status=VECTOR,
+                                      detail=vector_report.summary(),
+                                      margins=margins)
+                return _shrink_and_file(
+                    verdict, case, policy, program, vector_report,
+                    lambda prog, n: not _acceptance(
+                        prog, n, case, policy.tolerances,
+                        vector=True).passed,
+                    shrink_trials)
+        registry.counter("fuzz.ok").inc()
+        return CaseVerdict(case_id=case.case_id, status=OK,
+                           margins=margins)
 
 
-def run_fuzz(policy: FuzzPolicy, chaos=_ENV_CHAOS,
-             log=None) -> FuzzReport:
+def run_fuzz(policy: FuzzPolicy) -> FuzzReport:
     """Run *policy.cases* seeded cases; return the aggregate report.
 
-    *chaos* defaults to the plan in ``REPRO_CHAOS`` (pass ``None`` to
-    force chaos off).  The plan is shared with the runner, so
-    ``task-fail``/``slow-call`` hit the containment path while
-    ``pipeline-skew`` hits the oracle.
+    The active chaos plan (:func:`repro.faults.active_plan`) reaches
+    both the runner and the oracle, so ``task-fail``/``slow-call`` hit
+    the containment path while ``pipeline-skew`` hits the oracle.
     """
-    if chaos is _ENV_CHAOS:
-        chaos = plan_from_env(os.environ)
     registry = get_registry()
-    log = log or (lambda message: None)
 
     cases = [random_case(policy.seed, index)
              for index in range(policy.cases)]
@@ -385,15 +337,13 @@ def run_fuzz(policy: FuzzPolicy, chaos=_ENV_CHAOS,
     runner = TaskRunner(
         policy=RunnerPolicy(timeout=policy.timeout,
                             max_retries=policy.retries),
-        fault_plan=chaos,
         raise_on_total_failure=False,
-        log=log,
     )
 
     def run_one(unit: WorkUnit) -> Dict:
         case = by_unit[unit.unit_id]
         registry.counter("fuzz.cases").inc()
-        return evaluate_case(case, policy, chaos=chaos).to_dict()
+        return evaluate_case(case, policy).to_dict()
 
     run_report = runner.run(units, run_one)
 
@@ -436,41 +386,31 @@ class ReplayResult:
 def replay_entry(path: str,
                  tolerances: ToleranceConfig = ToleranceConfig()
                  ) -> ReplayResult:
-    """Replay one corpus entry; green means the pinned bug stays fixed."""
-    from repro.core.profiler import profile_trace
-    from repro.core.synthesis import generate_synthetic_trace
-    from repro.frontend.functional import run_program
+    """Replay one corpus entry; green means the pinned bug stays fixed.
 
+    Replay runs chaos-free whatever the environment says: an entry
+    filed under ``pipeline-skew`` pins the oracle's catch, and replaying
+    it under the same skew would only re-inject the discrepancy.
+    """
     entry = load_entry(path)
     case = case_from_dict(entry.case)
-    config = case.machine_config()
     program = program_from_dict(entry.program)
     n_instructions = entry.minimization.get("n_instructions",
                                             case.trace_instructions)
-
-    if entry.kind == DIFFERENTIAL:
-        diff = diff_program(program, config, n_instructions,
-                            warmup=case.warmup)
-        return ReplayResult(path=path, case_id=entry.case_id,
-                            kind=entry.kind, passed=diff.identical,
-                            detail=("" if diff.identical
-                                    else diff.summary()))
-    if entry.kind in (ACCEPTANCE, VECTOR):
-        trace = run_program(program, n_instructions, warmup=case.warmup)
-        profile = profile_trace(trace, config, order=case.order)
-        if entry.kind == VECTOR:
-            synthetic = _vector_synthetic(profile, case)
+    with faults.use(None):
+        if entry.kind == DIFFERENTIAL:
+            diff = diff_program(program, case.machine_config(),
+                                n_instructions, warmup=case.warmup)
+            passed, detail = diff.identical, diff.summary()
+        elif entry.kind in (ACCEPTANCE, VECTOR):
+            report = _acceptance(program, n_instructions, case,
+                                 tolerances, vector=entry.kind == VECTOR)
+            passed, detail = report.passed, report.summary()
         else:
-            synthetic = generate_synthetic_trace(
-                profile, case.reduction_factor, seed=case.synthesis_seed)
-        report = acceptance_report(profile, synthetic, tolerances)
-        return ReplayResult(path=path, case_id=entry.case_id,
-                            kind=entry.kind, passed=report.passed,
-                            detail=("" if report.passed
-                                    else report.summary()))
-    return ReplayResult(path=path, case_id=entry.case_id,
-                        kind=entry.kind, passed=False,
-                        detail=f"unknown entry kind {entry.kind!r}")
+            passed = False
+            detail = f"unknown entry kind {entry.kind!r}"
+    return ReplayResult(path=path, case_id=entry.case_id, kind=entry.kind,
+                        passed=passed, detail="" if passed else detail)
 
 
 def replay_corpus(corpus_dir: str,

@@ -9,11 +9,11 @@ schedule (``(cycle, pseq)`` commit logs).  The two implementations are
 required to be *bit-identical*; any divergence is a bug in one of them.
 
 The ``pipeline-skew`` chaos site lets tests and CI canaries prove the
-oracle actually fires: when the active :class:`~repro.faults.ChaosPlan`
-fires for a case token, the optimized result is perturbed by one cycle
-before diffing, which must surface as a reported discrepancy (and is
-flagged ``skew_injected`` so corpus entries stay honest about their
-origin).
+oracle actually fires: when the active plan
+(:func:`repro.faults.active_plan`) fires for a case token, the
+optimized result is perturbed by one cycle before diffing, which must
+surface as a reported discrepancy (and is flagged ``skew_injected`` so
+corpus entries stay honest about their origin).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
+from repro.faults import active_plan
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
 from repro.cpu.results import SimulationResult
@@ -131,9 +132,10 @@ def _compare(reference: SimulationResult, optimized: SimulationResult,
     )
 
 
-def _maybe_skew(chaos, token: str) -> bool:
+def _maybe_skew(token: str) -> bool:
     """Whether the active chaos plan asks us to perturb this case."""
-    return chaos is not None and chaos.skews_pipeline(token)
+    plan = active_plan()
+    return plan is not None and plan.skews_pipeline(token)
 
 
 def _apply_skew(result: SimulationResult,
@@ -146,7 +148,7 @@ def _apply_skew(result: SimulationResult,
 
 
 def diff_sources(config: MachineConfig, make_reference_source,
-                 make_optimized_source, chaos=None,
+                 make_optimized_source,
                  token: str = "") -> DifferentialReport:
     """Run both pipelines over independently constructed sources."""
     ref_log: List[Tuple[int, int]] = []
@@ -155,7 +157,7 @@ def diff_sources(config: MachineConfig, make_reference_source,
         commit_log=ref_log)
     optimized = SuperscalarPipeline(config, make_optimized_source()).run(
         commit_log=opt_log)
-    skewed = _maybe_skew(chaos, token)
+    skewed = _maybe_skew(token)
     if skewed:
         optimized = _apply_skew(optimized, opt_log)
     report = _compare(reference, optimized, ref_log, opt_log)
@@ -164,7 +166,7 @@ def diff_sources(config: MachineConfig, make_reference_source,
 
 
 def diff_program(program: Program, config: MachineConfig,
-                 n_instructions: int, warmup: int = 0, chaos=None,
+                 n_instructions: int, warmup: int = 0,
                  token: str = "") -> DifferentialReport:
     """Differential check over an execution-driven run of *program*.
 
@@ -178,13 +180,12 @@ def diff_program(program: Program, config: MachineConfig,
         config,
         lambda: ExecutionDrivenSource(trace, config),
         lambda: ExecutionDrivenSource(trace, config),
-        chaos=chaos,
         token=token,
     )
 
 
 def diff_synthetic(synthetic, config: MachineConfig,
-               chaos=None, token: str = "") -> DifferentialReport:
+                   token: str = "") -> DifferentialReport:
     """Differential check over a synthetic trace priced for *config*:
     the reference pipeline fetches its slots, the optimized one reads
     its rows."""
@@ -192,6 +193,5 @@ def diff_synthetic(synthetic, config: MachineConfig,
         config,
         lambda: PreannotatedSource.from_trace(synthetic, config),
         lambda: PreannotatedSource.from_trace(synthetic, config),
-        chaos=chaos,
         token=token,
     )

@@ -49,10 +49,7 @@ from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.obs.profiling import maybe_profiled
 from repro.obs.tracing import trace_span
-from repro.faults import plan_from_env
-
-#: Sentinel: "no explicit plan given, consult the environment".
-_ENV_PLAN = object()
+from repro.faults import active_plan
 
 OK = "ok"
 FAILED = "failed"
@@ -230,15 +227,16 @@ def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float],
 
 
 def run_attempts(fn: Callable[[], Any], unit_id: str,
-                 policy: RunnerPolicy, fault_plan: Optional[Any] = None,
-                 benchmark: Optional[str] = None,
-                 seed: Optional[int] = None,
-                 log: Optional[Callable[[str], None]] = None
-                 ) -> UnitOutcome:
+                 policy: RunnerPolicy, benchmark: Optional[str] = None,
+                 seed: Optional[int] = None) -> UnitOutcome:
     """The retry loop shared by :class:`TaskRunner` and the design-space
-    workers: per attempt, inject faults, then run ``fn()`` under the
-    policy's timeout; retry retryable errors with backoff up to
-    ``max_retries`` times; contain the final error in the outcome."""
+    workers: per attempt, inject the active plan's faults, then run
+    ``fn()`` under the policy's timeout; retry retryable errors with
+    backoff up to ``max_retries`` times; contain the final error in the
+    outcome."""
+    # Resolved outside the containment below, so a malformed
+    # REPRO_CHAOS fails the run loudly instead of failing each unit.
+    plan = active_plan()
     registry = get_registry()
     attempt = 0
     started = time.perf_counter()
@@ -247,8 +245,8 @@ def run_attempts(fn: Callable[[], Any], unit_id: str,
     while True:
         attempt += 1
         try:
-            if fault_plan is not None:
-                fault_plan.inject(unit_id, benchmark, attempt)
+            if plan is not None:
+                plan.inject(unit_id, benchmark, attempt)
             result = call_with_timeout(fn, policy.timeout, unit_id)
         except Exception as exc:  # noqa: BLE001 — containment
             if isinstance(exc, TaskTimeoutError):
@@ -267,8 +265,6 @@ def run_attempts(fn: Callable[[], Any], unit_id: str,
                                 level="warning", unit=unit_id,
                                 benchmark=benchmark, attempt=attempt,
                                 error=type(exc).__name__, backoff=delay)
-                if log is not None:
-                    log(message)
                 if delay > 0:
                     time.sleep(delay)
                 continue
@@ -306,23 +302,17 @@ class TaskRunner:
         self,
         policy: Optional[RunnerPolicy] = None,
         run_dir: Optional[Union[str, Path]] = None,
-        fault_plan: Any = _ENV_PLAN,
         raise_on_total_failure: bool = True,
-        log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.policy = policy or RunnerPolicy()
-        if fault_plan is _ENV_PLAN:
-            fault_plan = plan_from_env()
-        self.fault_plan: Optional[Any] = fault_plan
         self.run_dir = Path(run_dir) if run_dir else None
         self.cache = None
         if self.run_dir is not None:
             # Imported here: repro.dse imports this module.
             from repro.dse.cache import ResultCache
 
-            self.cache = ResultCache(self.run_dir, fault_plan=fault_plan)
+            self.cache = ResultCache(self.run_dir)
         self.raise_on_total_failure = raise_on_total_failure
-        self.log = log or (lambda message: None)
         self.last_report: Optional[RunReport] = None
 
     # -- execution -----------------------------------------------------
@@ -340,8 +330,8 @@ class TaskRunner:
         with trace_span("unit", **span_fields):
             return run_attempts(
                 maybe_profiled(lambda: fn(unit), unit.unit_id),
-                unit.unit_id, self.policy, self.fault_plan,
-                benchmark=unit.benchmark, seed=unit.seed, log=self.log)
+                unit.unit_id, self.policy, benchmark=unit.benchmark,
+                seed=unit.seed)
 
     def _key(self, unit: WorkUnit,
              inputs: Optional[Dict[str, Any]]) -> Optional[str]:
@@ -366,7 +356,6 @@ class TaskRunner:
         message = f"{unit.unit_id}: resumed from checkpoint"
         obs_events.emit("unit_resumed", msg=message, level="info",
                         unit=unit.unit_id, benchmark=unit.benchmark)
-        self.log(message)
         return UnitOutcome(
             unit_id=unit.unit_id, status=SKIPPED,
             benchmark=unit.benchmark, seed=unit.seed,
@@ -382,7 +371,11 @@ class TaskRunner:
         except (TypeError, ValueError) as exc:
             # Non-JSON-serializable result: the unit still succeeded,
             # it just cannot be reused.
-            self.log(f"{outcome.unit_id}: result not storable ({exc})")
+            obs_events.emit("unit_not_storable", level="warning",
+                            msg=(f"{outcome.unit_id}: result not "
+                                 f"storable ({exc})"),
+                            unit=outcome.unit_id,
+                            error=type(exc).__name__)
 
     def run(self, units: Sequence[WorkUnit],
             fn: Callable[[WorkUnit], Any],

@@ -34,6 +34,13 @@ def _reset_health_state():
     reset_ladder()
 
 
+@pytest.fixture(autouse=True)
+def _no_ambient_chaos(monkeypatch):
+    """Chaos fires only where a test asks for it: a ``REPRO_CHAOS`` in
+    the invoking shell must not inject faults into every test."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+
+
 def make_tiny_program(trip_count: int = 4) -> Program:
     """Two-block program: a loop body (block 0) iterated *trip_count*
     times per visit to the exit block (block 1).

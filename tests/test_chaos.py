@@ -169,8 +169,64 @@ class TestEnvArbitration:
     def test_module_level_io_error_helper(self, monkeypatch):
         from repro import faults
 
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         faults.maybe_io_error("save_profile", "p.json")  # no-op
         monkeypatch.setenv("REPRO_CHAOS", "io-error:match=save_profile")
         with pytest.raises(InjectedIOError):
             faults.maybe_io_error("save_profile", "p.json")
+
+
+class TestActivePlan:
+    """``faults.active_plan()``: the one place that decides which
+    faults fire."""
+
+    def test_env_plan_when_nothing_installed(self, monkeypatch):
+        from repro import faults
+
+        assert faults.active_plan() is None
+        monkeypatch.setenv("REPRO_CHAOS", "task-fail:match=gzip")
+        plan = faults.active_plan()
+        assert plan.sites["task-fail"].match == "gzip"
+        assert faults.active_plan() is plan  # parsed once per spec
+
+    def test_use_overrides_env_and_restores(self, monkeypatch):
+        from repro import faults
+
+        monkeypatch.setenv("REPRO_CHAOS", "task-fail")
+        explicit = ChaosPlan.parse("io-error")
+        with faults.use(explicit):
+            assert faults.active_plan() is explicit
+            with faults.use(None):
+                assert faults.active_plan() is None
+            assert faults.active_plan() is explicit
+        assert "task-fail" in faults.active_plan().sites
+
+    def test_installed_plan_is_seen_by_other_threads(self):
+        import threading
+
+        from repro import faults
+
+        plan = ChaosPlan.parse("task-fail")
+        seen = []
+        with faults.use(plan):
+            thread = threading.Thread(
+                target=lambda: seen.append(faults.active_plan()))
+            thread.start()
+            thread.join()
+        assert seen == [plan]
+
+    def test_retired_variable_fails_the_lookup(self, monkeypatch):
+        from repro import faults
+
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
+        # A spec no other test uses, so the lookup cannot be cached.
+        monkeypatch.setenv("REPRO_CHAOS", "seed=41;slow-call:delay=0")
+        with pytest.raises(ChaosSpecError, match="REPRO_FAULT_RATE"):
+            faults.active_plan()
+
+    def test_cli_rejects_a_bad_env_spec_at_startup(self, monkeypatch,
+                                                   capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CHAOS", "bogus-site")
+        assert main(["benchmarks"]) == 2
+        assert "REPRO_CHAOS" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 
 from repro.config import baseline_config
+from repro import faults
 from repro.faults import ChaosPlan, plan_from_env
 from repro.dse.cache import ResultCache, result_key
 from repro.dse.space import apply_overrides, config_hash
@@ -85,9 +86,10 @@ class TestStore:
 
     def test_fault_plan_corrupts_fresh_writes(self, tmp_path):
         plan = ChaosPlan.parse("artifact-corrupt:rate=1.0")
-        cache = ResultCache(tmp_path, fault_plan=plan)
+        cache = ResultCache(tmp_path)
         key = result_key(PROFILE_HASH, "c" * 64, 0, 6.0)
-        cache.put(key, METRICS)
+        with faults.use(plan):
+            cache.put(key, METRICS)
         assert cache.get(key) is None  # injected corruption detected
         assert cache.stats.corrupt_discarded == 1
 

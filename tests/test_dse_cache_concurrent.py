@@ -29,7 +29,7 @@ def shared_key(i):
 
 def hammer(cache_dir, worker, out):
     """One worker process: interleave puts, gets and corruptions."""
-    cache = ResultCache(cache_dir, fault_plan=None)
+    cache = ResultCache(cache_dir)
     torn_reads = 0
     for round_no in range(ROUNDS):
         i = (worker + round_no) % KEYS
@@ -77,7 +77,7 @@ class TestConcurrentAccess:
 
         # Every written key that no worker corrupted reads back
         # complete; a corrupted one is discarded as a miss, never torn.
-        cache = ResultCache(cache_dir, fault_plan=None)
+        cache = ResultCache(cache_dir)
         readable = 0
         for i in range(KEYS):
             entry = cache.get(shared_key(i))
@@ -105,7 +105,7 @@ class TestConcurrentAccess:
         for proc in procs:
             proc.join(timeout=120)
             assert proc.exitcode == 0
-        cache = ResultCache(cache_dir, fault_plan=None)
+        cache = ResultCache(cache_dir)
         assert len(list((cache_dir / "objects").glob("*/*.json"))) == 60
         for i in range(60):
             entry = cache.get(result_key(f"p{i}", "c", i, 4.0))
@@ -114,7 +114,7 @@ class TestConcurrentAccess:
 
 
 def _fill_range(cache_dir, start):
-    cache = ResultCache(cache_dir, fault_plan=None)
+    cache = ResultCache(cache_dir)
     for i in range(start, start + 30):
         cache.put(result_key(f"p{i}", "c", i, 4.0),
                   {"ipc": float(i)})

@@ -73,6 +73,38 @@ class TestSweepCommand:
         assert "re-checked execution-driven" in out
 
 
+class TestConsoleChannel:
+    """Each runner message reaches the console once: as its event, with
+    no callback echoing it a second time."""
+
+    CHAOS = "seed=1;task-fail:rate=1,attempts=1,match=ruu_size=16"
+
+    def _stderr(self, capsys, tmp_path, *extra):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "name": "cli-chaos", "mode": "grid",
+            "parameters": {"ruu_size": [16, 32], "lsq_size": [8],
+                           "width": [4]}}))
+        capsys.readouterr()
+        assert main(["dse", "--sweep", str(path), "--benchmark", "gzip",
+                     "--seeds", "0", "-R", "4", "--no-verify",
+                     "--chaos", self.CHAOS, *extra]) == 0
+        return capsys.readouterr().err.splitlines()
+
+    def test_retry_line_printed_once(self, capsys, tmp_path):
+        lines = [line for line in self._stderr(capsys, tmp_path)
+                 if "attempt 1 failed" in line]
+        assert len(lines) == 1, lines
+        assert "ruu_size=16" in lines[0]
+
+    def test_failure_line_printed_once(self, capsys, tmp_path):
+        lines = [line for line in self._stderr(capsys, tmp_path,
+                                               "--retries", "0")
+                 if "failed after" in line]
+        assert len(lines) == 1, lines
+        assert "ruu_size=16" in lines[0]
+
+
 class TestExperimentRewiring:
     def test_sec46_supports_jobs_and_cache(self, tmp_path):
         from repro.experiments import sec46_design_space

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import baseline_config
 from repro.runner import RunnerPolicy
+from repro import faults
 from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.core.profiler import profile_trace
@@ -123,7 +124,7 @@ class TestCaching:
         # must detect, discard and re-evaluate every entry.
         monkeypatch.setenv("REPRO_CHAOS", "artifact-corrupt:rate=1.0")
         corrupting = ResultCache(tmp_path)
-        SweepEngine(profile, cache=corrupting, fault_plan=None).evaluate(
+        SweepEngine(profile, cache=corrupting).evaluate(
             points, seeds=(0,), reduction_factor=4.0)
         monkeypatch.delenv("REPRO_CHAOS")
         cache = ResultCache(tmp_path)
@@ -156,11 +157,11 @@ class TestCaching:
     def test_failures_are_never_cached(self, profile, points, tmp_path):
         plan = ChaosPlan.parse("task-fail:match=unit")
         cache = ResultCache(tmp_path)
-        sweep = SweepEngine(profile, cache=cache, fault_plan=plan,
-                            benchmark="unit",
-                            policy=RunnerPolicy(max_retries=0)
-                            ).evaluate(points, seeds=(0,),
-                                       reduction_factor=4.0)
+        engine = SweepEngine(profile, cache=cache, benchmark="unit",
+                             policy=RunnerPolicy(max_retries=0))
+        with faults.use(plan):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=4.0)
         assert sweep.failed == len(points)
         assert cache.stats.writes == 0
 
@@ -168,20 +169,23 @@ class TestCaching:
 class TestContainment:
     def test_permanent_fault_contained_per_point(self, profile, points):
         plan = ChaosPlan.parse("task-fail:match=unit")
-        sweep = SweepEngine(profile, fault_plan=plan, benchmark="unit",
-                            policy=RunnerPolicy(max_retries=0)
-                            ).evaluate(points, seeds=(0,),
-                                       reduction_factor=4.0)
+        engine = SweepEngine(profile, benchmark="unit",
+                             policy=RunnerPolicy(max_retries=0))
+        with faults.use(plan):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=4.0)
         assert sweep.ok_results == []
         assert all(r.failed_seeds == 1 and r.errors for r in
                    sweep.results)
 
     def test_transient_fault_survived_by_retry(self, profile, points):
         plan = ChaosPlan.parse("task-fail:match=unit,attempts=1")
-        sweep = SweepEngine(
-            profile, fault_plan=plan, benchmark="unit",
-            policy=RunnerPolicy(max_retries=2, backoff_base=0.0)
-        ).evaluate(points, seeds=(0,), reduction_factor=4.0)
+        engine = SweepEngine(
+            profile, benchmark="unit",
+            policy=RunnerPolicy(max_retries=2, backoff_base=0.0))
+        with faults.use(plan):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=4.0)
         assert sweep.failed == 0
         assert all(r.ok for r in sweep.results)
 
@@ -196,9 +200,10 @@ class TestContainment:
         before = retries.value
         engine = SweepEngine(profile, experiment="t", benchmark="unit")
         task = engine._task(0, points[0], 0, 4.0)
-        outcome = _run_task(
-            task, profile, RunnerPolicy(max_retries=1, backoff_base=0.0),
-            ChaosPlan.parse("task-fail:match=unit,attempts=1"))
+        with faults.use(ChaosPlan.parse("task-fail:match=unit,attempts=1")):
+            outcome = _run_task(
+                task, profile,
+                RunnerPolicy(max_retries=1, backoff_base=0.0))
         assert retries.value - before == 1
         assert outcome["status"] == "ok" and outcome["attempts"] == 2
         assert outcome["metrics"] == engine._run_serial([task], 4.0)[0][
@@ -207,7 +212,7 @@ class TestContainment:
     def test_parallel_workers_inject_from_env(self, profile, points,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "task-fail:match=unit")
-        sweep = SweepEngine(profile, jobs=2, fault_plan=None,
+        sweep = SweepEngine(profile, jobs=2,
                             benchmark="unit",
                             policy=RunnerPolicy(max_retries=0)
                             ).evaluate(points, seeds=(0,),
@@ -240,7 +245,9 @@ class TestRecipeWarmStart:
 
         built = get_registry().counter("synthesis.recipe_contexts_built")
         before = built.value
-        engine._worker_init(profile_to_dict(profile), 4.0)
+        # use() scopes the plan the initializer installs to this test.
+        with faults.use(None):
+            engine._worker_init(profile_to_dict(profile), 4.0)
         try:
             assert engine._WORKER_PROFILE is not None
             sfg = engine._WORKER_PROFILE.sfg
@@ -250,7 +257,6 @@ class TestRecipeWarmStart:
             assert built.value - before == len(kept) < len(sfg.contexts)
         finally:
             engine._WORKER_PROFILE = None
-            engine._WORKER_FAULT_PLAN = None
 
 
 def make_result(edp, ipc, label):

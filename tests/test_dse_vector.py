@@ -106,13 +106,13 @@ class TestVectorSweep:
         """A vector sweep whose workers are being chaos-killed still
         finishes: the supervisor rebuilds the pool and every task is
         accounted for."""
-        from repro.faults import ChaosPlan
+        from repro import faults
 
-        engine = SweepEngine(
-            profile, jobs=2, vector=True,
-            fault_plan=ChaosPlan.parse("seed=3;worker-kill:rate=0.5"))
-        result = engine.evaluate(points, seeds=(0, 1),
-                                 reduction_factor=4.0)
+        engine = SweepEngine(profile, jobs=2, vector=True)
+        with faults.use(faults.ChaosPlan.parse(
+                "seed=3;worker-kill:rate=0.5")):
+            result = engine.evaluate(points, seeds=(0, 1),
+                                     reduction_factor=4.0)
         assert result.total_tasks == 4
 
 
@@ -125,15 +125,17 @@ class TestWorkerInit:
         columnar tables for a vector sweep, scalar recipes otherwise —
         and never both."""
         import repro.dse.engine as engine_mod
+        from repro import faults
         from repro.core.columnar import columnar_tables_cached
         from repro.core.serialization import profile_to_dict
         from repro.core.synthesis import tables_cached
 
-        _worker_init(profile_to_dict(profile), 4.0, vector=vector)
+        # use() scopes the plan the initializer installs to this test.
+        with faults.use(None):
+            _worker_init(profile_to_dict(profile), 4.0, vector=vector)
         try:
             sfg = engine_mod._WORKER_PROFILE.sfg
             assert columnar_tables_cached(sfg) is vector
             assert tables_cached(sfg) is not vector
         finally:
             engine_mod._WORKER_PROFILE = None
-            engine_mod._WORKER_FAULT_PLAN = None

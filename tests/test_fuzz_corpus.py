@@ -96,6 +96,17 @@ class TestCommittedCorpus:
             assert result.passed, \
                 f"{result.case_id} regressed: {result.detail}"
 
+    def test_replay_ignores_ambient_chaos(self, monkeypatch):
+        """Replay runs chaos-free: a pipeline-skew spec in the
+        environment would otherwise re-inject the very discrepancy each
+        differential entry pins."""
+        monkeypatch.setenv("REPRO_CHAOS", "pipeline-skew:rate=1")
+        results = replay_corpus(str(CORPUS_DIR))
+        assert results
+        for result in results:
+            assert result.passed, \
+                f"{result.case_id} regressed: {result.detail}"
+
     def test_committed_entries_are_minimized_skew_canaries(self):
         """Differential entries pin injected skews (and are minimized);
         vector entries pin the columnar generator's statistical health

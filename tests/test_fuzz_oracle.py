@@ -4,6 +4,7 @@ from repro.config import baseline_config
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
 from repro.cpu.source import ExecutionDrivenSource
+from repro import faults
 from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.fuzz.generator import random_case
@@ -59,8 +60,9 @@ class TestInjectedSkew:
     def test_skew_is_caught_and_flagged(self):
         case = _small_case()
         plan = ChaosPlan.parse("seed=1;pipeline-skew:rate=1.0")
-        report = diff_program(case.program(), case.machine_config(),
-                              600, chaos=plan, token=case.case_id)
+        with faults.use(plan):
+            report = diff_program(case.program(), case.machine_config(),
+                                  600, token=case.case_id)
         assert not report.identical
         assert report.skew_injected
         fields = {diff.field for diff in report.field_diffs}
@@ -72,15 +74,17 @@ class TestInjectedSkew:
         case = _small_case()
         plan = ChaosPlan.parse(
             "seed=1;pipeline-skew:rate=1.0,match=other-case")
-        report = diff_program(case.program(), case.machine_config(),
-                              600, chaos=plan, token=case.case_id)
+        with faults.use(plan):
+            report = diff_program(case.program(), case.machine_config(),
+                                  600, token=case.case_id)
         assert report.identical  # match excludes this token
 
     def test_report_round_trips_to_dict(self):
         case = _small_case()
         plan = ChaosPlan.parse("seed=1;pipeline-skew:rate=1.0")
-        report = diff_program(case.program(), case.machine_config(),
-                              600, chaos=plan, token=case.case_id)
+        with faults.use(plan):
+            report = diff_program(case.program(), case.machine_config(),
+                                  600, token=case.case_id)
         data = report.to_dict()
         assert data["identical"] is False
         assert data["skew_injected"] is True

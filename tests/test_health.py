@@ -22,6 +22,7 @@ from repro.errors import (
     HealthSpecError,
     MemoryBudgetError,
 )
+from repro import faults
 from repro.faults import ChaosPlan
 from repro.health import (
     Budget,
@@ -405,13 +406,12 @@ class TestHangWatchdog:
         without human intervention."""
         engine = SweepEngine(
             profile, jobs=2,
-            fault_plan=ChaosPlan.parse(
-                "worker-hang:rate=1.0,attempts=1"),
             health=HealthPolicy(hang_timeout=1.0, poll_interval=0.2))
         kills = get_registry().counter("health.hang_kills").value
         started = time.perf_counter()
-        result = engine.evaluate(points, seeds=(0,),
-                                 reduction_factor=4.0)
+        with faults.use(ChaosPlan.parse("worker-hang:rate=1.0,attempts=1")):
+            result = engine.evaluate(points, seeds=(0,),
+                                     reduction_factor=4.0)
         elapsed = time.perf_counter() - started
         assert result.failed == 0
         assert result.quarantined == 0

@@ -32,6 +32,23 @@ def points():
     return spec.expand()
 
 
+def _interrupt_on_call(monkeypatch, n):
+    """Raise KeyboardInterrupt from inside the *n*-th evaluate_metrics
+    call: a Ctrl-C landing mid-evaluation."""
+    from repro.dse import engine
+
+    real = engine.evaluate_metrics
+    calls = []
+
+    def evaluate(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise KeyboardInterrupt()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "evaluate_metrics", evaluate)
+
+
 class TestEngineInterrupt:
     def test_immediate_interrupt_reports_everything_unstarted(
             self, profile, points, monkeypatch):
@@ -48,25 +65,18 @@ class TestEngineInterrupt:
 
     def test_partial_results_survive_interrupt(self, profile, points,
                                                monkeypatch, tmp_path):
-        real_run = SweepEngine._run_serial
-
-        def finish_one_then_interrupt(self, tasks, reduction_factor):
-            raise SweepInterrupted(
-                real_run(self, tasks[:1], reduction_factor))
-
-        monkeypatch.setattr(SweepEngine, "_run_serial",
-                            finish_one_then_interrupt)
-        cache = ResultCache(tmp_path / "cache", fault_plan=None)
+        _interrupt_on_call(monkeypatch, 3)
+        cache = ResultCache(tmp_path / "cache")
         sweep = SweepEngine(profile, jobs=1, cache=cache).evaluate(
             points, seeds=(0,), reduction_factor=4.0)
         assert sweep.interrupted
-        assert sweep.evaluated == 1
-        assert sweep.unstarted == len(points) - 1
+        assert sweep.evaluated == 2
+        assert sweep.unstarted == len(points) - 2
         finished = [r for r in sweep.results if r.per_seed]
-        assert len(finished) == 1
-        # The finished evaluation went into the cache: an interrupted
+        assert len(finished) == 2
+        # The finished evaluations went into the cache: an interrupted
         # sweep is resumable, not wasted.
-        assert cache.stats.writes == 1
+        assert cache.stats.writes == 2
 
     def test_interrupt_still_writes_quarantine_manifest(
             self, profile, points, monkeypatch, tmp_path):
@@ -83,27 +93,22 @@ class TestEngineInterrupt:
 
     def test_resume_after_interrupt_skips_finished_work(
             self, profile, points, monkeypatch, tmp_path):
-        real_run = SweepEngine._run_serial
+        from repro.dse import engine
 
-        def finish_one_then_interrupt(self, tasks, reduction_factor):
-            raise SweepInterrupted(
-                real_run(self, tasks[:1], reduction_factor))
-
-        monkeypatch.setattr(SweepEngine, "_run_serial",
-                            finish_one_then_interrupt)
+        real = engine.evaluate_metrics
+        _interrupt_on_call(monkeypatch, 3)
         cache_dir = tmp_path / "cache"
-        SweepEngine(profile, jobs=1,
-                    cache=ResultCache(cache_dir,
-                                      fault_plan=None)).evaluate(
+        interrupted = SweepEngine(
+            profile, jobs=1, cache=ResultCache(cache_dir)).evaluate(
             points, seeds=(0,), reduction_factor=4.0)
-        monkeypatch.setattr(SweepEngine, "_run_serial", real_run)
+        monkeypatch.setattr(engine, "evaluate_metrics", real)
         resumed = SweepEngine(
-            profile, jobs=1,
-            cache=ResultCache(cache_dir, fault_plan=None)).evaluate(
+            profile, jobs=1, cache=ResultCache(cache_dir)).evaluate(
             points, seeds=(0,), reduction_factor=4.0)
+        # The interrupted report counts exactly what the cache kept.
+        assert interrupted.evaluated == resumed.cached == 2
         assert not resumed.interrupted
-        assert resumed.cached == 1
-        assert resumed.evaluated == len(points) - 1
+        assert resumed.evaluated == len(points) - 2
 
     def test_ctrl_c_mid_parallel_sweep_cleans_up(self, profile, points,
                                                  monkeypatch):

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro import obs
+from repro import faults, obs
 from repro.cli import main
 from repro.experiments.common import ExperimentScale
 from repro.faults import ChaosPlan
@@ -48,11 +48,11 @@ class TestRunnerEvents:
         log = tmp_path / "events.jsonl"
         obs.configure(console=False, log_json=log)
         runner = TaskRunner(
-            policy=RunnerPolicy(max_retries=1, backoff_base=0.0),
-            fault_plan=ChaosPlan.parse("task-fail:match=gzip,attempts=1"))
-        report = runner.run(
-            [WorkUnit(experiment="exp", benchmark="gzip")],
-            lambda unit: {"value": 1})
+            policy=RunnerPolicy(max_retries=1, backoff_base=0.0))
+        with faults.use(ChaosPlan.parse("task-fail:match=gzip,attempts=1")):
+            report = runner.run(
+                [WorkUnit(experiment="exp", benchmark="gzip")],
+                lambda unit: {"value": 1})
         assert report.summary() == "1 ok / 0 failed / 0 skipped"
 
         records = read_events(log)
@@ -73,7 +73,7 @@ class TestRunnerEvents:
         obs.configure(console=False, log_json=log)
         runner = TaskRunner(
             policy=RunnerPolicy(timeout=0.05, max_retries=0),
-            fault_plan=None, raise_on_total_failure=False)
+            raise_on_total_failure=False)
         report = runner.run(
             [WorkUnit(experiment="exp", benchmark="slow")],
             lambda unit: time.sleep(5))
@@ -91,7 +91,7 @@ class TestRunnerEvents:
         assert snap["counters"]["runner.units_failed"] == 1
 
     def test_run_dir_gets_metrics_snapshot(self, tmp_path):
-        runner = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        runner = TaskRunner(run_dir=tmp_path / "run")
         runner.run([WorkUnit(experiment="exp", benchmark="b")],
                    lambda unit: 1)
         payload = json.loads((tmp_path / "run" /

@@ -17,6 +17,7 @@ from repro.errors import (
     TaskTimeoutError,
     is_retryable,
 )
+from repro import faults
 from repro.faults import ChaosPlan, plan_from_env
 from repro.dse.cache import ResultCache, content_key
 from repro.runner import (
@@ -78,7 +79,7 @@ class TestContainment:
                 raise ValueError("broken benchmark")
             return {"benchmark": unit.benchmark}
 
-        report = TaskRunner(fault_plan=None).run(
+        report = TaskRunner().run(
             units("good", "bad", "also-good"), fn)
         assert report.summary() == "2 ok / 1 failed / 0 skipped"
         assert [o.benchmark for o in report.failed] == ["bad"]
@@ -94,16 +95,15 @@ class TestContainment:
             raise ValueError("systematically broken")
 
         with pytest.raises(ValueError, match="systematically broken"):
-            TaskRunner(fault_plan=None).run(units("a", "b"), fn)
+            TaskRunner().run(units("a", "b"), fn)
 
     def test_total_failure_raise_can_be_disabled(self):
-        runner = TaskRunner(fault_plan=None,
-                            raise_on_total_failure=False)
+        runner = TaskRunner(raise_on_total_failure=False)
         report = runner.run(units("a"), lambda u: 1 / 0)
         assert report.summary() == "0 ok / 1 failed / 0 skipped"
 
     def test_warning_lines(self):
-        runner = TaskRunner(fault_plan=None)
+        runner = TaskRunner()
         report = runner.run(
             units("ok", "bad"),
             lambda u: (_ for _ in ()).throw(RuntimeError("oops"))
@@ -117,9 +117,9 @@ class TestRetry:
     def test_transient_fault_is_retried(self):
         plan = ChaosPlan.parse("task-fail:match=flaky,attempts=1")
         runner = TaskRunner(
-            policy=RunnerPolicy(max_retries=2, backoff_base=0.0),
-            fault_plan=plan)
-        report = runner.run(units("flaky"), lambda u: {"ok": True})
+            policy=RunnerPolicy(max_retries=2, backoff_base=0.0))
+        with faults.use(plan):
+            report = runner.run(units("flaky"), lambda u: {"ok": True})
         assert report.summary() == "1 ok / 0 failed / 0 skipped"
         assert report.ok[0].attempts == 2
 
@@ -127,8 +127,9 @@ class TestRetry:
         plan = ChaosPlan.parse("task-fail:match=doomed")
         runner = TaskRunner(
             policy=RunnerPolicy(max_retries=2, backoff_base=0.0),
-            fault_plan=plan, raise_on_total_failure=False)
-        report = runner.run(units("doomed"), lambda u: {"ok": True})
+            raise_on_total_failure=False)
+        with faults.use(plan):
+            report = runner.run(units("doomed"), lambda u: {"ok": True})
         outcome = report.failed[0]
         assert outcome.attempts == 3  # initial + 2 retries
         assert outcome.error["type"] == "InjectedFaultError"
@@ -142,7 +143,6 @@ class TestRetry:
             raise KeyError("deterministic")
 
         runner = TaskRunner(policy=RunnerPolicy(max_retries=5),
-                            fault_plan=None,
                             raise_on_total_failure=False)
         report = runner.run(units("a"), fn)
         assert len(calls) == 1
@@ -163,7 +163,7 @@ class TestTimeout:
 
         runner = TaskRunner(
             policy=RunnerPolicy(timeout=0.05, max_retries=0),
-            fault_plan=None, raise_on_total_failure=False)
+            raise_on_total_failure=False)
         started = time.perf_counter()
         report = runner.run(units("hung"), fn)
         assert time.perf_counter() - started < 2.0
@@ -182,15 +182,13 @@ class TestTimeout:
 
         runner = TaskRunner(
             policy=RunnerPolicy(timeout=0.1, max_retries=1,
-                                backoff_base=0.0),
-            fault_plan=None)
+                                backoff_base=0.0))
         report = runner.run(units("slow-once"), fn)
         assert report.summary() == "1 ok / 0 failed / 0 skipped"
         assert report.ok[0].attempts == 2
 
     def test_fast_unit_unaffected(self):
-        runner = TaskRunner(policy=RunnerPolicy(timeout=5.0),
-                            fault_plan=None)
+        runner = TaskRunner(policy=RunnerPolicy(timeout=5.0))
         report = runner.run(units("fast"), lambda u: {"v": 1})
         assert report.ok[0].result == {"v": 1}
 
@@ -266,9 +264,9 @@ class TestCheckpointStore:
             read_json_checked(path)
 
     def test_store_round_trip(self, tmp_path):
-        runner = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        runner = TaskRunner(run_dir=tmp_path / "run")
         runner.run(units("gzip"), lambda u: [1, 2], inputs={"n": 1})
-        cache = ResultCache(tmp_path / "run", fault_plan=None)
+        cache = ResultCache(tmp_path / "run")
         key = content_key({"unit": "exp/gzip", "inputs": {"n": 1}})
         entry = cache.get(key)
         assert entry["metrics"] == {"result": [1, 2]}
@@ -288,11 +286,11 @@ class TestResume:
 
     def test_resume_skips_completed_units(self, tmp_path):
         calls = []
-        first = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        first = TaskRunner(run_dir=tmp_path / "run")
         first.run(units("a", "b"), self._counting_fn(calls))
         assert calls == ["a", "b"]
 
-        second = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        second = TaskRunner(run_dir=tmp_path / "run")
         report = second.run(units("a", "b"), self._counting_fn(calls))
         assert calls == ["a", "b"]  # nothing re-ran
         assert report.summary() == "0 ok / 0 failed / 2 skipped"
@@ -301,14 +299,14 @@ class TestResume:
 
     def test_resume_reruns_failed_units(self, tmp_path):
         calls = []
-        first = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        first = TaskRunner(run_dir=tmp_path / "run")
         first.run(units("a", "bad"), self._counting_fn(calls))
 
         def fixed(unit):
             calls.append(unit.benchmark)
             return {"benchmark": unit.benchmark}
 
-        second = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        second = TaskRunner(run_dir=tmp_path / "run")
         report = second.run(units("a", "bad"), fixed)
         assert calls == ["a", "bad", "bad"]
         assert report.summary() == "1 ok / 0 failed / 1 skipped"
@@ -317,10 +315,10 @@ class TestResume:
         """A sweep killed partway through (simulated by running only a
         prefix of the units) resumes where it stopped."""
         calls = []
-        first = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        first = TaskRunner(run_dir=tmp_path / "run")
         first.run(units("a"), self._counting_fn(calls))  # killed after a
 
-        second = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        second = TaskRunner(run_dir=tmp_path / "run")
         report = second.run(units("a", "b", "c"),
                             self._counting_fn(calls))
         assert calls == ["a", "b", "c"]
@@ -329,12 +327,12 @@ class TestResume:
     def test_corrupt_checkpoint_is_rerun(self, tmp_path):
         calls = []
         run_dir = tmp_path / "run"
-        first = TaskRunner(run_dir=run_dir, fault_plan=None)
+        first = TaskRunner(run_dir=run_dir)
         first.run(units("a"), self._counting_fn(calls))
         entry = next((run_dir / "objects").glob("*/*.json"))
         entry.write_text(entry.read_text()[:20])
 
-        second = TaskRunner(run_dir=run_dir, fault_plan=None)
+        second = TaskRunner(run_dir=run_dir)
         report = second.run(units("a"), self._counting_fn(calls))
         assert calls == ["a", "a"]
         assert report.summary() == "1 ok / 0 failed / 0 skipped"
@@ -346,14 +344,14 @@ class TestResume:
         run_dir = tmp_path / "run"
         for scale, expected in ((1, "1 ok"), (2, "1 ok"),
                                 (1, "0 ok"), (2, "0 ok")):
-            report = TaskRunner(run_dir=run_dir, fault_plan=None).run(
+            report = TaskRunner(run_dir=run_dir).run(
                 units("a"), self._counting_fn(calls),
                 inputs={"scale": scale})
             assert report.summary().startswith(expected)
         assert calls == ["a", "a"]
 
     def test_unstorable_result_still_succeeds(self, tmp_path):
-        runner = TaskRunner(run_dir=tmp_path / "run", fault_plan=None)
+        runner = TaskRunner(run_dir=tmp_path / "run")
         report = runner.run(units("a"), lambda u: object())
         assert report.summary() == "1 ok / 0 failed / 0 skipped"
         assert not list((tmp_path / "run" / "objects").glob("*/*.json"))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import faults
 from repro.cli import main
 from repro.errors import ProfileError, SimulationError, SynthesisError
 from repro.experiments import fig6_absolute, table1_baseline, \
@@ -23,11 +24,10 @@ class TestGracefulDegradation:
         """One benchmark forced to fail: the experiment completes, the
         summary reports the failure, and the rendered table drops the
         failed row with an explicit warning."""
-        runner = TaskRunner(
-            policy=RunnerPolicy(max_retries=0),
-            run_dir=tmp_path / "run",
-            fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
-        rows = table1_baseline.run(TINY, runner=runner)
+        runner = TaskRunner(policy=RunnerPolicy(max_retries=0),
+                            run_dir=tmp_path / "run")
+        with faults.use(ChaosPlan.parse("task-fail:match=gzip")):
+            rows = table1_baseline.run(TINY, runner=runner)
 
         assert [row["benchmark"] for row in rows] == ["twolf"]
         assert rows.report.summary() == "1 ok / 1 failed / 0 skipped"
@@ -44,12 +44,12 @@ class TestGracefulDegradation:
         ok benchmark is skipped (loaded from its stored result), only
         the failed one re-runs, and the full table comes out."""
         run_dir = tmp_path / "run"
-        first = TaskRunner(
-            policy=RunnerPolicy(max_retries=0), run_dir=run_dir,
-            fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
-        table1_baseline.run(TINY, runner=first)
+        first = TaskRunner(policy=RunnerPolicy(max_retries=0),
+                           run_dir=run_dir)
+        with faults.use(ChaosPlan.parse("task-fail:match=gzip")):
+            table1_baseline.run(TINY, runner=first)
 
-        second = TaskRunner(run_dir=run_dir, fault_plan=None)
+        second = TaskRunner(run_dir=run_dir)
         rows = table1_baseline.run(TINY, runner=second)
 
         statuses = {outcome.benchmark: outcome.status
@@ -64,18 +64,18 @@ class TestGracefulDegradation:
         """Stored results round-trip exactly through JSON."""
         run_dir = tmp_path / "run"
         fresh = table1_baseline.run(
-            TINY, runner=TaskRunner(run_dir=run_dir, fault_plan=None))
+            TINY, runner=TaskRunner(run_dir=run_dir))
         resumed = table1_baseline.run(
-            TINY, runner=TaskRunner(run_dir=run_dir, fault_plan=None))
+            TINY, runner=TaskRunner(run_dir=run_dir))
         assert list(fresh) == list(resumed)
 
     def test_transient_fault_recovers_via_retry(self):
         """A fault injected only on the first attempt is absorbed by
         the retry budget: every row is produced."""
         runner = TaskRunner(
-            policy=RunnerPolicy(max_retries=1, backoff_base=0.0),
-            fault_plan=ChaosPlan.parse("task-fail:match=gzip,attempts=1"))
-        rows = table1_baseline.run(TINY, runner=runner)
+            policy=RunnerPolicy(max_retries=1, backoff_base=0.0))
+        with faults.use(ChaosPlan.parse("task-fail:match=gzip,attempts=1")):
+            rows = table1_baseline.run(TINY, runner=runner)
         assert {row["benchmark"] for row in rows} == {"gzip", "twolf"}
         attempts = {outcome.benchmark: outcome.attempts
                     for outcome in rows.report.outcomes}
@@ -84,18 +84,16 @@ class TestGracefulDegradation:
     def test_prepare_suite_contains_failures(self):
         from repro.experiments.common import prepare_suite
 
-        runner = TaskRunner(
-            policy=RunnerPolicy(max_retries=0),
-            fault_plan=ChaosPlan.parse("task-fail:match=gzip"))
-        suite = prepare_suite(TINY, runner=runner)
+        runner = TaskRunner(policy=RunnerPolicy(max_retries=0))
+        with faults.use(ChaosPlan.parse("task-fail:match=gzip")):
+            suite = prepare_suite(TINY, runner=runner)
         assert set(suite) == {"twolf"}
         assert suite.report.summary() == "1 ok / 1 failed / 0 skipped"
 
     def test_fig6_degrades_too(self):
-        runner = TaskRunner(
-            policy=RunnerPolicy(max_retries=0),
-            fault_plan=ChaosPlan.parse("task-fail:match=twolf"))
-        rows = fig6_absolute.run(TINY, runner=runner)
+        runner = TaskRunner(policy=RunnerPolicy(max_retries=0))
+        with faults.use(ChaosPlan.parse("task-fail:match=twolf")):
+            rows = fig6_absolute.run(TINY, runner=runner)
         assert [row["benchmark"] for row in rows] == ["gzip"]
         text = fig6_absolute.format_rows(rows)
         assert "WARNING: fig6/twolf failed" in text
@@ -114,7 +112,7 @@ class TestStaleResume:
 
         return run_per_benchmark(
             "probe", scale, unit_fn,
-            runner=TaskRunner(run_dir=run_dir, fault_plan=None),
+            runner=TaskRunner(run_dir=run_dir),
             benchmarks=("gzip",))
 
     @staticmethod
@@ -148,7 +146,7 @@ class TestStaleResume:
             return table4_relative.run(
                 scale, sweeps=("window",),
                 points={"window": window_points},
-                runner=TaskRunner(run_dir=tmp_path, fault_plan=None))
+                runner=TaskRunner(run_dir=tmp_path))
 
         first = run((16, 32))
         second = run((32, 64))

@@ -13,6 +13,7 @@ import pytest
 from repro.config import baseline_config
 from repro.core.profiler import profile_trace
 from repro.errors import WorkerCrashError
+from repro import faults
 from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
 from repro.workloads.generator import WorkloadConfig, generate_program
@@ -55,7 +56,7 @@ def points():
 
 @pytest.fixture(scope="module")
 def clean(profile, points):
-    sweep = SweepEngine(profile, jobs=2, fault_plan=None,
+    sweep = SweepEngine(profile, jobs=2,
                         experiment="sup", benchmark="unit").evaluate(
         points, seeds=(0,), reduction_factor=12.0)
     assert all(r.ok for r in sweep.results)
@@ -186,9 +187,10 @@ class TestBrokenPoolRecovery:
     def test_transient_kill_requeued_and_identical(self, profile,
                                                    points, clean):
         plan = ChaosPlan.parse("worker-kill:match=ruu_size=16,attempts=1")
-        sweep = SweepEngine(profile, jobs=2, fault_plan=plan,
-                            experiment="sup", benchmark="unit").evaluate(
-            points, seeds=(0,), reduction_factor=12.0)
+        with faults.use(plan):
+            sweep = SweepEngine(profile, jobs=2, experiment="sup",
+                                benchmark="unit").evaluate(
+                points, seeds=(0,), reduction_factor=12.0)
         assert all(r.ok for r in sweep.results)
         assert sweep.quarantined == 0
         assert metrics_map(sweep) == metrics_map(clean)
@@ -197,12 +199,12 @@ class TestBrokenPoolRecovery:
                                       tmp_path):
         plan = ChaosPlan.parse("worker-kill:match=ruu_size=16")
         engine = SweepEngine(
-            profile, jobs=2, fault_plan=plan, experiment="sup",
-            benchmark="unit",
+            profile, jobs=2, experiment="sup", benchmark="unit",
             supervisor_policy=SupervisorPolicy(max_point_retries=1),
             quarantine_path=tmp_path / "poison.json")
-        sweep = engine.evaluate(points, seeds=(0,),
-                                reduction_factor=12.0)
+        with faults.use(plan):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=12.0)
         assert sweep.quarantined == 1
         poisoned = [r for r in sweep.results if r.quarantined_seeds]
         assert len(poisoned) == 1
@@ -225,22 +227,24 @@ class TestBrokenPoolRecovery:
     def test_serial_fallback_completes_sweep(self, profile, points,
                                              clean):
         plan = ChaosPlan.parse("worker-kill:rate=1")
-        sweep = SweepEngine(
-            profile, jobs=2, fault_plan=plan, experiment="sup",
-            benchmark="unit",
+        engine = SweepEngine(
+            profile, jobs=2, experiment="sup", benchmark="unit",
             supervisor_policy=SupervisorPolicy(
-                max_point_retries=99, max_pool_rebuilds=0)).evaluate(
-            points, seeds=(0,), reduction_factor=12.0)
+                max_point_retries=99, max_pool_rebuilds=0))
+        with faults.use(plan):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=12.0)
         assert all(r.ok for r in sweep.results)
         assert metrics_map(sweep) == metrics_map(clean)
 
     def test_summary_reports_quarantine(self, profile, points):
         plan = ChaosPlan.parse("worker-kill:match=ruu_size=16")
-        sweep = SweepEngine(
-            profile, jobs=2, fault_plan=plan, experiment="sup",
-            benchmark="unit",
-            supervisor_policy=SupervisorPolicy(max_point_retries=0)
-        ).evaluate(points, seeds=(0,), reduction_factor=12.0)
+        engine = SweepEngine(
+            profile, jobs=2, experiment="sup", benchmark="unit",
+            supervisor_policy=SupervisorPolicy(max_point_retries=0))
+        with faults.use(plan):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=12.0)
         assert "1 quarantined" in sweep.summary()
         assert sweep.total_tasks == 3
 
@@ -290,3 +294,25 @@ class TestPolicyValidation:
 
     def test_worker_crash_error_retryable(self):
         assert WorkerCrashError("boom").retryable is True
+
+
+class TestSerialFallbackInterrupt:
+    def test_interrupted_fallback_keeps_its_finished_work(self):
+        """Ctrl-C inside the serial fallback: the evaluations the
+        fallback finished travel on the supervisor's SweepInterrupted
+        with everything else it collected."""
+        from repro.errors import SweepInterrupted
+
+        def no_pool():
+            raise OSError("no processes left")
+
+        def finish_one_then_interrupt(batch):
+            raise SweepInterrupted([{"task": batch[0], "status": "ok"}])
+
+        supervisor = PoolSupervisor(
+            no_pool, task_fn=None, runner_policy=RunnerPolicy(),
+            serial_fn=finish_one_then_interrupt)
+        with pytest.raises(SweepInterrupted) as interrupt:
+            supervisor.run([{"task_id": "t0"}, {"task_id": "t1"}])
+        assert [o["task"]["task_id"]
+                for o in interrupt.value.outcomes] == ["t0"]

@@ -253,6 +253,7 @@ class TestEndToEnd:
         from repro.config import baseline_config
         from repro.core.profiler import profile_trace
         from repro.dse import SupervisorPolicy, SweepEngine, SweepSpec
+        from repro import faults
         from repro.faults import ChaosPlan
         from repro.frontend.functional import run_program
         from repro.workloads.generator import (WorkloadConfig,
@@ -268,13 +269,12 @@ class TestEndToEnd:
             ("width", (2,)))).expand()
 
         engine = SweepEngine(
-            profile, jobs=2,
-            fault_plan=ChaosPlan.parse("worker-kill:match=ruu_size=16"),
-            experiment="tele", benchmark="unit",
+            profile, jobs=2, experiment="tele", benchmark="unit",
             supervisor_policy=SupervisorPolicy(max_point_retries=0),
             quarantine_path=tmp_path / "poison.json")
-        sweep = engine.evaluate(points, seeds=(0,),
-                                reduction_factor=12.0)
+        with faults.use(ChaosPlan.parse("worker-kill:match=ruu_size=16")):
+            sweep = engine.evaluate(points, seeds=(0,),
+                                    reduction_factor=12.0)
         assert sweep.quarantined == 1
 
         payload = json.loads((tmp_path / "poison.json").read_text())
