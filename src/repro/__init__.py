@@ -63,13 +63,8 @@ from repro.branch import (
     profile_branches_immediate,
 )
 from repro.cache import CacheHierarchy
-from repro.cpu import (
-    ExecutionDrivenSource,
-    PreannotatedSource,
-    SimulationResult,
-    simulate,
-)
-from repro.power import WattchPowerModel, energy_delay_product
+# repro.core before repro.cpu: cpu.locality takes its dependency-distance
+# cap from core.sfg, and core's own modules import cpu.locality.
 from repro.core import (
     StatisticalFlowGraph,
     StatisticalProfile,
@@ -85,6 +80,13 @@ from repro.core import (
     run_statistical_simulation,
     simulate_synthetic_trace,
 )
+from repro.cpu import (
+    ExecutionDrivenSource,
+    PreannotatedSource,
+    SimulationResult,
+    simulate,
+)
+from repro.power import WattchPowerModel, energy_delay_product
 
 __version__ = "1.0.0"
 

@@ -33,11 +33,12 @@ from __future__ import annotations
 import pickle
 import weakref
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cache.hierarchy import EV_LOCALITY
 from repro.config import MachineConfig
 from repro.errors import ProfileError
 from repro.frontend.trace import Trace
@@ -133,7 +134,7 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                    perfect_caches: bool = False,
                    warmup_trace: Optional[Trace] = None
                    ) -> StatisticalProfile:
-    from repro.cpu.locality import EV_LOCALITY, resolve_locality
+    from repro.cpu.locality import resolve_locality
 
     if order < 0:
         raise ProfileError("order must be >= 0")
@@ -164,28 +165,20 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
             for seq, record in records.items()}
 
     sfg, stats = skeleton.instantiate()
-    contexts = skeleton.block_contexts
-    starts = skeleton.block_starts
 
     # Cache annotation: the resolution's event bits, per context slot.
-    key_events = [entry[1] & EV_LOCALITY for entry in resolution.distinct]
-    keys = resolution.keys
-    for position, key in enumerate(islice(keys, starts[-1])):
-        events = key_events[key]
-        if events:  # EV_* bit order
-            block = bisect_right(starts, position) - 1
-            context = stats[contexts[block]]
-            slot = position - starts[block]
-            context.il1[slot] += events & 1
-            context.l2i[slot] += events >> 1 & 1
-            context.itlb[slot] += events >> 2 & 1
-            context.dl1[slot] += events >> 3 & 1
-            context.l2d[slot] += events >> 4 & 1
-            context.dtlb[slot] += events >> 5 & 1
+    for (index, slot), counts in _cache_events(resolution, skeleton):
+        context = stats[index]
+        context.il1[slot] += counts[0]  # EV_* bit order
+        context.l2i[slot] += counts[1]
+        context.itlb[slot] += counts[2]
+        context.dl1[slot] += counts[3]
+        context.l2d[slot] += counts[4]
+        context.dtlb[slot] += counts[5]
 
     # Branch annotation: each complete block's terminating branch.
     codes_get = branch_codes.get
-    for index, seq in zip(contexts, skeleton.branch_seqs):
+    for index, seq in zip(skeleton.block_contexts, skeleton.branch_seqs):
         code = codes_get(seq)
         if code is not None:
             context = stats[index]
@@ -201,6 +194,37 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
         perfect_caches=perfect_caches,
         config=config,
     )
+
+
+def _cache_events(resolution, skeleton: "_Skeleton"):
+    """``((context index, slot), counts)`` for every context slot of
+    *skeleton* whose instructions hit a locality event under
+    *resolution*: ``counts[b]`` is how many of them have event bit *b*
+    set, in ``EV_*`` order.  Instructions past the last complete block
+    count nowhere."""
+    starts = np.frombuffer(skeleton.block_starts, dtype=np.uintc)
+    key_events = np.array(
+        [entry[1] & EV_LOCALITY for entry in resolution.distinct],
+        dtype=np.uint8)
+    events = key_events[np.frombuffer(resolution.keys, dtype=np.uintc)
+                        [:starts[-1]]]
+    positions = np.flatnonzero(events)
+    if not len(positions):
+        return []
+    events = events[positions]
+    blocks = np.searchsorted(starts, positions, "right") - 1
+    slots = positions - starts[blocks]
+    width = int(slots.max()) + 1
+    contexts = np.frombuffer(skeleton.block_contexts, dtype=np.uintc)
+    cells, inverse = np.unique(
+        contexts[blocks].astype(np.int64) * width + slots,
+        return_inverse=True)
+    inverse = inverse.reshape(-1)
+    counts = np.stack(
+        [np.bincount(inverse[events >> bit & 1 == 1], minlength=len(cells))
+         for bit in range(EV_LOCALITY.bit_length())], axis=1)
+    return zip((divmod(cell, width) for cell in cells.tolist()),
+               counts.tolist())
 
 
 class _Skeleton:

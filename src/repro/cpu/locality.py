@@ -47,23 +47,20 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import (  # noqa: F401 -- re-exported
     EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I, EV_LOCALITY)
 from repro.config import BranchPredictorConfig, MachineConfig
+from repro.core.sfg import MAX_DEPENDENCY_DISTANCE
 from repro.frontend.trace import Trace
 from repro.frontend.warming import (warm_branch_predictor,
                                     warm_locality_structures)
 from repro.isa.iclass import BRANCH_CLASSES, IClass
 from repro.obs.metrics import get_registry
-
-#: Dependency distances beyond this horizon cannot constrain any
-#: realistic instruction window; the paper caps the dependency-distance
-#: distribution at 512 for the same reason (section 2.1.1).
-MAX_DEPENDENCY_DISTANCE = 512
 
 _LOAD = IClass.LOAD
 _STORE = IClass.STORE
@@ -129,7 +126,7 @@ class LocalityResolution:
                  "_warmup", "__weakref__")
 
     def __init__(self, key: tuple, keys: "array[int]",
-                 distinct: List[tuple],
+                 distinct: List[tuple], counts: List[int],
                  warmup_trace: Optional[Trace], annotations: dict) -> None:
         self.key = key
         self.keys = keys
@@ -137,10 +134,9 @@ class LocalityResolution:
         self.annotations = annotations
         self._warmup = (None if warmup_trace is None
                         else weakref.ref(warmup_trace))
-        # The source tallies that do not depend on the predictor.
-        self.tallies = entry_tallies(
-            (distinct[index], count)
-            for index, count in Counter(keys).items())
+        # The source tallies that do not depend on the predictor;
+        # counts[i] is how many instructions entry i stands for.
+        self.tallies = entry_tallies(zip(distinct, counts))
 
     def predictor(self, config: BranchPredictorConfig) -> BranchPredictorUnit:
         """A private predictor for *config* in its warmed state."""
@@ -298,33 +294,54 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
             anti_ids.append(intern((iclass, tuple(deps), taken)))
 
     if perfect:
-        load_events = [EV_DATA if iclass is _LOAD else 0
-                       for iclass, _deps, _taken in bases]
+        load_events = np.array([EV_DATA if iclass is _LOAD else 0
+                                for iclass, _deps, _taken in bases],
+                               dtype=np.uint8)
     annotations: dict = {}
     entries: Dict[int, tuple] = {}
     resolutions: Dict[tuple, LocalityResolution] = {}
     for key in configs:
         geometry, key_anti, _perfect = key
-        ids = anti_ids if key_anti else plain_ids
+        ids = np.frombuffer(anti_ids if key_anti else plain_ids,
+                            dtype=np.uintc)
         if perfect:
-            events = bytes(load_events[base] for base in ids)
+            events = load_events[ids]
         else:
-            events = geometries[geometry]
-        # Entry ids in order of first appearance, as one walk per
-        # geometry would number them; an entry is keyed by its base id
-        # and its seven event bits.
-        index: Dict[int, int] = {}
-        setdefault = index.setdefault
-        keys = array("I", [setdefault(base << 7 | bits, len(index))
-                           for base, bits in zip(ids, events)])
+            events = np.frombuffer(geometries[geometry], dtype=np.uint8)
+        keys, codes, counts = number_entries(ids, events)
         distinct = []
-        for combined in index:
-            entry = entries.get(combined)
+        for code in codes:
+            entry = entries.get(code)
             if entry is None:
-                iclass, deps, taken = bases[combined >> 7]
-                entry = entries[combined] = (iclass, combined & 127, deps,
-                                             taken, None)
+                iclass, deps, taken = bases[code >> 7]
+                entry = entries[code] = (iclass, code & 127, deps, taken,
+                                         None)
             distinct.append(entry)
-        resolutions[key] = LocalityResolution(key, keys, distinct,
+        resolutions[key] = LocalityResolution(key, keys, distinct, counts,
                                               warmup_trace, annotations)
     return resolutions
+
+
+def number_entries(ids: np.ndarray, events: np.ndarray
+                   ) -> Tuple["array[int]", List[int], List[int]]:
+    """Number the entries of one geometry in order of first appearance,
+    as one walk per geometry would: an entry is keyed by its base id
+    (*ids*, per instruction) and its seven event bits (*events*).
+
+    Returns ``(keys, codes, counts)``: each instruction's entry
+    number, each entry's ``base << 7 | bits`` code and each entry's
+    instruction count, the last two in entry order.
+    """
+    codes, first, inverse = np.unique(
+        ids.astype(np.int64) << 7 | events,
+        return_index=True, return_inverse=True)
+    # np.unique numbers by sorted code; rank the codes by where each
+    # first appears instead.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    numbered = rank[inverse.reshape(-1)].astype(np.uintc)
+    keys = array("I")
+    keys.frombytes(numbered.tobytes())
+    counts = np.bincount(numbered, minlength=len(codes))
+    return keys, codes[order].tolist(), counts.tolist()

@@ -47,7 +47,7 @@ from repro.health.budget import (Budget, HealthPolicy, active_budget,
                                  check_expired, install_budget)
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.runner import OK, RunnerPolicy
+from repro.runner import OK, CollectorScope, RunnerPolicy
 from repro.runner.lease import clear_lease, lease_directory, write_lease
 from repro.runner.runner import run_attempts
 from repro.dse.cache import ResultCache, result_key
@@ -171,6 +171,9 @@ def _worker_init(profile_payload: Dict,
     from repro.obs import flightrec, telemetry
 
     if multiprocessing.parent_process() is not None:
+        # A pool worker is one long study: the collector scope is
+        # entered for its lifetime and never left.
+        CollectorScope().__enter__()
         threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                          name="repro-parent-watch", daemon=True).start()
     # Adopt the parent's trace context first, so every event this

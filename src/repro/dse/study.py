@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
-from repro.runner import RunnerPolicy
+from repro.runner import CollectorScope, RunnerPolicy
 from repro.dse.analysis import (
     DEFAULT_VERIFY_MARGIN,
     best_point,
@@ -114,44 +114,45 @@ def run_study(
     from repro.core.framework import run_execution_driven
     from repro.power.wattch import energy_delay_product
 
-    profile, warm, trace = profile_benchmark(benchmark, scale)
-    points = spec.expand(base_config)
-    cache = ResultCache(cache_dir) if cache_dir else None
-    engine = SweepEngine(profile, jobs=jobs, cache=cache, policy=policy,
-                         experiment=spec.name, benchmark=benchmark,
-                         supervisor_policy=supervisor_policy,
-                         quarantine_path=quarantine_path,
-                         vector=vector, health=health)
-    sweep = engine.evaluate(points, seeds=seeds or scale.seeds,
-                            reduction_factor=scale.reduction_factor)
-    study = StudyResult(benchmark=benchmark, spec=spec, sweep=sweep)
-    ranked = ranked_by_edp(sweep.results)
-    if not ranked:
-        return study
-    study.ss_optimal = ranked[0]
-    study.shortlist = verification_shortlist(sweep.results,
-                                             verify_margin)
-    # An interrupted sweep's "optimum" is whatever happened to finish;
-    # spending minutes execution-verifying it would be misleading (and
-    # the user just asked to stop).
-    if not verify or sweep.interrupted:
-        return study
+    with CollectorScope():
+        profile, warm, trace = profile_benchmark(benchmark, scale)
+        points = spec.expand(base_config)
+        cache = ResultCache(cache_dir) if cache_dir else None
+        engine = SweepEngine(profile, jobs=jobs, cache=cache, policy=policy,
+                             experiment=spec.name, benchmark=benchmark,
+                             supervisor_policy=supervisor_policy,
+                             quarantine_path=quarantine_path,
+                             vector=vector, health=health)
+        sweep = engine.evaluate(points, seeds=seeds or scale.seeds,
+                                reduction_factor=scale.reduction_factor)
+        study = StudyResult(benchmark=benchmark, spec=spec, sweep=sweep)
+        ranked = ranked_by_edp(sweep.results)
+        if not ranked:
+            return study
+        study.ss_optimal = ranked[0]
+        study.shortlist = verification_shortlist(sweep.results,
+                                                 verify_margin)
+        # An interrupted sweep's "optimum" is whatever happened to finish;
+        # spending minutes execution-verifying it would be misleading (and
+        # the user just asked to stop).
+        if not verify or sweep.interrupted:
+            return study
 
-    verified: List[Tuple[float, PointResult]] = []
-    for candidate in study.shortlist:
-        result, power = run_execution_driven(trace, candidate.point.config,
-                                             warmup_trace=warm)
-        edp = energy_delay_product(power.total, result.ipc)
-        study.eds_edp[candidate.point.point_id] = edp
-        verified.append((edp, candidate))
-    verified.sort(key=lambda pair: pair[0])
-    eds_best_edp, eds_best = verified[0]
-    eds_at_ss_optimal = study.eds_edp[study.ss_optimal.point.point_id]
-    study.eds_optimal_id = eds_best.point.point_id
-    study.found_optimal = (eds_best.point.config_hash
-                           == study.ss_optimal.point.config_hash)
-    study.edp_gap = (eds_at_ss_optimal - eds_best_edp) / eds_best_edp
-    return study
+        verified: List[Tuple[float, PointResult]] = []
+        for candidate in study.shortlist:
+            result, power = run_execution_driven(trace, candidate.point.config,
+                                                 warmup_trace=warm)
+            edp = energy_delay_product(power.total, result.ipc)
+            study.eds_edp[candidate.point.point_id] = edp
+            verified.append((edp, candidate))
+        verified.sort(key=lambda pair: pair[0])
+        eds_best_edp, eds_best = verified[0]
+        eds_at_ss_optimal = study.eds_edp[study.ss_optimal.point.point_id]
+        study.eds_optimal_id = eds_best.point.point_id
+        study.found_optimal = (eds_best.point.config_hash
+                               == study.ss_optimal.point.config_hash)
+        study.edp_gap = (eds_at_ss_optimal - eds_best_edp) / eds_best_edp
+        return study
 
 
 __all__ = [

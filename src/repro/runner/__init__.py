@@ -5,6 +5,7 @@ See :mod:`repro.runner.runner` for semantics and ``docs/robustness.md``
 for the operational guide.
 """
 
+from repro.runner.collector import CollectorScope
 from repro.runner.checkpoint import (
     payload_checksum,
     read_json_checked,
@@ -26,6 +27,7 @@ from repro.runner.runner import (
 )
 
 __all__ = [
+    "CollectorScope",
     "payload_checksum", "read_json_checked",
     "sanitize_unit_id", "write_json_atomic", "write_text_atomic",
     "OK", "FAILED", "SKIPPED",

@@ -50,6 +50,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.profiling import maybe_profiled
 from repro.obs.tracing import trace_span
 from repro.faults import active_plan
+from repro.runner.collector import CollectorScope
 
 OK = "ok"
 FAILED = "failed"
@@ -272,7 +273,9 @@ def run_attempts(fn: Callable[[], Any], unit_id: str,
             registry.counter("runner.units_failed").inc()
             registry.histogram("runner.unit_seconds").observe(elapsed)
             error = _error_info(exc)
-            obs_events.emit("unit_failed", level="warning",
+            # Debug level: every caller reports the failure on the
+            # console itself; the event log keeps the traceback.
+            obs_events.emit("unit_failed", level="debug",
                             unit=unit_id, benchmark=benchmark,
                             attempts=attempt,
                             error=type(exc).__name__,
@@ -392,17 +395,18 @@ class TaskRunner:
         """
         last_error: Optional[BaseException] = None
         report = RunReport()
-        for unit in units:
-            key = self._key(unit, inputs)
-            outcome = (self._stored_outcome(unit, key)
-                       if key is not None else None)
-            if outcome is None:
-                outcome = self._attempt_loop(fn, unit)
-                if outcome.exception is not None:
-                    last_error = outcome.exception
-                elif key is not None:
-                    self._store(key, outcome)
-            report.outcomes.append(outcome)
+        with CollectorScope():
+            for unit in units:
+                key = self._key(unit, inputs)
+                outcome = (self._stored_outcome(unit, key)
+                           if key is not None else None)
+                if outcome is None:
+                    outcome = self._attempt_loop(fn, unit)
+                    if outcome.exception is not None:
+                        last_error = outcome.exception
+                    elif key is not None:
+                        self._store(key, outcome)
+                report.outcomes.append(outcome)
         self.last_report = report
         obs_events.emit("runner_summary", level="debug",
                         units=len(report.outcomes),

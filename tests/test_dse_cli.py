@@ -104,6 +104,18 @@ class TestConsoleChannel:
         assert len(lines) == 1, lines
         assert "ruu_size=16" in lines[0]
 
+    def test_failed_unit_traceback_stays_in_the_event_log(self, capsys,
+                                                          tmp_path):
+        log = tmp_path / "events.jsonl"
+        lines = self._stderr(capsys, tmp_path, "--retries", "0",
+                             "--log-json", str(log))
+        assert not [line for line in lines if "traceback=" in line], lines
+        failed = [record for record in map(json.loads,
+                                           log.read_text().splitlines())
+                  if record["event"] == "unit_failed"]
+        assert len(failed) == 1, failed
+        assert "InjectedFaultError" in failed[0]["traceback"]
+
 
 class TestExperimentRewiring:
     def test_sec46_supports_jobs_and_cache(self, tmp_path):

@@ -91,3 +91,15 @@ class TestGraph:
         sfg.contexts[(1, 2, 3)] = stats  # wrong arity for order 1
         with pytest.raises(AssertionError):
             sfg.validate()
+
+
+def test_one_dependency_distance_cap():
+    """The profiler, the locality walk and the pipeline's history window
+    share the one cap, and the window indexes with a mask."""
+    from repro.core import profiler
+    from repro.cpu import locality, pipeline
+
+    assert profiler.MAX_DEPENDENCY_DISTANCE == MAX_DEPENDENCY_DISTANCE
+    assert locality.MAX_DEPENDENCY_DISTANCE is MAX_DEPENDENCY_DISTANCE
+    assert pipeline._HISTORY == MAX_DEPENDENCY_DISTANCE
+    assert pipeline._HISTORY & (pipeline._HISTORY - 1) == 0
