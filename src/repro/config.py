@@ -126,7 +126,9 @@ class MachineConfig:
     # Front end.  ``frontend_depth`` is the number of pipeline stages an
     # instruction spends between fetch and dispatch (on top of IFQ
     # residency); together with the IFQ it sets the distance over which
-    # branch predictor updates are delayed (section 2.1.3).
+    # branch predictor updates are delayed (section 2.1.3).  Depth 0
+    # times exactly like depth 1: fetch is the last stage of a cycle,
+    # so dispatch is always at least the cycle after fetch.
     ifq_size: int = 32
     fetch_speed: int = 2
     decode_width: int = 8
@@ -181,6 +183,10 @@ class MachineConfig:
                      "commit_width", "ruu_size", "lsq_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("frontend_depth", "branch_misprediction_penalty",
+                     "fetch_redirect_penalty"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         # A load completes no earlier than the cycle after it issues.
         for name, latency in (("dl1.hit_latency", self.dl1.hit_latency),
                               ("l2.hit_latency", self.l2.hit_latency),

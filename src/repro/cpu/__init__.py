@@ -15,7 +15,10 @@ the paper's simulators:
 
 This makes the paper's statement that the two simulators share their
 cycle model literal, so accuracy comparisons measure the statistical
-methodology rather than model drift.
+methodology rather than model drift.  The pipeline does not step
+cycles: nothing younger ever delays anything older, so it times each
+instruction once, in program order, and stays cycle-for-cycle
+identical to the frozen cycle-stepped :mod:`repro.cpu.reference`.
 """
 
 from repro.cpu.source import (

@@ -1,4 +1,4 @@
-"""Cycle-based superscalar out-of-order pipeline.
+"""Superscalar out-of-order pipeline, timed one instruction at a time.
 
 The stage structure follows sim-outorder (the paper's simulator):
 
@@ -39,19 +39,24 @@ from the source, not from the fetch stage: correct-path instructions
 are never squashed and wrong-path fillers never commit, so those counts
 do not depend on timing.  The loop counts only what does.
 
-The loop is event-driven (see ``docs/performance.md``): after any cycle
-in which no stage did work, the clock fast-forwards to the next
-scheduled event (earliest functional-unit completion, fetch unblock, or
-IFQ-head decode readiness) and the skipped idle cycles are accounted
-analytically.  Completions wait in a wheel of reusable buckets sized
-from the source's longest latency.  A dependency-history entry is
-released as soon as its instruction completes or is squashed, so
-dispatch only asks whether the slot a distance names is occupied.
-``_Inflight`` records are pooled, and the RUU and IFQ are index-based
-ring buffers instead of deques.  The ``max_cycles`` guard is checked on
-the health-checkpoint cadence, clamped to fire at exactly
-``max_cycles``.  The results are cycle-for-cycle identical to the
-strictly iterative loop preserved in :mod:`repro.cpu.reference`, which
+The loop does not step cycles (see ``docs/performance.md``).  In this
+machine nothing younger ever delays anything older: every stage takes
+the oldest first, so an instruction's fetch, dispatch, issue,
+completion and commit cycles follow from older instructions alone.
+One pass in program order computes them from rings of older
+instructions' leave cycles (IFQ, RUU, LSQ), a ring of completion
+cycles by dependency distance, and per-cycle issue-slot,
+functional-unit and scan-deferral counts.  A mispredicted branch's
+wrong-path fillers are timed right after it, once its resolution cycle
+is known, and then stepped back out of the RUU and LSQ rings; a live
+branch is classified after the predictor has been trained with every
+older branch that dispatched by its fetch cycle.  Occupancy sums are
+sums of residencies.  Health checkpoints fire every ``_HEALTH_EVERY``
+simulated cycles with the commits before that cycle, and the
+``max_cycles`` guard stops the run with the schedule a cycle-stepped
+loop would have reached by then.  The results are cycle-for-cycle
+identical to the strictly iterative loop preserved in
+:mod:`repro.cpu.reference`, which
 ``tests/test_pipeline_equivalence.py`` and
 ``tests/test_pipeline_bookkeeping.py`` enforce exactly.
 """
@@ -59,8 +64,7 @@ strictly iterative loop preserved in :mod:`repro.cpu.reference`, which
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import List, Optional
+from typing import Optional
 
 from repro.config import MachineConfig
 from repro.errors import SimulationError
@@ -74,17 +78,20 @@ from repro.cpu.source import (CTRL_LIVE, CTRL_MISPREDICT, CTRL_REDIRECT,
 
 from repro.health.budget import checkpoint as _health_checkpoint
 
-#: Dependency-resolution window (matches the profile's distance cap;
-#: a power of two, so the cursor wraps with a mask).
+#: Dependency-resolution window (matches the profile's distance cap).
 _HISTORY = MAX_DEPENDENCY_DISTANCE
 
-#: Cycles between cooperative health checkpoints (deadline check,
-#: progress heartbeat, RSS guardrail — :mod:`repro.health`).  The
+#: Simulated cycles between cooperative health checkpoints (deadline
+#: check, progress heartbeat, RSS guardrail — :mod:`repro.health`).  The
 #: checkpoint consumes no randomness and touches no machine state, so
 #: the simulated results are bit-identical with or without a budget;
 #: the in-loop cost, run-length guard included, is one integer
-#: comparison per cycle.
+#: comparison per instruction.
 _HEALTH_EVERY = 4096
+
+#: The issue scan passes over at most this many ready instructions
+#: whose functional unit is busy; then the cycle issues nothing more.
+_MAX_DEFERRED = 64
 
 #: Knobs that must be >= 1.  MachineConfig validates its own widths and
 #: sizes; these are the derived and unvalidated ones a livelocked
@@ -94,30 +101,6 @@ _POSITIVE_KNOBS = ("fetch_width", "ifq_size", "decode_width",
                    "issue_width", "commit_width", "ruu_size",
                    "int_alus", "load_store_units", "fp_adders",
                    "int_mult_divs", "fp_mult_divs")
-
-
-class _Inflight:
-    """Book-keeping for one instruction in the pipeline.
-
-    ``row`` is the instruction's immutable data (see
-    :mod:`repro.cpu.source`); everything else is pipeline state.
-    Instances are pooled: a record is recycled once nothing can
-    reference it again — at commit (its history slot and waiter list
-    were already released when it completed) or when the IFQ is
-    squashed before the instruction ever dispatched.  Squashed RUU
-    instructions are *not* recycled; they may still sit in the ready
-    heap or a completion bucket, where the ``squashed`` flag keeps them
-    inert.
-    """
-
-    __slots__ = ("row", "pseq", "pending", "waiters", "completed",
-                 "squashed", "recover", "is_mem", "decode_ready",
-                 "hist_slot")
-
-    def __init__(self) -> None:
-        self.pending = 0
-        self.waiters: List["_Inflight"] = []
-        self.squashed = False
 
 
 class SuperscalarPipeline:
@@ -141,8 +124,7 @@ class SuperscalarPipeline:
         When *commit_log* is a list, every retired instruction appends
         ``(cycle, pseq)`` to it in retirement order — the differential
         fuzzing oracle (:mod:`repro.fuzz.oracle`) diffs this schedule
-        against the reference pipeline's.  ``None`` (the default) keeps
-        the commit stage allocation-free.
+        against the reference pipeline's.
         """
         config = self.config
         source = self.source
@@ -155,478 +137,393 @@ class SuperscalarPipeline:
         lsq_size = config.lsq_size
         mispredict_penalty = config.branch_misprediction_penalty
         redirect_penalty = config.fetch_redirect_penalty
-        frontend_depth = config.frontend_depth
+        # Fetch runs after dispatch within a cycle, so an instruction
+        # dispatches no earlier than the cycle after its fetch.
+        decode_delay = max(config.frontend_depth, 1)
         in_order = config.in_order_issue
         conservative_loads = config.conservative_loads
-        # Fetch and wrong-path peeking are list indexes (the ``_pos``
-        # cursor is written back on every exit).  A live row
-        # (CTRL_LIVE) is a branch the predictor classifies at fetch.
         rows = source.rows
         n_rows = len(rows)
-        pos = source._pos
+        start = source._pos
+        # A live row (CTRL_LIVE) is a branch the predictor classifies
+        # at fetch and trains with at dispatch; ``untrained`` holds the
+        # classified ones as (dispatch cycle, instruction).
         predictor = getattr(source, "predictor", None)
         if predictor is not None:
             classify = predictor.classify
             train = predictor.train
             instructions = source.instructions
             outcomes = source.outcomes
-        # Correct-path branches dispatch in fetch order and are never
-        # squashed, so a FIFO of (record, instruction) hands each live
-        # one to train (the predictor's dispatch-time update);
-        # ``next_live`` is the record at its head.
-        live_branches: deque = deque()
-        next_live: Optional[_Inflight] = None
+        untrained: deque = deque()
         filler_rows = _FILLER_ROWS
-        heap_push = heappush
-        heap_pop = heappop
-        last_store: Optional[_Inflight] = None
-        # FU pools indexed by FunctionalUnit value (an IntEnum); rows
-        # carry the plain-int index, so the issue stage indexes lists
-        # instead of hashing enum keys.
-        fu_caps: List[int] = [0] * len(FunctionalUnit)
+
+        # One cycle's issue slots and functional units, packed into one
+        # int: a field per limit (issue_width first, then one per unit
+        # class) starts at ``half - limit`` and counts up, so a field
+        # is exhausted exactly when its ``half`` bit is set, and
+        # ``guard[fu]`` tests the issue width and unit *fu* at once.
+        fu_caps = [0] * len(FunctionalUnit)
         fu_caps[FunctionalUnit.INT_ALU] = config.int_alus
         fu_caps[FunctionalUnit.LOAD_STORE] = config.load_store_units
         fu_caps[FunctionalUnit.FP_ADDER] = config.fp_adders
         fu_caps[FunctionalUnit.INT_MULT_DIV] = config.int_mult_divs
         fu_caps[FunctionalUnit.FP_MULT_DIV] = config.fp_mult_divs
-        fu_counts: List[int] = [0] * len(FunctionalUnit)
+        half = 1 << max([issue_width] + fu_caps).bit_length()
+        field = half.bit_length()
+        shifts = [field * (unit + 1) for unit in range(len(fu_caps))]
+        fresh = (half - issue_width) + sum(
+            (half - cap) << shift for cap, shift in zip(fu_caps, shifts))
+        take = [1 + (1 << shift) for shift in shifts]
+        guard = [half | (half << shift) for shift in shifts]
+        fu_counts = [0] * len(FunctionalUnit)
+        # Out-of-order issue: the packed state per cycle (absent =
+        # ``fresh``), and the deferral count of cycles with any.  An
+        # entry at or before the dispatch frontier can no longer be
+        # read, so both are pruned as it advances.
+        slots: dict = {}
+        deferrals: dict = {}
+        prune_at = _HEALTH_EVERY
+        # In-order issue only ever adds to its latest issue cycle.
+        io_cycle = -1
+        io_state = fresh
 
-        # Index-based ring buffers: the RUU and IFQ have hard capacity
-        # bounds, so a fixed list with head/count cursors replaces the
-        # deque (no per-cycle allocation, O(1) everything).  In-order
-        # issue only ever issues the oldest unissued entry, so the
-        # issued entries are the first ``ruu_issued`` of the RUU.
-        ruu_buf: List[Optional[_Inflight]] = [None] * ruu_size
-        ruu_head = 0
-        ruu_count = 0
-        ruu_issued = 0
-        ifq_buf: List[Optional[_Inflight]] = [None] * ifq_size
-        ifq_head = 0
-        ifq_count = 0
-
-        # Ready queue, split by arrival order.  Instructions that are
-        # data-ready at dispatch arrive in strictly increasing pseq
-        # (dispatch drains the in-order IFQ and pseq never rewinds), so
-        # a plain FIFO list holds them with no heap discipline at all.
-        # Only writeback wakeups (arbitrary order) and FU-contention
-        # deferrals go through a real heap; issue pops the global
-        # pseq-minimum across both, which preserves oldest-first issue
-        # exactly.
-        rq_fifo: List[_Inflight] = []
-        rq_head = 0
-        rq_heap: list = []  # heap of (pseq, _Inflight)
-        # Completion wheel: an instruction finishing at cycle f waits
-        # in bucket ``f & wheel_mask``.  Writeback drains the current
-        # cycle's bucket before issue fills any, so pending finishes
-        # lie in (cycle, cycle + longest] and a wheel of at least
-        # ``longest`` buckets never holds two finish cycles in one.
-        wheel_size = 1 << (max(source.longest_latency, 1) - 1).bit_length()
-        wheel_mask = wheel_size - 1
-        wheel: List[List[_Inflight]] = [[] for _ in range(wheel_size)]
-        # The last _HISTORY dispatches, by dependency distance.  An
-        # entry is cleared when its instruction completes or is
-        # squashed, so a non-None producer is always still pending.
-        history: List[Optional[_Inflight]] = [None] * _HISTORY
+        # Rings of the leave cycles of the last IFQ/RUU/LSQ-size
+        # entrants: an instruction may enter once the one that many
+        # places ahead of it has left.
+        ifq_ring = [0] * ifq_size
+        ifq_i = 0
+        ruu_ring = [0] * ruu_size
+        ruu_i = 0
+        lsq_ring = [0] * lsq_size
+        lsq_i = 0
+        # Completion cycles of the last _HISTORY dispatches (0 for a
+        # wrong-path filler: it is squashed before anything younger
+        # dispatches).  Rows carry no distance beyond _HISTORY, so a
+        # negative index needs no fix-up, and slots nothing was
+        # dispatched into yet hold 0.
+        history = [0] * _HISTORY
         hist_pos = 0
-        hist_mask = _HISTORY - 1
-        lsq_count = 0
-        free: List[_Inflight] = []  # recycled _Inflight records
-        free_pop = free.pop
-        free_append = free.append
+        last_store_done = 0
 
-        cycle = 0
-        fetch_block_until = 0
-        episode: Optional[_Inflight] = None  # unresolved mispredicted branch
-        filler_offset = 0
-        exhausted = False
-        pseq_counter = 0
-        committed = 0
+        fetch_at = 0        # earliest cycle the next fetch may happen
+        fetch_cycle = -1    # cycle of the latest fetch ...
+        fetch_left = 0      # ... and the fetch slots it has left
+        dispatch_cycle = -1
+        dispatch_left = 0
+        commit_cycle = -1
+        commit_left = 0
+        pseq = 0
 
         # Accounting (the timing-independent tallies live in the source)
         ruu_occupancy_sum = 0
         lsq_occupancy_sum = 0
         ifq_occupancy_sum = 0
         squashed_total = 0
-        act_fetch = act_dispatch = act_issue = 0
+        fill_dispatch = fill_issue = 0
         act_dl1_filler = 0
 
         if max_cycles is None:
             max_cycles = 1000 * max(n_rows, 1) + 100_000
-        # The run-length guard rides on the health cadence: the next
-        # check is the next health checkpoint or max_cycles, whichever
-        # comes first.
         next_health = _HEALTH_EVERY
         next_check = min(next_health, max_cycles)
+        log = commit_log
+        overrun = None      # commits before max_cycles, once past it
 
-        while True:
-            # ---------------------------------------------------- commit
-            retired = 0
-            while ruu_count and retired < commit_width:
-                head = ruu_buf[ruu_head]
-                if not head.completed:
-                    break
-                # The vacated slot is not cleared: ring entries beyond
-                # ``count`` are never read, only overwritten.
-                ruu_head += 1
-                if ruu_head == ruu_size:
-                    ruu_head = 0
-                ruu_count -= 1
-                if head.is_mem:
-                    lsq_count -= 1
-                retired += 1
-                if commit_log is not None:
-                    commit_log.append((cycle, head.pseq))
-                # Recycle: completion already released the history
-                # slot and the waiter list, so only the store-forwarding
-                # pointer can still name the record.
-                if last_store is head:
-                    last_store = None
-                free_append(head)
-            committed += retired
-            ruu_issued -= retired
-
-            # ------------------------------------------------- writeback
-            done = wheel[cycle & wheel_mask]
-            if done:
-                for inst in done:
-                    if inst.squashed:
-                        continue
-                    inst.completed = True
-                    slot_index = inst.hist_slot
-                    if history[slot_index] is inst:
-                        history[slot_index] = None
-                    waiters = inst.waiters
-                    if waiters:
-                        for waiter in waiters:
-                            if waiter.squashed:
-                                continue
-                            waiter.pending -= 1
-                            if waiter.pending == 0:
-                                heap_push(rq_heap, (waiter.pseq, waiter))
-                        waiters.clear()
-                    if inst.recover:
-                        # Mispredicted branch resolves: squash younger.
-                        pseq_limit = inst.pseq
-                        while ruu_count:
-                            tail = ruu_head + ruu_count - 1
-                            if tail >= ruu_size:
-                                tail -= ruu_size
-                            victim = ruu_buf[tail]
-                            if victim.pseq <= pseq_limit:
-                                break
-                            ruu_buf[tail] = None
-                            ruu_count -= 1
-                            victim.squashed = True
-                            slot_index = victim.hist_slot
-                            if history[slot_index] is victim:
-                                history[slot_index] = None
-                            if victim.is_mem:
-                                lsq_count -= 1
-                            squashed_total += 1
-                        if ruu_issued > ruu_count:
-                            ruu_issued = ruu_count
-                        squashed_total += ifq_count
-                        index = ifq_head
-                        for _ in range(ifq_count):
-                            junk = ifq_buf[index]
-                            ifq_buf[index] = None
-                            index += 1
-                            if index == ifq_size:
-                                index = 0
-                            # Never dispatched: nothing references it.
-                            free_append(junk)
-                        ifq_head = 0
-                        ifq_count = 0
-                        episode = None
-                        filler_offset = 0
-                        if cycle + mispredict_penalty > fetch_block_until:
-                            fetch_block_until = cycle + mispredict_penalty
-                done.clear()
-                worked = True
-            else:
-                worked = retired > 0
-
-            # ----------------------------------------------------- issue
-            if in_order:
-                # In-order issue: instructions leave for the functional
-                # units strictly in program order; the first stalled
-                # instruction blocks all younger ones.  It walks the
-                # RUU, so the ready queue only needs emptying.
-                if rq_fifo:
-                    rq_fifo.clear()
-                if rq_heap:
-                    rq_heap.clear()
-                issued = 0
-                fu_free = fu_caps[:]
-                index = ruu_head + ruu_issued
-                if index >= ruu_size:
-                    index -= ruu_size
-                for _ in range(ruu_count - ruu_issued):
-                    if issued >= issue_width:
-                        break
-                    inst = ruu_buf[index]
-                    index += 1
-                    if index == ruu_size:
-                        index = 0
-                    row = inst.row
-                    fi = row[1]
-                    if inst.pending > 0 or fu_free[fi] <= 0:
-                        break
-                    fu_free[fi] -= 1
-                    issued += 1
-                    fu_counts[fi] += 1
-                    wheel[(cycle + row[0]) & wheel_mask].append(inst)
-                ruu_issued += issued
-                act_issue += issued
-                if issued:
-                    worked = True
-            elif rq_heap or rq_head < len(rq_fifo):
-                fu_free = fu_caps[:]
-                issued = 0
-                deferred = None
-                n_deferred = 0
-                rq_tail = len(rq_fifo)
-                while issued < issue_width and n_deferred < 64:
-                    # Pop the lowest pseq across the FIFO and the heap.
-                    if rq_head < rq_tail:
-                        inst = rq_fifo[rq_head]
-                        if rq_heap and rq_heap[0][0] < inst.pseq:
-                            inst = heap_pop(rq_heap)[1]
-                        else:
-                            rq_head += 1
-                    elif rq_heap:
-                        inst = heap_pop(rq_heap)[1]
-                    else:
-                        break
-                    if inst.squashed:
-                        continue
-                    row = inst.row
-                    fi = row[1]
-                    if fu_free[fi] > 0:
-                        fu_free[fi] -= 1
-                        issued += 1
-                        fu_counts[fi] += 1
-                        wheel[(cycle + row[0]) & wheel_mask].append(inst)
-                    else:
-                        if deferred is None:
-                            deferred = []
-                        deferred.append((inst.pseq, inst))
-                        n_deferred += 1
-                # Deferred instructions re-enter via the heap after the
-                # scan (never mid-scan: each blocked instruction must be
-                # passed over exactly once per cycle, as the reference
-                # loop does).
-                if deferred is not None:
-                    for item in deferred:
-                        heap_push(rq_heap, item)
-                if rq_head == rq_tail and rq_head:
-                    del rq_fifo[:rq_head]
-                    rq_head = 0
-                act_issue += issued
-                if issued:
-                    worked = True
-
-            # -------------------------------------------------- dispatch
-            dispatched = 0
-            while (ifq_count and dispatched < decode_width
-                   and ruu_count < ruu_size):
-                inst = ifq_buf[ifq_head]
-                if inst.decode_ready > cycle:
-                    break  # still in the decode/rename front-end stages
-                if inst.is_mem and lsq_count >= lsq_size:
-                    break
-                ifq_head += 1
-                if ifq_head == ifq_size:
-                    ifq_head = 0
-                ifq_count -= 1
-                tail = ruu_head + ruu_count
-                if tail >= ruu_size:
-                    tail -= ruu_size
-                ruu_buf[tail] = inst
-                ruu_count += 1
-                if inst.is_mem:
-                    lsq_count += 1
-                row = inst.row
-                if inst is next_live:
-                    train(live_branches.popleft()[1])
-                    next_live = live_branches[0][0] if live_branches else None
-                # Resolve RAW dependencies against dispatch history.
-                # Rows carry no distance beyond _HISTORY, and a slot
-                # nothing was dispatched into yet is None, so a
-                # negative index needs no fix-up.
-                distances = row[2]
-                if distances:
-                    for distance in distances:
-                        producer = history[hist_pos - distance]
-                        if producer is not None:
-                            inst.pending += 1
-                            producer.waiters.append(inst)
-                if conservative_loads:
-                    if (row[3] and last_store is not None
-                            and not last_store.completed
-                            and not last_store.squashed):
-                        inst.pending += 1
-                        last_store.waiters.append(inst)
-                    if row[4]:
-                        last_store = inst
-                history[hist_pos] = inst
-                inst.hist_slot = hist_pos
-                hist_pos = hist_pos + 1 & hist_mask
-                dispatched += 1
-                if inst.pending == 0:
-                    rq_fifo.append(inst)
-            act_dispatch += dispatched
-            if dispatched:
-                worked = True
-
+        for pos in range(start, n_rows):
+            row = rows[pos]
             # ----------------------------------------------------- fetch
-            if cycle >= fetch_block_until:
-                fetched = 0
-                decode_ready = cycle + frontend_depth
-                while fetched < fetch_width and ifq_count < ifq_size:
-                    if episode is not None:
-                        # Wrong path: fillers carry no control bits (see
-                        # _FILLER_SLOTS), so they only occupy fetch,
-                        # window and FU resources and D-cache ports.
-                        row = filler_rows[
-                            rows[(pos + filler_offset) % n_rows][8]]
-                        filler_offset += 1
-                        if row[5]:
-                            act_dl1_filler += 1
-                    elif pos < n_rows:
-                        row = rows[pos]
-                        pos += 1
-                    else:
-                        exhausted = True
-                        break
-                    if free:
-                        # Pooled records need no pending/squashed/
-                        # hist_slot reset: pending is always 0 by the
-                        # time a record is recyclable, only RUU-squashed
-                        # records (never recycled) carry squashed=True,
-                        # and hist_slot is only read after dispatch,
-                        # which always re-assigns it first.
-                        inst = free_pop()
-                    else:
-                        inst = _Inflight()
-                    inst.row = row
-                    inst.pseq = pseq_counter
-                    inst.decode_ready = decode_ready
-                    inst.completed = False
-                    inst.recover = False
-                    inst.is_mem = row[5]
-                    pseq_counter += 1
-                    tail = ifq_head + ifq_count
-                    if tail >= ifq_size:
-                        tail -= ifq_size
-                    ifq_buf[tail] = inst
-                    ifq_count += 1
-                    fetched += 1
-                    ctrl = row[6]
-                    if ctrl:
-                        if ctrl & CTRL_LIVE:
-                            # Classify against the predictor as it
-                            # stands; the row for the outcome shares
-                            # every field fetch has read so far.
-                            branch = instructions[pos - 1]
-                            outcome = classify(branch)
-                            outcomes[outcome] += 1
-                            row = inst.row = row[9][outcome]
-                            ctrl = row[6]
-                            live_branches.append((inst, branch))
-                            if next_live is None:
-                                next_live = inst
-                        # The bit priority is the fetch group's break
-                        # order: a correctly predicted taken branch ends
-                        # the group before any I-miss stall counts.
-                        if ctrl & CTRL_MISPREDICT:
-                            inst.recover = True
-                            episode = inst
-                            filler_offset = 0
-                            if ctrl & CTRL_TAKEN:
-                                break
-                            if ctrl & CTRL_STALL:
-                                fetch_block_until = cycle + 1 + row[7]
-                                break
-                        elif ctrl & CTRL_REDIRECT:
-                            fetch_block_until = cycle + 1 + redirect_penalty
+            f = fetch_at
+            if ifq_ring[ifq_i] > f:
+                f = ifq_ring[ifq_i]
+            if f != fetch_cycle:
+                fetch_cycle = f
+                fetch_left = fetch_width
+            fetch_left -= 1
+            fetch_at = f if fetch_left else f + 1
+            # -------------------------------------------------- dispatch
+            d = f + decode_delay
+            if ruu_ring[ruu_i] > d:
+                d = ruu_ring[ruu_i]
+            is_mem = row[5]
+            if is_mem and lsq_ring[lsq_i] > d:
+                d = lsq_ring[lsq_i]
+            if d > dispatch_cycle:
+                dispatch_cycle = d
+                dispatch_left = decode_width - 1
+                if d >= prune_at:
+                    slots = {c: s for c, s in slots.items() if c > d}
+                    deferrals = {c: n for c, n in deferrals.items()
+                                 if c > d}
+                    prune_at = d + _HEALTH_EVERY
+            elif dispatch_left:
+                d = dispatch_cycle
+                dispatch_left -= 1
+            else:
+                d = dispatch_cycle = dispatch_cycle + 1
+                dispatch_left = decode_width - 1
+            ready = d + 1
+            distances = row[2]
+            if distances:
+                for distance in distances:
+                    if history[hist_pos - distance] > ready:
+                        ready = history[hist_pos - distance]
+            if conservative_loads and row[3] and last_store_done > ready:
+                ready = last_store_done
+            # ----------------------------------------------------- issue
+            fu = row[1]
+            if in_order:
+                if ready > io_cycle:
+                    io_cycle = ready
+                    io_state = fresh
+                elif io_state & guard[fu]:
+                    io_cycle += 1
+                    io_state = fresh
+                io_state += take[fu]
+                c = io_cycle
+            else:
+                c = ready
+                state = slots.get(c, fresh)
+                if state & guard[fu]:
+                    while True:
+                        if not state & half:
+                            # Considered but its unit is busy: deferred.
+                            n = deferrals.get(c, 0) + 1
+                            if n == _MAX_DEFERRED:
+                                slots[c] = state | half
+                            else:
+                                deferrals[c] = n
+                        c += 1
+                        state = slots.get(c, fresh)
+                        if not state & guard[fu]:
                             break
-                        elif ctrl & CTRL_TAKEN:
-                            break
-                        elif ctrl & CTRL_STALL:
-                            fetch_block_until = cycle + 1 + row[7]
-                            break
-                act_fetch += fetched
-                if fetched:
-                    worked = True
-
-            # ------------------------------------------------ accounting
-            ruu_occupancy_sum += ruu_count
-            lsq_occupancy_sum += lsq_count
-            ifq_occupancy_sum += ifq_count
-            cycle += 1
-            if cycle >= next_check:
-                if cycle >= next_health:
-                    next_health = cycle + _HEALTH_EVERY
-                    _health_checkpoint(committed)
-                if (cycle >= max_cycles
-                        and not (exhausted and not ifq_count
-                                 and not ruu_count)):
-                    source._pos = pos
-                    raise RuntimeError(
-                        f"pipeline did not drain within {max_cycles} "
-                        f"cycles ({committed} committed)")
-                next_check = min(next_health, max_cycles)
-
-            if exhausted and not ifq_count and not ruu_count:
-                break
-
-            if not worked:
-                # Event-driven fast-forward: a cycle in which every
-                # stage was a no-op leaves the machine state untouched,
-                # so nothing can change before the next scheduled event
-                # — the earliest completion, the fetch unblock, or the
-                # IFQ head leaving the decode front-end.  Skip straight
-                # there and account the idle cycles analytically.
-                # A candidate equal to ``cycle`` means the event is due
-                # right now (it expired with the clock increment): the
-                # skip clamps to zero and the loop proceeds normally.
-                # Candidates in the past are stale, not constraints.
-                target = max_cycles
-                if cycle <= fetch_block_until < target:
-                    target = fetch_block_until
-                if ifq_count:
-                    head_ready = ifq_buf[ifq_head].decode_ready
-                    if cycle <= head_ready < target:
-                        target = head_ready
-                # Every pending finish lies within one wheel turn.
-                scan_end = cycle + wheel_size
-                if scan_end > target:
-                    scan_end = target
-                finish = cycle
-                while finish < scan_end:
-                    if wheel[finish & wheel_mask]:
-                        target = finish
-                        break
-                    finish += 1
-                skip = target - cycle
-                if skip > 0:
-                    ruu_occupancy_sum += ruu_count * skip
-                    lsq_occupancy_sum += lsq_count * skip
-                    ifq_occupancy_sum += ifq_count * skip
-                    cycle = target
-                    if cycle >= max_cycles:
+                slots[c] = state + take[fu]
+            fu_counts[fu] += 1
+            done = c + row[0]
+            history[hist_pos] = done
+            hist_pos += 1
+            if hist_pos == _HISTORY:
+                hist_pos = 0
+            if conservative_loads and row[4]:
+                last_store_done = done
+            # ---------------------------------------------------- commit
+            k = done + 1
+            if k > commit_cycle:
+                commit_cycle = k
+                commit_left = commit_width - 1
+            elif commit_left:
+                k = commit_cycle
+                commit_left -= 1
+            else:
+                k = commit_cycle = commit_cycle + 1
+                commit_left = commit_width - 1
+            if k >= next_check:
+                committed = pos - start if overrun is None else overrun
+                next_health = _fire_health(
+                    next_health, min(k, max_cycles), committed)
+                if k >= max_cycles:
+                    if f >= max_cycles:
                         source._pos = pos
-                        raise RuntimeError(
-                            f"pipeline did not drain within {max_cycles} "
-                            f"cycles ({committed} committed)"
-                        )
+                        raise _overrun(max_cycles, committed)
+                    overrun = committed
+                    log = None
+                next_check = min(next_health, max_cycles)
+            if log is not None:
+                log.append((k, pseq))
+            pseq += 1
+            ifq_ring[ifq_i] = d
+            ifq_i += 1
+            if ifq_i == ifq_size:
+                ifq_i = 0
+            ruu_ring[ruu_i] = k
+            ruu_i += 1
+            if ruu_i == ruu_size:
+                ruu_i = 0
+            ifq_occupancy_sum += d - f
+            ruu_occupancy_sum += k - d
+            if is_mem:
+                lsq_ring[lsq_i] = k
+                lsq_i += 1
+                if lsq_i == lsq_size:
+                    lsq_i = 0
+                lsq_occupancy_sum += k - d
 
-        source._pos = pos
+            ctrl = row[6]
+            if not ctrl:
+                continue
+            if ctrl & CTRL_LIVE:
+                # Dispatch runs before fetch within a cycle, so a branch
+                # that dispatched in this fetch cycle has trained.
+                while untrained and untrained[0][0] <= f:
+                    train(untrained.popleft()[1])
+                branch = instructions[pos]
+                outcome = classify(branch)
+                outcomes[outcome] += 1
+                ctrl = row[9][outcome][6]
+                untrained.append((d, branch))
+            # The bit priority is the fetch group's break order: a
+            # correctly predicted taken branch ends the group before any
+            # I-miss stall counts.
+            if not ctrl & CTRL_MISPREDICT:
+                if ctrl & CTRL_REDIRECT:
+                    fetch_at = f + 1 + redirect_penalty
+                elif ctrl & CTRL_TAKEN:
+                    fetch_at = f + 1
+                elif ctrl & CTRL_STALL:
+                    fetch_at = f + 1 + row[7]
+                continue
+            if ctrl & CTRL_TAKEN:
+                fetch_at = f + 1
+            elif ctrl & CTRL_STALL:
+                fetch_at = f + 1 + row[7]
+
+            # ------------------------------------------------ wrong path
+            # Fillers carry no control bits and no dependencies (see
+            # _FILLER_SLOTS), so they only occupy fetch, window and FU
+            # resources and D-cache ports until the branch resolves at
+            # ``done``; each one's stage cycles stop counting there.
+            resolve = done
+            fetched = dispatched = dispatched_mem = 0
+            filler_store = False
+            dispatching = issuing = True
+            while True:
+                f = fetch_at
+                if ifq_ring[ifq_i] > f:
+                    f = ifq_ring[ifq_i]
+                if f >= resolve:
+                    break
+                if f >= max_cycles:
+                    source._pos = pos + 1
+                    committed = (pos + 1 - start if overrun is None
+                                 else overrun)
+                    _fire_health(next_health, max_cycles, committed)
+                    raise _overrun(max_cycles, committed)
+                if f != fetch_cycle:
+                    fetch_cycle = f
+                    fetch_left = fetch_width
+                fetch_left -= 1
+                fetch_at = f if fetch_left else f + 1
+                filler = filler_rows[rows[(pos + 1 + fetched) % n_rows][8]]
+                fetched += 1
+                pseq += 1
+                is_mem = filler[5]
+                if is_mem:
+                    act_dl1_filler += 1
+                leave = resolve
+                if dispatching:
+                    d = f + decode_delay
+                    if ruu_ring[ruu_i] > d:
+                        d = ruu_ring[ruu_i]
+                    if is_mem and lsq_ring[lsq_i] > d:
+                        d = lsq_ring[lsq_i]
+                    left = decode_width - 1
+                    if d <= dispatch_cycle:
+                        if dispatch_left:
+                            d = dispatch_cycle
+                            left = dispatch_left - 1
+                        else:
+                            d = dispatch_cycle + 1
+                    dispatching = d < resolve
+                if dispatching:
+                    leave = d
+                    dispatch_cycle = d
+                    dispatch_left = left
+                    dispatched += 1
+                    history[hist_pos] = 0
+                    hist_pos += 1
+                    if hist_pos == _HISTORY:
+                        hist_pos = 0
+                    ruu_ring[ruu_i] = resolve
+                    ruu_i += 1
+                    if ruu_i == ruu_size:
+                        ruu_i = 0
+                    ruu_occupancy_sum += resolve - d
+                    if is_mem:
+                        dispatched_mem += 1
+                        lsq_ring[lsq_i] = resolve
+                        lsq_i += 1
+                        if lsq_i == lsq_size:
+                            lsq_i = 0
+                        lsq_occupancy_sum += resolve - d
+                    ready = d + 1
+                    if (conservative_loads and filler[3]
+                            and last_store_done > ready):
+                        ready = last_store_done
+                    fu = filler[1]
+                    c = resolve
+                    if in_order:
+                        if issuing:
+                            c = io_cycle
+                            state = io_state
+                            if ready > c:
+                                c = ready
+                                state = fresh
+                            elif state & guard[fu]:
+                                c += 1
+                                state = fresh
+                            issuing = c < resolve
+                            if issuing:
+                                io_cycle = c
+                                io_state = state + take[fu]
+                    else:
+                        c = ready
+                        while c < resolve:
+                            state = slots.get(c, fresh)
+                            if not state & guard[fu]:
+                                slots[c] = state + take[fu]
+                                break
+                            if not state & half:
+                                n = deferrals.get(c, 0) + 1
+                                if n == _MAX_DEFERRED:
+                                    slots[c] = state | half
+                                else:
+                                    deferrals[c] = n
+                            c += 1
+                    if c < resolve:
+                        fill_issue += 1
+                        fu_counts[fu] += 1
+                    if conservative_loads and filler[4]:
+                        filler_store = True
+                        last_store_done = c + filler[0]
+                ifq_ring[ifq_i] = leave
+                ifq_i += 1
+                if ifq_i == ifq_size:
+                    ifq_i = 0
+                ifq_occupancy_sum += leave - f
+            # The branch resolves: everything fetched since is squashed.
+            # Fetch resumes after the penalty, the squashed fillers step
+            # back out of the RUU and LSQ rings (the entries they
+            # overwrote had left before they entered, so before
+            # anything younger can enter) and the last store is a
+            # squashed one.  They stay in the dependency history.
+            squashed_total += fetched
+            fill_dispatch += dispatched
+            if resolve + mispredict_penalty > fetch_at:
+                fetch_at = resolve + mispredict_penalty
+            ruu_i = (ruu_i - dispatched) % ruu_size
+            lsq_i = (lsq_i - dispatched_mem) % lsq_size
+            if filler_store:
+                last_store_done = 0
+
+        committed = n_rows - start if overrun is None else overrun
+        # The fetch that finds the source exhausted ends the run once
+        # the last commit is done.
+        exhausted = fetch_at
+        if ifq_ring[ifq_i] > exhausted:
+            exhausted = ifq_ring[ifq_i]
+        cycles = max(commit_cycle, exhausted) + 1
+        source._pos = n_rows
+        if cycles > max_cycles:
+            _fire_health(next_health, max_cycles, committed)
+            raise _overrun(max_cycles, committed)
+        _fire_health(next_health, cycles, committed)
+        while untrained:
+            train(untrained.popleft()[1])
+
         activity = {
-            "fetch": act_fetch, "dispatch": act_dispatch,
-            "issue": act_issue, "commit": committed,
-            "bpred": source.act_bpred, "il1": act_fetch,
+            "fetch": committed + squashed_total,
+            "dispatch": committed + fill_dispatch,
+            "issue": committed + fill_issue, "commit": committed,
+            "bpred": source.act_bpred, "il1": committed + squashed_total,
             "dl1": source.act_dl1 + act_dl1_filler,
             "l2": source.act_l2,
             "int_alu": fu_counts[FunctionalUnit.INT_ALU],
@@ -636,11 +533,11 @@ class SuperscalarPipeline:
             "fp_mult_div": fu_counts[FunctionalUnit.FP_MULT_DIV],
         }
         result = SimulationResult(
-            cycles=cycle,
+            cycles=cycles,
             instructions=committed,
-            avg_ruu_occupancy=ruu_occupancy_sum / cycle if cycle else 0.0,
-            avg_lsq_occupancy=lsq_occupancy_sum / cycle if cycle else 0.0,
-            avg_ifq_occupancy=ifq_occupancy_sum / cycle if cycle else 0.0,
+            avg_ruu_occupancy=ruu_occupancy_sum / cycles,
+            avg_lsq_occupancy=lsq_occupancy_sum / cycles,
+            avg_ifq_occupancy=ifq_occupancy_sum / cycles,
             activity=activity,
             branches=source.branches,
             taken_branches=source.taken_branches,
@@ -650,6 +547,21 @@ class SuperscalarPipeline:
         )
         record_simulation(result)
         return result
+
+
+def _fire_health(next_health: int, until: int, committed: int) -> int:
+    """Fire the health checkpoints due from cycle *next_health* through
+    cycle *until*, each reporting *committed*; return the next one
+    due."""
+    while next_health <= until:
+        _health_checkpoint(committed)
+        next_health += _HEALTH_EVERY
+    return next_health
+
+
+def _overrun(max_cycles: int, committed: int) -> RuntimeError:
+    return RuntimeError(f"pipeline did not drain within {max_cycles} "
+                        f"cycles ({committed} committed)")
 
 
 def simulate(config: MachineConfig,

@@ -181,25 +181,23 @@ class InstructionSource(Protocol):
     """What the pipelines read from a source.
 
     :class:`~repro.cpu.pipeline.SuperscalarPipeline` indexes ``rows``
-    from the cursor ``_pos``, sizes its completion wheel from
-    ``longest_latency`` (no row, live-branch outcome row or wrong-path
-    filler row of the source has a longer execution latency) and reads
-    the :class:`_Tallies` counters at the end.  A source with live rows
-    (``CTRL_LIVE``, only the execution-driven one) also has a
+    from the cursor ``_pos``, timing each row once in program order,
+    and reads the :class:`_Tallies` counters at the end.  A source with
+    live rows (``CTRL_LIVE``, only the execution-driven one) also has a
     ``predictor``, a :class:`~repro.branch.unit.BranchPredictorUnit`,
     and ``instructions``, the dynamic instructions its rows stand for.
     For the live row at position *pos* the loop calls
-    ``predictor.classify(instructions[pos])`` at fetch, counts the
-    outcome in the source's ``outcomes`` and fetches the row for that
-    outcome (the row's tenth field); it calls ``predictor.train`` on
-    the same instruction at dispatch.
+    ``predictor.classify(instructions[pos])`` at fetch, after training
+    the predictor with every older live branch that dispatched by that
+    cycle, counts the outcome in the source's ``outcomes`` and takes
+    the row for that outcome (the row's tenth field); it calls
+    ``predictor.train`` on the same instruction for its dispatch.
     :class:`~repro.cpu.reference.ReferencePipeline` drives the slot
     protocol below instead, where ``fetch`` classifies and
     ``on_dispatch`` trains.
     """
 
     rows: List[tuple]
-    longest_latency: int
 
     def fetch(self) -> Optional[FetchSlot]:
         """Consume and resolve the next correct-path instruction, or
@@ -304,7 +302,6 @@ class ExecutionDrivenSource(_Tallies):
         row_of = price_entries(resolution.distinct, config,
                                live_branches=not perfect_branch_prediction)
         self.rows = list(map(row_of.__getitem__, resolution.keys))
-        self.longest_latency = longest_priced_latency(config)
         self._adopt(resolution.tallies)
         self._pos = 0
 
@@ -349,14 +346,6 @@ def _load_latencies(config: MachineConfig) -> List[int]:
     """A load's latency under *config* per locality event bits."""
     return [load_latency(config, e & EV_DL1, e & EV_L2D, e & EV_DTLB)
             for e in range(EV_LOCALITY + 1)]
-
-
-def longest_priced_latency(config: MachineConfig) -> int:
-    """The longest execution latency a row priced by
-    :func:`price_entries` for *config* or a wrong-path filler row can
-    carry: a class's base latency, or a load's under any combination
-    of D-side misses (the table :func:`price_entries` prices with)."""
-    return max(_load_latencies(config) + _CLASS_LATENCY)
 
 
 def price_entries(distinct: Sequence[tuple], config: MachineConfig,
@@ -467,7 +456,7 @@ class ColumnarSource(_Tallies):
                 deps[i] = row_distances(deps[i])
 
         # Plain lists and tuples: numpy scalar indexing inside the
-        # cycle loop would dominate it.
+        # pipeline loop would dominate it.
         self.rows: List[tuple] = list(zip(
             lat.tolist(),
             np.asarray(_FU_IDX)[iclass].tolist(),
@@ -480,9 +469,6 @@ class ColumnarSource(_Tallies):
             iclass.tolist(),
         ))
 
-        # Fillers take their class's base latency.
-        self.longest_latency = max(int(lat.max()) if n else 0,
-                                   *_CLASS_LATENCY)
         self.branches = int(is_branch.sum())
         self.taken_branches = int(trace.taken.sum())
         branch_outcomes = trace.outcome[is_branch]
@@ -515,9 +501,6 @@ class PreannotatedSource(_Tallies):
         self._slots: Optional[List[FetchSlot]] = list(slots)
         self._trace = None
         self.rows: Sequence[tuple] = [slot.row for slot in self._slots]
-        # Fillers take their class's base latency.
-        self.longest_latency = max(
-            [row[0] for row in self.rows] + _CLASS_LATENCY)
         # Slots hash by identity, so a slot shared by many positions is
         # tallied once.
         self._adopt(entry_tallies(
@@ -536,7 +519,6 @@ class PreannotatedSource(_Tallies):
         source._slots = None
         source._trace = trace
         source.rows = trace.to_fetch_slots(config)
-        source.longest_latency = longest_priced_latency(config)
         source._adopt(trace.tallies)
         source._pos = 0
         return source

@@ -40,8 +40,8 @@ hooks.  The injection *sites*:
 ``pipeline-skew``
     Perturb the optimized pipeline's result inside the differential
     fuzzing oracle (:mod:`repro.fuzz.oracle`): the reference and the
-    optimized run disagree by one cycle, as a real event-driven
-    fast-forward bug would look.  This is the fuzz harness testing
+    optimized run disagree by one cycle, as a real off-by-one in the
+    per-instruction timing would look.  This is the fuzz harness testing
     itself — the oracle must catch the skew, and the minimizer must
     shrink the case to a small reproducer.
 

@@ -3,8 +3,9 @@
 ``repro.fuzz`` hunts for two failure families the fixed test suites
 cannot enumerate:
 
-* **pipeline divergence** — the optimized event-driven pipeline
-  (:mod:`repro.cpu.pipeline`) must stay bit-identical to the frozen
+* **pipeline divergence** — the optimized pipeline, which times each
+  instruction once in program order (:mod:`repro.cpu.pipeline`), must
+  stay bit-identical to the frozen
   reference (:mod:`repro.cpu.reference`) on *any* program, not just the
   named benchmark grid;
 * **statistical drift** — synthetic traces must converge to their

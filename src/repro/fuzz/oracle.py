@@ -1,7 +1,7 @@
 """Differential oracle: optimized pipeline vs the frozen reference.
 
 Runs the same instruction stream through :class:`repro.cpu.pipeline.
-SuperscalarPipeline` (event-driven, optimized) and :class:`repro.cpu.
+SuperscalarPipeline` (one pass in program order, optimized) and :class:`repro.cpu.
 reference.ReferencePipeline` (frozen, strictly cycle-by-cycle) and
 diffs the results field-for-field: cycles, IPC, per-stage occupancies,
 activity counters, branch/squash accounting, and the full retirement

@@ -4,7 +4,7 @@ One :class:`HealthPolicy` travels the whole stack — CLI flag or
 ``REPRO_HEALTH`` environment spec → :class:`~repro.dse.engine.
 SweepEngine` → pool-worker initargs — and one :class:`Budget` per
 process enforces it from *cooperative checkpoints* planted inside the
-hot loops (the superscalar pipeline's cycle loop, both synthesis
+hot loops (the superscalar pipeline's timing loop, both synthesis
 walks).  A checkpoint is a single integer comparison in the loop plus,
 every so often, three cheap checks:
 

@@ -138,6 +138,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineConfig(decode_width=0)
 
+    @pytest.mark.parametrize("knob", ["frontend_depth",
+                                      "branch_misprediction_penalty",
+                                      "fetch_redirect_penalty"])
+    def test_delays_cannot_be_negative(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            MachineConfig(**{knob: -3})
+        assert getattr(MachineConfig(**{knob: 0}), knob) == 0
+
 
 class TestSweepHelpers:
     def test_with_window(self):

@@ -1,12 +1,11 @@
-"""Edge cases of the cycle loop's bookkeeping, against the reference.
+"""Edge cases of the pipeline's bookkeeping, against the reference.
 
-``SuperscalarPipeline.run`` keeps its dependency history, completion
-wheel, run-length guard and live-branch hooks in forms the frozen
-``ReferencePipeline`` does not share: history entries are released when
-their instruction completes or is squashed, rows drop distances beyond
-the history, completions wait in a wheel sized from the source's
-longest latency, the ``max_cycles`` check rides on the health cadence,
-and live branches go straight to the predictor.  Each test drives the
+``SuperscalarPipeline.run`` keeps its dependency history, run-length
+guard and live-branch hooks in forms the frozen ``ReferencePipeline``
+does not share: the history holds completion cycles by dispatch
+distance, rows drop distances beyond the history, the ``max_cycles``
+guard and the health cadence are derived from the commit schedule, and
+live branches go straight to the predictor.  Each test drives the
 edges of one of these through both loops and compares every result
 field and the retirement schedule.
 """
@@ -26,9 +25,8 @@ from repro.core.synthesis import generate_synthetic_trace
 from repro.cpu.locality import MAX_DEPENDENCY_DISTANCE
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
-from repro.cpu.source import (_FILLER_ROWS, CTRL_LIVE, ColumnarSource,
-                              ExecutionDrivenSource, FetchSlot,
-                              PreannotatedSource, longest_priced_latency)
+from repro.cpu.source import (ColumnarSource, ExecutionDrivenSource,
+                              FetchSlot, PreannotatedSource)
 from repro.isa.iclass import IClass
 
 
@@ -125,14 +123,28 @@ def test_rows_drop_distances_beyond_the_history():
         FetchSlot(IClass.INT_ALU, exec_latency=1, dep_distances=(-1,))
 
 
+@pytest.fixture(scope="module")
+def trace_inputs():
+    from repro.frontend.functional import run_program
+    from repro.workloads.generator import WorkloadConfig, generate_program
+
+    program = generate_program(WorkloadConfig(
+        name="wheel", seed=23, n_blocks=12, mean_block_size=5,
+        working_set_kb=2048, n_memory_streams=4))
+    trace = run_program(program, n_instructions=3000)
+    profile = profile_trace(trace, baseline_config(), order=1,
+                            branch_mode="delayed")
+    return trace, generate_synthetic_trace(profile, 2.0, seed=5), profile
+
+
 @pytest.mark.parametrize("far", [600, 1500])
 @pytest.mark.parametrize("window", ["baseline", "big"])
-def test_priced_rows_drop_distances_beyond_the_history(wheel_inputs, far,
+def test_priced_rows_drop_distances_beyond_the_history(trace_inputs, far,
                                                        window):
     """Synthetic and columnar traces take their distances from a
     profile, which may be hand-built, so rows priced from their entries
     or columns drop distances beyond the history as slots do."""
-    *_, profile = wheel_inputs
+    *_, profile = trace_inputs
     config = replace(baseline_config(), **(_BIG_WINDOW if window == "big"
                                           else {}))
     columnar = generate_columnar_trace(profile, 1.0, seed=9)
@@ -156,52 +168,7 @@ def test_priced_rows_drop_distances_beyond_the_history(wheel_inputs, far,
         ColumnarSource(columnar, config)
 
 
-# -------------------------------------------------------- completion wheel
-
-def _latency_config(longest):
-    """The baseline machine with ``memory_latency`` plus the D-TLB miss
-    penalty equal to *longest* (the I-TLB penalty is set alongside; it
-    prices fetch stalls, which never enter the wheel)."""
-    config = baseline_config()
-    tlb = 13
-    config = replace(config, memory_latency=longest - tlb,
-                     dtlb=replace(config.dtlb, miss_latency=tlb),
-                     itlb=replace(config.itlb, miss_latency=tlb + 1))
-    assert longest_priced_latency(config) == longest
-    return config
-
-
-LONGEST = [(2 ** k) + offset for k in (6, 7) for offset in (-1, 0, 1)]
-
-
-@pytest.fixture(scope="module")
-def wheel_inputs():
-    from repro.frontend.functional import run_program
-    from repro.workloads.generator import WorkloadConfig, generate_program
-
-    program = generate_program(WorkloadConfig(
-        name="wheel", seed=23, n_blocks=12, mean_block_size=5,
-        working_set_kb=2048, n_memory_streams=4))
-    trace = run_program(program, n_instructions=3000)
-    profile = profile_trace(trace, baseline_config(), order=1,
-                            branch_mode="delayed")
-    return trace, generate_synthetic_trace(profile, 2.0, seed=5), profile
-
-
-@pytest.mark.parametrize("longest", LONGEST)
-def test_wheel_sized_for_longest_latency(wheel_inputs, longest):
-    trace, synthetic, _ = wheel_inputs
-    config = _latency_config(longest)
-    _both(config, lambda: ExecutionDrivenSource(trace, config))
-    _both(config, lambda: PreannotatedSource.from_trace(synthetic, config))
-    alu = FetchSlot(IClass.INT_ALU, exec_latency=1)
-    miss = FetchSlot(IClass.LOAD, exec_latency=longest, l2d_miss=True,
-                     dtlb_miss=True)
-    chained = FetchSlot(IClass.INT_ALU, exec_latency=1, dep_distances=(1,))
-    slots = [miss, alu, miss, chained, alu, alu, miss, miss, chained] * 20
-    new, _ = _both(config, lambda: PreannotatedSource(slots))
-    assert new.cycles > longest
-
+# ----------------------------------------------------------- latencies
 
 def test_zero_latency_rejected():
     """Both loops assume an instruction completes after the cycle it
@@ -215,21 +182,6 @@ def test_zero_latency_rejected():
                 {"l2": replace(config.l2, hit_latency=0)}):
         with pytest.raises(ValueError):
             replace(config, **bad)
-
-
-def test_wheel_covers_every_source_row(wheel_inputs):
-    """No row a source can hand the loop outlasts its longest latency,
-    live-branch outcome rows and fillers included."""
-    trace, synthetic, profile = wheel_inputs
-    config = _latency_config(129)
-    columnar = generate_columnar_trace(profile, 2.0, seed=5)
-    for source in (ExecutionDrivenSource(trace, config),
-                   PreannotatedSource.from_trace(synthetic, config),
-                   ColumnarSource(columnar, config)):
-        rows = list(source.rows) + _FILLER_ROWS
-        rows += [outcome for row in source.rows if row[6] & CTRL_LIVE
-                 for outcome in row[9]]
-        assert max(row[0] for row in rows) <= source.longest_latency
 
 
 # ------------------------------------------------------- run-length guard

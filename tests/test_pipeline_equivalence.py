@@ -1,17 +1,21 @@
-"""Exact-equivalence guard for the event-driven pipeline.
+"""Exact-equivalence guard for the per-instruction pipeline.
 
-The optimized :class:`repro.cpu.pipeline.SuperscalarPipeline` (idle-cycle
-fast-forward, pooled ``_Inflight`` records, ring-buffer RUU/IFQ) must
-produce a *field-for-field identical* :class:`SimulationResult` to the
-frozen cycle-by-cycle loop in :mod:`repro.cpu.reference` — same cycle
-count, same occupancy averages, same activity counts — for every
-configuration and source type.  Any intentional behaviour change must
-update both implementations together.
+The optimized :class:`repro.cpu.pipeline.SuperscalarPipeline` (one pass
+in program order, each instruction's stage cycles computed from older
+instructions) must produce a *field-for-field identical*
+:class:`SimulationResult` to the frozen cycle-by-cycle loop in
+:mod:`repro.cpu.reference` — same cycle count, same occupancy averages,
+same activity counts — for every configuration and source type.  Any
+intentional behaviour change must update both implementations
+together.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import baseline_config
 from repro.core.profiler import profile_trace
@@ -21,8 +25,9 @@ from repro.cpu.reference import ReferencePipeline
 from repro.core.columnar import generate_columnar_trace
 from repro.cpu.source import (ColumnarSource, ExecutionDrivenSource,
                               PreannotatedSource)
-from repro.isa.iclass import IClass
+from repro.isa.iclass import IClass, execution_latency
 from repro.branch.unit import BranchOutcome
+from repro.cpu.results import SimulationResult
 from repro.cpu.source import FetchSlot
 
 
@@ -229,9 +234,9 @@ def test_profile_from_shared_resolution_matches_own_walk(warm_windows):
     assert shared.sfg.transitions == cacheless.sfg.transitions
 
 
-def _branch(outcome=BranchOutcome.CORRECT, taken=False):
+def _branch(outcome=BranchOutcome.CORRECT, taken=False, **kw):
     return FetchSlot(IClass.INT_COND_BRANCH, exec_latency=1,
-                     outcome=outcome, taken=taken)
+                     outcome=outcome, taken=taken, **kw)
 
 
 def _hand_built_streams():
@@ -255,6 +260,47 @@ def _hand_built_streams():
         alu(fetch_stall=50), load(dep_distances=(1,)),
         alu(dep_distances=(1,)), _branch(taken=True),
         alu(fetch_stall=30), alu()]
+    # 70 loads wake in one cycle behind one load/store unit: the issue
+    # scan passes over 64 of them and stops, so the mispredicted branch
+    # behind them resolves late although its own unit is free.
+    miss = FetchSlot(IClass.LOAD, exec_latency=150)
+    yield "deferral_cap", (
+        [miss] + [load(dep_distances=(j,)) for j in range(1, 71)]
+        + [_branch(BranchOutcome.MISPREDICTION, dep_distances=(71,))]
+        + [alu()] * 8)
+    # The branch waits on a miss, so wrong-path fetch runs long; the
+    # filler store meets a 2-entry LSQ held by the miss and a store
+    # waiting on it, and the ALU fillers behind it may not dispatch
+    # past it.
+    yield "filler_store_blocked", (
+        [miss, store(dep_distances=(1,)),
+         _branch(BranchOutcome.MISPREDICTION, dep_distances=(2,)),
+         store()] + [alu()] * 12)
+    # Fillers dispatched behind a mispredicted branch fill the RUU and
+    # LSQ, then leave them at resolution; the correct path behind the
+    # branch fills them again while the miss ahead of the branch holds
+    # the head.  They stay in the dependency history: distance 2 from
+    # the first correct-path instruction names a squashed filler, not
+    # the miss.
+    yield "filler_rewind", (
+        [miss, _branch(BranchOutcome.MISPREDICTION),
+         alu(dep_distances=(2,))]
+        + [slot for _ in range(6) for slot in (load(), alu())])
+    yield "zero_penalty_resume", [
+        slot for _ in range(12)
+        for slot in (load(), _branch(BranchOutcome.MISPREDICTION,
+                                     taken=True), alu(), store())]
+
+
+#: Machine overrides a hand-built stream needs to reach its edge,
+#: applied on top of each variant.
+_STREAM_MACHINES = {
+    "deferral_cap": {"ruu_size": 128, "lsq_size": 128,
+                     "load_store_units": 1},
+    "filler_store_blocked": {"ruu_size": 16, "lsq_size": 2},
+    "filler_rewind": {"ruu_size": 8, "lsq_size": 4},
+    "zero_penalty_resume": {"branch_misprediction_penalty": 0},
+}
 
 
 @pytest.mark.parametrize(
@@ -263,10 +309,14 @@ def _hand_built_streams():
 @pytest.mark.parametrize("variant",
                          ["baseline", "in_order", "tiny_window"])
 def test_hand_built_streams_identical(name, slots, variant):
-    config = _config(variant)
-    new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run()
-    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run()
+    config = replace(_config(variant), **_STREAM_MACHINES.get(name, {}))
+    new_log, old_log = [], []
+    new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run(
+        commit_log=new_log)
+    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run(
+        commit_log=old_log)
     _assert_identical(new, old)
+    assert new_log == old_log
 
 
 def test_max_cycles_guard_matches():
@@ -279,3 +329,102 @@ def test_max_cycles_guard_matches():
         ReferencePipeline(config, PreannotatedSource(list(slots))).run(
             max_cycles=500)
     assert str(new_err.value) == str(old_err.value)
+
+
+# ------------------------------------------------- random small machines
+
+#: Examples per run of the random-machine differential test; CI runs a
+#: deeper pass by setting ``PIPELINE_DIFFERENTIAL_EXAMPLES``.
+_DIFFERENTIAL_EXAMPLES = int(os.environ.get(
+    "PIPELINE_DIFFERENTIAL_EXAMPLES", "60"))
+
+
+@st.composite
+def _small_machines(draw):
+    """Small machine shapes, where every resource binds often.  RUU
+    sizes above 64 let the issue scan's 64-deferral cap bind;
+    ``enforce_anti_dependencies`` only changes the distances an
+    execution-driven source computes, so slot streams leave it inert."""
+    ruu = draw(st.integers(2, 128))
+    small = st.integers(1, 2)
+    return replace(
+        baseline_config(), ruu_size=ruu, lsq_size=draw(st.integers(1, ruu)),
+        ifq_size=draw(st.integers(1, 4)), fetch_speed=draw(small),
+        decode_width=draw(small), issue_width=draw(small),
+        commit_width=draw(small), int_alus=draw(small),
+        load_store_units=draw(small), fp_adders=draw(small),
+        int_mult_divs=draw(small), fp_mult_divs=draw(small),
+        frontend_depth=draw(st.integers(0, 2)),
+        branch_misprediction_penalty=draw(st.integers(0, 3)),
+        fetch_redirect_penalty=draw(st.integers(0, 3)),
+        in_order_issue=draw(st.booleans()),
+        conservative_loads=draw(st.booleans()),
+        enforce_anti_dependencies=draw(st.booleans()))
+
+
+_OTHER_CLASSES = [c for c in IClass if c not in (
+    IClass.LOAD, IClass.STORE, IClass.INT_COND_BRANCH)]
+_distances = st.lists(st.one_of(st.integers(0, 12), st.just(512)),
+                      max_size=2).map(tuple)
+_stalls = st.one_of(st.just(0), st.just(0), st.integers(1, 30))
+
+
+@st.composite
+def _slots(draw):
+    kind = draw(st.sampled_from(["alu", "alu", "load", "store", "branch",
+                                 "other"]))
+    deps = draw(_distances)
+    stall = draw(_stalls)
+    if kind == "branch":
+        return FetchSlot(IClass.INT_COND_BRANCH, exec_latency=1,
+                         dep_distances=deps, fetch_stall=stall,
+                         taken=draw(st.booleans()),
+                         outcome=draw(st.sampled_from(list(BranchOutcome))))
+    if kind == "load":
+        return FetchSlot(IClass.LOAD, exec_latency=draw(st.one_of(
+            st.integers(2, 4), st.integers(2, 150))),
+            dep_distances=deps, fetch_stall=stall)
+    iclass = {"alu": IClass.INT_ALU, "store": IClass.STORE}.get(kind) \
+        or draw(st.sampled_from(_OTHER_CLASSES))
+    return FetchSlot(iclass, exec_latency=execution_latency(iclass),
+                     dep_distances=deps, fetch_stall=stall)
+
+
+def _run_or_overrun(loop, config, slots, max_cycles):
+    """The result or the guard's message, the commit log and the fetch
+    cursor of one run."""
+    source = PreannotatedSource(slots)
+    log = []
+    try:
+        outcome = loop(config, source).run(max_cycles=max_cycles,
+                                           commit_log=log)
+    except RuntimeError as error:
+        outcome = str(error)
+    return outcome, log, source._pos
+
+
+@settings(max_examples=_DIFFERENTIAL_EXAMPLES, derandomize=True,
+          deadline=None)
+@given(config=_small_machines(), slots=st.lists(_slots(), max_size=120),
+       max_cycles=st.one_of(st.none(), st.integers(1, 400)))
+def test_random_small_machines_identical(config, slots, max_cycles):
+    new = _run_or_overrun(SuperscalarPipeline, config, slots, max_cycles)
+    old = _run_or_overrun(ReferencePipeline, config, slots, max_cycles)
+    if isinstance(new[0], SimulationResult):
+        _assert_identical(new[0], old[0])
+    assert new == old
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(config=_small_machines(), slots=st.lists(_slots(), max_size=120))
+def test_frontend_depth_zero_times_like_one(config, slots):
+    """Fetch is the last stage of a cycle, so an instruction dispatches
+    no earlier than the cycle after its fetch at any depth below 2."""
+    runs = []
+    for depth in (0, 1):
+        log = []
+        runs.append((SuperscalarPipeline(
+            replace(config, frontend_depth=depth),
+            PreannotatedSource(slots)).run(commit_log=log), log))
+    assert runs[0] == runs[1]
+
