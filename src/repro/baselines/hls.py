@@ -31,7 +31,9 @@ from typing import Dict, List, Tuple
 from repro.config import MachineConfig
 from repro.isa.iclass import BRANCH_CLASSES, IClass
 from repro.frontend.trace import Trace
-from repro.baselines.related import _Emitter, _measure_globals
+from repro.baselines.related import (_Emitter, _measure_globals,
+                                     dependency_histogram)
+from repro.core.dependencies import dependency_pass
 from repro.core.synthetic import SyntheticTrace
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
@@ -65,10 +67,8 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
     block_sizes: List[int] = []
     size = 0
     operand_counter: Dict[IClass, Dict[int, int]] = {}
-    distance_hist: Dict[int, int] = {}
-    operands_total = 0
-    operands_with_dep = 0
-    last_writer: Dict[int, int] = {}
+    distance_hist, operands_with_dep, operands_total = \
+        dependency_histogram(dependency_pass(trace).raw)
 
     for inst in trace.instructions:
         mix[inst.iclass] = mix.get(inst.iclass, 0) + 1
@@ -76,15 +76,6 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
         counts = operand_counter.setdefault(inst.iclass, {})
         n_src = len(inst.src_regs)
         counts[n_src] = counts.get(n_src, 0) + 1
-        for reg in inst.src_regs:
-            operands_total += 1
-            writer = last_writer.get(reg)
-            if writer is not None and 0 < inst.seq - writer <= 512:
-                operands_with_dep += 1
-                distance = inst.seq - writer
-                distance_hist[distance] = distance_hist.get(distance, 0) + 1
-        if inst.dst_reg is not None:
-            last_writer[inst.dst_reg] = inst.seq
         if inst.is_branch:
             block_sizes.append(size)
             size = 0

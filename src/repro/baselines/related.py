@@ -28,12 +28,15 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.config import MachineConfig
 from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
 from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
+from repro.core.dependencies import dependency_pass
 from repro.core.synthetic import SyntheticTrace
 from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
                                 EV_L2D, EV_L2I)
@@ -98,6 +101,18 @@ def _measure_globals(trace: Trace, config: MachineConfig) -> _GlobalStats:
         miss_rates=hierarchy.miss_rates(),
         trace_instructions=len(trace),
     )
+
+
+def dependency_histogram(raw: np.ndarray
+                         ) -> Tuple[Dict[int, int], int, int]:
+    """``(histogram, dependent, operands)`` of the RAW distances *raw*
+    (one per operand, 0 for none, as
+    :class:`~repro.core.dependencies.DependencyPass` holds them): the
+    count per distance, the operands with a distance and all
+    operands."""
+    distances, counts = np.unique(raw[raw > 0], return_counts=True)
+    return (dict(zip(distances.tolist(), counts.tolist())),
+            int(counts.sum()), len(raw))
 
 
 def _sample_locality(rng: random.Random, iclass: IClass,
@@ -193,23 +208,13 @@ class IndependentModel:
         self.globals = _measure_globals(trace, config)
         mix: Dict[IClass, int] = {}
         operand_counts: Dict[int, int] = {}
-        distance_hist: Dict[int, int] = {}
-        operands = with_dep = 0
-        last_writer: Dict[int, int] = {}
+        distance_hist, with_dep, operands = dependency_histogram(
+            dependency_pass(trace).raw)
         for inst in trace.instructions:
             if inst.iclass not in BRANCH_CLASSES:
                 mix[inst.iclass] = mix.get(inst.iclass, 0) + 1
             operand_counts[len(inst.src_regs)] = \
                 operand_counts.get(len(inst.src_regs), 0) + 1
-            for reg in inst.src_regs:
-                operands += 1
-                writer = last_writer.get(reg)
-                if writer is not None and 0 < inst.seq - writer <= 512:
-                    with_dep += 1
-                    d = inst.seq - writer
-                    distance_hist[d] = distance_hist.get(d, 0) + 1
-            if inst.dst_reg is not None:
-                last_writer[inst.dst_reg] = inst.seq
         self._mix = _Distribution(mix)
         self._operand_counts = _Distribution(operand_counts)
         self._distances = _Distribution(distance_hist)
@@ -244,10 +249,7 @@ class SizeCorrelatedModel:
         # dependency distances; blocks of equal size share everything
         # (the "size aliasing" the paper criticises).
         self._per_size: Dict[int, List[Dict]] = {}
-        self._dep_per_size: Dict[int, List] = {}
-        last_writer: Dict[int, int] = {}
         block: List = []
-        pending: List[Tuple[int, Tuple[int, ...]]] = []
         for inst in trace.instructions:
             block.append(inst)
             if not inst.is_branch:
@@ -255,24 +257,25 @@ class SizeCorrelatedModel:
             size = len(block)
             slots = self._per_size.setdefault(
                 size, [dict(mix={}, operands={}) for _ in range(size)])
-            dep = self._dep_per_size.setdefault(size, [dict(), 0, 0])
             for slot, binst in enumerate(block):
                 slots[slot]["mix"][binst.iclass] = \
                     slots[slot]["mix"].get(binst.iclass, 0) + 1
                 n_src = len(binst.src_regs)
                 slots[slot]["operands"][n_src] = \
                     slots[slot]["operands"].get(n_src, 0) + 1
-                for reg in binst.src_regs:
-                    dep[2] += 1
-                    writer = last_writer.get(reg)
-                    if writer is not None and \
-                            0 < binst.seq - writer <= 512:
-                        dep[1] += 1
-                        d = binst.seq - writer
-                        dep[0][d] = dep[0].get(d, 0) + 1
-                if binst.dst_reg is not None:
-                    last_writer[binst.dst_reg] = binst.seq
             block = []
+        # The RAW distances of the operands of complete blocks, by the
+        # size of their block.
+        deps = dependency_pass(trace)
+        ends = deps.branches
+        sizes = np.diff(ends, prepend=-1)
+        complete = int(deps.src_off[ends[-1] + 1]) if len(ends) else 0
+        raw = deps.raw[:complete]
+        operand_sizes = np.repeat(sizes, sizes)[
+            deps.operand_positions()[:complete]]
+        self._dep_per_size: Dict[int, Tuple[Dict[int, int], int, int]] = {
+            size: dependency_histogram(raw[operand_sizes == size])
+            for size in self._per_size}
         self._sizes = _Distribution(self.globals.block_sizes)
         # Freeze distributions.
         self._frozen: Dict[int, List[Tuple[_Distribution, _Distribution]]] = {}

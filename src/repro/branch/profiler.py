@@ -20,11 +20,15 @@ instruction fetch queue size (32 in Table 2).
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress, count
+from operator import attrgetter
 from typing import Dict, Iterable, List
 
-from repro.isa.instruction import DynamicInstruction
+from repro.isa.iclass import BRANCH_CLASSES
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit, BranchRecord
+
+_ICLASS = attrgetter("iclass")
 
 
 def profile_branches_immediate(
@@ -60,31 +64,33 @@ def profile_branches_delayed(
     if fifo_size < 1:
         raise ValueError("fifo_size must be >= 1")
     instructions = trace.instructions
-    n = len(instructions)
-    # Classification for the lookup currently associated with each
-    # in-FIFO branch; final (surviving) classifications per trace seq.
-    final: Dict[int, BranchRecord] = {}
-    fifo: deque = deque()  # elements: (index, BranchRecord | None)
+    # Only branches touch the predictor, so the FIFO is followed at
+    # its branches.  Before the instruction at index b leaves, the FIFO
+    # holds indices b .. b + fifo_size - 1: every branch below
+    # b + fifo_size has been looked up, in trace order, after the
+    # trainings of all branches that left before b.
+    branches = list(compress(count(), map(BRANCH_CLASSES.__contains__,
+                                          map(_ICLASS, instructions))))
+    records: List[BranchRecord] = []
+    # Lookups of the branches in the FIFO, oldest first.
+    pending: deque = deque()
     record_of, train = unit.record, unit.train
-    i = 0
-    while i < n or fifo:
-        # Fill the FIFO from the trace.
-        while i < n and len(fifo) < fifo_size:
-            inst = instructions[i]
-            record = record_of(inst) if inst.is_branch else None
-            fifo.append((i, record))
-            i += 1
-        # Remove one instruction from the tail.
-        index, record = fifo.popleft()
-        if record is not None:
-            final[index] = record
-            train(instructions[index])
-            if record.outcome is BranchOutcome.MISPREDICTION and fifo:
-                # Squash: the in-flight lookups were made on the wrong
-                # path; refetch those instructions with updated state.
-                fifo.clear()
-                i = index + 1
-    return [final[seq] for seq in sorted(final)]
+    fetched = 0  # branches[fetched] is the next branch to enter
+    for position, branch in enumerate(branches):
+        end = branch + fifo_size
+        while fetched < len(branches) and branches[fetched] < end:
+            pending.append(record_of(instructions[branches[fetched]]))
+            fetched += 1
+        record = pending.popleft()
+        records.append(record)
+        train(instructions[branch])
+        if record.outcome is BranchOutcome.MISPREDICTION:
+            # Squash: the in-flight lookups were made on the wrong
+            # path; refetch those instructions with updated state.
+            # (With nothing in flight this changes nothing.)
+            pending.clear()
+            fetched = position + 1
+    return records
 
 
 def mispredictions_per_kilo_instruction(

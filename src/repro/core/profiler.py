@@ -6,8 +6,10 @@ computed once and reused by every profile that shares it:
 * the *skeleton*, microarchitecture-independent: the order-k SFG's
   contexts and transitions with instruction types, operand counts and
   RAW/WAW/WAR dependency-distance distributions, plus each complete
-  block's context and branch.  One pass over the trace builds it; it
-  is memoized weakly on the trace for one order at a time;
+  block's context and branch.  It is numbered and counted with numpy
+  from the trace's :func:`~repro.core.dependencies.dependency_pass`
+  (shared with the execution-driven locality walk), and memoized
+  weakly on the trace for one order at a time;
 * the *branch annotation*: the branch records of the immediate- or
   delayed-update profilers of :mod:`repro.branch.profiler`, memoized
   per (mode, predictor config, FIFO size) in the ``annotations`` of
@@ -47,14 +49,22 @@ from repro.branch.profiler import (
     profile_branches_immediate,
 )
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit, BranchRecord
+from repro.core.dependencies import (
+    dependency_pass,
+    first_appearance,
+    pack_columns,
+)
 from repro.core.sfg import (
     MAX_DEPENDENCY_DISTANCE,
     START_BLOCK,
     StatisticalFlowGraph,
 )
+from repro.isa.iclass import IClass
 from repro.obs.metrics import get_registry
 
 BRANCH_MODES = ("delayed", "immediate", "perfect")
+
+_ICLASSES = list(IClass)
 
 
 @dataclass
@@ -277,149 +287,130 @@ def _skeleton(trace: Trace, order: int) -> _Skeleton:
 
 
 def _build_skeleton(trace: Trace, order: int) -> _Skeleton:
+    """The skeleton of *trace* at *order*, from its
+    :func:`~repro.core.dependencies.dependency_pass`.
+
+    Blocks end at branches; a trailing partial block (the trace ended
+    mid-block) is discarded.  Contexts and histories are numbered by
+    first appearance, which is the insertion order of the SFG's
+    ``contexts`` and ``transitions``, and each distance histogram is
+    one run of an ``np.unique`` over (cell, distance) keys, so its
+    keys ascend.
+    """
+    deps = dependency_pass(trace)
     skeleton = _Skeleton(order)
     sfg = StatisticalFlowGraph(order)
-    contexts = sfg.contexts
-    starts_append = skeleton.block_starts.append
-    contexts_append = skeleton.block_contexts.append
-    branch_seqs_append = skeleton.branch_seqs.append
-    position = 0
+    ends = deps.branches
+    count = len(ends)
+    starts = np.zeros(count + 1, np.int64)
+    starts[1:] = ends + 1
+    skeleton.block_starts = array("I", starts.tolist())
+    skeleton.branch_seqs = deps.branch_seq.tolist()
+    if not count:
+        skeleton.sfg = pickle.dumps(sfg, pickle.HIGHEST_PROTOCOL)
+        return skeleton
 
-    history: List[int] = [START_BLOCK] * order
-    history_key = tuple(history)
-    last_writer: Dict[int, int] = {}
-    last_reader: Dict[int, int] = {}
-    lw_get = last_writer.get
-    lr_get = last_reader.get
-    sfg_transitions = sfg.transitions
-    cap = MAX_DEPENDENCY_DISTANCE
+    # Block j's context is (b[j - order], ..., b[j - 1], b[j]), with
+    # START_BLOCK before the first block.
+    padded = [START_BLOCK] * order + deps.bb_id
+    distinct, blocks = np.unique(np.array(deps.bb_id, np.int64),
+                                 return_inverse=True)
+    blocks = blocks.reshape(-1) + 1
+    width = len(distinct) + 1
+    lagged = []
+    for lag in range(order, 0, -1):
+        column = np.zeros(count, np.int64)
+        column[lag:] = blocks[:max(count - lag, 0)]
+        lagged.append(column)
+    histories, history_first = first_appearance(
+        pack_columns(count, lagged, [width] * order))
+    contexts, context_first = first_appearance(
+        pack_columns(count, [histories, blocks],
+                     [len(history_first), width]))
+    sizes = np.diff(starts)
+    context_sizes = sizes[context_first]
+    mismatched = np.flatnonzero(sizes != context_sizes[contexts])
+    if len(mismatched):
+        j = int(mismatched[0])
+        raise ValueError(
+            f"context {tuple(padded[j:j + order + 1])} re-observed with a "
+            f"different block size"
+        )
+    skeleton.block_contexts = array("I", contexts.tolist())
 
-    # Reusable context-key cache: one entry per k-block history holding
-    # the transition counts plus, per next block, the ContextStats, its
-    # index and its array-backed distance accumulators.  The hot loop then charges a block occurrence with
-    # two dict hits instead of rebuilding the context tuple and per-slot
-    # iclass/operand lists every time; the growable arrays turn each
-    # distance record into one list index instead of a dict get+set,
-    # and are folded into the ContextStats histograms once at the end.
-    hist_cache: Dict[tuple, tuple] = {}
+    # Contexts and transitions, in order of first appearance: a
+    # history first appears with the first context that has it.
+    occurrences = np.bincount(contexts).tolist()
+    n_src = np.diff(deps.src_off)
+    history_keys: List[Optional[tuple]] = [None] * len(history_first)
+    transitions = sfg.transitions
+    stats_list = []
+    for index, (j, history, start, end) in enumerate(zip(
+            context_first.tolist(), histories[context_first].tolist(),
+            starts[context_first].tolist(),
+            starts[context_first + 1].tolist())):
+        key = history_keys[history]
+        if key is None:
+            key = history_keys[history] = tuple(padded[j:j + order])
+            transitions[key] = {}
+        block = padded[j + order]
+        stats = sfg.context_for(
+            key, block,
+            iclasses=[_ICLASSES[code]
+                      for code in deps.iclass[start:end].tolist()],
+            n_src=n_src[start:end].tolist())
+        stats.occurrences = transitions[key][block] = occurrences[index]
+        stats_list.append(stats)
+    sfg.total_block_executions = count
 
-    # The instructions of the block currently being executed.
-    block_insts: list = []
-    block_append = block_insts.append
+    # Distance histograms per cell, a (context, slot) pair numbered
+    # context-major.
+    cell_base = np.zeros(len(context_first) + 1, np.int64)
+    np.cumsum(context_sizes, out=cell_base[1:])
+    cell_context = np.repeat(np.arange(len(context_first)), context_sizes)
+    cell_slot = (np.arange(cell_base[-1])
+                 - cell_base[cell_context]).tolist()
+    cell_stats = [stats_list[index] for index in cell_context.tolist()]
+    complete = int(starts[-1])
+    block_of = np.repeat(np.arange(count, dtype=np.int32), sizes)
+    cell_of = (cell_base[contexts[block_of]] - starts[block_of]).astype(
+        np.int32)
+    del block_of
+    cell_of += np.arange(complete, dtype=np.int32)
 
-    for inst in trace.instructions:
-        block_append(inst)
+    flat = np.flatnonzero(deps.raw[:deps.src_off[complete]])
+    at = deps.operand_positions()[flat]
+    groups = flat - deps.src_off[at]
+    span = int(groups.max()) + 1 if len(groups) else 1
+    groups += cell_of[at].astype(np.int64) * span
+    for group, hist in _histograms(groups, deps.raw[flat]):
+        cell, operand = divmod(group, span)
+        cell_stats[cell].dep_hists[cell_slot[cell]][operand] = hist
+    del flat, at, groups
+    for distances, field in ((deps.waw, "waw_hists"),
+                             (deps.war, "war_hists")):
+        at = np.flatnonzero(distances[:complete])
+        for cell, hist in _histograms(cell_of[at], distances[at]):
+            getattr(cell_stats[cell], field)[cell_slot[cell]] = hist
 
-        if not inst.is_branch:
-            continue
-
-        # Block complete: attribute everything to its context.
-        block = inst.bb_id
-        entry = hist_cache.get(history_key)
-        if entry is None:
-            counts = sfg_transitions.get(history_key)
-            if counts is None:
-                counts = {}
-                sfg_transitions[history_key] = counts
-            entry = ({}, counts)
-            hist_cache[history_key] = entry
-        blocks, counts = entry
-        cached = blocks.get(block)
-        if cached is None:
-            stats = sfg.context_for(
-                history_key, block,
-                iclasses=[i.iclass for i in block_insts],
-                n_src=[len(i.src_regs) for i in block_insts],
-            )
-            index = len(contexts) - 1
-            cached = (
-                stats,
-                index,
-                [[[] for _ in range(n)] for n in stats.n_src],
-                [[] for _ in stats.n_src],  # WAW, per producing slot
-                [[] for _ in stats.n_src],  # WAR
-            )
-            blocks[block] = cached
-        elif cached[0].block_size != len(block_insts):
-            raise ValueError(
-                f"context {history_key + (block,)} re-observed with a "
-                f"different block size"
-            )
-        stats, index, raw_arrays, waw_arrays, war_arrays = cached
-        stats.occurrences += 1
-        sfg.total_block_executions += 1
-        counts[block] = counts.get(block, 0) + 1
-        position += len(block_insts)
-        starts_append(position)
-        contexts_append(index)
-        branch_seqs_append(inst.seq)
-
-        for slot, binst in enumerate(block_insts):
-            seq = binst.seq
-            src_regs = binst.src_regs
-            if src_regs:
-                operand_arrays = raw_arrays[slot]
-                for operand, reg in enumerate(src_regs):
-                    writer = lw_get(reg)
-                    if writer is not None:
-                        distance = seq - writer
-                        if 0 < distance <= cap:
-                            arr = operand_arrays[operand]
-                            if distance >= len(arr):
-                                arr.extend(
-                                    [0] * (distance + 1 - len(arr)))
-                            arr[distance] += 1
-                    last_reader[reg] = seq
-            dst = binst.dst_reg
-            if dst is not None:
-                # WAW/WAR distances (section 2.1.1 extension); recorded
-                # alongside RAW, consumed only when synthesis is asked
-                # to model machines without full renaming.
-                previous_writer = lw_get(dst)
-                if previous_writer is not None:
-                    distance = seq - previous_writer
-                    if 0 < distance <= cap:
-                        arr = waw_arrays[slot]
-                        if distance >= len(arr):
-                            arr.extend([0] * (distance + 1 - len(arr)))
-                        arr[distance] += 1
-                previous_reader = lr_get(dst)
-                if previous_reader is not None:
-                    distance = seq - previous_reader
-                    if 0 < distance <= cap:
-                        arr = war_arrays[slot]
-                        if distance >= len(arr):
-                            arr.extend([0] * (distance + 1 - len(arr)))
-                        arr[distance] += 1
-                last_writer[dst] = seq
-
-        if order > 0:
-            history.append(block)
-            del history[0]
-            history_key = tuple(history)
-        block_insts.clear()
-
-    # Fold the array accumulators into the per-context histograms.
-    for blocks, _counts in hist_cache.values():
-        for stats, _index, raw_arrays, waw_arrays, war_arrays \
-                in blocks.values():
-            dep_hists = stats.dep_hists
-            for slot, operand_arrays in enumerate(raw_arrays):
-                for operand, arr in enumerate(operand_arrays):
-                    if arr:
-                        hist = dep_hists[slot][operand]
-                        for distance, count in enumerate(arr):
-                            if count:
-                                hist[distance] = count
-            for arrays, hists in ((waw_arrays, stats.waw_hists),
-                                  (war_arrays, stats.war_hists)):
-                for slot, arr in enumerate(arrays):
-                    if arr:
-                        hist = hists[slot]
-                        for distance, count in enumerate(arr):
-                            if count:
-                                hist[distance] = count
-
-    # A trailing partial block (trace ended mid-block) is discarded.
     skeleton.sfg = pickle.dumps(sfg, pickle.HIGHEST_PROTOCOL)
     return skeleton
+
+
+def _histograms(groups: np.ndarray, distances: np.ndarray
+                ) -> List[Tuple[int, Dict[int, int]]]:
+    """``(group, {distance: count})`` per distinct group, the distances
+    ascending."""
+    width = MAX_DEPENDENCY_DISTANCE + 1
+    values, counts = np.unique(groups.astype(np.int64) * width + distances,
+                               return_counts=True)
+    if not len(values):
+        return []
+    keys = values // width
+    bounds = [0] + (np.flatnonzero(np.diff(keys)) + 1).tolist() \
+        + [len(values)]
+    distance_list = (values % width).tolist()
+    count_list = counts.tolist()
+    return [(group, dict(zip(distance_list[low:high], count_list[low:high])))
+            for group, low, high in zip(keys[bounds[:-1]].tolist(), bounds,
+                                        bounds[1:])]

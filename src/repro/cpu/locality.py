@@ -21,8 +21,9 @@ gets one hierarchy, warmed by
 :func:`~repro.frontend.warming.warm_locality_structures` and then run
 over the trace by one :meth:`~repro.cache.hierarchy.CacheHierarchy.walk`
 call, which records every instruction's event bits; each
-instruction's dependency tuple and geometry-independent entry are
-computed in one pass per trace, whatever the number of geometries.  A
+instruction's dependency tuple and geometry-independent entry come
+from the trace's :func:`~repro.core.dependencies.dependency_pass`,
+once per trace, whatever the number of geometries.  A
 resolution nobody planned is the same walk with one config.  A window
 or width sweep walks its caches once, and a cache sweep walks each
 geometry once.  The walk runs inside the first run or profile that
@@ -55,6 +56,8 @@ from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import (  # noqa: F401 -- re-exported
     EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I, EV_LOCALITY)
 from repro.config import BranchPredictorConfig, MachineConfig
+from repro.core.dependencies import (DependencyPass, dependency_pass,
+                                     first_appearance, pack_columns)
 from repro.core.sfg import MAX_DEPENDENCY_DISTANCE
 from repro.frontend.trace import Trace
 from repro.frontend.warming import (warm_branch_predictor,
@@ -65,6 +68,7 @@ from repro.obs.metrics import get_registry
 _LOAD = IClass.LOAD
 _STORE = IClass.STORE
 _CLASS_IS_BRANCH = [c in BRANCH_CLASSES for c in IClass]
+_ICLASSES = list(IClass)
 _MISPREDICTION = BranchOutcome.MISPREDICTION
 _REDIRECTION = BranchOutcome.FETCH_REDIRECTION
 
@@ -119,19 +123,24 @@ class LocalityResolution:
     :class:`~repro.core.synthetic.SyntheticTrace`, whose last field is
     the branch outcome that here the live predictor decides.  The
     resolutions of one walk share their equal entries and one
-    ``annotations`` dict.
+    ``annotations`` dict, and one ``priced`` dict that holds the rows
+    of the walk's last execution-driven pricing
+    (:mod:`repro.cpu.source`), for the next run with the same
+    latencies.
     """
 
     __slots__ = ("key", "keys", "distinct", "tallies", "annotations",
-                 "_warmup", "__weakref__")
+                 "priced", "_warmup", "__weakref__")
 
     def __init__(self, key: tuple, keys: "array[int]",
                  distinct: List[tuple], counts: List[int],
-                 warmup_trace: Optional[Trace], annotations: dict) -> None:
+                 warmup_trace: Optional[Trace], annotations: dict,
+                 priced: dict) -> None:
         self.key = key
         self.keys = keys
         self.distinct = distinct
         self.annotations = annotations
+        self.priced = priced
         self._warmup = (None if warmup_trace is None
                         else weakref.ref(warmup_trace))
         # The source tallies that do not depend on the predictor;
@@ -196,7 +205,8 @@ def resolve_locality(trace: Trace, config: MachineConfig,
 
     Counts ``eds.locality_reused`` per call the memo answers, and
     ``eds.locality_built`` per resolution a walk builds.  A resolution
-    is never mutated once built (its ``annotations`` only grow), so
+    is never mutated once built (its ``annotations`` only grow, and
+    its ``priced`` rows are replaced whole), so
     threads racing on one trace at worst walk it twice.
     """
     key = _locality_key(config, perfect_caches)
@@ -224,9 +234,9 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
     :meth:`~repro.cache.hierarchy.CacheHierarchy.walk`, exactly as the
     per-fetch walk of the reference simulator does.  Perfect caches
     need neither warming nor a hierarchy: every access hits.  Each
-    instruction's dependency tuple and its geometry-independent entry
-    are computed in one pass; a resolution's entry adds its geometry's
-    event bits.
+    instruction's geometry-independent entry comes from the trace's
+    dependency pass (:func:`_bases`); a resolution's entry adds its
+    geometry's event bits.
     """
     registry = get_registry()
     registry.counter("eds.locality_walks").inc()
@@ -241,69 +251,21 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
                                                         config)
                 events = geometries[geometry] = bytearray()
                 hierarchy.walk(instructions, events)
-    plain = any(not anti for _geometry, anti, _perfect in configs)
-    anti = any(anti for _geometry, anti, _perfect in configs)
-
-    # Geometry-independent entries (iclass, distances, taken), interned
-    # in order of first appearance, one id list per distance flavour.
-    base_index: Dict[tuple, int] = {}
-    bases: List[tuple] = []
-    plain_ids = array("I")
-    anti_ids = array("I")
-    last_writer: dict = {}
-    last_reader: dict = {}
-    writer_get = last_writer.get
-    reader_get = last_reader.get
-    cap = MAX_DEPENDENCY_DISTANCE
-    branch_classes = BRANCH_CLASSES
-
-    def intern(entry: tuple) -> int:
-        position = base_index.get(entry)
-        if position is None:
-            position = base_index[entry] = len(bases)
-            bases.append(entry)
-        return position
-
-    for inst in instructions:
-        iclass = inst.iclass
-        deps = []
-        seq = inst.seq
-        for reg in inst.src_regs:
-            writer = writer_get(reg)
-            if writer is not None:
-                distance = seq - writer
-                if 0 < distance <= cap:
-                    deps.append(distance)
-            last_reader[reg] = seq
-        taken = iclass in branch_classes and inst.taken
-        if plain:
-            plain_ids.append(intern((iclass, tuple(deps), taken)))
-        dst = inst.dst_reg
-        if dst is not None:
-            if anti:
-                # Without register renaming, a write must wait for the
-                # previous writer (WAW) and previous readers (WAR) of
-                # its destination register.
-                for prior in (writer_get(dst), reader_get(dst)):
-                    if prior is not None:
-                        distance = seq - prior
-                        if 0 < distance <= cap:
-                            deps.append(distance)
-            last_writer[dst] = seq
-        if anti:
-            anti_ids.append(intern((iclass, tuple(deps), taken)))
+    bases, base_ids = _bases(dependency_pass(trace),
+                             sorted({anti for _geometry, anti, _perfect
+                                     in configs}))
 
     if perfect:
         load_events = np.array([EV_DATA if iclass is _LOAD else 0
                                 for iclass, _deps, _taken in bases],
                                dtype=np.uint8)
     annotations: dict = {}
+    priced: dict = {}
     entries: Dict[int, tuple] = {}
     resolutions: Dict[tuple, LocalityResolution] = {}
     for key in configs:
         geometry, key_anti, _perfect = key
-        ids = np.frombuffer(anti_ids if key_anti else plain_ids,
-                            dtype=np.uintc)
+        ids = base_ids[key_anti]
         if perfect:
             events = load_events[ids]
         else:
@@ -318,8 +280,60 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
                                          None)
             distinct.append(entry)
         resolutions[key] = LocalityResolution(key, keys, distinct, counts,
-                                              warmup_trace, annotations)
+                                              warmup_trace, annotations,
+                                              priced)
     return resolutions
+
+
+def _bases(deps: DependencyPass, flavours: List[bool]
+           ) -> Tuple[List[tuple], Dict[bool, np.ndarray]]:
+    """The geometry-independent ``(iclass, distances, taken)`` entries
+    of every instruction, once per flavour in *flavours* (False: RAW
+    distances in operand order; True: those, then the WAW and the WAR
+    distance of the destination, the ordering a machine without
+    register renaming waits on).
+
+    Returns the distinct entries and, per flavour, each instruction's
+    index among them.  Equal entries of two flavours share an index.
+    """
+    n = len(deps)
+    kept = np.flatnonzero(deps.raw)
+    at = deps.operand_positions()[kept]
+    filled = np.bincount(at, minlength=n).astype(np.int32)
+    width = int(filled.max()) + 2 if n else 2
+    # A kept distance's column is its rank among the instruction's.
+    column = np.arange(len(at), dtype=np.int32)
+    column -= (np.cumsum(filled) - filled)[at]
+    plain = np.zeros((n, width), np.uint16)
+    plain[at, column] = deps.raw[kept]
+    del kept, at, column
+    taken = np.zeros(n, np.uint8)
+    taken[deps.branches] = deps.taken
+    heads = deps.iclass * np.uint8(2) + taken
+    matrices = []
+    for anti in flavours:
+        matrix = plain
+        if anti:
+            matrix = plain.copy()
+            column = filled
+            for distances in (deps.waw, deps.war):
+                rows = np.flatnonzero(distances)
+                matrix[rows, column[rows]] = distances[rows]
+                column = column + (distances > 0)
+        matrices.append(matrix)
+    rows = np.concatenate(matrices) if len(matrices) > 1 else matrices[0]
+    del plain, matrices
+    heads = np.tile(heads, len(flavours))
+    ids, first_rows = first_appearance(pack_columns(
+        len(heads), [heads] + list(rows.T),
+        [2 * len(_ICLASSES)] + [MAX_DEPENDENCY_DISTANCE + 1] * width))
+    bases = [(_ICLASSES[head >> 1], tuple(d for d in row if d),
+              bool(head & 1))
+             for head, row in zip(heads[first_rows].tolist(),
+                                  rows[first_rows].tolist())]
+    ids = ids.astype(np.uintc)
+    return bases, {anti: ids[index * n:(index + 1) * n]
+                   for index, anti in enumerate(flavours)}
 
 
 def number_entries(ids: np.ndarray, events: np.ndarray
@@ -332,16 +346,10 @@ def number_entries(ids: np.ndarray, events: np.ndarray
     number, each entry's ``base << 7 | bits`` code and each entry's
     instruction count, the last two in entry order.
     """
-    codes, first, inverse = np.unique(
-        ids.astype(np.int64) << 7 | events,
-        return_index=True, return_inverse=True)
-    # np.unique numbers by sorted code; rank the codes by where each
-    # first appears instead.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    numbered = rank[inverse.reshape(-1)].astype(np.uintc)
+    codes = ids.astype(np.int64) << 7 | events
+    numbered, first = first_appearance(codes)
+    numbered = numbered.astype(np.uintc)
     keys = array("I")
     keys.frombytes(numbered.tobytes())
-    counts = np.bincount(numbered, minlength=len(codes))
-    return keys, codes[order].tolist(), counts.tolist()
+    counts = np.bincount(numbered, minlength=len(first))
+    return keys, codes[first].tolist(), counts.tolist()

@@ -57,10 +57,13 @@ from repro.isa.iclass import (BRANCH_CLASSES, IClass, execution_latency,
                               functional_unit)
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchOutcome
-from repro.cache.hierarchy import fetch_stall, load_latency
+from repro.cache.hierarchy import (fetch_stall, latency_signature,
+                                   load_latency)
 from repro.cpu.locality import (
     EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB, EV_L2D, EV_L2I, EV_LOCALITY,
-    MAX_DEPENDENCY_DISTANCE, entry_tallies, resolve_locality)
+    MAX_DEPENDENCY_DISTANCE, LocalityResolution, entry_tallies,
+    resolve_locality)
+from repro.obs.metrics import get_registry
 
 #: Control-byte bits of a row (see the module docstring).  Wrong-path
 #: fillers carry none.  ``CTRL_LIVE`` marks a branch whose outcome the
@@ -197,7 +200,7 @@ class InstructionSource(Protocol):
     ``on_dispatch`` trains.
     """
 
-    rows: List[tuple]
+    rows: Sequence[tuple]
 
     def fetch(self) -> Optional[FetchSlot]:
         """Consume and resolve the next correct-path instruction, or
@@ -277,7 +280,9 @@ class ExecutionDrivenSource(_Tallies):
     also WAW/WAR) distances are the dependency distances, the same
     definition the statistical profiler uses.  The resolution is
     memoized per cache geometry and *warmup_trace*, so a window or
-    width sweep walks its caches once.
+    width sweep walks its caches once, and the walk keeps its last
+    priced rows, so the sweep's points with one latency set price them
+    once.
 
     Branches stay live: the pipeline classifies each against
     :attr:`predictor` at fetch without training it, and trains it when
@@ -299,9 +304,8 @@ class ExecutionDrivenSource(_Tallies):
                           else resolution.predictor(config.predictor))
         self._resolution = resolution
         self.instructions = trace.instructions
-        row_of = price_entries(resolution.distinct, config,
-                               live_branches=not perfect_branch_prediction)
-        self.rows = list(map(row_of.__getitem__, resolution.keys))
+        self.rows = _resolution_rows(resolution, config,
+                                     not perfect_branch_prediction)
         self._adopt(resolution.tallies)
         self._pos = 0
 
@@ -340,6 +344,34 @@ class ExecutionDrivenSource(_Tallies):
         if (slot.is_branch and slot.raw is not None
                 and not self.perfect_branch_prediction):
             self.predictor.train(slot.raw)
+
+
+def _resolution_rows(resolution: LocalityResolution, config: MachineConfig,
+                     live_branches: bool) -> Tuple[tuple, ...]:
+    """The rows of *resolution* priced with *config*'s latencies.
+
+    The resolutions of one walk keep their last pricing in their
+    shared ``priced`` dict, keyed by the resolution,
+    :func:`~repro.cache.hierarchy.latency_signature` and
+    *live_branches*: the points of a window or width sweep share one
+    resolution and one latency set, so they share one tuple of rows,
+    and the points of a cache sweep, one resolution each, hold no more
+    rows than one run.  Counts ``eds.rows_priced`` or
+    ``eds.rows_reused`` once per call.
+    """
+    key = (resolution.key, latency_signature(config), live_branches)
+    priced = resolution.priced
+    rows = priced.get(key)
+    if rows is not None:
+        get_registry().counter("eds.rows_reused").inc()
+        return rows
+    get_registry().counter("eds.rows_priced").inc()
+    # Release the stale rows before pricing their successors.
+    priced.clear()
+    row_of = price_entries(resolution.distinct, config,
+                           live_branches=live_branches)
+    rows = priced[key] = tuple(map(row_of.__getitem__, resolution.keys))
+    return rows
 
 
 def _load_latencies(config: MachineConfig) -> List[int]:

@@ -13,7 +13,7 @@ simulates fixed-size samples (100M instructions per SimPoint).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import List
 
 from repro.isa.iclass import IClass
 from repro.isa.instruction import DynamicInstruction
@@ -22,7 +22,7 @@ from repro.frontend.trace import Trace
 
 
 class FunctionalSimulator:
-    """Executes a :class:`Program`, yielding dynamic instructions.
+    """Executes a :class:`Program` into lists of dynamic instructions.
 
     The simulator owns no microarchitectural state — branch predictors and
     caches are separate observers (:mod:`repro.branch`, :mod:`repro.cache`)
@@ -44,8 +44,8 @@ class FunctionalSimulator:
         for stream in self.program.memory_streams:
             stream.reset()
 
-    def run(self, n_instructions: int) -> Iterator[DynamicInstruction]:
-        """Yield the next *n_instructions* dynamic instructions.
+    def run(self, n_instructions: int) -> List[DynamicInstruction]:
+        """The next *n_instructions* dynamic instructions.
 
         Execution state (block, intra-block position, behaviour state)
         persists across calls, so consecutive ``run`` calls produce one
@@ -55,45 +55,49 @@ class FunctionalSimulator:
         blocks = program.blocks
         behaviors = program.branch_behaviors
         streams = program.memory_streams
-        emitted = 0
-        while emitted < n_instructions:
-            block = blocks[self._current]
-            instructions = block.instructions
-            last = len(instructions) - 1
-            index = self._index
+        indirect = IClass.INDIRECT_BRANCH
+        out: List[DynamicInstruction] = []
+        append = out.append
+        seq = self._seq
+        stop = seq + n_instructions
+        index = self._index
+        block = blocks[self._current]
+        bb_id = block.bb_id
+        instructions = block.instructions
+        last = len(instructions) - 1
+        while seq < stop:
             static = instructions[index]
             pc = block.address + index * 8
-            mem_addr: Optional[int] = None
-            if static.mem_stream is not None:
-                mem_addr = streams[static.mem_stream].next_address()
-            if index == last:
+            stream = static.mem_stream
+            mem_addr = (None if stream is None
+                        else streams[stream].next_address())
+            if index < last:
+                append(DynamicInstruction(seq, pc, static.iclass, bb_id,
+                                          static.src_regs, static.dst_reg,
+                                          mem_addr))
+                index += 1
+            else:
                 behavior = behaviors[block.branch_behavior]
-                if static.iclass is IClass.INDIRECT_BRANCH:
-                    target_idx = behavior.next_target()
-                    next_bb = block.indirect_targets[target_idx]
+                if static.iclass is indirect:
+                    next_bb = block.indirect_targets[behavior.next_target()]
                     taken = True
                 else:
                     taken = behavior.next_taken()
                     next_bb = (block.taken_target if taken
                                else block.fallthrough)
-                dyn = DynamicInstruction(
-                    self._seq, pc, static.iclass, block.bb_id,
-                    src_regs=static.src_regs, dst_reg=None,
-                    mem_addr=None, taken=taken,
-                    target=blocks[next_bb].address,
-                )
+                block = blocks[next_bb]
+                append(DynamicInstruction(seq, pc, static.iclass, bb_id,
+                                          static.src_regs, None, None,
+                                          taken, block.address))
                 self._current = next_bb
-                self._index = 0
-            else:
-                dyn = DynamicInstruction(
-                    self._seq, pc, static.iclass, block.bb_id,
-                    src_regs=static.src_regs, dst_reg=static.dst_reg,
-                    mem_addr=mem_addr,
-                )
-                self._index = index + 1
-            self._seq += 1
-            emitted += 1
-            yield dyn
+                index = 0
+                bb_id = block.bb_id
+                instructions = block.instructions
+                last = len(instructions) - 1
+            seq += 1
+        self._seq = seq
+        self._index = index
+        return out
 
 
 def run_program(program: Program, n_instructions: int,
@@ -114,13 +118,10 @@ def run_program(program: Program, n_instructions: int,
     """
     sim = FunctionalSimulator(program)
     if warmup:
-        discarded = None
-        for discarded in sim.run(warmup):
-            pass
-        while discarded is not None and not discarded.is_branch:
-            for discarded in sim.run(1):
-                pass
-    instructions = list(sim.run(n_instructions))
+        discarded = sim.run(warmup)
+        while discarded and not discarded[-1].is_branch:
+            discarded = sim.run(1)
+    instructions = sim.run(n_instructions)
     # Renumber so trace sequence numbers start at zero even after warmup;
     # dependency-distance profiling relies on dense 0-based numbering.
     if warmup:

@@ -99,10 +99,10 @@ def run_program_with_warmup(program, warmup: int,
     from repro.frontend.functional import FunctionalSimulator
 
     sim = FunctionalSimulator(program)
-    warm_instructions = list(sim.run(warmup))
+    warm_instructions = sim.run(warmup)
     while warm_instructions and not warm_instructions[-1].is_branch:
         warm_instructions.extend(sim.run(1))
-    measured = list(sim.run(n_instructions))
+    measured = sim.run(n_instructions)
     for seq, inst in enumerate(measured):
         inst.seq = seq
     return (Trace(name=f"{program.name}/warmup",

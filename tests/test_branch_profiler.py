@@ -99,3 +99,62 @@ class TestMetrics:
         counts = outcome_counts(records)
         assert sum(counts.values()) == len(records)
         assert set(counts) == set(BranchOutcome)
+
+
+def reference_delayed(trace, unit, fifo_size):
+    """The FIFO walked one instruction at a time: fill, then remove the
+    oldest; a mispredicted branch squashes the rest."""
+    from collections import deque
+
+    instructions = trace.instructions
+    n = len(instructions)
+    final = {}
+    fifo = deque()
+    i = 0
+    while i < n or fifo:
+        while i < n and len(fifo) < fifo_size:
+            inst = instructions[i]
+            fifo.append((i, unit.record(inst) if inst.is_branch else None))
+            i += 1
+        index, record = fifo.popleft()
+        if record is not None:
+            final[index] = record
+            unit.train(instructions[index])
+            if record.outcome is BranchOutcome.MISPREDICTION and fifo:
+                fifo.clear()
+                i = index + 1
+    return [final[index] for index in sorted(final)]
+
+
+class TestDelayedMatchesInstructionFifo:
+    """The branch-at-a-time FIFO makes the same lookups and trainings,
+    in the same order, as the instruction-at-a-time one: the records
+    and the predictor left behind (its BTB LRU order included, which
+    every lookup refreshes) are identical."""
+
+    @pytest.mark.parametrize("bench", ["gzip", "twolf", "parser"])
+    @pytest.mark.parametrize("fifo_size", [1, 2, 3, 8, 32, 100])
+    def test_benchmarks(self, bench, fifo_size):
+        import pickle
+
+        from repro.workloads.spec import build_benchmark
+
+        trace = run_program(build_benchmark(bench), n_instructions=3_000)
+        for config in (baseline_config().predictor,
+                       BranchPredictorConfig(
+                           meta_entries=16, bimodal_entries=16,
+                           local_history_entries=16, local_pht_entries=16,
+                           local_history_bits=3, btb_entries=4,
+                           btb_associativity=2)):
+            fast, slow = BranchPredictorUnit(config), \
+                BranchPredictorUnit(config)
+            assert (profile_branches_delayed(trace, fast, fifo_size)
+                    == reference_delayed(trace, slow, fifo_size))
+            assert pickle.dumps(fast) == pickle.dumps(slow)
+
+    def test_trace_ending_in_a_mispredicted_branch(self, loop_trace):
+        for cut in range(len(loop_trace) - 12, len(loop_trace)):
+            trace = type(loop_trace)("cut", loop_trace.instructions[:cut])
+            for fifo_size in (1, 4, 32):
+                assert (profile_branches_delayed(trace, _unit(), fifo_size)
+                        == reference_delayed(trace, _unit(), fifo_size))

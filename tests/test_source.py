@@ -306,3 +306,67 @@ class TestLocalityMemo:
 def predictor_state(unit):
     return (unit.meta, unit.bimodal, unit.pht, unit.histories,
             unit.btb_sets)
+
+
+def _priced_counts():
+    from repro.obs.metrics import get_registry
+
+    registry = get_registry()
+    return (registry.counter("eds.rows_priced").value,
+            registry.counter("eds.rows_reused").value)
+
+
+class TestPricedRows:
+    """An execution-driven source prices its resolution's rows once per
+    latency set and live-branch flag; later runs share the tuple."""
+
+    @pytest.fixture
+    def windows(self, small_program):
+        from repro.frontend.warming import run_program_with_warmup
+
+        return run_program_with_warmup(small_program, 1500, 2000)
+
+    def test_reused_rows_equal_fresh_rows_and_stay_intact(self, windows,
+                                                          config):
+        from repro.cpu.pipeline import SuperscalarPipeline
+        from repro.cpu.source import price_entries
+
+        warm, trace = windows
+        first = ExecutionDrivenSource(trace, config, warmup_trace=warm)
+        priced, reused = _priced_counts()
+        snapshot = list(first.rows)
+        SuperscalarPipeline(config, first).run()
+        # Window and width do not price anything differently.
+        again = ExecutionDrivenSource(trace, config.with_window(16, 8),
+                                      warmup_trace=warm)
+        assert again.rows is first.rows
+        assert _priced_counts() == (priced, reused + 1)
+        SuperscalarPipeline(config.with_window(16, 8), again).run()
+        assert list(again.rows) == snapshot
+        assert isinstance(again.rows, tuple)
+        resolution = again._resolution
+        row_of = price_entries(resolution.distinct, config,
+                               live_branches=True)
+        assert snapshot == [row_of[key] for key in resolution.keys]
+
+    @pytest.mark.parametrize("change", ["memory", "dl1", "perfect_bpred"])
+    def test_new_latencies_or_flag_reprice(self, windows, config, change):
+        warm, trace = windows
+        first = ExecutionDrivenSource(trace, config, warmup_trace=warm)
+        other, perfect = config, False
+        if change == "memory":
+            other = replace(config, memory_latency=config.memory_latency + 7)
+        elif change == "dl1":
+            other = replace(config, dl1=replace(
+                config.dl1, hit_latency=config.dl1.hit_latency + 1))
+        else:
+            perfect = True
+        priced, reused = _priced_counts()
+        second = ExecutionDrivenSource(trace, other, warmup_trace=warm,
+                                       perfect_branch_prediction=perfect)
+        assert second._resolution is first._resolution
+        assert second.rows is not first.rows
+        assert second.rows != first.rows
+        assert _priced_counts() == (priced + 1, reused)
+        fresh = ExecutionDrivenSource(trace, config, warmup_trace=warm)
+        assert fresh.rows == first.rows
