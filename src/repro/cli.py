@@ -11,10 +11,9 @@ Commands mirror the paper's workflow:
 * ``experiment`` — regenerate one of the paper's tables/figures;
 * ``dse`` — run a parallel, cached design-space sweep (the section 4.6
   protocol as a first-class subsystem; see ``docs/design_space.md``);
-* ``fuzz`` — differential fuzzing and statistical acceptance: seeded
-  random programs through both pipeline implementations plus the
-  profile → synthesize loop, with failure minimization and a replayable
-  regression corpus (see ``docs/fuzzing.md``).
+* ``fuzz`` — statistical acceptance fuzzing: seeded random programs
+  through the profile → synthesize loop, whose synthetic statistics
+  must converge to the profile (see ``docs/fuzzing.md``).
 """
 
 from __future__ import annotations
@@ -307,8 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz", parents=[obs_parent],
-        help="differential fuzzing + statistical acceptance "
-             "(see docs/fuzzing.md)")
+        help="statistical acceptance fuzzing (see docs/fuzzing.md)")
     fuzz.add_argument("--cases", type=_positive_int, default=25,
                       help="number of seeded cases to run "
                            "(default: 25)")
@@ -316,14 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="fuzz stream seed; identical (seed, cases) "
                            "invocations produce identical verdicts "
                            "(default: 0)")
-    fuzz.add_argument("--corpus", default=None, metavar="DIR",
-                      help="corpus directory: failing cases are "
-                           "minimized and written here; required "
-                           "with --replay")
-    fuzz.add_argument("--replay", action="store_true",
-                      help="instead of generating cases, replay every "
-                           "entry in --corpus and fail if a pinned "
-                           "bug regressed")
     fuzz.add_argument("--stats-only", default=None, metavar="STATS.json",
                       help="write the deterministic JSON summary "
                            "(verdict counts, acceptance margins per "
@@ -335,25 +325,16 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="retry budget per case (default: 0; a fuzz "
                            "failure is deterministic, retries only "
                            "matter under chaos)")
-    fuzz.add_argument("--max-shrink-trials", type=_positive_int,
-                      default=200,
-                      help="predicate evaluations the minimizer may "
-                           "spend per failing case (default: 200)")
-    fuzz.add_argument("--no-minimize", action="store_true",
-                      help="file failing cases unshrunk (faster triage "
-                           "of a broad breakage)")
     fuzz.add_argument("--vector", action="store_true",
                       help="add the vector layer: the columnar batch "
                            "generator's draws must pass the same "
                            "statistical acceptance as the scalar "
-                           "generator's (failures filed as kind "
+                           "generator's (failures counted as "
                            "'vector')")
     fuzz.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="deterministic fault-injection spec (same grammar as "
-             "REPRO_CHAOS; the pipeline-skew site plants a one-cycle "
-             "discrepancy the oracle must catch); overrides the "
-             "environment")
+             "REPRO_CHAOS); overrides the environment")
 
     analyze = sub.add_parser(
         "analyze", parents=[obs_parent],
@@ -668,48 +649,21 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
-    from repro.fuzz import FuzzPolicy, replay_corpus, run_fuzz
-
-    if args.replay:
-        if not args.corpus:
-            obs.error("--replay requires --corpus (the directory of "
-                      "entries to replay)", event="cli_error")
-            return 2
-        results = replay_corpus(args.corpus)
-        failures = [result for result in results if not result.passed]
-        for result in results:
-            status = "ok" if result.passed else "REGRESSED"
-            print(f"{result.case_id} [{result.kind}]: {status}"
-                  + (f" ({result.detail})" if result.detail else ""))
-        print(f"{len(results)} corpus entr"
-              f"{'y' if len(results) == 1 else 'ies'} replayed, "
-              f"{len(failures)} regressed")
-        return 1 if failures else 0
+    from repro.fuzz import FuzzPolicy, run_fuzz
 
     policy = FuzzPolicy(
         cases=args.cases,
         seed=args.seed,
         timeout=args.timeout,
         retries=args.retries,
-        corpus_dir=args.corpus,
-        max_trials=args.max_shrink_trials,
-        minimize=not args.no_minimize,
         vector=args.vector,
     )
     report = run_fuzz(policy)
 
     for verdict in report.verdicts:
-        if verdict.status == "ok":
-            continue
-        line = f"{verdict.case_id}: {verdict.status} — {verdict.detail}"
-        if verdict.minimization:
-            line += (f" (minimized "
-                     f"{verdict.minimization['original_size']} -> "
-                     f"{verdict.minimization['minimized_size']} static "
-                     f"instructions)")
-        if verdict.corpus_path:
-            line += f" [{verdict.corpus_path}]"
-        print(line)
+        if verdict.status != "ok":
+            print(f"{verdict.case_id}: {verdict.status} — "
+                  f"{verdict.detail}")
     print(report.summary())
 
     if args.stats_only:

@@ -32,7 +32,7 @@ pins the columnar draws to the scalar distributions, and
 ``tests/test_columnar.py`` pins end-to-end IPC agreement.
 :meth:`ColumnarTrace.to_synthetic_trace` interns the columns into the
 scalar path's ``(iclass, events, deps, taken, outcome)`` entries, so
-every trace statistic and the fuzz oracle read one form.
+every trace statistic and the fuzz acceptance checks read one form.
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ class ColumnarTrace:
         return int(self.iclass.size)
 
     def to_synthetic_trace(self) -> SyntheticTrace:
-        """The same trace as interned entries (tests, the fuzz oracle
-        and the health canary; the pipeline consumes the columns
+        """The same trace as interned entries (tests, the fuzz vector
+        layer and the health canary; the pipeline consumes the columns
         directly)."""
         is_load = self.iclass == int(IClass.LOAD)
         events = (self.il1 * EV_IL1 + self.l2i * EV_L2I

@@ -122,9 +122,8 @@ class SuperscalarPipeline:
         """Simulate until the source drains; return the result.
 
         When *commit_log* is a list, every retired instruction appends
-        ``(cycle, pseq)`` to it in retirement order — the differential
-        fuzzing oracle (:mod:`repro.fuzz.oracle`) diffs this schedule
-        against the reference pipeline's.
+        ``(cycle, pseq)`` to it in retirement order — the equivalence
+        suite diffs this schedule against the reference pipeline's.
         """
         config = self.config
         source = self.source

@@ -2,14 +2,11 @@
 
 This is the original strictly cycle-by-cycle ``SuperscalarPipeline.run``
 preserved verbatim (minus metrics recording) from before the
-event-driven rewrite of :mod:`repro.cpu.pipeline`.  It exists for two
-jobs:
-
-* the exact-equivalence guard: ``tests/test_pipeline_equivalence.py``
-  asserts the optimized pipeline produces an identical
-  :class:`SimulationResult` for the same source and configuration;
-* the differential fuzzer's oracle: :mod:`repro.fuzz` runs every
-  random program through both pipelines and flags any divergence.
+event-driven rewrite of :mod:`repro.cpu.pipeline`.  It is the
+exact-equivalence guard: ``tests/test_pipeline_equivalence.py`` asserts
+the optimized pipeline produces an identical :class:`SimulationResult`
+and commit schedule for the same source and configuration, on fixed
+streams, random machines and random programs.
 
 Do not optimize this module; its value is that it stays slow and
 obviously correct.
@@ -74,8 +71,8 @@ class ReferencePipeline:
 
         When *commit_log* is a list, every retired instruction appends
         ``(cycle, pseq)`` in retirement order — the same hook the
-        optimized pipeline exposes, so the differential fuzzing oracle
-        can diff retirement schedules cycle-for-cycle.
+        optimized pipeline exposes, so the equivalence suite can diff
+        retirement schedules cycle-for-cycle.
         """
         config = self.config
         source = self.source

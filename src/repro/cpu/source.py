@@ -522,8 +522,8 @@ class PreannotatedSource(_Tallies):
     generation (paper section 2.2, steps 5-7), so this source holds no
     caches and no predictor.  The pipeline reads :attr:`rows`.
 
-    Built from a list of :class:`FetchSlot` (hand-made streams, tests,
-    the fuzz oracle), or by :meth:`from_trace` from a synthetic trace
+    Built from a list of :class:`FetchSlot` (hand-made streams,
+    tests), or by :meth:`from_trace` from a synthetic trace
     priced for one config: its rows come from the trace's distinct
     entries and its tallies from their counts, and slots exist only
     once :class:`~repro.cpu.reference.ReferencePipeline` fetches one.

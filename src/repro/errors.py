@@ -67,14 +67,6 @@ class WorkloadSpecError(ReproError, ValueError):
     working."""
 
 
-class FuzzDiscrepancyError(ReproError):
-    """The differential fuzzing oracle (:mod:`repro.fuzz`) found the
-    optimized pipeline and the frozen reference disagreeing on a
-    generated program, or a synthetic stream's statistics falling
-    outside the acceptance tolerances.  Not retryable: the discrepancy
-    is deterministic given the case seed."""
-
-
 class ChaosSpecError(ReproError, ValueError):
     """A ``REPRO_CHAOS`` chaos-injection spec string
     (:mod:`repro.faults`) is malformed: unknown site, unknown key, or

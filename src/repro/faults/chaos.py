@@ -37,13 +37,6 @@ hooks.  The injection *sites*:
     the RSS guardrail: the soft ceiling trips the vector rung of the
     degradation ladder, the hard ceiling fails the point cleanly with
     a flight-recorder dump.
-``pipeline-skew``
-    Perturb the optimized pipeline's result inside the differential
-    fuzzing oracle (:mod:`repro.fuzz.oracle`): the reference and the
-    optimized run disagree by one cycle, as a real off-by-one in the
-    per-instruction timing would look.  This is the fuzz harness testing
-    itself — the oracle must catch the skew, and the minimizer must
-    shrink the case to a small reproducer.
 
 Spec grammar (segments split on ``;``, site options on ``,``)::
 
@@ -87,7 +80,7 @@ from repro.errors import ChaosSpecError, InjectedFaultError, InjectedIOError
 
 #: Every site name the spec grammar accepts.
 SITES = ("worker-kill", "worker-hang", "mem-balloon", "task-fail",
-         "io-error", "artifact-corrupt", "slow-call", "pipeline-skew")
+         "io-error", "artifact-corrupt", "slow-call")
 
 #: Exit status used by the worker-kill site; distinctive on purpose so
 #: supervisor logs and tests can tell an injected kill from a real one.
@@ -332,15 +325,6 @@ class ChaosPlan:
         cut = data[:max(1, len(data) // 2)]
         target.write_bytes(bytes([cut[0] ^ 0xFF]) + cut[1:])
         return True
-
-    def skews_pipeline(self, token: str) -> bool:
-        """pipeline-skew site: whether the differential oracle should
-        perturb the optimized pipeline's result for this fuzz case.
-
-        The decision token is the case id, so a skewed case stays
-        skewed through every minimization trial — exactly what the
-        shrinker needs to reduce it to a minimal reproducer."""
-        return self.fires("pipeline-skew", token)
 
 
 def active_sites(plan: Optional[ChaosPlan]) -> Tuple[str, ...]:

@@ -64,15 +64,6 @@ class ToleranceConfig:
         variance = max(p * (1.0 - p), 1e-6)
         return base + self.scale * math.sqrt(variance / max(1, n))
 
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "mix_max_dev": self.mix_max_dev,
-            "rate_max_dev": self.rate_max_dev,
-            "dep_max_dev": self.dep_max_dev,
-            "chi_square_z": self.chi_square_z,
-            "scale": self.scale,
-        }
-
 
 def chi_square_critical(df: int, z: float) -> float:
     """Wilson–Hilferty approximation of the chi-square quantile at
@@ -100,18 +91,6 @@ class StatisticCheck:
         """Headroom before failure (negative = failed)."""
         return self.tolerance - self.deviation
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "expected": self.expected,
-            "realized": self.realized,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "margin": self.margin,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class AcceptanceReport:
@@ -127,13 +106,6 @@ class AcceptanceReport:
     @property
     def failures(self) -> List[StatisticCheck]:
         return [check for check in self.checks if not check.passed]
-
-    def to_dict(self) -> Dict:
-        return {
-            "passed": self.passed,
-            "synthetic_instructions": self.synthetic_instructions,
-            "checks": [check.to_dict() for check in self.checks],
-        }
 
     def summary(self) -> str:
         if self.passed:

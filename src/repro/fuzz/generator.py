@@ -1,10 +1,10 @@
 """Seeded random fuzz-case generation off the paper's benchmark grid.
 
-Each :class:`FuzzCase` bundles everything one differential + acceptance
-check needs: a randomly drawn :class:`~repro.workloads.generator.
-WorkloadConfig` (program structure, instruction mix, branch behaviour
-mixture, memory behaviour), a machine-configuration override set, and
-the trace/synthesis knobs.  Case generation is a pure function of
+Each :class:`FuzzCase` bundles everything one acceptance check needs:
+a randomly drawn :class:`~repro.workloads.generator.WorkloadConfig`
+(program structure, instruction mix, branch behaviour mixture, memory
+behaviour), a machine-configuration override set, and the
+trace/synthesis knobs.  Case generation is a pure function of
 ``(fuzz seed, case index)`` — the per-case RNG is seeded with the
 string ``"fuzz:<seed>:<index>"``, which CPython hashes through SHA-512
 (``random.seed`` version 2), so cases are identical across processes
@@ -15,14 +15,16 @@ The sweeps deliberately leave the SPEC-like grid of
 instruction mixes, branch mixtures that are all-loop or all-random,
 mixes with zero memory mass, tiny register files and pathological
 machine shapes (tiny windows, starved FU pools, in-order issue) are all
-in range — that is where pipeline and synthesis bugs hide.
+in range — that is where synthesis bugs hide.  The pipeline
+differential (``tests/test_pipeline_equivalence.py``) draws from the
+same tables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config import MachineConfig, baseline_config
 from repro.isa.iclass import IClass
@@ -42,6 +44,12 @@ _MIX_CLASSES = (
 )
 
 _STREAM_KINDS = ("strided", "random", "chase", "hot")
+
+_REGISTER_CHOICES = (4, 8, 12, 16, 24, 32, 48, 64)
+_WORKING_SET_KB = (2, 4, 8, 16, 32, 64, 128, 256)
+_CODE_FOOTPRINT_KB = (1, 2, 4, 8, 16, 32, 64)
+#: Repeated entries weight the draw.
+_INDIRECT_FRACTIONS = (0.0, 0.0, 0.05, 0.1, 0.2, 0.3)
 
 #: Machine-shape ingredients, composable: each entry is applied with an
 #: independent probability so single pathologies and combinations both
@@ -89,59 +97,6 @@ class FuzzCase:
     def program(self) -> Program:
         """Generate this case's program (fresh behaviours each call)."""
         return generate_program(self.workload)
-
-    def to_dict(self) -> Dict:
-        """JSON-compatible encoding (round-trips via :func:`case_from_dict`)."""
-        workload = {
-            "name": self.workload.name,
-            "seed": self.workload.seed,
-            "n_blocks": self.workload.n_blocks,
-            "mean_block_size": self.workload.mean_block_size,
-            "instruction_mix": {str(int(iclass)): weight
-                                for iclass, weight
-                                in self.workload.instruction_mix.items()},
-            "n_registers": self.workload.n_registers,
-            "working_set_kb": self.workload.working_set_kb,
-            "stream_kinds": dict(self.workload.stream_kinds),
-            "n_memory_streams": self.workload.n_memory_streams,
-            "loop_fraction": self.workload.loop_fraction,
-            "pattern_fraction": self.workload.pattern_fraction,
-            "indirect_fraction": self.workload.indirect_fraction,
-            "random_branch_bias": self.workload.random_branch_bias,
-            "code_footprint_kb": self.workload.code_footprint_kb,
-            "dependency_locality": self.workload.dependency_locality,
-        }
-        return {
-            "case_id": self.case_id,
-            "seed": self.seed,
-            "index": self.index,
-            "workload": workload,
-            "machine_overrides": dict(self.machine_overrides),
-            "trace_instructions": self.trace_instructions,
-            "warmup": self.warmup,
-            "reduction_factor": self.reduction_factor,
-            "synthesis_seed": self.synthesis_seed,
-            "order": self.order,
-        }
-
-
-def case_from_dict(data: Dict) -> FuzzCase:
-    """Inverse of :meth:`FuzzCase.to_dict`."""
-    raw = dict(data["workload"])
-    raw["instruction_mix"] = {IClass(int(key)): weight for key, weight
-                              in raw["instruction_mix"].items()}
-    return FuzzCase(
-        case_id=data["case_id"],
-        seed=data["seed"],
-        index=data["index"],
-        workload=WorkloadConfig(**raw),
-        machine_overrides=dict(data.get("machine_overrides", {})),
-        trace_instructions=data["trace_instructions"],
-        warmup=data.get("warmup", 0),
-        reduction_factor=data["reduction_factor"],
-        synthesis_seed=data.get("synthesis_seed", 0),
-        order=data.get("order", 1),
-    )
 
 
 def _random_mix(rng: random.Random) -> Dict[IClass, float]:
@@ -215,16 +170,16 @@ def random_case(seed: int, index: int) -> FuzzCase:
         n_blocks=n_blocks,
         mean_block_size=rng.randint(1, 12),
         instruction_mix=mix,
-        n_registers=rng.choice((4, 8, 12, 16, 24, 32, 48, 64)),
-        working_set_kb=rng.choice((2, 4, 8, 16, 32, 64, 128, 256)),
+        n_registers=rng.choice(_REGISTER_CHOICES),
+        working_set_kb=rng.choice(_WORKING_SET_KB),
         stream_kinds=_random_stream_kinds(rng),
         n_memory_streams=(rng.randint(1, 24) if uses_memory
                           else rng.choice((0, 0, 1, 4))),
         loop_fraction=loop_fraction,
         pattern_fraction=pattern_fraction,
-        indirect_fraction=rng.choice((0.0, 0.0, 0.05, 0.1, 0.2, 0.3)),
+        indirect_fraction=rng.choice(_INDIRECT_FRACTIONS),
         random_branch_bias=rng.uniform(0.05, 0.95),
-        code_footprint_kb=rng.choice((1, 2, 4, 8, 16, 32, 64)),
+        code_footprint_kb=rng.choice(_CODE_FOOTPRINT_KB),
         dependency_locality=rng.uniform(0.0, 0.95),
     )
     return FuzzCase(

@@ -3,15 +3,15 @@
 The columnar batch generator draws from the same distributions as the
 scalar generator but through different kernels; a regression there
 does not crash — it silently skews every downstream metric.  The
-differential fuzzer catches such drift offline; this canary catches it
-*at runtime*: every Nth vector evaluation (``canary`` in the health
-spec) converts the freshly generated columnar trace and runs it
-through the same statistical acceptance gate the fuzzer uses
-(:mod:`repro.fuzz.acceptance`).  On drift it trips the vector breaker
-on the degradation ladder and raises the retryable
-:class:`~repro.errors.CanaryDriftError`, so the evaluation's retry
-lands on the scalar rung and the sweep finishes green — degraded, not
-poisoned.
+fuzzer's vector layer (``repro fuzz --vector``) catches such drift
+offline; this canary catches it *at runtime*: every Nth vector
+evaluation (``canary`` in the health spec) converts the freshly
+generated columnar trace and runs it through the same statistical
+acceptance gate the fuzzer uses (:mod:`repro.fuzz.acceptance`).  On
+drift it trips the vector breaker on the degradation ladder and raises
+the retryable :class:`~repro.errors.CanaryDriftError`, so the
+evaluation's retry lands on the scalar rung and the sweep finishes
+green — degraded, not poisoned.
 
 ``canary-force=1`` treats every sampled report as failed; it is the
 deterministic drill used by tests and the hang-smoke CI job to prove

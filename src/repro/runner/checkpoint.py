@@ -1,12 +1,12 @@
 """Atomic, checksummed JSON files.
 
 Result-cache entries (which also hold a run directory's finished work
-units), saved profiles, quarantine records and the fuzz corpus are
-written atomically (tmp file + ``os.replace``) with a SHA-256 checksum
-over their payload, so a killed process can never leave a half-written
-file that is later trusted: a truncated or bit-flipped file fails
-verification and its work is simply redone.  Lease files and metrics
-snapshots share the atomic writer.
+units), saved profiles and quarantine records are written atomically
+(tmp file + ``os.replace``) with a SHA-256 checksum over their payload,
+so a killed process can never leave a half-written file that is later
+trusted: a truncated or bit-flipped file fails verification and its
+work is simply redone.  Lease files and metrics snapshots share the
+atomic writer.
 """
 
 from __future__ import annotations

@@ -62,14 +62,6 @@ class TestAcceptance:
         assert any(name.startswith("mix[") for name in failing)
         assert "out of tolerance" in report.summary()
 
-    def test_report_serializes(self, profile_and_synthetic):
-        profile, synthetic = profile_and_synthetic
-        data = acceptance_report(profile, synthetic).to_dict()
-        assert data["passed"] in (True, False)
-        assert data["checks"]
-        assert {"name", "deviation", "tolerance",
-                "margin"} <= set(data["checks"][0])
-
 
 class TestToleranceModel:
     def test_tolerance_shrinks_with_length(self):

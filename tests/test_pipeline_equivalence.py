@@ -14,7 +14,7 @@ import os
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import baseline_config
@@ -29,6 +29,11 @@ from repro.isa.iclass import IClass, execution_latency
 from repro.branch.unit import BranchOutcome
 from repro.cpu.results import SimulationResult
 from repro.cpu.source import FetchSlot
+from repro.fuzz.generator import (
+    _BLOCK_CHOICES, _CODE_FOOTPRINT_KB, _INDIRECT_FRACTIONS,
+    _MACHINE_INGREDIENTS, _MIX_CLASSES, _REGISTER_CHOICES, _STREAM_KINDS,
+    _WORKING_SET_KB, random_case)
+from repro.workloads.generator import WorkloadConfig, generate_program
 
 
 def _assert_identical(new, old):
@@ -428,3 +433,97 @@ def test_frontend_depth_zero_times_like_one(config, slots):
             PreannotatedSource(slots)).run(commit_log=log), log))
     assert runs[0] == runs[1]
 
+
+# ------------------------------------------------------ random programs
+
+#: Examples per run of the random-program differential test; CI runs a
+#: deeper pass by setting ``PROGRAM_DIFFERENTIAL_EXAMPLES``.
+_PROGRAM_EXAMPLES = int(os.environ.get(
+    "PROGRAM_DIFFERENTIAL_EXAMPLES", "120"))
+
+#: A relative weight: zero (the class or stream kind is off) or spread
+#: across orders of magnitude.
+_weights = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+
+
+@st.composite
+def _fuzz_workloads(draw):
+    """The fuzz generator's parameter space (``repro.fuzz.generator``),
+    drawn directly so that hypothesis shrinks the program itself:
+    degenerate one-block CFGs, one-hot and memory-free mixes, all-loop
+    or all-random branches and combined machine pathologies."""
+    mix = {iclass: draw(_weights) for iclass in _MIX_CLASSES}
+    if not any(mix.values()):
+        mix[IClass.INT_ALU] = 1.0
+    uses_memory = mix[IClass.LOAD] > 0 or mix[IClass.STORE] > 0
+    kinds = {kind: draw(_weights) for kind in _STREAM_KINDS}
+    if not any(kinds.values()):
+        kinds["strided"] = 1.0
+    loop = draw(st.floats(0.0, 1.0))
+    pattern = draw(st.floats(0.0, 1.0 - loop))
+    assume(loop + pattern <= 1.0)
+    return WorkloadConfig(
+        name="differential", seed=draw(st.integers(0, 2**32 - 1)),
+        n_blocks=draw(st.sampled_from(_BLOCK_CHOICES)),
+        mean_block_size=draw(st.integers(1, 12)),
+        instruction_mix=mix,
+        n_registers=draw(st.sampled_from(_REGISTER_CHOICES)),
+        working_set_kb=draw(st.sampled_from(_WORKING_SET_KB)),
+        stream_kinds=kinds,
+        # A mix with loads or stores needs a stream to draw from.
+        n_memory_streams=draw(st.integers(int(uses_memory), 24)),
+        loop_fraction=loop, pattern_fraction=pattern,
+        indirect_fraction=draw(st.sampled_from(_INDIRECT_FRACTIONS)),
+        random_branch_bias=draw(st.floats(0.05, 0.95)),
+        code_footprint_kb=draw(st.sampled_from(_CODE_FOOTPRINT_KB)),
+        dependency_locality=draw(st.floats(0.0, 0.95)))
+
+
+@st.composite
+def _fuzz_machines(draw):
+    """Up to four of the fuzz generator's machine-shape ingredients,
+    applied in table order over the baseline core."""
+    picked = draw(st.sets(st.sampled_from(range(len(_MACHINE_INGREDIENTS))),
+                          max_size=4))
+    config = baseline_config()
+    for index in sorted(picked):
+        config = replace(config, **_MACHINE_INGREDIENTS[index])
+    return config
+
+
+def _assert_program_identical(program, config, n_instructions, warmup):
+    """One functional trace of *program*; each pipeline gets its own
+    execution-driven source (own caches and predictor)."""
+    from repro.frontend.functional import run_program
+
+    trace = run_program(program, n_instructions, warmup=warmup)
+    new_log, old_log = [], []
+    new = SuperscalarPipeline(
+        config, ExecutionDrivenSource(trace, config)).run(
+        commit_log=new_log)
+    old = ReferencePipeline(
+        config, ExecutionDrivenSource(trace, config)).run(
+        commit_log=old_log)
+    _assert_identical(new, old)
+    assert new_log == old_log
+    # Only real-path instructions retire, in cycle order.
+    assert len(new_log) == new.instructions
+    assert all(a[0] <= b[0] for a, b in zip(new_log, new_log[1:]))
+
+
+@settings(max_examples=_PROGRAM_EXAMPLES, derandomize=True, deadline=None)
+@given(workload=_fuzz_workloads(), config=_fuzz_machines(),
+       n_instructions=st.integers(1, 4000), warmup=st.integers(0, 256))
+def test_random_programs_identical(workload, config, n_instructions,
+                                   warmup):
+    _assert_program_identical(generate_program(workload), config,
+                              n_instructions, warmup)
+
+
+@pytest.mark.parametrize("index", [0, 9, 18])
+def test_seed11_fuzz_cases_identical(index):
+    """Cases 0, 9 and 18 of fuzz stream 11 at full length: the programs
+    a one-cycle skew canary once filed as differential reproducers."""
+    case = random_case(11, index)
+    _assert_program_identical(case.program(), case.machine_config(),
+                              case.trace_instructions, case.warmup)
