@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.config import MachineConfig
 from repro.isa.iclass import BRANCH_CLASSES, IClass
 from repro.frontend.trace import Trace
@@ -40,6 +42,8 @@ from repro.power.wattch import PowerBreakdown
 
 #: HLS models the program as this many synthetic basic blocks.
 HLS_NUM_BLOCKS = 100
+
+_ICLASSES = list(IClass)
 
 
 @dataclass
@@ -63,24 +67,19 @@ class HLSProfile:
 def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
     """Measure HLS's global statistical profile from a dynamic trace."""
     stats = _measure_globals(trace, config)
-    mix: Dict[IClass, int] = {}
-    block_sizes: List[int] = []
-    size = 0
-    operand_counter: Dict[IClass, Dict[int, int]] = {}
     distance_hist, operands_with_dep, operands_total = \
         dependency_histogram(dependency_pass(trace).raw)
+    block_sizes = trace.block_sizes().tolist()
+    mix = trace.instruction_mix()
+    # Operand-count histograms per class, classes in order of first
+    # appearance and counts ascending.
+    pairs, pair_counts = np.unique(
+        np.stack([trace.iclass, trace.source_counts()]), axis=1,
+        return_counts=True)
+    operand_counter: Dict[IClass, Dict[int, int]] = {ic: {} for ic in mix}
+    for (code, n_src), count in zip(pairs.T.tolist(), pair_counts.tolist()):
+        operand_counter[_ICLASSES[code]][n_src] = count
 
-    for inst in trace.instructions:
-        mix[inst.iclass] = mix.get(inst.iclass, 0) + 1
-        size += 1
-        counts = operand_counter.setdefault(inst.iclass, {})
-        n_src = len(inst.src_regs)
-        counts[n_src] = counts.get(n_src, 0) + 1
-        if inst.is_branch:
-            block_sizes.append(size)
-            size = 0
-
-    total = len(trace)
     mean_size = (sum(block_sizes) / len(block_sizes)) if block_sizes else 1.0
     if len(block_sizes) > 1:
         variance = (sum((s - mean_size) ** 2 for s in block_sizes)
@@ -97,7 +96,7 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
 
     return HLSProfile(
         name=trace.name,
-        instruction_mix={ic: c / total for ic, c in mix.items()},
+        instruction_mix=mix,
         mean_block_size=mean_size,
         std_block_size=variance ** 0.5,
         operand_counts=operand_counts,

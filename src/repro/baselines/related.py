@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.config import MachineConfig
 from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
-from repro.frontend.trace import Trace
+from repro.frontend.trace import IS_BRANCH, Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
@@ -42,6 +42,8 @@ from repro.cpu.locality import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1, EV_ITLB,
                                 EV_L2D, EV_L2I)
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
+
+_ICLASSES = list(IClass)
 
 
 class _Distribution:
@@ -79,20 +81,13 @@ class _GlobalStats:
 
 def _measure_globals(trace: Trace, config: MachineConfig) -> _GlobalStats:
     hierarchy = CacheHierarchy(config)
-    hierarchy.walk(trace.instructions)
-    sizes: Dict[int, int] = {}
-    count = 0
-    for inst in trace.instructions:
-        count += 1
-        if inst.is_branch:
-            sizes[count] = sizes.get(count, 0) + 1
-            count = 0
+    hierarchy.walk(trace)
     records = profile_branches_delayed(
         trace, BranchPredictorUnit(config.predictor),
         fifo_size=config.ifq_size)
     n = max(1, len(records))
     return _GlobalStats(
-        block_sizes=sizes,
+        block_sizes=_histogram(trace.block_sizes()),
         taken_rate=sum(r.taken for r in records) / n,
         redirect_rate=sum(r.outcome is BranchOutcome.FETCH_REDIRECTION
                           for r in records) / n,
@@ -103,6 +98,12 @@ def _measure_globals(trace: Trace, config: MachineConfig) -> _GlobalStats:
     )
 
 
+def _histogram(values: np.ndarray) -> Dict[int, int]:
+    """The count of every distinct value of *values*."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return dict(zip(distinct.tolist(), counts.tolist()))
+
+
 def dependency_histogram(raw: np.ndarray
                          ) -> Tuple[Dict[int, int], int, int]:
     """``(histogram, dependent, operands)`` of the RAW distances *raw*
@@ -110,9 +111,8 @@ def dependency_histogram(raw: np.ndarray
     :class:`~repro.core.dependencies.DependencyPass` holds them): the
     count per distance, the operands with a distance and all
     operands."""
-    distances, counts = np.unique(raw[raw > 0], return_counts=True)
-    return (dict(zip(distances.tolist(), counts.tolist())),
-            int(counts.sum()), len(raw))
+    hist = _histogram(raw[raw > 0])
+    return hist, sum(hist.values()), len(raw)
 
 
 def _sample_locality(rng: random.Random, iclass: IClass,
@@ -206,17 +206,13 @@ class IndependentModel:
     def __init__(self, trace: Trace, config: MachineConfig) -> None:
         self.name = trace.name
         self.globals = _measure_globals(trace, config)
-        mix: Dict[IClass, int] = {}
-        operand_counts: Dict[int, int] = {}
         distance_hist, with_dep, operands = dependency_histogram(
             dependency_pass(trace).raw)
-        for inst in trace.instructions:
-            if inst.iclass not in BRANCH_CLASSES:
-                mix[inst.iclass] = mix.get(inst.iclass, 0) + 1
-            operand_counts[len(inst.src_regs)] = \
-                operand_counts.get(len(inst.src_regs), 0) + 1
-        self._mix = _Distribution(mix)
-        self._operand_counts = _Distribution(operand_counts)
+        mix = _histogram(trace.iclass[~IS_BRANCH[trace.iclass]])
+        self._mix = _Distribution({_ICLASSES[code]: count
+                                   for code, count in mix.items()})
+        self._operand_counts = _Distribution(
+            _histogram(trace.source_counts()))
         self._distances = _Distribution(distance_hist)
         self._p_dep = with_dep / operands if operands else 0.0
         self._sizes = _Distribution(self.globals.block_sizes)
@@ -248,31 +244,30 @@ class SizeCorrelatedModel:
         # Per block size: per-slot instruction mixes, operand counts and
         # dependency distances; blocks of equal size share everything
         # (the "size aliasing" the paper criticises).
-        self._per_size: Dict[int, List[Dict]] = {}
-        block: List = []
-        for inst in trace.instructions:
-            block.append(inst)
-            if not inst.is_branch:
-                continue
-            size = len(block)
-            slots = self._per_size.setdefault(
-                size, [dict(mix={}, operands={}) for _ in range(size)])
-            for slot, binst in enumerate(block):
-                slots[slot]["mix"][binst.iclass] = \
-                    slots[slot]["mix"].get(binst.iclass, 0) + 1
-                n_src = len(binst.src_regs)
-                slots[slot]["operands"][n_src] = \
-                    slots[slot]["operands"].get(n_src, 0) + 1
-            block = []
-        # The RAW distances of the operands of complete blocks, by the
-        # size of their block.
         deps = dependency_pass(trace)
         ends = deps.branches
-        sizes = np.diff(ends, prepend=-1)
-        complete = int(deps.src_off[ends[-1] + 1]) if len(ends) else 0
-        raw = deps.raw[:complete]
-        operand_sizes = np.repeat(sizes, sizes)[
-            deps.operand_positions()[:complete]]
+        sizes = trace.block_sizes()
+        complete = int(ends[-1]) + 1 if len(ends) else 0
+        # Each instruction of a complete block: its block's size and its
+        # slot in the block.
+        block_size = np.repeat(sizes, sizes)
+        slot = np.arange(complete) - np.repeat(ends + 1 - sizes, sizes)
+        self._per_size: Dict[int, List[Dict]] = {
+            size: [dict(mix={}, operands={}) for _ in range(size)]
+            for size in np.unique(sizes).tolist()}
+        for field, values, key in (
+                ("mix", trace.iclass[:complete], _ICLASSES.__getitem__),
+                ("operands", trace.source_counts()[:complete], int)):
+            cells, counts = np.unique(np.stack([block_size, slot, values]),
+                                      axis=1, return_counts=True)
+            for (size, position, value), count in zip(cells.T.tolist(),
+                                                      counts.tolist()):
+                self._per_size[size][position][field][key(value)] = count
+        # The RAW distances of the operands of complete blocks, by the
+        # size of their block.
+        operands = int(deps.src_off[complete])
+        raw = deps.raw[:operands]
+        operand_sizes = block_size[deps.operand_positions()[:operands]]
         self._dep_per_size: Dict[int, Tuple[Dict[int, int], int, int]] = {
             size: dependency_histogram(raw[operand_sizes == size])
             for size in self._per_size}

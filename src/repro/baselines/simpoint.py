@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import MachineConfig
-from repro.frontend.trace import Trace, split_intervals
+from repro.frontend.trace import Trace, concat_traces, split_intervals
 
 #: SimPoint projects BBVs to this many dimensions before clustering.
 PROJECTED_DIMENSIONS = 15
@@ -37,13 +37,12 @@ def basic_block_vectors(trace: Trace, interval: int) -> Tuple[np.ndarray,
     pieces = split_intervals(trace, interval)
     if not pieces:
         raise ValueError("trace shorter than one interval")
-    block_ids = sorted({inst.bb_id for inst in trace.instructions})
-    index = {bb: i for i, bb in enumerate(block_ids)}
-    vectors = np.zeros((len(pieces), len(block_ids)))
-    for row, piece in enumerate(pieces):
-        for inst in piece.instructions:
-            vectors[row, index[inst.bb_id]] += 1
-        vectors[row] /= max(1.0, vectors[row].sum())
+    block_ids, columns = np.unique(trace.bb_id, return_inverse=True)
+    vectors = np.array([
+        np.bincount(columns[row * interval:(row + 1) * interval],
+                    minlength=len(block_ids))
+        for row in range(len(pieces))], dtype=float)
+    vectors /= np.maximum(1.0, vectors.sum(axis=1, keepdims=True))
     return vectors, pieces
 
 
@@ -153,9 +152,9 @@ def _prefix_trace(trace: Trace, start: int,
     branch predictor on (SimPoint-style architectural warming: the
     original tooling fast-forwards functionally to each simulation
     point)."""
-    prefix = list(warmup_trace.instructions) if warmup_trace else []
-    prefix.extend(trace.instructions[:start])
-    return Trace(name=f"{trace.name}/prefix", instructions=prefix)
+    pieces = [warmup_trace] if warmup_trace else []
+    return concat_traces(f"{trace.name}/prefix",
+                         pieces + [trace.window(0, start)])
 
 
 def run_simpoint(trace: Trace, config: MachineConfig, interval: int,
@@ -178,8 +177,6 @@ def run_simpoint(trace: Trace, config: MachineConfig, interval: int,
     weighted_cpi = 0.0
     weighted_energy = 0.0
     for index, weight in zip(selection.representatives, selection.weights):
-        # Dependency distances are differences of sequence numbers, so
-        # the interval's original (offset) numbering works unchanged.
         source = ExecutionDrivenSource(
             pieces[index], config,
             warmup_trace=_prefix_trace(trace, index * interval,

@@ -20,15 +20,10 @@ instruction fetch queue size (32 in Table 2).
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, count
-from operator import attrgetter
 from typing import Dict, Iterable, List
 
-from repro.isa.iclass import BRANCH_CLASSES
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit, BranchRecord
-
-_ICLASS = attrgetter("iclass")
 
 
 def profile_branches_immediate(
@@ -42,10 +37,9 @@ def profile_branches_immediate(
     """
     records: List[BranchRecord] = []
     record, train = unit.record, unit.train
-    for inst in trace:
-        if inst.is_branch:
-            records.append(record(inst))
-            train(inst)
+    for seq, branch in trace.branch_records().items():
+        records.append(record(seq, branch))
+        train(branch)
     return records
 
 
@@ -63,14 +57,13 @@ def profile_branches_delayed(
     """
     if fifo_size < 1:
         raise ValueError("fifo_size must be >= 1")
-    instructions = trace.instructions
     # Only branches touch the predictor, so the FIFO is followed at
     # its branches.  Before the instruction at index b leaves, the FIFO
     # holds indices b .. b + fifo_size - 1: every branch below
     # b + fifo_size has been looked up, in trace order, after the
     # trainings of all branches that left before b.
-    branches = list(compress(count(), map(BRANCH_CLASSES.__contains__,
-                                          map(_ICLASS, instructions))))
+    by_position = trace.branch_records()
+    branches = list(by_position)
     records: List[BranchRecord] = []
     # Lookups of the branches in the FIFO, oldest first.
     pending: deque = deque()
@@ -79,11 +72,12 @@ def profile_branches_delayed(
     for position, branch in enumerate(branches):
         end = branch + fifo_size
         while fetched < len(branches) and branches[fetched] < end:
-            pending.append(record_of(instructions[branches[fetched]]))
+            seq = branches[fetched]
+            pending.append(record_of(seq, by_position[seq]))
             fetched += 1
         record = pending.popleft()
         records.append(record)
-        train(instructions[branch])
+        train(by_position[branch])
         if record.outcome is BranchOutcome.MISPREDICTION:
             # Squash: the in-flight lookups were made on the wrong
             # path; refetch those instructions with updated state.

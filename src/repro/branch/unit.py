@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.config import BranchPredictorConfig
 from repro.isa.iclass import CONDITIONAL_BRANCH_CLASSES, IClass
-from repro.isa.instruction import DynamicInstruction
 
 
 class BranchOutcome(enum.IntEnum):
@@ -60,6 +59,10 @@ class BranchPredictorUnit:
     Every table is indexed by ``pc >> 3`` (instructions are 8-byte
     aligned).  Counters start weakly taken, the meta table weakly
     toward the bimodal side.
+
+    Each method takes one branch as a ``(pc, IClass, taken, target)``
+    tuple, the record :meth:`~repro.frontend.trace.Trace.branch_records`
+    builds for every branch position of a trace.
 
     ``classify`` performs a *lookup only* — no prediction state changes;
     a BTB hit refreshes its entry's LRU position — and returns the
@@ -106,11 +109,10 @@ class BranchPredictorUnit:
         # Each set: list of (pc, target), most recently used last.
         self.btb_sets = [[] for _ in range(self._btb_set_count)]
 
-    def classify(self, inst: DynamicInstruction) -> BranchOutcome:
-        """Classify the lookup for branch *inst* (no training)."""
-        pc = inst.pc
+    def classify(self, branch: tuple) -> BranchOutcome:
+        """Classify the lookup for *branch* (no training)."""
+        pc, iclass, taken, target = branch
         index = pc >> 3
-        iclass = inst.iclass
         if iclass in CONDITIONAL_BRANCH_CLASSES:
             if self.meta[index % self._meta_entries] >= 2:
                 history = self.histories[index % self._history_entries]
@@ -118,7 +120,6 @@ class BranchPredictorUnit:
                              >= 2)
             else:
                 predicted = self.bimodal[index % self._bimodal_entries] >= 2
-            taken = inst.taken
             if predicted != taken:
                 return _MISPREDICTION
             if not taken:
@@ -128,28 +129,27 @@ class BranchPredictorUnit:
         elif iclass is _INDIRECT:
             missed = _MISPREDICTION
         else:
-            raise ValueError(f"not a branch: {inst!r}")
+            raise ValueError(f"not a branch: {branch!r}")
         ways = self.btb_sets[index % self._btb_set_count]
-        target = None
+        cached = None
         if ways and ways[-1][0] == pc:
             # Most recently used: a hit needs no LRU refresh.
-            target = ways[-1][1]
+            cached = ways[-1][1]
         else:
             for i, entry in enumerate(ways):
                 if entry[0] == pc:
-                    target = entry[1]
+                    cached = entry[1]
                     ways.append(ways.pop(i))
                     break
-        if target == inst.target:
+        if cached == target:
             return _CORRECT
         return missed
 
-    def train(self, inst: DynamicInstruction) -> None:
-        """Train direction predictor and BTB with the resolved branch."""
-        pc = inst.pc
+    def train(self, branch: tuple) -> None:
+        """Train direction predictor and BTB with the resolved *branch*."""
+        pc, iclass, taken, target = branch
         index = pc >> 3
-        if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
-            taken = inst.taken
+        if iclass in CONDITIONAL_BRANCH_CLASSES:
             bimodal = self.bimodal
             b = index % self._bimodal_entries
             bimodal_counter = bimodal[b]
@@ -183,7 +183,7 @@ class BranchPredictorUnit:
             histories[h] = ((history << 1) | 1) & self._history_mask
         ways = self.btb_sets[index % self._btb_set_count]
         if ways and ways[-1][0] == pc:
-            ways[-1] = (pc, inst.target)
+            ways[-1] = (pc, target)
             return
         for i, entry in enumerate(ways):
             if entry[0] == pc:
@@ -191,7 +191,7 @@ class BranchPredictorUnit:
                 break
         if len(ways) >= self._btb_ways:
             del ways[0]
-        ways.append((pc, inst.target))
+        ways.append((pc, target))
 
     def clone(self) -> "BranchPredictorUnit":
         """An independent copy of the current state: training the copy
@@ -202,7 +202,8 @@ class BranchPredictorUnit:
         (about 0.9 ms against 8.5 ms on a warmed unit)."""
         return pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
 
-    def record(self, inst: DynamicInstruction) -> BranchRecord:
-        """Classify *inst* into a :class:`BranchRecord` (lookup only)."""
-        return BranchRecord(seq=inst.seq, taken=inst.taken,
-                            outcome=self.classify(inst))
+    def record(self, seq: int, branch: tuple) -> BranchRecord:
+        """Classify *branch*, at trace position *seq*, into a
+        :class:`BranchRecord` (lookup only)."""
+        return BranchRecord(seq=seq, taken=branch[2],
+                            outcome=self.classify(branch))

@@ -10,8 +10,8 @@ Two ways in.  :meth:`CacheHierarchy.access_instruction` and
 :meth:`CacheHierarchy.access_data` take one access each, through the
 :class:`~repro.cache.cache.SetAssociativeCache` and
 :class:`~repro.cache.tlb.TranslationLookasideBuffer` methods; they are
-the reference.  :meth:`CacheHierarchy.walk` takes a whole instruction
-stream in program order: one straight-line loop over the same sets,
+the reference.  :meth:`CacheHierarchy.walk` takes a whole trace's
+columns in program order: one straight-line loop over the same sets,
 last lines and pages, holding every counter in a local and writing it
 back once at the end, and optionally recording each instruction's
 event bits (``EV_*``).  Warming, the execution-driven locality walk and
@@ -113,10 +113,10 @@ class CacheHierarchy:
         return DataAccessResult(dl1_miss, l2_miss, dtlb_miss)
 
     # ------------------------------------------------------------- walk
-    def walk(self, instructions, events: Optional[bytearray] = None
-             ) -> None:
-        """Run *instructions* (a sequence of dynamic instructions, in
-        program order) through the hierarchy: each fetch as
+    def walk(self, trace, events: Optional[bytearray] = None) -> None:
+        """Run *trace* (a :class:`~repro.frontend.trace.Trace`, read
+        from its ``pc``, ``mem_addr`` and ``iclass`` columns) through
+        the hierarchy in program order: each fetch as
         :meth:`access_instruction`, then each load or store as
         :meth:`access_data`, with the same final state and counters.
 
@@ -152,10 +152,11 @@ class CacheHierarchy:
         l2i_accesses = l2i_misses = l2d_accesses = l2d_misses = 0
         data = 0
         record = None if events is None else events.append
-        load = IClass.LOAD
 
-        for inst in instructions:
-            pc = inst.pc
+        # Iterating memoryviews makes each int as the loop reaches it.
+        for pc, address, is_load in zip(
+                memoryview(trace.pc), memoryview(trace.mem_addr),
+                memoryview(trace.iclass == IClass.LOAD)):
             e = 0
             # I-TLB.
             page = pc >> itlb_shift
@@ -202,8 +203,7 @@ class CacheHierarchy:
                             if len(ways) == l2_ways:
                                 del ways[0]
                             ways.append(line)
-            address = inst.mem_addr
-            if address is not None:
+            if address >= 0:
                 data += 1
                 d = EV_DATA
                 # D-TLB.
@@ -251,12 +251,12 @@ class CacheHierarchy:
                                 if len(ways) == l2_ways:
                                     del ways[0]
                                 ways.append(line)
-                if inst.iclass is load:
+                if is_load:
                     e += d
             if record is not None:
                 record(e)
 
-        fetches = len(instructions)
+        fetches = len(trace)
         il1.last_line, dl1.last_line, l2.last_line = (il1_last, dl1_last,
                                                       l2_last)
         itlb.last_page, dtlb.last_page = itlb_last, dtlb_last

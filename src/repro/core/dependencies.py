@@ -3,7 +3,7 @@
 The profile records, per source operand, the distance back to the
 instruction that produced its register (RAW), and per destination the
 distances back to the previous writer (WAW) and the previous reader
-(WAR) of that register.  A distance is a difference of ``seq`` numbers
+(WAR) of that register.  A distance is a difference of trace positions
 to the last such instruction in trace order, kept when
 ``0 < d <= MAX_DEPENDENCY_DISTANCE``.  Reads see only older writers,
 and an instruction's own reads come before its write, so one that reads
@@ -19,26 +19,12 @@ execution-driven locality walk and the baseline profilers all read it.
 from __future__ import annotations
 
 import weakref
-from itertools import chain
-from operator import attrgetter
 from typing import Tuple
 
 import numpy as np
 
 from repro.core.sfg import MAX_DEPENDENCY_DISTANCE
 from repro.frontend.trace import Trace
-from repro.isa.iclass import BRANCH_CLASSES, IClass
-
-#: Per IClass code: does it end a basic block.
-_IS_BRANCH = np.array([c in BRANCH_CLASSES for c in IClass])
-
-_ICLASS = attrgetter("iclass")
-_SEQ = attrgetter("seq")
-_SRC = attrgetter("src_regs")
-_DST = attrgetter("dst_reg")
-_BB_ID = attrgetter("bb_id")
-_TAKEN = attrgetter("taken")
-_NO_DST = {None: -1}.get
 
 
 class DependencyPass:
@@ -49,40 +35,25 @@ class DependencyPass:
     at ``src_off[i]`` to ``src_off[i + 1]`` of the flat operand arrays,
     ``raw[f]`` the RAW distance of flat operand *f*, and ``waw[i]`` and
     ``war[i]`` those of its destination; 0 means none in range.
-    ``branches`` are the positions of the branches; ``branch_seq``,
-    ``bb_id`` and ``taken`` their sequence numbers, block ids and
-    outcomes.  The registers are read once, only to compute the
-    distances.
+    ``branches`` are the positions of the branches; ``bb_id`` and
+    ``taken`` their block ids and outcomes.
     """
 
     __slots__ = ("iclass", "src_off", "raw", "waw", "war", "branches",
-                 "branch_seq", "bb_id", "taken", "__weakref__")
+                 "bb_id", "taken", "__weakref__")
 
     def __init__(self, trace: Trace) -> None:
-        instructions = trace.instructions
-        n = len(instructions)
-        seq = np.fromiter(map(_SEQ, instructions), np.int64, n)
-        self.iclass = np.frombuffer(bytes(map(_ICLASS, instructions)),
-                                    np.uint8)
-        sources = list(map(_SRC, instructions))
-        # An int32 offset holds the operands of any trace that fits in
-        # memory as Python objects.
+        n = len(trace)
+        self.iclass = trace.iclass
+        # Sources are a prefix of each padded row.
+        present = trace.src_regs >= 0
         self.src_off = src_off = np.zeros(n + 1, np.int32)
-        np.cumsum(np.frombuffer(bytes(map(len, sources)), np.uint8),
-                  out=src_off[1:])
-        src = _narrow(np.fromiter(chain.from_iterable(sources), np.int64,
-                                  int(src_off[-1])))
-        del sources
-        destinations = list(map(_DST, instructions))
-        dst = _narrow(np.fromiter(map(_NO_DST, destinations, destinations),
-                                  np.int64, n))
-        del destinations
-        self.branches = branches = np.flatnonzero(_IS_BRANCH[self.iclass])
-        self.branch_seq = seq[branches]
-        ends = list(map(instructions.__getitem__, branches.tolist()))
-        self.bb_id = list(map(_BB_ID, ends))
-        self.taken = np.fromiter(map(_TAKEN, ends), np.bool_, len(ends))
-        self.raw, self.waw, self.war = _distances(seq, src_off, src, dst)
+        np.cumsum(present.sum(axis=1), out=src_off[1:])
+        self.branches = branches = trace.branch_positions()
+        self.bb_id = trace.bb_id[branches].tolist()
+        self.taken = trace.taken[branches]
+        self.raw, self.waw, self.war = _distances(
+            n, src_off, trace.src_regs[present], trace.dst_reg)
 
     def __len__(self) -> int:
         return len(self.iclass)
@@ -93,15 +64,7 @@ class DependencyPass:
                          np.diff(self.src_off))
 
 
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """*values* (registers, -1 for none) as int16 when they fit, which
-    also lets a stable argsort use a radix sort."""
-    if not len(values) or (values.min() >= -1 and values.max() < 1 << 15):
-        return values.astype(np.int16)
-    return values
-
-
-def _distances(seq: np.ndarray, src_off: np.ndarray, src: np.ndarray,
+def _distances(n: int, src_off: np.ndarray, src: np.ndarray,
                dst: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(raw, waw, war)`` as :class:`DependencyPass` holds them.
@@ -112,15 +75,11 @@ def _distances(seq: np.ndarray, src_off: np.ndarray, src: np.ndarray,
     the previous writer of a write is its sorted predecessor, and the
     last reader at or before a write is the read key at or just below
     the write's key.  A candidate belongs to the same register when
-    its key is at least ``register * n``.  Keys, positions and sequence
-    numbers are int32 whenever they fit.
+    its key is at least ``register * n``.  Keys and positions are int32
+    whenever they fit.
     """
-    n = len(seq)
-    registers = max(int(np.abs(src).max(initial=0)),
-                    int(dst.max(initial=0))) + 1
+    registers = max(int(src.max(initial=0)), int(dst.max(initial=0))) + 1
     key = np.int32 if registers * (n + 1) < 1 << 31 else np.int64
-    if len(seq) and 0 <= seq.min() and seq.max() < 1 << 31:
-        seq = seq.astype(np.int32)
     # A stable sort by register keeps each register's accesses in trace
     # order (a radix sort on narrow registers).
     order = np.argsort(src, kind="stable")
@@ -148,8 +107,7 @@ def _distances(seq: np.ndarray, src_off: np.ndarray, src: np.ndarray,
         offset -= base
         found &= offset >= 0
         offset *= found
-        delta = seq[at]
-        delta -= seq[offset]
+        delta = at - offset
         found &= delta > 0
         found &= delta <= MAX_DEPENDENCY_DISTANCE
         np.copyto(distances, delta, casting="unsafe", where=found)

@@ -101,9 +101,8 @@ def _branch_records(trace: Trace, config: MachineConfig,
     """Classify every dynamic branch, keyed by trace sequence number."""
     if branch_mode == "perfect":
         return {
-            inst.seq: BranchRecord(inst.seq, inst.taken,
-                                   BranchOutcome.CORRECT)
-            for inst in trace if inst.is_branch
+            seq: BranchRecord(seq, branch[2], BranchOutcome.CORRECT)
+            for seq, branch in trace.branch_records().items()
         }
     if unit is None:
         unit = BranchPredictorUnit(config.predictor)
@@ -305,7 +304,7 @@ def _build_skeleton(trace: Trace, order: int) -> _Skeleton:
     starts = np.zeros(count + 1, np.int64)
     starts[1:] = ends + 1
     skeleton.block_starts = array("I", starts.tolist())
-    skeleton.branch_seqs = deps.branch_seq.tolist()
+    skeleton.branch_seqs = ends.tolist()
     if not count:
         skeleton.sfg = pickle.dumps(sfg, pickle.HIGHEST_PROTOCOL)
         return skeleton

@@ -241,7 +241,6 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
     registry = get_registry()
     registry.counter("eds.locality_walks").inc()
     registry.counter("eds.locality_built").inc(len(configs))
-    instructions = trace.instructions
     perfect = next(iter(configs))[2]
     geometries: Dict[tuple, bytearray] = {}
     if not perfect:
@@ -250,7 +249,7 @@ def _walk(trace: Trace, configs: Dict[tuple, MachineConfig],
                 hierarchy, _ = warm_locality_structures(warmup_trace,
                                                         config)
                 events = geometries[geometry] = bytearray()
-                hierarchy.walk(instructions, events)
+                hierarchy.walk(trace, events)
     bases, base_ids = _bases(dependency_pass(trace),
                              sorted({anti for _geometry, anti, _perfect
                                      in configs}))

@@ -146,12 +146,12 @@ class SuperscalarPipeline:
         start = source._pos
         # A live row (CTRL_LIVE) is a branch the predictor classifies
         # at fetch and trains with at dispatch; ``untrained`` holds the
-        # classified ones as (dispatch cycle, instruction).
+        # classified ones as (dispatch cycle, branch record).
         predictor = getattr(source, "predictor", None)
         if predictor is not None:
             classify = predictor.classify
             train = predictor.train
-            instructions = source.instructions
+            branch_records = source.branch_records
             outcomes = source.outcomes
         untrained: deque = deque()
         filler_rows = _FILLER_ROWS
@@ -354,7 +354,7 @@ class SuperscalarPipeline:
                 # that dispatched in this fetch cycle has trained.
                 while untrained and untrained[0][0] <= f:
                     train(untrained.popleft()[1])
-                branch = instructions[pos]
+                branch = branch_records[pos]
                 outcome = classify(branch)
                 outcomes[outcome] += 1
                 ctrl = row[9][outcome][6]

@@ -188,13 +188,14 @@ class InstructionSource(Protocol):
     and reads the :class:`_Tallies` counters at the end.  A source with
     live rows (``CTRL_LIVE``, only the execution-driven one) also has a
     ``predictor``, a :class:`~repro.branch.unit.BranchPredictorUnit`,
-    and ``instructions``, the dynamic instructions its rows stand for.
-    For the live row at position *pos* the loop calls
-    ``predictor.classify(instructions[pos])`` at fetch, after training
+    and ``branch_records``, the trace's branch records by position
+    (:meth:`~repro.frontend.trace.Trace.branch_records`).  For the live row
+    at position *pos* the loop calls
+    ``predictor.classify(branch_records[pos])`` at fetch, after training
     the predictor with every older live branch that dispatched by that
     cycle, counts the outcome in the source's ``outcomes`` and takes
     the row for that outcome (the row's tenth field); it calls
-    ``predictor.train`` on the same instruction for its dispatch.
+    ``predictor.train`` on the same record for its dispatch.
     :class:`~repro.cpu.reference.ReferencePipeline` drives the slot
     protocol below instead, where ``fetch`` classifies and
     ``on_dispatch`` trains.
@@ -303,7 +304,7 @@ class ExecutionDrivenSource(_Tallies):
         self.predictor = (None if perfect_branch_prediction
                           else resolution.predictor(config.predictor))
         self._resolution = resolution
-        self.instructions = trace.instructions
+        self.branch_records = trace.branch_records()
         self.rows = _resolution_rows(resolution, config,
                                      not perfect_branch_prediction)
         self._adopt(resolution.tallies)
@@ -319,7 +320,7 @@ class ExecutionDrivenSource(_Tallies):
         self._pos = pos + 1
         resolution = self._resolution
         entry = resolution.distinct[resolution.keys[pos]]
-        raw = self.instructions[pos]
+        raw = self.branch_records.get(pos)
         row = self.rows[pos]
         if row[6] & CTRL_LIVE:
             outcome = self.predictor.classify(raw)
@@ -334,11 +335,10 @@ class ExecutionDrivenSource(_Tallies):
         return _entry_slot(entry, row, outcome, raw=raw)
 
     def peek_filler(self, offset: int) -> Optional[FetchSlot]:
-        instructions = self.instructions
-        if not instructions:
+        rows = self.rows
+        if not rows:
             return None
-        index = (self._pos + offset) % len(instructions)
-        return _FILLER_SLOTS[instructions[index].iclass]
+        return _FILLER_SLOTS[rows[(self._pos + offset) % len(rows)][8]]
 
     def on_dispatch(self, slot: FetchSlot) -> None:
         if (slot.is_branch and slot.raw is not None

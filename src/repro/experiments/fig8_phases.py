@@ -22,7 +22,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
-from repro.frontend.trace import Trace, split_intervals
+from repro.frontend.trace import Trace, concat_traces, split_intervals
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentScale,
@@ -41,10 +41,10 @@ def _per_sample_ipc(trace: Trace, warm: Trace, config, scale) -> float:
     """Scenario (ii): profile each sample separately, simulate each
     synthetic trace, combine per-instruction (weighted CPI)."""
     samples = split_intervals(trace, len(trace) // NUM_SAMPLES)
-    prefix = list(warm.instructions)
+    prefix = [warm]
     total_cpi = 0.0
     for sample in samples:
-        warm_trace = Trace(name="warm", instructions=list(prefix))
+        warm_trace = concat_traces("warm", prefix)
         profile = profile_trace(sample, config, order=1,
                                 branch_mode="delayed",
                                 warmup_trace=warm_trace)
@@ -55,7 +55,7 @@ def _per_sample_ipc(trace: Trace, warm: Trace, config, scale) -> float:
                 reduction_factor=scale.reduction_factor, seed=seed)
             cpis.append(report.result.cpi)
         total_cpi += mean(cpis) / len(samples)
-        prefix.extend(sample.instructions)
+        prefix.append(sample)
     return 1.0 / total_cpi
 
 

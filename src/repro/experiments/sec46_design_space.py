@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import MachineConfig
 from repro.runner import RunnerPolicy, TaskRunner
+from repro.dse.analysis import DEFAULT_VERIFY_MARGIN
 from repro.dse.space import reduced_sec46_spec
 from repro.dse.study import run_study
 from repro.experiments.common import (
@@ -36,17 +36,6 @@ from repro.experiments.common import (
 DEFAULT_RUU = (16, 32, 64, 128)
 DEFAULT_LSQ = (8, 16, 32)
 DEFAULT_WIDTHS = (2, 4, 8)
-VERIFY_MARGIN = 0.03  # the paper verifies the 3% range around optimum
-
-
-def design_grid(ruu_sizes: Sequence[int] = DEFAULT_RUU,
-                lsq_sizes: Sequence[int] = DEFAULT_LSQ,
-                widths: Sequence[int] = DEFAULT_WIDTHS
-                ) -> List[MachineConfig]:
-    """All valid grid configs (LSQ never larger than the RUU, as the
-    paper constrains)."""
-    spec = reduced_sec46_spec(ruu_sizes, lsq_sizes, widths)
-    return [point.config for point in spec.expand(suite_config())]
 
 
 def run(benchmark: str = "twolf",
@@ -54,7 +43,7 @@ def run(benchmark: str = "twolf",
         ruu_sizes: Sequence[int] = DEFAULT_RUU,
         lsq_sizes: Sequence[int] = DEFAULT_LSQ,
         widths: Sequence[int] = DEFAULT_WIDTHS,
-        verify_margin: float = VERIFY_MARGIN,
+        verify_margin: float = DEFAULT_VERIFY_MARGIN,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         policy: Optional[RunnerPolicy] = None) -> Dict:

@@ -2,7 +2,10 @@
 
 This plays the role of SimpleScalar's functional simulation in the paper:
 it produces the dynamic instruction stream that statistical profiling and
-execution-driven simulation both consume (paper Figure 1, step 1).
+execution-driven simulation both consume (paper Figure 1, step 1).  A
+stream is a :class:`Trace`, one numpy column per instruction field,
+written a block at a time by the :class:`FunctionalSimulator`; nothing
+downstream sees a per-instruction object.
 """
 
 from repro.frontend.functional import FunctionalSimulator, run_program

@@ -4,7 +4,15 @@ The simulator walks the control-flow graph from the entry block.  Each
 block's terminating branch asks the block's branch behaviour for an
 outcome (taken / not-taken, or an indirect target), and each memory
 instruction asks its memory stream for an effective address.  The result
-is a deterministic stream of :class:`~repro.isa.instruction.DynamicInstruction`.
+is a deterministic :class:`~repro.frontend.trace.Trace`.
+
+The walk steps once per executed block, not once per instruction: every
+field that does not change between executions of a block (pc, class,
+block id, registers) is gathered into the trace's columns from static
+columns built once per program.  Only the memory addresses and the
+branch outcomes are drawn during the walk, in program order, so each
+stream and behaviour sees the same calls as an instruction-at-a-time
+walk would make.
 
 There is no notion of program exit: workloads are steady-state kernels and
 the caller chooses the dynamic instruction count, exactly as the paper
@@ -13,16 +21,18 @@ simulates fixed-size samples (100M instructions per SimPoint).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
+
+import numpy as np
 
 from repro.isa.iclass import IClass
-from repro.isa.instruction import DynamicInstruction
-from repro.isa.program import Program
-from repro.frontend.trace import Trace
+from repro.isa.instruction import MAX_SOURCES
+from repro.isa.program import INSTRUCTION_BYTES, Program
+from repro.frontend.trace import FIELDS, Trace, concat_traces
 
 
 class FunctionalSimulator:
-    """Executes a :class:`Program` into lists of dynamic instructions.
+    """Executes a :class:`Program` into dynamic traces.
 
     The simulator owns no microarchitectural state — branch predictors and
     caches are separate observers (:mod:`repro.branch`, :mod:`repro.cache`)
@@ -32,19 +42,45 @@ class FunctionalSimulator:
 
     def __init__(self, program: Program) -> None:
         self.program = program
+        # The program's static code as a trace of one pass over every
+        # block in id order, with no address or outcome yet.
+        self._static = Trace(program.name, *zip(*[
+            (block.address + index * INSTRUCTION_BYTES, inst.iclass,
+             block.bb_id,
+             inst.src_regs + (-1,) * (MAX_SOURCES - len(inst.src_regs)),
+             -1 if inst.dst_reg is None else inst.dst_reg, -1, False, 0)
+            for block in program.blocks
+            for index, inst in enumerate(block.instructions)]))
+        # Per block: its first static row, its size, and the
+        # ``next_address`` of each of its memory instructions with how
+        # many precede each position.  A block's branch draws no
+        # address, whatever its stream.
+        streams = program.memory_streams
+        self._blocks = []
+        is_mem = []
+        for block in program.blocks:
+            calls, before = [], [0]
+            for inst in block.instructions[:-1]:
+                if inst.mem_stream is not None:
+                    calls.append(streams[inst.mem_stream].next_address)
+                before.append(len(calls))
+            before.append(len(calls))
+            self._blocks.append((len(is_mem), block.size, calls, before))
+            # Position i draws an address when the count grows past it.
+            is_mem += [x < y for x, y in zip(before, before[1:])]
+        self._is_mem = np.array(is_mem, np.bool_)
         self.reset()
 
     def reset(self) -> None:
         """Restart execution from the entry block with fresh behaviours."""
         self._current = self.program.entry
         self._index = 0
-        self._seq = 0
         for behavior in self.program.branch_behaviors:
             behavior.reset()
         for stream in self.program.memory_streams:
             stream.reset()
 
-    def run(self, n_instructions: int) -> List[DynamicInstruction]:
+    def run(self, n_instructions: int) -> Trace:
         """The next *n_instructions* dynamic instructions.
 
         Execution state (block, intra-block position, behaviour state)
@@ -53,51 +89,82 @@ class FunctionalSimulator:
         """
         program = self.program
         blocks = program.blocks
+        plans = self._blocks
         behaviors = program.branch_behaviors
-        streams = program.memory_streams
         indirect = IClass.INDIRECT_BRANCH
-        out: List[DynamicInstruction] = []
-        append = out.append
-        seq = self._seq
-        stop = seq + n_instructions
+        # Each executed stretch of a block: its first static row and
+        # length.
+        rows, lengths = [], []
+        addresses, taken_list, targets = [], [], []
+        append_address = addresses.append
+        current = self._current
         index = self._index
-        block = blocks[self._current]
-        bb_id = block.bb_id
-        instructions = block.instructions
-        last = len(instructions) - 1
-        while seq < stop:
-            static = instructions[index]
-            pc = block.address + index * 8
-            stream = static.mem_stream
-            mem_addr = (None if stream is None
-                        else streams[stream].next_address())
-            if index < last:
-                append(DynamicInstruction(seq, pc, static.iclass, bb_id,
-                                          static.src_regs, static.dst_reg,
-                                          mem_addr))
-                index += 1
-            else:
+        done = 0
+        while done < n_instructions:
+            first_row, size, calls, before = plans[current]
+            length = min(size - index, n_instructions - done)
+            rows.append(first_row + index)
+            lengths.append(length)
+            if calls:
+                for call in calls[before[index]:before[index + length]]:
+                    append_address(call())
+            done += length
+            index += length
+            if index == size:
+                block = blocks[current]
                 behavior = behaviors[block.branch_behavior]
-                if static.iclass is indirect:
-                    next_bb = block.indirect_targets[behavior.next_target()]
+                if block.branch.iclass is indirect:
+                    current = block.indirect_targets[behavior.next_target()]
                     taken = True
                 else:
                     taken = behavior.next_taken()
-                    next_bb = (block.taken_target if taken
+                    current = (block.taken_target if taken
                                else block.fallthrough)
-                block = blocks[next_bb]
-                append(DynamicInstruction(seq, pc, static.iclass, bb_id,
-                                          static.src_regs, None, None,
-                                          taken, block.address))
-                self._current = next_bb
+                taken_list.append(taken)
+                targets.append(blocks[current].address)
                 index = 0
-                bb_id = block.bb_id
-                instructions = block.instructions
-                last = len(instructions) - 1
-            seq += 1
-        self._seq = seq
+        self._current = current
         self._index = index
-        return out
+        return self._columns(rows, lengths, addresses, taken_list, targets)
+
+    def finish_block(self) -> Trace:
+        """The rest of the block execution stopped in (empty at a block
+        boundary)."""
+        return self.run(self._blocks[self._current][1] - self._index
+                        if self._index else 0)
+
+    def _columns(self, rows, lengths, addresses, taken_list,
+                 targets) -> Trace:
+        """The trace of the executed stretches ``(rows[j], lengths[j])``
+        with their drawn addresses and branch outcomes."""
+        lengths = np.array(lengths, np.int64)
+        static = np.arange(int(lengths.sum()))
+        static += np.repeat(np.array(rows, np.int64)
+                            - (np.cumsum(lengths) - lengths), lengths)
+        trace = Trace(self.program.name,
+                      *(getattr(self._static, field)[static]
+                        for field in FIELDS))
+        trace.mem_addr[self._is_mem[static]] = addresses
+        branches = trace.branch_positions()
+        trace.taken[branches] = taken_list
+        trace.target[branches] = targets
+        return trace
+
+
+def run_program_with_warmup(program: Program, warmup: int,
+                            n_instructions: int) -> Tuple[Trace, Trace]:
+    """Execute *program* and return ``(warmup_trace, measurement_trace)``
+    as two contiguous windows of one execution.
+
+    The warmup window is extended to the next basic-block boundary so
+    the measurement window starts with a complete block — profiling
+    keys statistics by basic block, and a truncated leading block would
+    alias with its full-size executions.
+    """
+    sim = FunctionalSimulator(program)
+    warm = concat_traces(f"{program.name}/warmup",
+                         [sim.run(warmup), sim.finish_block()])
+    return warm, sim.run(n_instructions)
 
 
 def run_program(program: Program, n_instructions: int,
@@ -112,19 +179,8 @@ def run_program(program: Program, n_instructions: int,
         Dynamic instructions to record.
     warmup:
         Instructions to execute and discard first (the paper skips the
-        first 1B instructions in its phase experiments).  The warmup is
-        extended to the next basic-block boundary so the recorded trace
-        starts with a complete block.
+        first 1B instructions in its phase experiments), extended to the
+        next basic-block boundary as :func:`run_program_with_warmup`
+        does.
     """
-    sim = FunctionalSimulator(program)
-    if warmup:
-        discarded = sim.run(warmup)
-        while discarded and not discarded[-1].is_branch:
-            discarded = sim.run(1)
-    instructions = sim.run(n_instructions)
-    # Renumber so trace sequence numbers start at zero even after warmup;
-    # dependency-distance profiling relies on dense 0-based numbering.
-    if warmup:
-        for offset, inst in enumerate(instructions):
-            inst.seq = offset
-    return Trace(name=program.name, instructions=instructions)
+    return run_program_with_warmup(program, warmup, n_instructions)[1]

@@ -20,6 +20,8 @@ import weakref
 from typing import Dict, Optional, Tuple
 
 from repro.config import BranchPredictorConfig, MachineConfig
+from repro.frontend.functional import (  # noqa: F401 -- re-exported
+    run_program_with_warmup)
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
@@ -39,7 +41,7 @@ def warm_locality_structures(
     """
     hierarchy = hierarchy or CacheHierarchy(config)
     if warmup_trace is not None:
-        hierarchy.walk(warmup_trace.instructions)
+        hierarchy.walk(warmup_trace)
         hierarchy.il1.reset_statistics()
         hierarchy.dl1.reset_statistics()
         hierarchy.l2.reset_statistics()
@@ -79,32 +81,6 @@ def warm_branch_predictor(warmup_trace: Optional[Trace],
             template = templates[config] = warm_branch_predictor(
                 warmup_trace, config, BranchPredictorUnit(config))
         return template.clone()
-    train = predictor.train
-    for inst in warmup_trace.instructions:
-        if inst.is_branch:
-            train(inst)
+    for branch in warmup_trace.branch_records().values():
+        predictor.train(branch)
     return predictor
-
-
-def run_program_with_warmup(program, warmup: int,
-                            n_instructions: int) -> Tuple[Trace, Trace]:
-    """Execute *program* and return ``(warmup_trace, measurement_trace)``
-    as two contiguous windows of one execution.
-
-    The warmup window is extended to the next basic-block boundary so
-    the measurement window starts with a complete block — profiling
-    keys statistics by basic block, and a truncated leading block would
-    alias with its full-size executions.
-    """
-    from repro.frontend.functional import FunctionalSimulator
-
-    sim = FunctionalSimulator(program)
-    warm_instructions = sim.run(warmup)
-    while warm_instructions and not warm_instructions[-1].is_branch:
-        warm_instructions.extend(sim.run(1))
-    measured = sim.run(n_instructions)
-    for seq, inst in enumerate(measured):
-        inst.seq = seq
-    return (Trace(name=f"{program.name}/warmup",
-                  instructions=warm_instructions),
-            Trace(name=program.name, instructions=measured))

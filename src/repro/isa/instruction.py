@@ -1,15 +1,10 @@
-"""Static and dynamic instruction representations.
+"""Static instruction representation.
 
 A :class:`StaticInstruction` is one slot of a basic block in a program's
-static code.  A :class:`DynamicInstruction` is one element of an executed
-instruction stream, produced by the functional simulator
-(:mod:`repro.frontend.functional`) — it carries the concrete register
-names, memory address and branch outcome that profiling and
-execution-driven simulation consume.
-
-Dynamic instructions live in traces of up to millions of elements, so the
-class uses ``__slots__`` and plain attributes rather than dataclass
-machinery.
+static code.  Executed instructions have no object form: the functional
+simulator (:mod:`repro.frontend.functional`) writes them as the columns
+of a :class:`~repro.frontend.trace.Trace`, gathered from a copy of these
+static fields made once per program.
 """
 
 from __future__ import annotations
@@ -18,6 +13,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
+
+#: Most source registers an instruction may name: the fixed width of a
+#: dynamic trace's source-register column.
+MAX_SOURCES = 4
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,10 @@ class StaticInstruction:
     mem_stream: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if len(self.src_regs) > MAX_SOURCES:
+            raise ValueError(
+                f"{len(self.src_regs)} source registers exceed the limit "
+                f"of {MAX_SOURCES}")
         if self.dst_reg is not None and self.iclass not in PRODUCING_CLASSES:
             raise ValueError(
                 f"{self.iclass.name} cannot have a destination register"
@@ -69,80 +72,3 @@ class StaticInstruction:
     @property
     def produces_register(self) -> bool:
         return self.dst_reg is not None
-
-
-class DynamicInstruction:
-    """One executed instruction of a dynamic trace.
-
-    Attributes
-    ----------
-    seq:
-        Dynamic sequence number (0-based position in the trace).
-    pc:
-        Instruction address (bytes).
-    iclass:
-        Semantic class.
-    bb_id:
-        Identifier of the basic block this instruction belongs to.
-    src_regs / dst_reg:
-        Architectural registers, as in :class:`StaticInstruction`.
-    mem_addr:
-        Effective address for loads/stores, else ``None``.
-    taken:
-        For branches: whether the branch was taken.
-    target:
-        For branches: the next instruction's address (fall-through or
-        branch target).
-    """
-
-    __slots__ = (
-        "seq",
-        "pc",
-        "iclass",
-        "bb_id",
-        "src_regs",
-        "dst_reg",
-        "mem_addr",
-        "taken",
-        "target",
-    )
-
-    def __init__(
-        self,
-        seq: int,
-        pc: int,
-        iclass: IClass,
-        bb_id: int,
-        src_regs: Tuple[int, ...] = (),
-        dst_reg: Optional[int] = None,
-        mem_addr: Optional[int] = None,
-        taken: bool = False,
-        target: int = 0,
-    ) -> None:
-        self.seq = seq
-        self.pc = pc
-        self.iclass = iclass
-        self.bb_id = bb_id
-        self.src_regs = src_regs
-        self.dst_reg = dst_reg
-        self.mem_addr = mem_addr
-        self.taken = taken
-        self.target = target
-
-    @property
-    def is_branch(self) -> bool:
-        return self.iclass in BRANCH_CLASSES
-
-    @property
-    def is_load(self) -> bool:
-        return self.iclass is IClass.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.iclass is IClass.STORE
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DynamicInstruction(seq={self.seq}, pc={self.pc:#x}, "
-            f"iclass={self.iclass.name}, bb={self.bb_id})"
-        )

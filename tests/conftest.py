@@ -5,13 +5,16 @@ checkable, which lets tests assert exact profiling results; the
 generated workloads cover the realistic path.
 """
 
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
 import pytest
 
 from repro.config import MachineConfig, baseline_config
-from repro.isa.iclass import IClass
-from repro.isa.instruction import StaticInstruction
+from repro.isa.iclass import BRANCH_CLASSES, IClass
+from repro.isa.instruction import MAX_SOURCES, StaticInstruction
 from repro.isa.program import BasicBlock, Program
 from repro.frontend.functional import run_program
+from repro.frontend.trace import Trace
 from repro.workloads.behaviors import (
     LoopBehavior,
     PatternBehavior,
@@ -39,6 +42,58 @@ def _no_ambient_chaos(monkeypatch):
     """Chaos fires only where a test asks for it: a ``REPRO_CHAOS`` in
     the invoking shell must not inject faults into every test."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
+
+
+class Row(NamedTuple):
+    """One instruction of a trace as a tuple, for the reference loops
+    and hand-built streams of the tests (``None``: no register or
+    address)."""
+
+    pc: int
+    iclass: IClass
+    bb_id: int = 0
+    src_regs: Tuple[int, ...] = ()
+    dst_reg: Optional[int] = None
+    mem_addr: Optional[int] = None
+    taken: bool = False
+    target: int = 0
+
+    @property
+    def is_branch(self) -> bool:
+        return self.iclass in BRANCH_CLASSES
+
+    @property
+    def is_load(self) -> bool:
+        return self.iclass is IClass.LOAD
+
+    @property
+    def is_store(self) -> bool:
+        return self.iclass is IClass.STORE
+
+
+def make_trace(name: str, rows: Sequence[Row]) -> Trace:
+    """The :class:`Trace` of *rows*."""
+    return Trace(
+        name, [r.pc for r in rows], [int(r.iclass) for r in rows],
+        [r.bb_id for r in rows],
+        [tuple(r.src_regs) + (-1,) * (MAX_SOURCES - len(r.src_regs))
+         for r in rows],
+        [-1 if r.dst_reg is None else r.dst_reg for r in rows],
+        [-1 if r.mem_addr is None else r.mem_addr for r in rows],
+        [r.taken for r in rows], [r.target for r in rows])
+
+
+def trace_rows(trace: Trace) -> List[Row]:
+    """The rows of *trace*, in order."""
+    return [Row(pc, IClass(iclass), bb_id,
+                tuple(reg for reg in src if reg >= 0),
+                None if dst < 0 else dst, None if mem < 0 else mem,
+                taken, target)
+            for pc, iclass, bb_id, src, dst, mem, taken, target in zip(
+                trace.pc.tolist(), trace.iclass.tolist(),
+                trace.bb_id.tolist(), trace.src_regs.tolist(),
+                trace.dst_reg.tolist(), trace.mem_addr.tolist(),
+                trace.taken.tolist(), trace.target.tolist())]
 
 
 def make_tiny_program(trip_count: int = 4) -> Program:

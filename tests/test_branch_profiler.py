@@ -13,7 +13,7 @@ from repro.branch.profiler import (
 )
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 
-from conftest import make_tiny_program
+from conftest import make_tiny_program, trace_rows
 
 
 def _unit():
@@ -31,7 +31,7 @@ def loop_trace():
 class TestImmediateProfiling:
     def test_one_record_per_branch(self, loop_trace):
         records = profile_branches_immediate(loop_trace, _unit())
-        assert len(records) == loop_trace.num_branches
+        assert len(records) == len(loop_trace.basic_block_sequence())
 
     def test_records_in_trace_order(self, loop_trace):
         records = profile_branches_immediate(loop_trace, _unit())
@@ -40,7 +40,7 @@ class TestImmediateProfiling:
 
     def test_taken_flags_match_trace(self, loop_trace):
         records = profile_branches_immediate(loop_trace, _unit())
-        by_seq = {inst.seq: inst for inst in loop_trace if inst.is_branch}
+        by_seq = dict(enumerate(trace_rows(loop_trace)))
         for record in records:
             assert record.taken == by_seq[record.seq].taken
 
@@ -49,7 +49,7 @@ class TestDelayedProfiling:
     def test_one_record_per_branch(self, loop_trace):
         records = profile_branches_delayed(loop_trace, _unit(),
                                            fifo_size=32)
-        assert len(records) == loop_trace.num_branches
+        assert len(records) == len(loop_trace.basic_block_sequence())
 
     def test_fifo_size_one_equals_immediate(self, loop_trace):
         # With a 1-entry FIFO the update directly follows the lookup, so
@@ -106,20 +106,21 @@ def reference_delayed(trace, unit, fifo_size):
     oldest; a mispredicted branch squashes the rest."""
     from collections import deque
 
-    instructions = trace.instructions
-    n = len(instructions)
+    branches = trace.branch_records()
+    n = len(trace)
     final = {}
     fifo = deque()
     i = 0
     while i < n or fifo:
         while i < n and len(fifo) < fifo_size:
-            inst = instructions[i]
-            fifo.append((i, unit.record(inst) if inst.is_branch else None))
+            branch = branches.get(i)
+            fifo.append((i, None if branch is None
+                         else unit.record(i, branch)))
             i += 1
         index, record = fifo.popleft()
         if record is not None:
             final[index] = record
-            unit.train(instructions[index])
+            unit.train(branches[index])
             if record.outcome is BranchOutcome.MISPREDICTION and fifo:
                 fifo.clear()
                 i = index + 1
@@ -154,7 +155,7 @@ class TestDelayedMatchesInstructionFifo:
 
     def test_trace_ending_in_a_mispredicted_branch(self, loop_trace):
         for cut in range(len(loop_trace) - 12, len(loop_trace)):
-            trace = type(loop_trace)("cut", loop_trace.instructions[:cut])
+            trace = loop_trace.window(0, cut, "cut")
             for fifo_size in (1, 4, 32):
                 assert (profile_branches_delayed(trace, _unit(), fifo_size)
                         == reference_delayed(trace, _unit(), fifo_size))

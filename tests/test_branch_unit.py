@@ -6,16 +6,15 @@ import pytest
 
 from repro.config import BranchPredictorConfig
 from repro.isa.iclass import CONDITIONAL_BRANCH_CLASSES, IClass
-from repro.isa.instruction import DynamicInstruction
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.predictors import build_direction_predictor
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 
 
 def _branch(pc=0x1000, taken=True, target=0x2000,
-            iclass=IClass.INT_COND_BRANCH, seq=0):
-    return DynamicInstruction(seq=seq, pc=pc, iclass=iclass, bb_id=0,
-                              taken=taken, target=target)
+            iclass=IClass.INT_COND_BRANCH):
+    """A branch record as ``Trace.branch_records`` builds it."""
+    return (pc, iclass, taken, target)
 
 
 def _tables(unit):
@@ -96,12 +95,11 @@ class TestUnitBookkeeping:
         assert _tables(unit) != before
 
     def test_classify_rejects_non_branch(self, unit):
-        inst = DynamicInstruction(0, 0x1000, IClass.LOAD, 0)
         with pytest.raises(ValueError):
-            unit.classify(inst)
+            unit.classify((0x1000, IClass.LOAD, False, 0))
 
     def test_record_wraps_classify(self, unit):
-        record = unit.record(_branch(seq=42, taken=True))
+        record = unit.record(42, _branch(taken=True))
         assert record.seq == 42
         assert record.taken is True
         assert record.outcome in BranchOutcome
@@ -121,14 +119,14 @@ class TestClone:
     def test_training_a_clone_leaves_the_template_untouched(self, unit):
         for seq in range(40):
             unit.train(_branch(pc=0x1000 + 8 * (seq % 5),
-                               taken=bool(seq % 3), seq=seq))
+                               taken=bool(seq % 3)))
         before = _tables(unit)
         twin = unit.clone()
         probe = _branch(pc=0x1008, taken=False)
         assert twin.classify(probe) is unit.classify(probe)
         for seq in range(200):
             twin.train(_branch(pc=0x1000 + 8 * (seq % 7), taken=False,
-                               target=0x3000 + seq, seq=seq))
+                               target=0x3000 + seq))
         assert _tables(unit) == before
         assert _tables(twin) != before
 
@@ -142,26 +140,28 @@ class _ReferenceUnit:
         self.btb = BranchTargetBuffer(config.btb_entries,
                                       config.btb_associativity)
 
-    def classify(self, inst):
-        if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
-            if self.direction.lookup(inst.pc) != inst.taken:
+    def classify(self, branch):
+        pc, iclass, taken, target = branch
+        if iclass in CONDITIONAL_BRANCH_CLASSES:
+            if self.direction.lookup(pc) != taken:
                 return BranchOutcome.MISPREDICTION
-            if not inst.taken:
+            if not taken:
                 return BranchOutcome.CORRECT
-            if self.btb.lookup(inst.pc) == inst.target:
+            if self.btb.lookup(pc) == target:
                 return BranchOutcome.CORRECT
             return BranchOutcome.FETCH_REDIRECTION
-        if self.btb.lookup(inst.pc) == inst.target:
+        if self.btb.lookup(pc) == target:
             return BranchOutcome.CORRECT
         return BranchOutcome.MISPREDICTION
 
-    def train(self, inst):
-        if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
-            self.direction.update(inst.pc, inst.taken)
-            if inst.taken:
-                self.btb.update(inst.pc, inst.target)
+    def train(self, branch):
+        pc, iclass, taken, target = branch
+        if iclass in CONDITIONAL_BRANCH_CLASSES:
+            self.direction.update(pc, taken)
+            if taken:
+                self.btb.update(pc, target)
         else:
-            self.btb.update(inst.pc, inst.target)
+            self.btb.update(pc, target)
 
     def tables(self):
         direction = self.direction
@@ -205,14 +205,15 @@ class TestMatchesReferenceComposition:
                 # Continue on a clone; the template must not move.
                 template, snapshot = flat, _tables(flat)
                 flat = flat.clone()
-            inst = _branch(pc=pc, iclass=iclass, seq=step,
-                           taken=taken or iclass is IClass.INDIRECT_BRANCH,
-                           target=target)
+            branch = _branch(pc=pc, iclass=iclass,
+                             taken=taken or iclass is IClass.INDIRECT_BRANCH,
+                             target=target)
             if train:
-                flat.train(inst)
-                reference.train(inst)
+                flat.train(branch)
+                reference.train(branch)
             else:
-                assert flat.classify(inst) is reference.classify(inst), step
+                assert flat.classify(branch) is reference.classify(branch), \
+                    step
         assert (flat.meta, flat.bimodal, flat.histories, flat.pht,
                 flat.btb_sets) == reference.tables()
         if template is not None:

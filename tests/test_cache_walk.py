@@ -19,26 +19,30 @@ from repro.baselines.related import _measure_globals
 from repro.cache.hierarchy import (EV_DATA, EV_DL1, EV_DTLB, EV_IL1,
                                    EV_ITLB, EV_L2D, EV_L2I, CacheHierarchy)
 from repro.config import CacheConfig, TLBConfig, baseline_config
-from repro.frontend.trace import Trace
 from repro.frontend.warming import (run_program_with_warmup,
                                     warm_locality_structures)
 from repro.isa.iclass import IClass
-from repro.isa.instruction import DynamicInstruction
 from repro.workloads.spec import build_benchmark
+
+from conftest import Row, make_trace, trace_rows
 
 _LOAD, _STORE, _ALU = IClass.LOAD, IClass.STORE, IClass.INT_ALU
 
 
-def _inst(seq, pc, iclass=_ALU, address=None):
-    return DynamicInstruction(seq=seq, pc=pc, iclass=iclass, bb_id=0,
-                              mem_addr=address)
+def _trace(*rows):
+    """A trace of ``(pc, iclass, address)`` instructions."""
+    return make_trace("walked", [Row(pc, iclass, mem_addr=address)
+                                 for pc, iclass, address in rows])
 
 
-def _reference(hierarchy, instructions):
-    """The event bytes of *instructions*, one per-access call at a
-    time."""
+def _inst(pc, iclass=_ALU, address=None):
+    return pc, iclass, address
+
+
+def _reference(hierarchy, trace):
+    """The event bytes of *trace*, one per-access call at a time."""
     events = bytearray()
-    for inst in instructions:
+    for inst in trace_rows(trace):
         il1, l2, itlb = hierarchy.access_instruction(inst.pc)
         bits = il1 * EV_IL1 | l2 * EV_L2I | itlb * EV_ITLB
         if inst.mem_addr is not None:
@@ -108,14 +112,14 @@ def _stream(steps):
     instructions = []
     pc = 0
     kinds = (_ALU, _LOAD, _STORE, _LOAD)
-    for seq, (step_pc, kind, step_address) in enumerate(steps):
+    for step_pc, kind, step_address in steps:
         if step_pc != "same":
             pc = step_pc
         address = None
         if kind in (1, 2):
             address = pc if step_address == "pc" else step_address
-        instructions.append(_inst(seq, pc, kinds[kind], address))
-    return instructions
+        instructions.append(_inst(pc, kinds[kind], address))
+    return _trace(*instructions)
 
 
 class TestWalkMatchesPerAccess:
@@ -123,10 +127,10 @@ class TestWalkMatchesPerAccess:
     @given(config=_configs, warm_steps=st.lists(_steps, max_size=40),
            steps=st.lists(_steps, max_size=120))
     def test_random_streams(self, config, warm_steps, steps):
-        warm = Trace("warm", _stream(warm_steps))
+        warm = _stream(warm_steps)
         walked = _stream(steps)
         reference = CacheHierarchy(config)
-        _reference(reference, warm.instructions)
+        _reference(reference, warm)
         for level in (reference.il1, reference.dl1, reference.l2,
                       reference.itlb, reference.dtlb):
             level.reset_statistics()
@@ -146,13 +150,13 @@ class TestWalkMatchesPerAccess:
     @given(config=_configs, steps=st.lists(_steps, max_size=120),
            cut=st.integers(0, 120))
     def test_walks_continue_each_other(self, config, steps, cut):
-        instructions = _stream(steps)
+        trace = _stream(steps)
         reference = CacheHierarchy(config)
-        expected = _reference(reference, instructions)
+        expected = _reference(reference, trace)
         hierarchy = CacheHierarchy(config)
         events = bytearray()
-        hierarchy.walk(instructions[:cut], events)
-        hierarchy.walk(instructions[cut:], events)
+        hierarchy.walk(trace.window(0, cut), events)
+        hierarchy.walk(trace.window(cut, len(trace)), events)
         assert events == expected
         assert _state(hierarchy) == _state(reference)
 
@@ -167,44 +171,45 @@ class TestWalkCases:
                         TLBConfig("dtlb", 2, 2, page_bytes=32))
 
     def _both(self, config, instructions):
+        trace = _trace(*instructions)
         reference = CacheHierarchy(config)
-        expected = _reference(reference, instructions)
+        expected = _reference(reference, trace)
         hierarchy = CacheHierarchy(config)
         events = bytearray()
-        hierarchy.walk(instructions, events)
+        hierarchy.walk(trace, events)
         assert events == expected
         assert _state(hierarchy) == _state(reference)
         return events
 
     def test_same_line_run_counts_every_fetch(self, tiny):
-        events = self._both(tiny, [_inst(i, 4) for i in range(5)])
+        events = self._both(tiny, [_inst(4)] * 5)
         assert list(events) == [EV_IL1 | EV_L2I | EV_ITLB, 0, 0, 0, 0]
 
     def test_unified_l2_shares_last_line(self, tiny):
         # The load's L2 access hits the line its own fetch just filled.
-        events = self._both(tiny, [_inst(0, 0, _LOAD, 0)])
+        events = self._both(tiny, [_inst(0, _LOAD, 0)])
         assert events[0] == (EV_IL1 | EV_L2I | EV_ITLB | EV_DATA | EV_DL1
                              | EV_DTLB)
         # Two data lines evict L2 line 0 after the fetch filled it, so a
         # fetch from another IL1 line within it misses L2 again: the
         # data side moved the L2's last line.
-        events = self._both(tiny, [_inst(0, 0), _inst(1, 0, _LOAD, 32),
-                                   _inst(2, 0, _LOAD, 48), _inst(3, 8)])
+        events = self._both(tiny, [_inst(0), _inst(0, _LOAD, 32),
+                                   _inst(0, _LOAD, 48), _inst(8)])
         assert events[3] == EV_IL1 | EV_L2I
 
     def test_stores_allocate_but_record_no_data_bits(self, tiny):
-        events = self._both(tiny, [_inst(0, 0, _STORE, 64),
-                                   _inst(1, 0, _LOAD, 64)])
+        events = self._both(tiny, [_inst(0, _STORE, 64),
+                                   _inst(0, _LOAD, 64)])
         assert events[0] == EV_IL1 | EV_L2I | EV_ITLB
         assert events[1] == EV_DATA
 
     def test_load_without_address_records_nothing(self, tiny):
-        events = self._both(tiny, [_inst(0, 0, _LOAD)])
+        events = self._both(tiny, [_inst(0, _LOAD)])
         assert not events[0] & EV_DATA
 
     def test_walk_without_events_still_counts(self, tiny):
         hierarchy = CacheHierarchy(tiny)
-        hierarchy.walk([_inst(0, 0, _LOAD, 8)])
+        hierarchy.walk(_trace(_inst(0, _LOAD, 8)))
         assert hierarchy.dl1.misses == 1
 
 
@@ -214,6 +219,6 @@ def test_measure_globals_matches_per_access_loop(name):
                                        warmup=0, n_instructions=10_000)
     config = baseline_config().with_cache_scale(0.25)
     reference = CacheHierarchy(config)
-    _reference(reference, trace.instructions)
+    _reference(reference, trace)
     assert _measure_globals(trace, config).miss_rates == \
         reference.miss_rates()

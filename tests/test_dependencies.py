@@ -30,8 +30,9 @@ from repro.frontend.trace import Trace
 from repro.frontend.warming import (run_program_with_warmup,
                                     warm_locality_structures)
 from repro.isa.iclass import BRANCH_CLASSES, IClass
-from repro.isa.instruction import DynamicInstruction
 from repro.workloads.spec import benchmark_names, build_benchmark
+
+from conftest import Row, make_trace, trace_rows
 
 CAP = MAX_DEPENDENCY_DISTANCE
 
@@ -48,14 +49,13 @@ def _in_range(seq, prior):
     return prior is not None and 0 < seq - prior <= CAP
 
 
-def reference_distances(instructions):
-    """The last-writer/last-reader walk: ``(raw, waw, war)``, one RAW
-    distance per source operand and one WAW and WAR distance per
-    instruction, 0 for none."""
+def reference_distances(rows):
+    """The last-writer/last-reader walk over a trace's rows: ``(raw,
+    waw, war)``, one RAW distance per source operand and one WAW and
+    WAR distance per instruction, 0 for none."""
     last_writer, last_reader = {}, {}
     raw, waw, war = [], [], []
-    for inst in instructions:
-        seq = inst.seq
+    for seq, inst in enumerate(rows):
         for reg in inst.src_regs:
             writer = last_writer.get(reg)
             raw.append(seq - writer if _in_range(seq, writer) else 0)
@@ -82,22 +82,21 @@ def reference_skeleton(trace, order):
     history = (START_BLOCK,) * order
     last_writer, last_reader = {}, {}
     block = []
-    for inst in trace:
-        block.append(inst)
+    for seq, inst in enumerate(trace_rows(trace)):
+        block.append((seq, inst))
         if not inst.is_branch:
             continue
         bb = inst.bb_id
-        stats = sfg.context_for(history, bb, [i.iclass for i in block],
-                                [len(i.src_regs) for i in block])
+        stats = sfg.context_for(history, bb, [i.iclass for _s, i in block],
+                                [len(i.src_regs) for _s, i in block])
         stats.occurrences += 1
         sfg.total_block_executions += 1
         sfg.record_transition(history, bb)
         starts.append(starts[-1] + len(block))
         contexts.append(index_of.setdefault(history + (bb,),
                                             len(index_of)))
-        branch_seqs.append(inst.seq)
-        for slot, binst in enumerate(block):
-            seq = binst.seq
+        branch_seqs.append(seq)
+        for slot, (seq, binst) in enumerate(block):
             for operand, reg in enumerate(binst.src_regs):
                 writer = last_writer.get(reg)
                 if _in_range(seq, writer):
@@ -125,14 +124,14 @@ def reference_skeleton(trace, order):
             branch_seqs)
 
 
-def reference_entries(instructions, anti):
+def reference_entries(rows, anti):
     """Each instruction's geometry-independent locality entry
     ``(iclass, distances, taken)``: RAW distances in operand order,
     with *anti* then the WAW and the WAR distance."""
-    raw, waw, war = reference_distances(instructions)
+    raw, waw, war = reference_distances(rows)
     entries = []
     operand = 0
-    for index, inst in enumerate(instructions):
+    for index, inst in enumerate(rows):
         deps = [d for d in raw[operand:operand + len(inst.src_regs)] if d]
         operand += len(inst.src_regs)
         if anti:
@@ -164,12 +163,17 @@ def _instructions(draw, branch, n_src):
     return iclass, src, dst, draw(st.booleans())
 
 
+#: A register-free instruction, to space the others out.
+_FILLER = Row(0, IClass.INT_ALU, 9)
+
+
 @st.composite
-def _traces(draw):
+def _traces(draw, gaps=True):
     """Blocks of ``(bb_id, body)``; a block's size usually follows its
     id, sometimes not, and the trace may end mid-block.  A slot's
     operand count follows its block id and position, as in a program.
-    Sequence numbers advance by gaps around the distance cap."""
+    With *gaps*, fillers space the instructions out by gaps around the
+    distance cap."""
     bodies = []
     for _ in range(draw(st.integers(0, 12))):
         bb = draw(st.integers(0, 3))
@@ -180,31 +184,30 @@ def _traces(draw):
         bodies.append(draw(_instructions(True, (bb + size) % 4)) + (bb,))
     bodies += [draw(_instructions(False, draw(st.integers(0, 3))))
                for _ in range(draw(st.integers(0, 3)))]
-    gaps = st.sampled_from([1, 1, 1, 2, 3, 100, 256, 511, 512, 513])
-    instructions, seq = [], draw(st.integers(0, 3))
+    spacing = st.sampled_from([1, 1, 1, 2, 3, 100, 256, 511, 512, 513])
+    rows = []
     for body in bodies:
         iclass, src, dst, taken = body[:4]
         bb = body[4] if len(body) > 4 else 9
-        instructions.append(DynamicInstruction(
-            seq, 8 * len(instructions), iclass, bb, src, dst,
-            taken=taken))
-        seq += draw(gaps)
-    return Trace("random", instructions)
+        rows.append(Row(8 * len(rows), iclass, bb, src, dst, taken=taken))
+        if gaps:
+            rows += [_FILLER] * (draw(spacing) - 1)
+    return make_trace("random", rows)
 
 
 def _check_pass(trace):
     deps = DependencyPass(trace)
-    raw, waw, war = reference_distances(trace.instructions)
+    rows = trace_rows(trace)
+    raw, waw, war = reference_distances(rows)
     assert deps.raw.tolist() == raw
     assert deps.waw.tolist() == waw
     assert deps.war.tolist() == war
-    branches = [i for i, inst in enumerate(trace) if inst.is_branch]
+    branches = [i for i, inst in enumerate(rows) if inst.is_branch]
     assert deps.branches.tolist() == branches
-    assert deps.bb_id == [trace[i].bb_id for i in branches]
-    assert deps.taken.tolist() == [trace[i].taken for i in branches]
-    assert deps.branch_seq.tolist() == [trace[i].seq for i in branches]
+    assert deps.bb_id == [rows[i].bb_id for i in branches]
+    assert deps.taken.tolist() == [rows[i].taken for i in branches]
     assert deps.src_off.tolist() == [0] + list(accumulate(
-        len(inst.src_regs) for inst in trace))
+        len(inst.src_regs) for inst in rows))
     return deps
 
 
@@ -217,7 +220,7 @@ def test_pass_matches_the_walk(trace):
 
 @settings(max_examples=_DIFFERENTIAL_EXAMPLES, derandomize=True,
           deadline=None)
-@given(trace=_traces(), order=st.integers(0, 4))
+@given(trace=_traces(gaps=False), order=st.integers(0, 4))
 def test_skeleton_matches_the_previous_builder(trace, order):
     try:
         expected = reference_skeleton(trace, order)
@@ -233,12 +236,26 @@ def test_skeleton_matches_the_previous_builder(trace, order):
 
 
 def _inst(seq, src=(), dst=None, iclass=IClass.INT_ALU, bb=0):
-    return DynamicInstruction(seq, 8 * seq, iclass, bb, src, dst)
+    """An instruction at position *seq*, for :func:`_spaced`."""
+    return seq, Row(8 * seq, iclass, bb, src, dst)
 
 
-def _distances(instructions):
-    deps = _check_pass(Trace("edge", instructions))
-    return deps.raw.tolist(), deps.waw.tolist(), deps.war.tolist()
+def _spaced(name, placed):
+    """The trace of instructions placed by :func:`_inst`, register-free
+    fillers between them."""
+    rows = []
+    for seq, row in placed:
+        rows += [_FILLER] * (seq - len(rows))
+        rows.append(row)
+    return make_trace(name, rows)
+
+
+def _distances(placed):
+    """RAW distances of *placed*'s operands, and the WAW and WAR
+    distances of each of its instructions."""
+    deps = _check_pass(_spaced("edge", placed))
+    at = [seq for seq, _row in placed]
+    return deps.raw.tolist(), deps.waw[at].tolist(), deps.war[at].tolist()
 
 
 def test_duplicate_source_registers_share_a_producer():
@@ -269,19 +286,19 @@ def test_distance_512_is_kept_and_513_is_not():
 
 
 def test_an_empty_trace():
-    deps = dependency_pass(Trace("empty", []))
+    deps = dependency_pass(Trace("empty"))
     assert len(deps) == 0
     assert deps.raw.size == deps.waw.size == deps.war.size == 0
-    skeleton = _build_skeleton(Trace("empty", []), 1)
+    skeleton = _build_skeleton(Trace("empty"), 1)
     assert _skeleton_tuple(skeleton) == reference_skeleton(
-        Trace("empty", []), 1)
+        Trace("empty"), 1)
 
 
 def test_a_trace_ending_mid_block_drops_the_partial_block():
     instructions = [_inst(0, dst=1),
                     _inst(1, (1,), iclass=IClass.INT_COND_BRANCH, bb=5),
                     _inst(2, (1,), 1), _inst(3, (1,), 2)]
-    trace = Trace("partial", instructions)
+    trace = _spaced("partial", instructions)
     skeleton = _build_skeleton(trace, 1)
     assert _skeleton_tuple(skeleton) == reference_skeleton(trace, 1)
     assert list(skeleton.block_starts) == [0, 2]
@@ -292,7 +309,7 @@ def test_orders_beyond_the_block_count():
     """Fewer blocks than the order: every context starts with
     START_BLOCK padding."""
     for count in range(1, 6):
-        trace = Trace("short", [
+        trace = _spaced("short", [
             _inst(i, (1,), iclass=IClass.INT_COND_BRANCH, bb=i % 2)
             for i in range(count)])
         for order in range(7):
@@ -301,7 +318,7 @@ def test_orders_beyond_the_block_count():
 
 
 def test_a_resized_context_is_rejected():
-    trace = Trace("resized", [
+    trace = _spaced("resized", [
         _inst(0, iclass=IClass.INT_COND_BRANCH, bb=1), _inst(1),
         _inst(2, iclass=IClass.INT_COND_BRANCH, bb=1)])
     with pytest.raises(ValueError,
@@ -310,9 +327,9 @@ def test_a_resized_context_is_rejected():
 
 
 def test_the_pass_is_memoized_per_trace():
-    trace = Trace("memo", [_inst(0, dst=1), _inst(1, (1,))])
+    trace = _spaced("memo", [_inst(0, dst=1), _inst(1, (1,))])
     assert dependency_pass(trace) is dependency_pass(trace)
-    other = Trace("memo", list(trace.instructions))
+    other = trace.window(0, len(trace), "memo")
     assert dependency_pass(other) is not dependency_pass(trace)
 
 
@@ -351,18 +368,19 @@ def test_locality_entries_match_the_interning_walk(suite_windows, name,
     for anti in (False, True):
         config = replace(base, enforce_anti_dependencies=anti)
         configs[_locality_key(config, perfect)] = config
+    rows = trace_rows(trace)
     if perfect:
         events = [EV_DATA if inst.iclass is IClass.LOAD else 0
-                  for inst in trace]
+                  for inst in rows]
     else:
         hierarchy, _ = warm_locality_structures(warm, base)
         walked = bytearray()
-        hierarchy.walk(trace.instructions, walked)
+        hierarchy.walk(trace, walked)
         events = list(walked)
     for key, resolution in _walk(trace, configs, warm).items():
         anti = key[1]
         keys, distinct = _expected_resolution(
-            reference_entries(trace.instructions, anti), events)
+            reference_entries(rows, anti), events)
         assert list(resolution.keys) == keys, (name, anti)
         assert resolution.distinct == distinct, (name, anti)
         assert [type(field) for entry in resolution.distinct
@@ -370,14 +388,14 @@ def test_locality_entries_match_the_interning_walk(suite_windows, name,
                                         for field in entry]
 
 
-def _reference_dependency_stats(instructions):
+def _reference_dependency_stats(rows):
     """The baselines' walk: the RAW histogram, dependent operands and
     all operands, over the whole trace and per complete block's size."""
-    raw, _waw, _war = reference_distances(instructions)
+    raw, _waw, _war = reference_distances(rows)
     whole = [Counter(), 0, 0]
     per_size = {}
     block, operand = [], 0
-    for inst in instructions:
+    for inst in rows:
         block.append(raw[operand:operand + len(inst.src_regs)])
         operand += len(inst.src_regs)
         for d in block[-1]:
@@ -401,7 +419,7 @@ def test_baseline_profiles_match_the_walk(suite_windows, name):
     _warm, trace = suite_windows[name]
     config = baseline_config()
     (hist, dependent, operands), per_size = _reference_dependency_stats(
-        trace.instructions)
+        trace_rows(trace))
     distances = tuple(sorted(hist))
 
     profile = hls_profile(trace, config)
@@ -427,14 +445,16 @@ def test_baseline_profiles_match_the_walk(suite_windows, name):
 
 
 def test_wide_registers_and_sequence_numbers():
-    """Registers past int16 and keys or sequence numbers past int32
-    take the int64 paths."""
-    far = 1 << 33
-    instructions = [_inst(far + 3 * i, ((1 << 20) + (i + 1) % 3, i % 7),
-                          (1 << 20) + i % 3)
-                    for i in range(3000)]
-    raw, waw, war = _distances(instructions)
-    assert any(raw) and any(waw) and any(war)
+    """The widest registers a trace holds, over enough positions that
+    keys ``register * n + position`` pass int32, take the int64
+    path."""
+    top = (1 << 15) - 1
+    n = (1 << 31) // top + 10
+    trace = make_trace("wide", [
+        Row(0, IClass.INT_ALU, 0, (top - (i + 1) % 3, i % 7), top - i % 3)
+        for i in range(n)])
+    deps = _check_pass(trace)
+    assert deps.raw.any() and deps.waw.any() and deps.war.any()
 
 
 def test_packed_rows_are_equal_exactly_when_the_rows_are():

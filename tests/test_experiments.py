@@ -281,15 +281,14 @@ class TestTable4SharedTraces:
         """Each point measured on fresh copies of both traces: no memo
         of any earlier point is visible."""
         from repro.experiments.table4_relative import _measure
-        from repro.frontend.trace import Trace
 
         sweep_points, builder, _label, _reprofile, _metrics = \
             definitions[sweep]
         warm, trace = prepare_benchmark(name, scale)
         rows = []
         for point in sweep_points:
-            cold_warm = Trace(warm.name, list(warm.instructions))
-            cold = Trace(trace.name, list(trace.instructions))
+            cold_warm = warm.window(0, len(warm), warm.name)
+            cold = trace.window(0, len(trace), trace.name)
             rows.append(list(_measure(cold, cold_warm, builder(point),
                                       scale)))
         return rows

@@ -16,10 +16,11 @@ import pytest
 
 from repro.config import baseline_config
 from repro.isa.iclass import IClass
-from repro.isa.instruction import DynamicInstruction
 from repro.frontend.trace import Trace
 from repro.core.profiler import profile_trace
 from repro.core.sfg import START_BLOCK
+
+from conftest import Row, make_trace
 
 #: Figure 2's example basic block sequence.
 SEQUENCE = "AABAABCABC"
@@ -34,21 +35,17 @@ def _figure2_trace() -> Trace:
     branch); branch taken/target fields are synthesized to match the
     successor in the sequence.
     """
-    instructions = []
-    seq = 0
+    rows = []
     for position, letter in enumerate(SEQUENCE):
         block = _BLOCK_ID[letter]
         base = _ADDRESS[block]
-        instructions.append(DynamicInstruction(
-            seq, base, IClass.INT_ALU, block, src_regs=(1,), dst_reg=2))
-        seq += 1
+        rows.append(Row(base, IClass.INT_ALU, block, src_regs=(1,),
+                        dst_reg=2))
         successor = SEQUENCE[(position + 1) % len(SEQUENCE)]
-        instructions.append(DynamicInstruction(
-            seq, base + 8, IClass.INT_COND_BRANCH, block,
-            src_regs=(2,), taken=True,
-            target=_ADDRESS[_BLOCK_ID[successor]]))
-        seq += 1
-    return Trace(name="fig2", instructions=instructions)
+        rows.append(Row(base + 8, IClass.INT_COND_BRANCH, block,
+                        src_regs=(2,), taken=True,
+                        target=_ADDRESS[_BLOCK_ID[successor]]))
+    return make_trace("fig2", rows)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import entries_digest, positions
+from conftest import entries_digest, positions, trace_rows
 from repro.config import baseline_config, simplescalar_default_config
 from repro.isa.iclass import BRANCH_CLASSES, PRODUCING_CLASSES, IClass
 from repro.branch.unit import BranchOutcome
@@ -26,7 +26,7 @@ class TestHlsProfile:
     def test_block_size_statistics(self, profile, small_trace):
         sizes = []
         count = 0
-        for inst in small_trace:
+        for inst in trace_rows(small_trace):
             count += 1
             if inst.iclass in BRANCH_CLASSES:
                 sizes.append(count)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.isa.iclass import IClass
-from repro.isa.instruction import DynamicInstruction, StaticInstruction
+from repro.isa.instruction import MAX_SOURCES, StaticInstruction
+
+from conftest import Row, make_trace
 
 
 class TestStaticInstruction:
@@ -34,6 +36,12 @@ class TestStaticInstruction:
         assert inst.is_branch
         assert not inst.produces_register
 
+    def test_source_count_is_capped(self):
+        StaticInstruction(IClass.INT_ALU, src_regs=(1,) * MAX_SOURCES)
+        with pytest.raises(ValueError):
+            StaticInstruction(IClass.INT_ALU,
+                              src_regs=(1,) * (MAX_SOURCES + 1))
+
     def test_frozen(self):
         inst = StaticInstruction(IClass.INT_ALU, src_regs=(), dst_reg=1)
         with pytest.raises(AttributeError):
@@ -41,28 +49,21 @@ class TestStaticInstruction:
 
 
 class TestDynamicInstruction:
+    """An executed instruction is one position of a trace's columns."""
+
     def test_fields(self):
-        inst = DynamicInstruction(seq=7, pc=0x1000, iclass=IClass.LOAD,
-                                  bb_id=3, src_regs=(1,), dst_reg=2,
-                                  mem_addr=0xCAFE)
-        assert inst.seq == 7
-        assert inst.is_load
-        assert not inst.is_branch
-        assert inst.mem_addr == 0xCAFE
+        trace = make_trace("one", [Row(0x1000, IClass.LOAD, 3, (1,), 2,
+                                       0xCAFE)])
+        assert trace.iclass[0] == IClass.LOAD
+        assert trace.bb_id[0] == 3
+        assert trace.src_regs[0].tolist() == [1, -1, -1, -1]
+        assert trace.dst_reg[0] == 2
+        assert trace.mem_addr[0] == 0xCAFE
+        assert not trace.branch_records()
 
     def test_branch_outcome_fields(self):
-        inst = DynamicInstruction(seq=0, pc=0x1000,
-                                  iclass=IClass.INT_COND_BRANCH,
-                                  bb_id=0, taken=True, target=0x2000)
-        assert inst.is_branch
-        assert inst.taken
-        assert inst.target == 0x2000
-
-    def test_slots_prevent_arbitrary_attributes(self):
-        inst = DynamicInstruction(0, 0, IClass.INT_ALU, 0)
-        with pytest.raises(AttributeError):
-            inst.bogus = 1
-
-    def test_repr_mentions_class(self):
-        inst = DynamicInstruction(0, 0x1000, IClass.FP_MULT, 2)
-        assert "FP_MULT" in repr(inst)
+        trace = make_trace("one", [Row(0x1000, IClass.INT_COND_BRANCH, 0,
+                                       taken=True, target=0x2000)])
+        assert trace.branch_records() == {
+            0: (0x1000, IClass.INT_COND_BRANCH, True, 0x2000)}
+        assert trace.dst_reg[0] == trace.mem_addr[0] == -1

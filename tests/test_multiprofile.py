@@ -9,13 +9,12 @@ from repro.core.sfg import ContextStats
 from repro.core.synthesis import generate_synthetic_trace
 from repro.errors import ProfileError
 from repro.experiments.table4_relative import SCALE_POINTS
-from repro.frontend.trace import Trace
 from repro.obs.metrics import get_registry
 
 
 def _copy(trace):
     """The same instructions under a new trace object (cold memos)."""
-    return Trace(trace.name, list(trace.instructions))
+    return trace.window(0, len(trace), trace.name)
 
 
 def _count(name):

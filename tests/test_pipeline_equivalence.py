@@ -151,7 +151,6 @@ def test_window_sequence_through_memo_matches_fresh_structures(
     runs on a copy of the trace, which warms and walks fresh
     structures every time: every result field, the commit schedule
     and the power."""
-    from repro.frontend.trace import Trace
     from repro.obs.metrics import get_registry
     from repro.power.wattch import WattchPowerModel
 
@@ -162,7 +161,7 @@ def test_window_sequence_through_memo_matches_fresh_structures(
     before = (reused.value, built.value)
     for ruu in (16, 32, 64):
         config = baseline_config().with_window(ruu, ruu // 2)
-        copy = Trace(trace.name, list(trace.instructions))
+        copy = trace.window(0, len(trace), trace.name)
         memo_log, fresh_log = [], []
         memo = SuperscalarPipeline(config, ExecutionDrivenSource(
             trace, config, warmup_trace=warm)).run(commit_log=memo_log)
@@ -183,9 +182,9 @@ def test_profile_from_shared_resolution_matches_own_walk(warm_windows):
     no cache at all."""
     from repro.core.framework import run_execution_driven
     from repro.core.sfg import START_BLOCK
-    from repro.frontend.trace import Trace
     from repro.frontend.warming import warm_locality_structures
     from repro.obs.metrics import get_registry
+    from tests.conftest import trace_rows
 
     warm, trace = warm_windows
     config = baseline_config()
@@ -194,14 +193,14 @@ def test_profile_from_shared_resolution_matches_own_walk(warm_windows):
     before = reused.value
     shared = profile_trace(trace, config, order=1, warmup_trace=warm)
     assert reused.value == before + 1
-    cacheless = profile_trace(Trace(trace.name, list(trace.instructions)),
+    cacheless = profile_trace(trace.window(0, len(trace), trace.name),
                               config, order=1, warmup_trace=warm,
                               perfect_caches=True)
 
     hierarchy, _ = warm_locality_structures(warm, config)
     expected = {}
     history, block = (START_BLOCK,), []
-    for inst in trace:
+    for inst in trace_rows(trace):
         iresult = hierarchy.access_instruction(inst.pc)
         events = [iresult.il1_miss, iresult.l2_miss, iresult.itlb_miss,
                   False, False, False]

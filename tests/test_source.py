@@ -16,6 +16,8 @@ from repro.cpu.source import (
     MAX_DEPENDENCY_DISTANCE,
 )
 
+from conftest import Row, make_trace, trace_rows
+
 
 class TestExecutionDrivenSource:
     def test_consumes_whole_trace(self, tiny_trace, config):
@@ -116,13 +118,10 @@ class TestExecutionDrivenSource:
         dispatch-time training leaves it a fetch redirection too."""
         from repro.cpu.pipeline import SuperscalarPipeline
         from repro.cpu.reference import ReferencePipeline
-        from repro.frontend.trace import Trace
-        from repro.isa.instruction import DynamicInstruction
 
-        trace = Trace("loop", [
-            DynamicInstruction(seq, 0x1000, IClass.INT_COND_BRANCH, 0,
-                               taken=True, target=0x1000)
-            for seq in range(12)])
+        trace = make_trace("loop", [
+            Row(0x1000, IClass.INT_COND_BRANCH, 0, taken=True,
+                target=0x1000)] * 12)
         deep = replace(config, frontend_depth=8)
         for pipeline in (SuperscalarPipeline, ReferencePipeline):
             result = pipeline(deep, ExecutionDrivenSource(trace, deep)).run()
@@ -133,7 +132,8 @@ class TestExecutionDrivenSource:
         source.peek_filler(0)
         source.peek_filler(5)
         slot = source.fetch()
-        assert slot.raw.seq == 0
+        assert slot.iclass == tiny_trace.iclass[0]
+        assert source._pos == 1
 
 
 class TestPreannotatedSource:
@@ -162,9 +162,7 @@ class TestPreannotatedSource:
 
 def _copy(trace):
     """The same instructions under a new trace object (a cold memo)."""
-    from repro.frontend.trace import Trace
-
-    return Trace(trace.name, list(trace.instructions))
+    return trace.window(0, len(trace), trace.name)
 
 
 def _counts():
@@ -276,7 +274,7 @@ class TestLocalityMemo:
         # in program order, through an identically warmed hierarchy.
         walked, _ = warm_locality_structures(warm, config)
         expected = []
-        for inst in trace:
+        for inst in trace_rows(trace):
             iresult = walked.access_instruction(inst.pc)
             events = (iresult.il1_miss | iresult.l2_miss << 1
                       | iresult.itlb_miss << 2)

@@ -1,31 +1,39 @@
 """Tests for trace containers and interval utilities."""
 
+import numpy as np
 import pytest
 
-from repro.frontend.trace import Trace, concat_traces, split_intervals
+from repro.frontend.trace import FIELDS, Trace, concat_traces, split_intervals
 from repro.isa.iclass import IClass
+
+from conftest import trace_rows
 
 
 class TestTrace:
-    def test_len_iter_getitem(self, tiny_trace):
+    def test_len_and_window(self, tiny_trace):
         assert len(tiny_trace) == 600
-        assert tiny_trace[0].seq == 0
-        assert sum(1 for _ in tiny_trace) == 600
+        window = tiny_trace.window(100, 250)
+        assert len(window) == 150
+        assert window.name == f"{tiny_trace.name}[100:250]"
+        assert trace_rows(window) == trace_rows(tiny_trace)[100:250]
 
     def test_instruction_mix_sums_to_one(self, small_trace):
         mix = small_trace.instruction_mix()
         assert abs(sum(mix.values()) - 1.0) < 1e-9
 
-    def test_counts(self, tiny_trace):
-        # Tiny program: block0 has 1 load of 3 instructions; block1 none.
-        assert tiny_trace.num_loads > 0
-        assert tiny_trace.num_branches == \
-            len(tiny_trace.basic_block_sequence())
+    def test_columns_must_agree_in_length(self):
+        with pytest.raises(ValueError):
+            Trace("ragged", pc=[0, 8], iclass=[int(IClass.INT_ALU)])
 
-    def test_basic_block_counts(self, tiny_trace):
-        counts = tiny_trace.basic_block_counts()
-        # The loop body dominates.
-        assert counts[0] > counts[1] > 0
+    def test_branch_records_are_built_for_branches_only(self, tiny_trace):
+        records = tiny_trace.branch_records()
+        rows = trace_rows(tiny_trace)
+        assert list(records) == [i for i, row in enumerate(rows)
+                                 if row.is_branch]
+        for position, record in records.items():
+            row = rows[position]
+            assert record == (row.pc, row.iclass, row.taken, row.target)
+        assert tiny_trace.branch_records() is records
 
 
 class TestSplitIntervals:
@@ -47,13 +55,22 @@ class TestSplitIntervals:
 
     def test_pieces_cover_prefix(self, tiny_trace):
         pieces = split_intervals(tiny_trace, 200)
-        flattened = [inst for piece in pieces for inst in piece]
-        assert flattened == tiny_trace.instructions[:600]
+        flattened = [row for piece in pieces for row in trace_rows(piece)]
+        assert flattened == trace_rows(tiny_trace)[:600]
 
 
 class TestConcat:
     def test_concat_renumbers(self, tiny_trace):
         pieces = split_intervals(tiny_trace, 200)
         merged = concat_traces("merged", pieces)
-        assert [inst.seq for inst in merged] == list(range(600))
+        for field in FIELDS:
+            assert np.array_equal(getattr(merged, field),
+                                  getattr(tiny_trace, field))
+        # Positions are the sequence numbers: the second piece's first
+        # branch is numbered after the first piece's instructions.
+        assert list(merged.branch_records()) == \
+            list(tiny_trace.branch_records())
         assert merged.name == "merged"
+
+    def test_concat_of_nothing_is_empty(self):
+        assert len(concat_traces("none", [])) == 0

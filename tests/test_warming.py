@@ -29,18 +29,18 @@ class TestWarmLocalityStructures:
     def test_warm_cache_hits_on_rerun(self, tiny_trace, config):
         hierarchy, _ = warm_locality_structures(tiny_trace, config)
         misses_before = hierarchy.il1.misses
-        for inst in tiny_trace.instructions[:100]:
-            hierarchy.access_instruction(inst.pc)
+        for pc in tiny_trace.pc[:100].tolist():
+            hierarchy.access_instruction(pc)
         # Re-fetching the warmed working set produces no new misses.
         assert hierarchy.il1.misses == misses_before
 
     def test_predictor_trained(self, tiny_trace, config):
         _, predictor = warm_locality_structures(tiny_trace, config)
         # The tiny loop's always-taken exit branch is in the BTB.
-        branch = next(i for i in tiny_trace if i.is_branch and i.taken)
-        ways = predictor.btb_sets[(branch.pc >> 3)
-                                  % len(predictor.btb_sets)]
-        assert branch.pc in [tag for tag, _ in ways]
+        pc = next(pc for pc, _iclass, taken, _target
+                  in tiny_trace.branch_records().values() if taken)
+        ways = predictor.btb_sets[(pc >> 3) % len(predictor.btb_sets)]
+        assert pc in [tag for tag, _ in ways]
 
     def test_existing_structures_reused(self, tiny_trace, config):
         from repro.cache.hierarchy import CacheHierarchy
@@ -57,12 +57,14 @@ class TestRunProgramWithWarmup:
                                                  n_instructions=200)
         # Warmup extends to the next block boundary.
         assert 100 <= len(warm) < 100 + 10
-        assert warm.instructions[-1].is_branch
+        assert len(warm) - 1 in warm.branch_records()
         assert len(measured) == 200
-        assert measured.instructions[0].pc == \
-            tiny_program.blocks[measured.instructions[0].bb_id].address
+        assert measured.pc[0] == \
+            tiny_program.blocks[measured.bb_id[0]].address
 
     def test_measured_renumbered(self, tiny_program):
         _, measured = run_program_with_warmup(tiny_program, warmup=77,
                                               n_instructions=50)
-        assert [inst.seq for inst in measured] == list(range(50))
+        # Positions restart at zero, on a whole block.
+        first_block = tiny_program.blocks[int(measured.bb_id[0])]
+        assert min(measured.branch_records()) == first_block.size - 1
